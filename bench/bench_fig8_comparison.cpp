@@ -171,7 +171,7 @@ int run_backend_comparison(util::BenchReport& report, std::size_t n,
                    .param("queries", static_cast<std::uint64_t>(queries_n))
                    .param("speedup", speedup));
   std::printf("\nbit-parallel speedup: %.1fx wall-clock "
-              "(CI gate at default sizes: >= 150x)\n", speedup);
+              "(CI gate at default sizes: >= 700x)\n", speedup);
   return 0;
 }
 

@@ -35,6 +35,7 @@
 #include "knn/dataset.hpp"
 #include "serve/server.hpp"
 #include "util/bench_report.hpp"
+#include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
@@ -62,17 +63,6 @@ serve::ServerOptions bed_options(std::size_t k) {
   options.max_queue_depth = 64;
   options.max_inflight = 256;
   return options;
-}
-
-/// p-th percentile (nearest-rank) of an unsorted sample; 0 when empty.
-double percentile(std::vector<double> sample, double p) {
-  if (sample.empty()) {
-    return 0;
-  }
-  std::sort(sample.begin(), sample.end());
-  const auto rank = static_cast<std::size_t>(
-      p / 100.0 * static_cast<double>(sample.size() - 1) + 0.5);
-  return sample[std::min(rank, sample.size() - 1)];
 }
 
 struct PhaseResult {
@@ -140,8 +130,10 @@ PhaseResult run_phase(const knn::BinaryDataset& data,
                                               static_cast<double>(out.shed) /
                                               static_cast<double>(out.submitted)
                                         : 0;
-  out.p50_ms = percentile(ok_latency_ms, 50);
-  out.p99_ms = percentile(ok_latency_ms, 99);
+  if (!ok_latency_ms.empty()) {
+    out.p50_ms = util::percentile(ok_latency_ms, 50);
+    out.p99_ms = util::percentile(ok_latency_ms, 99);
+  }
   out.queue_high_water = stats.queue_high_water;
   out.mean_occupancy = stats.mean_batch_occupancy();
   return out;

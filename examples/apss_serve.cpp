@@ -50,6 +50,7 @@
 #include "cli_common.hpp"
 #include "knn/dataset.hpp"
 #include "serve/server.hpp"
+#include "util/stats.hpp"
 
 namespace {
 
@@ -99,17 +100,6 @@ void usage() {
       "         [--qps=<arrivals/s>] [--duration-s=<s>] [--deadline-ms=<ms>]\n"
       "         [--status-every=<s>]\n"
       "         [--inject-fault=<site>[:<hit>[:<count>[:<key>]]]]\n");
-}
-
-/// p-th percentile of an unsorted sample (nearest-rank); 0 when empty.
-double percentile(std::vector<double> sample, double p) {
-  if (sample.empty()) {
-    return 0;
-  }
-  std::sort(sample.begin(), sample.end());
-  const auto rank = static_cast<std::size_t>(
-      p / 100.0 * static_cast<double>(sample.size() - 1) + 0.5);
-  return sample[std::min(rank, sample.size() - 1)];
 }
 
 int run(const ServeFlags& flags) {
@@ -237,7 +227,8 @@ int run(const ServeFlags& flags) {
                       serve::ResponseCode::kInvalidArgument)]));
   if (!ok_latency_ms.empty()) {
     std::printf("latency (ok): p50 %.2f ms, p99 %.2f ms over %zu responses\n",
-                percentile(ok_latency_ms, 50), percentile(ok_latency_ms, 99),
+                util::percentile(ok_latency_ms, 50),
+                util::percentile(ok_latency_ms, 99),
                 ok_latency_ms.size());
   }
 

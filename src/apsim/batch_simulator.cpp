@@ -206,6 +206,20 @@ std::string check_element_properties(const anml::AutomataNetwork& network,
   return "";
 }
 
+/// In-place transpose of a 64x64 bit matrix: afterwards bit r of m[b] is
+/// what bit b of m[r] was (Hacker's Delight's block-swap transpose, with
+/// bit 0 as column 0).
+void transpose64(std::uint64_t (&m)[64]) {
+  std::uint64_t mask = 0x00000000FFFFFFFFull;
+  for (std::size_t j = 32; j != 0; j >>= 1, mask ^= mask << j) {
+    for (std::size_t k = 0; k < 64; k = ((k | j) + 1) & ~j) {
+      const std::uint64_t t = ((m[k] >> j) ^ m[k | j]) & mask;
+      m[k | j] ^= t;
+      m[k] ^= t << j;
+    }
+  }
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -962,6 +976,34 @@ std::shared_ptr<const BatchProgram> BatchProgram::from_state(
       }
     }
   }
+  // The closed-form frame path's lane-major table, one 64x64 block
+  // transpose per (class, 64 dimensions, 64 lanes): block row r is the
+  // lane word of dimension 64j + r, so transposed row b is lane 64w + b's
+  // class-c bits over those dimensions, row word k = c * dim_words_ + j.
+  const std::size_t row_words = prog->class_count_ * prog->dim_words_;
+  prog->lane_bits_.assign(prog->match_blocks() * row_words * kMatchBlockLanes,
+                          0);
+  std::uint64_t block[64];
+  for (std::uint64_t c = 0; c < s.class_count; ++c) {
+    for (std::uint64_t j = 0; j < prog->dim_words_; ++j) {
+      const std::size_t k = c * prog->dim_words_ + j;
+      for (std::uint64_t w = 0; w < words; ++w) {
+        for (std::uint64_t r = 0; r < 64; ++r) {
+          const std::uint64_t dim = j * 64 + r;
+          block[r] = dim < s.dims
+                         ? s.dim_rows[(dim * s.class_count + c) * words + w]
+                         : 0;
+        }
+        transpose64(block);
+        for (std::uint64_t b = 0; b < 64 && w * 64 + b < s.lanes; ++b) {
+          const std::size_t lane = w * 64 + b;
+          prog->lane_bits_[(lane / kMatchBlockLanes * row_words + k) *
+                               kMatchBlockLanes +
+                           lane % kMatchBlockLanes] = block[b];
+        }
+      }
+    }
+  }
   prog->report_elem_ = s.report_elem;
   prog->report_code_ = s.report_code;
 
@@ -1007,6 +1049,8 @@ BatchSimulator::BatchSimulator(std::shared_ptr<const BatchProgram> program,
   }
   const BatchProgram& p = *program_;
   kernels_ = resolve_lane_kernels(lane_width);
+  match_counts_ = resolve_match_counts();
+  frame_cycles_ = 2 * p.dims_ + p.levels_ + 3;
   // Words swept per cycle: the canonical count rounded up to this width's
   // block. The program pads its rows and valid masks to kLaneBlockWords
   // (>= any block), so the sweep never reads past storage, the pad words
@@ -1015,16 +1059,26 @@ BatchSimulator::BatchSimulator(std::shared_ptr<const BatchProgram> program,
   eff_words_ = (p.words_ + block - 1) / block * block;
   chain_.assign(p.dim_words_, 0);
   match_ring_.assign(p.levels_ * eff_words_, 0);
-  planes_.assign(p.planes_ * eff_words_, 0);
+  // Every live lane's counter holds the bias after a reset.
+  reset_planes_.assign(p.planes_ * eff_words_, 0);
+  for (std::uint32_t q = 0; q < p.planes_; ++q) {
+    if ((p.bias_ >> q) & 1) {
+      std::copy_n(p.valid_.begin(), eff_words_,
+                  reset_planes_.begin() +
+                      static_cast<std::ptrdiff_t>(q * eff_words_));
+    }
+  }
   cond_prev_.assign(eff_words_, 0);
   pulse_.assign(eff_words_, 0);
   counter_out_.assign(eff_words_, 0);
   match_scratch_.assign(eff_words_, 0);
+  query_bits_.assign(p.class_count_ * p.dim_words_, 0);
+  lane_counts_.assign(p.match_blocks() * kMatchBlockLanes, 0);
+  count_cursor_.assign(p.dims_ + 1, 0);
   reset();
 }
 
 void BatchSimulator::reset() {
-  const BatchProgram& p = *program_;
   cycle_ = 0;
   guard_prev_ = false;
   sort_prev_ = false;
@@ -1035,12 +1089,7 @@ void BatchSimulator::reset() {
   std::fill(cond_prev_.begin(), cond_prev_.end(), 0);
   std::fill(pulse_.begin(), pulse_.end(), 0);
   std::fill(counter_out_.begin(), counter_out_.end(), 0);
-  for (std::uint32_t q = 0; q < p.planes_; ++q) {
-    const bool bias_bit = (p.bias_ >> q) & 1;
-    for (std::size_t w = 0; w < eff_words_; ++w) {
-      planes_[q * eff_words_ + w] = bias_bit ? p.valid_[w] : 0;
-    }
-  }
+  planes_ = reset_planes_;
   reports_.clear();
 }
 
@@ -1145,11 +1194,84 @@ std::vector<ReportEvent> BatchSimulator::run(
   return run_continue(stream);
 }
 
+bool BatchSimulator::quiescent() const noexcept {
+  const auto zero = [](const std::vector<std::uint64_t>& v) {
+    return std::all_of(v.begin(), v.end(),
+                       [](std::uint64_t x) { return x == 0; });
+  };
+  return !guard_prev_ && !sort_prev_ && bridge_ == 0 && zero(chain_) &&
+         zero(match_ring_) && zero(cond_prev_) && zero(pulse_) &&
+         zero(counter_out_) && planes_ == reset_planes_;
+}
+
+bool BatchSimulator::try_closed_form_frame(
+    std::span<const std::uint8_t> rest) {
+  const BatchProgram& p = *program_;
+  const std::size_t cpq = frame_cycles_;
+  if (rest.size() < cpq || rest[0] != p.sof_ || rest[cpq - 1] != p.eof_) {
+    return false;
+  }
+  const auto interior = rest.subspan(1, cpq - 2);
+  if (std::any_of(interior.begin(), interior.end(), [&](std::uint8_t s) {
+        return s == p.sof_ || s == p.eof_;
+      }) ||
+      !quiescent()) {
+    return false;
+  }
+
+  // From quiescence the SOF launches one wavefront: dimension i's matching
+  // states are enabled at frame position 1 + i only, and the fill that
+  // follows neither matches (the wavefront has left) nor resets (no EOF).
+  // So lane l's count after the data is h = its matched dimensions, the
+  // sort state then adds one per cycle, and the counter crosses d exactly
+  // once: it reports at frame offset 2d+L+3-h.
+  const std::size_t dw = p.dim_words_;
+  std::fill(query_bits_.begin(), query_bits_.end(), 0);
+  for (std::size_t i = 0; i < p.dims_; ++i) {
+    std::uint16_t accept = p.sym_classes_[rest[1 + i]];
+    while (accept != 0) {
+      const auto c = static_cast<std::size_t>(std::countr_zero(accept));
+      accept &= static_cast<std::uint16_t>(accept - 1);
+      query_bits_[c * dw + i / 64] |= std::uint64_t{1} << (i % 64);
+    }
+  }
+  match_counts_(p.lane_bits_.data(), query_bits_.data(), query_bits_.size(),
+                p.match_blocks(), lane_counts_.data());
+
+  // Counting sort on h, descending (ascending report cycle), stable in lane
+  // order (the within-cycle report order).
+  std::fill(count_cursor_.begin(), count_cursor_.end(), 0);
+  for (std::size_t l = 0; l < p.macro_count_; ++l) {
+    ++count_cursor_[lane_counts_[l]];
+  }
+  std::size_t at = reports_.size();
+  for (std::size_t h = p.dims_ + 1; h-- > 0;) {
+    const std::size_t lanes_at_h = count_cursor_[h];
+    count_cursor_[h] = at;
+    at += lanes_at_h;
+  }
+  reports_.resize(at);
+  const std::uint64_t frame_end = cycle_ + cpq;
+  for (std::size_t l = 0; l < p.macro_count_; ++l) {
+    const std::uint32_t h = lane_counts_[l];
+    reports_[count_cursor_[h]++] = {frame_end - h, p.report_elem_[l],
+                                    p.report_code_[l]};
+  }
+  cycle_ = frame_end;
+  ring_pos_ = (ring_pos_ + cpq) % p.levels_;
+  ++closed_form_frames_;
+  return true;
+}
+
 std::vector<ReportEvent> BatchSimulator::run_continue(
     std::span<const std::uint8_t> stream) {
   const std::size_t first_new = reports_.size();
-  for (const std::uint8_t symbol : stream) {
-    step(symbol);
+  for (std::size_t pos = 0; pos < stream.size();) {
+    if (try_closed_form_frame(stream.subspan(pos))) {
+      pos += frame_cycles_;
+    } else {
+      step(stream[pos++]);
+    }
   }
   return {reports_.begin() + static_cast<std::ptrdiff_t>(first_new),
           reports_.end()};
@@ -1170,9 +1292,17 @@ std::vector<ReportEvent> BatchSimulator::run_continue(
   const std::uint64_t period =
       control.checkpoint_period > 0 ? control.checkpoint_period : stream.size();
   std::uint64_t since = 0;
-  for (const std::uint8_t symbol : stream) {
-    step(symbol);
-    if (++since >= period) {
+  for (std::size_t pos = 0; pos < stream.size();) {
+    // A closed-form frame may end on a checkpoint but not span one.
+    if (period - since >= frame_cycles_ &&
+        try_closed_form_frame(stream.subspan(pos))) {
+      pos += frame_cycles_;
+      since += frame_cycles_;
+    } else {
+      step(stream[pos++]);
+      ++since;
+    }
+    if (since >= period) {
       since = 0;
       control.checkpoint();
       util::FaultInjector::check(util::kFaultBatchFrame, control.fault_key);

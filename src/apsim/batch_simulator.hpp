@@ -244,6 +244,16 @@ class BatchProgram {
   std::vector<std::uint64_t> dim_rows_;
   /// row_stride_ words: bit l = lane l is live (zero in the pad words).
   std::vector<std::uint64_t> valid_;
+  /// The lane-major transpose of dim_rows_, for the closed-form frame path:
+  /// lane l's row holds class_count_ x dim_words_ words, bit i%64 of word
+  /// c * dim_words_ + i/64 = lane l's dim-i matching state uses class c.
+  /// Rows are interleaved in blocks of kMatchBlockLanes lanes (the
+  /// LaneMatchCounts layout), pad lanes zero. Derived in from_state, never
+  /// serialized.
+  std::vector<std::uint64_t> lane_bits_;
+  std::size_t match_blocks() const noexcept {
+    return (macro_count_ + kMatchBlockLanes - 1) / kMatchBlockLanes;
+  }
   std::vector<anml::ElementId> report_elem_;  ///< per lane
   std::vector<std::uint32_t> report_code_;    ///< per lane
   std::uint32_t planes_ = 0;      ///< Q: bit planes per counter
@@ -280,19 +290,35 @@ class BatchSimulator {
 
   /// Runs WITHOUT resetting first — streams are concatenable, matching
   /// Simulator::run_continue.
+  ///
+  /// Closed-form frames: when the simulator is quiescent (in the state
+  /// reset() leaves, up to cycle() and reports()) and the next 2d+L+3
+  /// symbols are SOF, then no SOF/EOF, then EOF, the whole frame's events
+  /// follow from each lane's match count h: one report at frame offset
+  /// 2d+L+3-h, lanes ascending within a cycle. Such frames are computed
+  /// in one popcount sweep instead of being stepped, leave the simulator
+  /// quiescent, and produce exactly the events and state stepping would.
+  /// Every other symbol is stepped (docs/SIMULATOR_SEMANTICS.md).
   std::vector<ReportEvent> run_continue(std::span<const std::uint8_t> stream);
 
   /// Checkpointed variants (same contract as Simulator::run(stream,
   /// control)): poll the deadline/cancellation token every
   /// `control.checkpoint_period` symbols and fire the "batch.frame" fault
   /// site. Uninstrumented-loop cost when the control is idle and no fault
-  /// site is armed.
+  /// site is armed. A frame is computed in closed form only when no
+  /// checkpoint falls before its last symbol, so checkpoints and fault
+  /// checks fire after exactly the same symbol counts as when stepping.
   std::vector<ReportEvent> run(std::span<const std::uint8_t> stream,
                                const util::RunControl& control);
   std::vector<ReportEvent> run_continue(std::span<const std::uint8_t> stream,
                                         const util::RunControl& control);
 
   std::uint64_t cycle() const noexcept { return cycle_; }
+  /// Frames computed in closed form since construction (the rest of the
+  /// cycle() symbols were stepped).
+  std::uint64_t closed_form_frames() const noexcept {
+    return closed_form_frames_;
+  }
   const std::vector<ReportEvent>& reports() const noexcept { return reports_; }
   void clear_reports() { reports_.clear(); }
   const BatchProgram& program() const noexcept { return *program_; }
@@ -304,11 +330,23 @@ class BatchSimulator {
   bool lane_simd() const noexcept { return kernels_.simd; }
 
  private:
+  /// True when the dynamic state equals what reset() leaves, apart from
+  /// cycle_, reports_ and ring_pos_ (unobservable while the ring is zero).
+  /// A member added to the dynamic state must be checked here too.
+  bool quiescent() const noexcept;
+  /// Consumes the frame at the head of `rest` in closed form and returns
+  /// true, or returns false (consuming nothing) when the frame template or
+  /// the quiescent precondition does not hold.
+  bool try_closed_form_frame(std::span<const std::uint8_t> rest);
+
   std::shared_ptr<const BatchProgram> program_;
   LaneKernels kernels_;     ///< resolved hot-loop kernels (width + ISA)
+  LaneMatchCounts match_counts_ = nullptr;  ///< closed-form frame kernel
   std::size_t eff_words_ = 0;  ///< words_ rounded up to the kernel block
+  std::size_t frame_cycles_ = 0;  ///< 2d+L+3: one closed-form frame
 
   std::uint64_t cycle_ = 0;
+  std::uint64_t closed_form_frames_ = 0;
   bool guard_prev_ = false;  ///< guard output last cycle (scalar: uniform)
   bool sort_prev_ = false;   ///< sort-state output last cycle
   std::uint64_t bridge_ = 0;  ///< bridge-chain outputs last cycle, bit k = slot k
@@ -317,10 +355,17 @@ class BatchSimulator {
   std::vector<std::uint64_t> match_ring_;
   std::size_t ring_pos_ = 0;
   std::vector<std::uint64_t> planes_;     ///< Q x words: bit-sliced counts
+  std::vector<std::uint64_t> reset_planes_;  ///< planes_ after reset()
   std::vector<std::uint64_t> cond_prev_;  ///< count condition last cycle
   std::vector<std::uint64_t> pulse_;      ///< staged counter pulse
   std::vector<std::uint64_t> counter_out_;  ///< counter outputs last cycle
   std::vector<std::uint64_t> match_scratch_;
+  /// Closed-form scratch: class_count x dim_words query masks (bit i of
+  /// class c = the dim-i data symbol is accepted by c), per-lane match
+  /// counts, and the counting sort's per-count output cursors.
+  std::vector<std::uint64_t> query_bits_;
+  std::vector<std::uint32_t> lane_counts_;
+  std::vector<std::size_t> count_cursor_;
   std::vector<ReportEvent> reports_;
 };
 

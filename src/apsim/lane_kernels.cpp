@@ -56,6 +56,42 @@ bool cpu_supports_avx512() noexcept { return false; }
 
 namespace {
 
+void match_counts_portable(const std::uint64_t* lane_bits,
+                           const std::uint64_t* query, std::size_t row_words,
+                           std::size_t blocks, std::uint32_t* counts) {
+  detail::match_counts_impl(lane_bits, query, row_words, blocks, counts);
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+// The baseline ISA lacks POPCNT (std::popcount becomes a libgcc call); this
+// clone of the same loop is compiled for it and picked at run time.
+__attribute__((target("popcnt"))) void match_counts_popcnt(
+    const std::uint64_t* lane_bits, const std::uint64_t* query,
+    std::size_t row_words, std::size_t blocks, std::uint32_t* counts) {
+  detail::match_counts_impl(lane_bits, query, row_words, blocks, counts);
+}
+#endif
+
+}  // namespace
+
+LaneMatchCounts resolve_match_counts() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  if (!lane_simd_disabled_by_env()) {
+    const LaneMatchCounts avx512 = detail::avx512_match_counts();
+    if (avx512 != nullptr && cpu_supports_avx512() &&
+        __builtin_cpu_supports("avx512vpopcntdq")) {
+      return avx512;
+    }
+    if (__builtin_cpu_supports("popcnt")) {
+      return match_counts_popcnt;
+    }
+  }
+#endif
+  return match_counts_portable;
+}
+
+namespace {
+
 template <std::size_t W>
 constexpr LaneKernels portable_kernels(const char* isa) {
   LaneKernels k;

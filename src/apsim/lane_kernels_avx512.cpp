@@ -1,9 +1,10 @@
 // AVX-512 lane kernels: 512 lanes per operation on one zmm register. Built
 // with -mavx512f when the compiler supports it; a stub registry otherwise
 // (the dispatcher then serves LaneWidth::k512 with the portable
-// LaneWord<512> path). Only AVX512F instructions are used, so any AVX-512
-// CPU qualifies; nothing executes unless resolve_lane_kernels checked
-// __builtin_cpu_supports("avx512f") first.
+// LaneWord<512> path). The lane kernels use only AVX512F instructions, so
+// any AVX-512 CPU qualifies; nothing executes unless resolve_lane_kernels
+// checked __builtin_cpu_supports("avx512f") first. The closed-form match
+// count kernel also needs VPOPCNTDQ, which resolve_match_counts checks.
 
 #include "apsim/lane_word.hpp"
 
@@ -54,9 +55,30 @@ constexpr LaneKernels make_kernels() {
 
 const LaneKernels kAvx512Kernels = make_kernels();
 
+/// match_counts_impl with one block of 8 lanes per zmm register: word k of
+/// the block's lanes, ANDed with query word k, counted by VPOPCNTQ.
+__attribute__((target("avx512f,avx512vpopcntdq"))) void match_counts_avx512(
+    const std::uint64_t* lane_bits, const std::uint64_t* query,
+    std::size_t row_words, std::size_t blocks, std::uint32_t* counts) {
+  static_assert(kMatchBlockLanes == 8, "one block per 512-bit register");
+  for (std::size_t b = 0; b < blocks; ++b) {
+    const std::uint64_t* block = lane_bits + b * row_words * 8;
+    __m512i h = _mm512_setzero_si512();
+    for (std::size_t k = 0; k < row_words; ++k) {
+      const __m512i hits = _mm512_and_si512(
+          _mm512_loadu_si512(block + k * 8),
+          _mm512_set1_epi64(static_cast<long long>(query[k])));
+      h = _mm512_add_epi64(h, _mm512_popcnt_epi64(hits));
+    }
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(counts + b * 8),
+                        _mm512_cvtepi64_epi32(h));
+  }
+}
+
 }  // namespace
 
 const LaneKernels* avx512_lane_kernels() noexcept { return &kAvx512Kernels; }
+LaneMatchCounts avx512_match_counts() noexcept { return match_counts_avx512; }
 
 }  // namespace apss::apsim::detail
 
@@ -64,6 +86,7 @@ const LaneKernels* avx512_lane_kernels() noexcept { return &kAvx512Kernels; }
 
 namespace apss::apsim::detail {
 const LaneKernels* avx512_lane_kernels() noexcept { return nullptr; }
+LaneMatchCounts avx512_match_counts() noexcept { return nullptr; }
 }  // namespace apss::apsim::detail
 
 #endif

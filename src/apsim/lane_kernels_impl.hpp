@@ -11,6 +11,7 @@
 // `words` of or_rows) is a multiple of V::kWords and that every array is
 // zero-padded past the live lanes, so no tail handling exists here.
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 
@@ -81,6 +82,28 @@ inline void counter_update_impl(const LaneCounterCtx& ctx) {
     const V prev = V::load(ctx.cond_prev + w);
     cond.andnot(prev).store(ctx.pulse + w);  // rising edge -> pulse
     cond.store(ctx.cond_prev + w);
+  }
+}
+
+/// The closed-form frame's per-lane match counts (see LaneMatchCounts): one
+/// popcount per (lane, row word), kMatchBlockLanes independent lane sums
+/// per block so the fixed inner loop pipelines (or vectorizes).
+inline void match_counts_impl(const std::uint64_t* lane_bits,
+                              const std::uint64_t* query,
+                              std::size_t row_words, std::size_t blocks,
+                              std::uint32_t* counts) {
+  for (std::size_t b = 0; b < blocks; ++b) {
+    const std::uint64_t* block = lane_bits + b * row_words * kMatchBlockLanes;
+    std::uint32_t h[kMatchBlockLanes] = {};
+    for (std::size_t k = 0; k < row_words; ++k) {
+      for (std::size_t i = 0; i < kMatchBlockLanes; ++i) {
+        h[i] += static_cast<std::uint32_t>(
+            std::popcount(block[k * kMatchBlockLanes + i] & query[k]));
+      }
+    }
+    for (std::size_t i = 0; i < kMatchBlockLanes; ++i) {
+      counts[b * kMatchBlockLanes + i] = h[i];
+    }
   }
 }
 

@@ -153,6 +153,27 @@ struct LaneKernels {
   std::size_t block_words() const noexcept { return width_bits() / 64; }
 };
 
+/// Lanes per block of the closed-form frame path's lane-major table.
+inline constexpr std::size_t kMatchBlockLanes = 8;
+
+/// Per-lane match counts for the closed-form frame path (see
+/// BatchSimulator::run_continue). Every lane has a row of `row_words`
+/// words; rows are stored in blocks of kMatchBlockLanes lanes, word k of
+/// lane l at lane_bits[((l / 8) * row_words + k) * 8 + l % 8], so one
+/// 512-bit load holds word k of a whole block. counts[l] = the sum over k
+/// of popcount(word k of lane l & query[k]), for `blocks` blocks (lanes
+/// rounded up to a whole block; pad lanes have zero rows). Independent of
+/// the execution lane width.
+using LaneMatchCounts = void (*)(const std::uint64_t* lane_bits,
+                                 const std::uint64_t* query,
+                                 std::size_t row_words, std::size_t blocks,
+                                 std::uint32_t* counts);
+
+/// The AVX-512 VPOPCNTDQ variant, else the hardware-POPCNT one, when the
+/// CPU has it and APSS_DISABLE_SIMD is unset; else the portable bit count
+/// (all bit-identical).
+LaneMatchCounts resolve_match_counts() noexcept;
+
 /// True when the environment variable APSS_DISABLE_SIMD is set to anything
 /// but "" or "0" — the portable-fallback override (read on every resolve,
 /// so tests can flip it between simulator constructions).
@@ -175,6 +196,9 @@ namespace detail {
 /// (non-x86, or a compiler without -mavx2 / -mavx512f).
 const LaneKernels* avx2_lane_kernels() noexcept;
 const LaneKernels* avx512_lane_kernels() noexcept;
+/// The VPOPCNTDQ match-count kernel; null when not compiled in. The caller
+/// checks the CPU for avx512vpopcntdq first.
+LaneMatchCounts avx512_match_counts() noexcept;
 }  // namespace detail
 
 }  // namespace apss::apsim

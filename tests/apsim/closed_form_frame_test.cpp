@@ -1,0 +1,567 @@
+// Differential and property suite for BatchSimulator's closed-form frame
+// path: a complete query frame that starts from the quiescent state is
+// computed from per-lane match counts instead of being stepped cycle by
+// cycle. Every run() here is compared with a per-symbol step() loop on the
+// same program (the cycle-stepping kernels, which never take the closed
+// form) and, where the network is small enough, with the cycle-accurate
+// apsim::Simulator. ReportEvent streams, cycle(), and the state a run leaves
+// behind (probed by stepping both simulators through the same continuation)
+// must be bit-identical, at every lane width, SIMD and APSS_DISABLE_SIMD=1
+// alike. Checkpoints and the batch.frame fault site must fire after the
+// same symbol counts as when stepping.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdlib>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "apsim/batch_simulator.hpp"
+#include "apsim/simulator.hpp"
+#include "apss_test_support.hpp"
+#include "core/batch_compile.hpp"
+#include "core/design.hpp"
+#include "core/opt/stream_multiplexing.hpp"
+#include "core/opt/vector_packing.hpp"
+#include "core/stream.hpp"
+#include "util/cancellation.hpp"
+#include "util/fault_injection.hpp"
+#include "util/rng.hpp"
+
+namespace apss::apsim {
+namespace {
+
+using core::Alphabet;
+
+constexpr LaneWidth kWidths[] = {LaneWidth::k64, LaneWidth::k256,
+                                 LaneWidth::k512};
+
+/// Scoped APSS_DISABLE_SIMD=1: portable lane kernels and bit count for the
+/// simulators constructed inside the scope.
+class ForcePortable {
+ public:
+  ForcePortable() { setenv("APSS_DISABLE_SIMD", "1", 1); }
+  ~ForcePortable() { unsetenv("APSS_DISABLE_SIMD"); }
+};
+
+/// A compiled configuration, its network (for the cycle-accurate
+/// reference) and its frame geometry.
+struct Config {
+  anml::AutomataNetwork network;
+  std::shared_ptr<const BatchProgram> program;
+  std::size_t dims = 0;
+  std::size_t levels = 1;
+
+  std::size_t frame() const { return 2 * dims + levels + 3; }
+  core::StreamSpec spec() const { return core::StreamSpec{dims, levels}; }
+};
+
+Config hamming(const knn::BinaryDataset& data,
+               const core::HammingMacroOptions& opt = {}) {
+  Config c;
+  std::vector<core::MacroLayout> layouts;
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    layouts.push_back(core::append_hamming_macro(
+        c.network, data.vector(i), static_cast<std::uint32_t>(i), opt));
+  }
+  std::string reason;
+  c.program = core::compile_hamming_batch(c.network, layouts, {}, &reason);
+  if (c.program == nullptr) {
+    throw std::runtime_error("try_compile declined: " + reason);
+  }
+  c.dims = data.dims();
+  c.levels = layouts.front().collector_levels;
+  return c;
+}
+
+Config packed(const knn::BinaryDataset& data,
+              const core::VectorPackingOptions& opt) {
+  Config c;
+  const auto layouts = core::build_packed_network(c.network, data, opt);
+  std::string reason;
+  c.program = core::compile_packed_batch(c.network, layouts, {}, &reason);
+  if (c.program == nullptr) {
+    throw std::runtime_error("packed try_compile declined: " + reason);
+  }
+  c.dims = data.dims();
+  c.levels = layouts.front().collector_levels;
+  return c;
+}
+
+Config multiplexed(const knn::BinaryDataset& data, std::size_t slices) {
+  Config c;
+  const auto layouts =
+      core::build_multiplexed_network(c.network, data, slices);
+  std::string reason;
+  c.program = core::compile_hamming_batch(c.network, layouts, {}, &reason);
+  if (c.program == nullptr) {
+    throw std::runtime_error("mux try_compile declined: " + reason);
+  }
+  c.dims = data.dims();
+  c.levels = layouts.front().collector_levels;
+  return c;
+}
+
+/// A random symbol that is neither SOF nor EOF: any such symbol may sit in
+/// a frame's data and fill positions.
+std::uint8_t payload(util::Rng& rng) {
+  for (;;) {
+    const auto s = static_cast<std::uint8_t>(rng.below(256));
+    if (s != Alphabet::kSof && s != Alphabet::kEof) {
+      return s;
+    }
+  }
+}
+
+void append_random_frame(util::Rng& rng, const Config& c,
+                         std::vector<std::uint8_t>& out) {
+  out.push_back(Alphabet::kSof);
+  for (std::size_t i = 0; i + 2 < c.frame(); ++i) {
+    out.push_back(payload(rng));
+  }
+  out.push_back(Alphabet::kEof);
+}
+
+std::vector<std::uint8_t> random_frames(util::Rng& rng, const Config& c,
+                                        std::size_t frames) {
+  std::vector<std::uint8_t> out;
+  for (std::size_t f = 0; f < frames; ++f) {
+    append_random_frame(rng, c, out);
+  }
+  return out;
+}
+
+/// Frames a fresh simulator computes in closed form over `stream`.
+std::uint64_t closed_frames_in(const Config& c,
+                               std::span<const std::uint8_t> stream) {
+  BatchSimulator sim(c.program);
+  sim.run(stream);
+  return sim.closed_form_frames();
+}
+
+constexpr std::uint64_t kAnyCount = ~std::uint64_t{0};
+
+/// run() vs a step() loop at one width: same events, same cycle(), and the
+/// same behaviour through `probe` afterwards. Returns run()'s events.
+std::vector<ReportEvent> run_vs_stepping(const Config& c, LaneWidth width,
+                                         std::span<const std::uint8_t> stream,
+                                         std::span<const std::uint8_t> probe,
+                                         std::uint64_t closed_frames,
+                                         const std::string& context) {
+  BatchSimulator fast(c.program, width);
+  BatchSimulator slow(c.program, width);
+  const std::vector<ReportEvent> events = fast.run(stream);
+  for (const std::uint8_t s : stream) {
+    slow.step(s);
+  }
+  EXPECT_EQ(events, slow.reports()) << context;
+  EXPECT_EQ(fast.cycle(), slow.cycle()) << context;
+  EXPECT_EQ(slow.closed_form_frames(), 0u) << context;
+  if (closed_frames != kAnyCount) {
+    EXPECT_EQ(fast.closed_form_frames(), closed_frames) << context;
+  }
+  for (const std::uint8_t s : probe) {
+    fast.step(s);
+    slow.step(s);
+  }
+  EXPECT_EQ(fast.reports(), slow.reports()) << context << " (continuation)";
+  return events;
+}
+
+/// The whole matrix for one stream: every width, SIMD and portable, against
+/// stepping; every width's events against each other; and, when
+/// `with_reference`, against the cycle-accurate Simulator. The probe that
+/// checks the state left behind is one more frame plus a ragged tail with
+/// a stray SOF.
+void expect_closed_form(const Config& c, std::span<const std::uint8_t> stream,
+                        std::uint64_t closed_frames, bool with_reference,
+                        util::Rng& rng, const std::string& context) {
+  std::vector<std::uint8_t> probe = random_frames(rng, c, 1);
+  for (std::size_t i = 0; i < c.dims + 2; ++i) {
+    probe.push_back(i == 1 ? Alphabet::kSof : payload(rng));
+  }
+  std::vector<ReportEvent> first;
+  for (const LaneWidth w : kWidths) {
+    const auto events = run_vs_stepping(c, w, stream, probe, closed_frames,
+                                        context + " w" + to_string(w));
+    if (first.empty()) {
+      first = events;
+    }
+    EXPECT_EQ(events, first) << context << " w" << to_string(w);
+  }
+  {
+    ForcePortable portable;
+    for (const LaneWidth w : kWidths) {
+      EXPECT_EQ(run_vs_stepping(c, w, stream, probe, closed_frames,
+                                context + " portable w" + to_string(w)),
+                first);
+    }
+  }
+  if (with_reference) {
+    Simulator reference(c.network);
+    EXPECT_EQ(reference.run(stream), first) << context << " vs reference";
+  }
+}
+
+/// The largest match count reported in a stream of whole frames (a lane
+/// with h matches reports at frame offset frame - h).
+std::uint64_t max_match_count(const std::vector<ReportEvent>& events,
+                              std::size_t frame) {
+  std::uint64_t best = 0;
+  for (const ReportEvent& e : events) {
+    best = std::max<std::uint64_t>(best, frame - ((e.cycle - 1) % frame + 1));
+  }
+  return best;
+}
+
+// --- Families, dimensions and lane counts -----------------------------------
+
+TEST(ClosedFormFrame, HammingDimensionSweep) {
+  // 63/64/65 straddle a dimension word; 300 and 1100 need counts above 255
+  // (a self-query matches every dimension); 1100 has collector depth L = 2.
+  util::Rng rng(20170529);
+  for (const std::size_t dims : {1u, 7u, 63u, 64u, 70u, 128u, 300u, 1100u}) {
+    const std::size_t lanes = dims >= 300 ? 65 : 1 + rng.below(70);
+    const auto data = test::random_dataset(rng, lanes, dims);
+    const Config c = hamming(data);
+    if (dims == 1100) {
+      EXPECT_EQ(c.levels, 2u);
+    }
+    std::vector<std::uint8_t> stream = random_frames(rng, c, 2);
+    const core::SymbolStreamEncoder enc(c.spec());
+    enc.append_query(data.row(lanes - 1), stream);
+    enc.append_query(test::random_dataset(rng, 1, dims).row(0), stream);
+    const std::string context =
+        "d=" + std::to_string(dims) + " lanes=" + std::to_string(lanes);
+    expect_closed_form(c, stream, 4, /*with_reference=*/true, rng, context);
+    EXPECT_EQ(max_match_count(BatchSimulator(c.program).run(stream),
+                              c.frame()),
+              dims)
+        << context;
+  }
+}
+
+TEST(ClosedFormFrame, LaneCountSweep) {
+  util::Rng rng(1264);
+  for (const std::size_t lanes : {1u, 63u, 64u, 65u, 1264u}) {
+    const Config c = hamming(test::random_dataset(rng, lanes, 70));
+    expect_closed_form(c, random_frames(rng, c, 3), 3,
+                       /*with_reference=*/true, rng,
+                       "lanes=" + std::to_string(lanes));
+  }
+}
+
+TEST(ClosedFormFrame, DeepCollectorTrees) {
+  // Fan-in 2 forces L >= 3 at small d, so the collector delay line the
+  // frame template folds in spans several cycles.
+  util::Rng rng(77);
+  core::HammingMacroOptions opt;
+  opt.collector_fan_in = 2;
+  opt.max_counter_fan_in = 2;
+  for (const std::size_t dims : {7u, 64u, 70u}) {
+    const Config c = hamming(test::random_dataset(rng, 65, dims), opt);
+    EXPECT_GE(c.levels, 3u);
+    expect_closed_form(c, random_frames(rng, c, 3), 3, true, rng,
+                       "deep d=" + std::to_string(dims));
+  }
+}
+
+TEST(ClosedFormFrame, PackedFlatAndTreeGroups) {
+  util::Rng rng(808);
+  for (const auto style :
+       {core::CollectorStyle::kFlat, core::CollectorStyle::kTree}) {
+    for (const std::size_t group : {5u, 8u}) {
+      for (const std::size_t dims : {7u, 70u, 128u}) {
+        core::VectorPackingOptions opt;
+        opt.group_size = group;
+        opt.style = style;
+        opt.macro.collector_fan_in = 4;  // deeper trees for kTree
+        const auto data = test::random_dataset(rng, 65, dims);
+        const Config c = packed(data, opt);
+        ASSERT_EQ(c.program->family(), MacroFamily::kPacked);
+        std::vector<std::uint8_t> stream = random_frames(rng, c, 2);
+        core::SymbolStreamEncoder(c.spec()).append_query(data.row(0), stream);
+        expect_closed_form(
+            c, stream, 3, true, rng,
+            std::string(style == core::CollectorStyle::kFlat ? "flat"
+                                                             : "tree") +
+                " g=" + std::to_string(group) + " d=" + std::to_string(dims) +
+                " L=" + std::to_string(c.levels));
+      }
+    }
+  }
+}
+
+TEST(ClosedFormFrame, MultiplexedMultiClassSymbols) {
+  // Multiplexed data symbols carry one bit per slice, so each is accepted
+  // by several match classes at once; random payload bytes hit arbitrary
+  // class subsets.
+  util::Rng rng(606);
+  for (const std::size_t dims : {10u, 70u}) {
+    const Config c = multiplexed(test::random_dataset(rng, 67, dims), 7);
+    ASSERT_EQ(c.program->family(), MacroFamily::kMultiplexed);
+    std::size_t frames = 0;
+    std::vector<std::uint8_t> stream =
+        core::MultiplexedStreamEncoder(c.spec())
+            .encode_batch(test::random_dataset(rng, 9, dims), frames);
+    ASSERT_EQ(stream.size(), frames * c.frame());
+    append_random_frame(rng, c, stream);
+    expect_closed_form(c, stream, frames + 1, true, rng,
+                       "mux d=" + std::to_string(dims));
+  }
+}
+
+// --- Adversarial streams -----------------------------------------------------
+
+TEST(ClosedFormFrame, AdversarialStreams) {
+  util::Rng rng(31337);
+  const Config c = hamming(test::random_dataset(rng, 65, 20));
+  const std::size_t frame = c.frame();
+  const auto frames = random_frames(rng, c, 4);
+  const auto interior = [&] { return 1 + rng.below(frame - 2); };
+
+  // A stray SOF launches a second wavefront inside frame 1: that frame is
+  // stepped, and so is any later one the wavefront still reaches.
+  auto stray_sof = frames;
+  stray_sof[frame + interior()] = Alphabet::kSof;
+  expect_closed_form(c, stray_sof, kAnyCount, true, rng, "stray SOF");
+  EXPECT_GE(closed_frames_in(c, stray_sof), 1u);
+  EXPECT_LE(closed_frames_in(c, stray_sof), 3u);
+
+  // An early EOF inside frame 2.
+  auto early_eof = frames;
+  early_eof[2 * frame + interior()] = Alphabet::kEof;
+  expect_closed_form(c, early_eof, kAnyCount, true, rng, "early EOF");
+  EXPECT_GE(closed_frames_in(c, early_eof), 2u);
+  EXPECT_LE(closed_frames_in(c, early_eof), 3u);
+
+  // A stream that starts inside a frame: its tail is stepped, and the
+  // frames after its EOF run in closed form.
+  const std::vector<std::uint8_t> misaligned(frames.begin() + interior(),
+                                             frames.end());
+  expect_closed_form(c, misaligned, 3, true, rng, "misaligned start");
+
+  // A trailing partial frame is stepped.
+  auto trailing = frames;
+  trailing.insert(trailing.end(), frames.begin(),
+                  frames.begin() + interior());
+  expect_closed_form(c, trailing, 4, true, rng, "trailing partial frame");
+
+  // A frame without its EOF leaves the sort state running, so the next
+  // frame does not start quiescent and is stepped too; its EOF empties the
+  // automaton and the last two frames are closed-form again.
+  std::vector<std::uint8_t> unterminated(frames.begin(),
+                                         frames.begin() + frame - 1);
+  unterminated.insert(unterminated.end(), frames.begin() + frame,
+                      frames.end());
+  expect_closed_form(c, unterminated, 2, true, rng, "unterminated frame");
+}
+
+TEST(ClosedFormFrame, RunContinueSplitsFramesAcrossCalls) {
+  util::Rng rng(4242);
+  const Config c = hamming(test::random_dataset(rng, 70, 33));
+  const std::size_t frame = c.frame();
+  const auto stream = random_frames(rng, c, 6);
+  BatchSimulator stepped(c.program);
+  for (const std::uint8_t s : stream) {
+    stepped.step(s);
+  }
+  for (int trial = 0; trial < 8; ++trial) {
+    // Cuts anywhere on even trials, exactly on frame boundaries on odd ones.
+    std::vector<std::size_t> cuts = {0, stream.size()};
+    for (int i = 0; i < 3; ++i) {
+      cuts.push_back(trial % 2 == 0 ? rng.below(stream.size())
+                                    : frame * rng.below(6));
+    }
+    std::sort(cuts.begin(), cuts.end());
+    std::uint64_t split_frames = 0;
+    for (std::size_t f = 0; f < 6; ++f) {
+      split_frames += std::any_of(cuts.begin(), cuts.end(), [&](auto p) {
+        return p > f * frame && p < (f + 1) * frame;
+      });
+    }
+    BatchSimulator sim(c.program);
+    std::vector<ReportEvent> events;
+    for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
+      const auto part = sim.run_continue(
+          std::span(stream).subspan(cuts[i], cuts[i + 1] - cuts[i]));
+      events.insert(events.end(), part.begin(), part.end());
+    }
+    EXPECT_EQ(events, stepped.reports()) << "trial " << trial;
+    EXPECT_EQ(sim.cycle(), stepped.cycle()) << "trial " << trial;
+    EXPECT_EQ(sim.closed_form_frames(), 6 - split_frames) << "trial " << trial;
+  }
+}
+
+TEST(ClosedFormFrame, StepInterleavedWithRun) {
+  util::Rng rng(5150);
+  const Config c = hamming(test::random_dataset(rng, 65, 40));
+  const std::size_t frame = c.frame();
+  const auto stream = random_frames(rng, c, 5);
+  BatchSimulator stepped(c.program);
+  for (const std::uint8_t s : stream) {
+    stepped.step(s);
+  }
+
+  // Two frames in closed form, half of the third stepped by hand, then
+  // run_continue: it steps the rest of that frame, after whose EOF the
+  // state is quiescent again and the last two frames are closed-form.
+  BatchSimulator sim(c.program);
+  sim.run_continue(std::span(stream).first(2 * frame));
+  EXPECT_EQ(sim.closed_form_frames(), 2u);
+  const std::size_t half = 2 * frame + frame / 2;
+  for (std::size_t i = 2 * frame; i < half; ++i) {
+    sim.step(stream[i]);
+  }
+  sim.run_continue(std::span(stream).subspan(half));
+  EXPECT_EQ(sim.closed_form_frames(), 4u);
+  EXPECT_EQ(sim.reports(), stepped.reports());
+  EXPECT_EQ(sim.cycle(), stepped.cycle());
+
+  // A whole frame stepped by hand also returns to quiescence.
+  BatchSimulator again(c.program);
+  for (std::size_t i = 0; i < frame; ++i) {
+    again.step(stream[i]);
+  }
+  again.run_continue(std::span(stream).subspan(frame));
+  EXPECT_EQ(again.closed_form_frames(), 4u);
+  EXPECT_EQ(again.reports(), stepped.reports());
+}
+
+// --- Checkpoint and fault-site parity ---------------------------------------
+
+class ClosedFormCheckpoints : public ::testing::Test {
+ protected:
+  void TearDown() override { util::FaultInjector::instance().disarm_all(); }
+};
+
+/// Symbol counts after which the stepping loop checkpoints: every `period`
+/// symbols, or once at the end of the stream when the period is 0.
+std::vector<std::uint64_t> checkpoint_positions(std::uint64_t period,
+                                                std::uint64_t length) {
+  const std::uint64_t every = period > 0 ? period : length;
+  std::vector<std::uint64_t> out;
+  for (std::uint64_t p = every; p <= length; p += every) {
+    out.push_back(p);
+  }
+  return out;
+}
+
+/// Symbol counts at which sim.run(stream, control) checks `site`: the k-th
+/// check, armed to throw, leaves cycle() at that check's position.
+template <class Sim>
+std::vector<std::uint64_t> fault_positions(
+    Sim& sim, std::string_view site, std::span<const std::uint8_t> stream,
+    const util::RunControl& control) {
+  auto& injector = util::FaultInjector::instance();
+  std::vector<std::uint64_t> out;
+  for (std::uint64_t k = 1;; ++k) {
+    util::FaultInjector::Plan plan;
+    plan.fail_on_hit = k;
+    plan.fail_count = 1;
+    injector.arm(site, plan);
+    try {
+      sim.run(stream, control);
+      break;
+    } catch (const util::InjectedFault&) {
+      out.push_back(sim.cycle());
+    }
+  }
+  injector.disarm(site);
+  return out;
+}
+
+TEST_F(ClosedFormCheckpoints, FireAtTheSameSymbolCountsAsStepping) {
+  util::Rng rng(90210);
+  const Config c = hamming(test::random_dataset(rng, 65, 16));
+  const std::uint64_t frame = c.frame();
+  const auto aligned = random_frames(rng, c, 5);
+  std::vector<std::uint8_t> misaligned(7, Alphabet::kFill);
+  misaligned.insert(misaligned.end(), aligned.begin(), aligned.end());
+
+  struct Case {
+    std::uint64_t period;
+    const std::vector<std::uint8_t>* stream;
+    std::uint64_t closed;  ///< frames computed in closed form
+  };
+  const Case cases[] = {
+      {frame, &aligned, 5},
+      {2 * frame, &aligned, 5},
+      {0, &aligned, 5},
+      // Not a multiple of the frame: the checkpoint drifts 7 symbols per
+      // frame, and every frame it falls inside is stepped.
+      {frame + 7, &aligned, kAnyCount},
+      // A checkpoint 7 symbols before the end of every frame: all stepped.
+      {frame, &misaligned, 0},
+  };
+  for (const Case& tc : cases) {
+    const std::span<const std::uint8_t> stream(*tc.stream);
+    const std::string context = "period=" + std::to_string(tc.period) +
+                                " length=" + std::to_string(stream.size());
+    const auto expected = checkpoint_positions(tc.period, stream.size());
+    util::RunControl control;
+    control.checkpoint_period = tc.period;
+
+    // Events, check count and closed-form use with the site armed to count
+    // only (any armed site selects the instrumented loop).
+    BatchSimulator stepped(c.program);
+    for (const std::uint8_t s : stream) {
+      stepped.step(s);
+    }
+    util::FaultInjector::Plan count_only;
+    count_only.fail_on_hit = 0;
+    count_only.fail = false;
+    util::FaultInjector::instance().arm(util::kFaultBatchFrame, count_only);
+    BatchSimulator sim(c.program);
+    EXPECT_EQ(sim.run(stream, control), stepped.reports()) << context;
+    EXPECT_EQ(util::FaultInjector::instance().hits(util::kFaultBatchFrame),
+              expected.size())
+        << context;
+    util::FaultInjector::instance().disarm(util::kFaultBatchFrame);
+    if (tc.closed != kAnyCount) {
+      EXPECT_EQ(sim.closed_form_frames(), tc.closed) << context;
+    } else {
+      EXPECT_GT(sim.closed_form_frames(), 0u) << context;
+      EXPECT_LT(sim.closed_form_frames(), 5u) << context;
+    }
+
+    // Every check position, against the stepping contract and against the
+    // cycle-accurate Simulator (which only steps).
+    BatchSimulator batch(c.program);
+    EXPECT_EQ(fault_positions(batch, util::kFaultBatchFrame, stream, control),
+              expected)
+        << context;
+    Simulator reference(c.network);
+    EXPECT_EQ(
+        fault_positions(reference, util::kFaultSimFrame, stream, control),
+        expected)
+        << context;
+
+    // Deadline and cancellation are polled at the same place: a dead
+    // budget throws at the first checkpoint.
+    util::CancellationToken token;
+    token.request_cancel();
+    util::RunControl cancelled = control;
+    cancelled.cancel = &token;
+    EXPECT_THROW(batch.run(stream, cancelled), util::OperationCancelled);
+    EXPECT_EQ(batch.cycle(), expected.front()) << context;
+    const util::Deadline expired = util::Deadline::after_ms(-1.0);
+    util::RunControl late = control;
+    late.deadline = &expired;
+    EXPECT_THROW(batch.run(stream, late), util::DeadlineExceeded);
+    EXPECT_EQ(batch.cycle(), expected.front()) << context;
+
+    // A live control that never fires changes nothing.
+    util::CancellationToken idle;
+    util::RunControl engaged = control;
+    engaged.cancel = &idle;
+    BatchSimulator quiet(c.program);
+    EXPECT_EQ(quiet.run(stream, engaged), stepped.reports()) << context;
+    EXPECT_EQ(quiet.closed_form_frames(), sim.closed_form_frames()) << context;
+  }
+}
+
+}  // namespace
+}  // namespace apss::apsim
