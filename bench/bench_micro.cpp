@@ -1,14 +1,16 @@
 // Google-benchmark microbenchmarks for the hot kernels: the Hamming scan
-// (CPU baseline), top-k strategies, stream encoding, cycle-accurate
-// simulation throughput, and ITQ encoding. These quantify the SIMULATION
-// substrate itself (how fast this repo executes automata), complementing
-// the modeled device times in the table benches.
+// (CPU baseline), top-k strategies, stream encoding, cycle-accurate and
+// bit-parallel simulation throughput, the closed-form match-count kernel
+// (the resolved build against the POPCNT one), and ITQ encoding. These
+// quantify the SIMULATION substrate itself (how fast this repo executes
+// automata), complementing the modeled device times in the table benches.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 
 #include "apsim/batch_simulator.hpp"
+#include "apsim/lane_kernels_impl.hpp"
 #include "apsim/simulator.hpp"
 #include "core/batch_compile.hpp"
 #include "core/engine.hpp"
@@ -121,6 +123,58 @@ void BM_BatchSimulatorQueryFrame(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_BatchSimulatorQueryFrame)->Arg(16)->Arg(128)->Arg(1024);
+
+#if defined(__x86_64__) || defined(__i386__)
+// The hardware-POPCNT build of the closed-form match-count loop — what
+// resolve_match_counts() picks on a CPU without AVX-512 VPOPCNTDQ.
+__attribute__((target("popcnt"))) void match_counts_popcnt(
+    const std::uint64_t* lane_bits, const std::uint64_t* query,
+    std::size_t row_words, std::size_t blocks, std::uint32_t* counts) {
+  apsim::detail::match_counts_impl(lane_bits, query, row_words, blocks,
+                                   counts);
+}
+#endif
+
+void BM_MatchCounts(benchmark::State& state) {
+  // One closed-form frame's match-count sweep at d = 128 (two classes x two
+  // dimension words per lane). Arg 0 = lanes; arg 1 = 0 for the kernel
+  // resolve_match_counts() picks on this CPU (counter vpopcntdq = 1 when
+  // that is the AVX-512 VPOPCNTDQ one), 1 for the POPCNT build.
+  const std::size_t lanes = state.range(0);
+  constexpr std::size_t kRowWords = 2 * 2;
+  const std::size_t blocks =
+      (lanes + apsim::kMatchBlockLanes - 1) / apsim::kMatchBlockLanes;
+  util::Rng rng(12);
+  std::vector<std::uint64_t> lane_bits(blocks * kRowWords *
+                                       apsim::kMatchBlockLanes);
+  for (auto& word : lane_bits) {
+    word = rng.next();
+  }
+  std::vector<std::uint64_t> query(kRowWords);
+  for (auto& word : query) {
+    word = rng.next();
+  }
+  std::vector<std::uint32_t> counts(blocks * apsim::kMatchBlockLanes);
+  apsim::LaneMatchCounts kernel = apsim::resolve_match_counts();
+  if (state.range(1) == 1) {
+#if defined(__x86_64__) || defined(__i386__)
+    kernel = match_counts_popcnt;
+#else
+    state.SkipWithError("no POPCNT build on this architecture");
+    return;
+#endif
+  }
+  for (auto _ : state) {
+    kernel(lane_bits.data(), query.data(), kRowWords, blocks, counts.data());
+    benchmark::DoNotOptimize(counts.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(lanes));
+  state.counters["vpopcntdq"] =
+      kernel == apsim::detail::avx512_match_counts() ? 1 : 0;
+}
+BENCHMARK(BM_MatchCounts)->ArgsProduct({{1024, 1264}, {0, 1}});
 
 void BM_EngineSearch(benchmark::State& state) {
   const auto data = knn::BinaryDataset::uniform(256, 64, 9);

@@ -6,13 +6,18 @@
 // bit-parallel backend):
 //   overhead  — search wall clock with no deadline (the plain fast path)
 //               vs a huge never-firing deadline (every frame checkpointed).
-//               Both arms are best-of-N and must return bit-identical
-//               neighbors; the CI gate asserts the engaged arm costs < 2%.
+//               The arms are timed in N alternating pairs, the first arm
+//               swapping every pair, and the overhead is the median of the
+//               per-pair ratios, so a host speed swing hits both arms of a
+//               pair alike instead of reading as overhead. Both arms must
+//               return bit-identical neighbors; the CI gate asserts the
+//               engaged arm costs < 2%.
 //   overshoot — a deadline set to ~half the baseline wall clock, under the
 //               isolate policy: elapsed - deadline measures the
 //               frame-granular enforcement lag.
 //
-// Usage: bench_robustness [n] [dims] [queries] [reps]  (default 1024 128 32 9)
+// Usage: bench_robustness [n] [dims] [queries] [pairs]
+//        (default 1024 128 32 500)
 //
 // Records BENCH_robustness.json: robustness_checkpoint_plain,
 // robustness_checkpoint_engaged, robustness_checkpoint_overhead
@@ -29,6 +34,7 @@
 #include "knn/dataset.hpp"
 #include "util/bench_report.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
@@ -53,33 +59,24 @@ std::string fmt(const char* f, double v) {
   return buf;
 }
 
-/// Best-of-`reps` wall clock for one search configuration.
-double best_search_wall(core::ApKnnEngine& engine,
-                        const knn::BinaryDataset& queries, std::size_t k,
-                        int reps) {
-  double best = 0;
-  for (int rep = 0; rep < reps; ++rep) {
-    util::Timer timer;
-    engine.search(queries, k);
-    const double wall = timer.seconds();
-    if (rep == 0 || wall < best) {
-      best = wall;
-    }
-  }
-  return best;
+/// Wall clock of one search.
+double search_wall(core::ApKnnEngine& engine,
+                   const knn::BinaryDataset& queries, std::size_t k) {
+  util::Timer timer;
+  engine.search(queries, k);
+  return timer.seconds();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::size_t n = 1024, dims = 128, query_count = 32;
-  int reps = 9;
+  std::size_t n = 1024, dims = 128, query_count = 32, pairs = 500;
   if (argc > 1) n = bench::parse_positive(argv[1]);
   if (argc > 2) dims = bench::parse_positive(argv[2]);
   if (argc > 3) query_count = bench::parse_positive(argv[3]);
-  if (argc > 4) reps = static_cast<int>(bench::parse_positive(argv[4]));
-  if (n == 0 || dims == 0 || query_count == 0 || reps == 0) {
-    std::cerr << "usage: " << argv[0] << " [n] [dims] [queries] [reps]\n";
+  if (argc > 4) pairs = bench::parse_positive(argv[4]);
+  if (n == 0 || dims == 0 || query_count == 0 || pairs == 0) {
+    std::cerr << "usage: " << argv[0] << " [n] [dims] [queries] [pairs]\n";
     return 2;
   }
 
@@ -95,7 +92,6 @@ int main(int argc, char** argv) {
   // Arm 1: plain — no deadline, no token: the unengaged fast path.
   core::ApKnnEngine plain(data, opt);
   const auto expected = plain.search(queries, k);
-  const double plain_wall = best_search_wall(plain, queries, k, reps);
   const std::size_t configs = plain.configurations();
 
   // Arm 2: engaged — a deadline that never fires, so every query frame
@@ -106,9 +102,25 @@ int main(int argc, char** argv) {
     std::cerr << "FAIL: engaged run control changed the neighbors\n";
     return 1;
   }
-  const double engaged_wall = best_search_wall(engaged, queries, k, reps);
-  const double overhead_pct =
-      plain_wall > 0 ? (engaged_wall - plain_wall) / plain_wall * 100.0 : 0.0;
+
+  // Alternating pairs: even pairs time plain first, odd pairs engaged first.
+  std::vector<double> plain_s, engaged_s, ratios;
+  for (std::size_t pair = 0; pair < pairs; ++pair) {
+    double plain_t = 0, engaged_t = 0;
+    if (pair % 2 == 0) {
+      plain_t = search_wall(plain, queries, k);
+      engaged_t = search_wall(engaged, queries, k);
+    } else {
+      engaged_t = search_wall(engaged, queries, k);
+      plain_t = search_wall(plain, queries, k);
+    }
+    plain_s.push_back(plain_t);
+    engaged_s.push_back(engaged_t);
+    ratios.push_back(engaged_t / plain_t);
+  }
+  const double plain_wall = util::median(plain_s);
+  const double engaged_wall = util::median(engaged_s);
+  const double overhead_pct = (util::median(ratios) - 1.0) * 100.0;
 
   // Overshoot: a deadline at ~half the baseline wall clock, isolate policy.
   // Elapsed minus deadline is the enforcement lag (at most about one query
@@ -119,7 +131,7 @@ int main(int argc, char** argv) {
   core::ApKnnEngine bounded(data, opt);
   double overshoot_ms = 0;
   std::size_t timed_out = 0;
-  for (int rep = 0; rep < reps; ++rep) {
+  for (std::size_t rep = 0; rep < pairs; ++rep) {
     util::Timer timer;
     bounded.search(queries, k);
     const double elapsed_ms = timer.seconds() * 1e3 - deadline_ms;
@@ -133,8 +145,8 @@ int main(int argc, char** argv) {
   util::TablePrinter table(
       "Robustness layer: checkpoint overhead and deadline overshoot (" +
       std::to_string(n) + "x" + std::to_string(dims) + ", " +
-      std::to_string(configs) + " configurations, best of " +
-      std::to_string(reps) + ")");
+      std::to_string(configs) + " configurations, medians over " +
+      std::to_string(pairs) + " alternating pairs)");
   table.set_header({"arm", "wall [ms]", "note"},
                    {util::Align::kLeft, util::Align::kRight,
                     util::Align::kLeft});
@@ -142,7 +154,8 @@ int main(int argc, char** argv) {
                  "baseline"});
   table.add_row({"huge deadline (checkpointed)",
                  fmt("%.3f", engaged_wall * 1e3),
-                 fmt("%+.2f%% vs baseline", overhead_pct)});
+                 fmt("%+.2f%% vs baseline (median pair ratio)",
+                     overhead_pct)});
   table.add_row({"half-baseline deadline, isolate",
                  fmt("%.3f", deadline_ms + overshoot_ms),
                  fmt("%.3f", deadline_ms) + " ms budget, " +
@@ -170,7 +183,8 @@ int main(int argc, char** argv) {
   {
     util::BenchRecord rec("robustness_checkpoint_overhead");
     stamp(rec);
-    rec.param("overhead_pct", overhead_pct);
+    rec.param("pairs", static_cast<std::uint64_t>(pairs))
+        .param("overhead_pct", overhead_pct);
     report.write(rec);
   }
   {

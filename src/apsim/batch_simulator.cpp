@@ -220,6 +220,10 @@ void transpose64(std::uint64_t (&m)[64]) {
   }
 }
 
+/// Lanes per group of the closed-form emit loop's skip test (see
+/// try_closed_form_frame); lane_counts_ is padded to whole groups.
+constexpr std::size_t kEmitGroup = 16;
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -1073,7 +1077,9 @@ BatchSimulator::BatchSimulator(std::shared_ptr<const BatchProgram> program,
   counter_out_.assign(eff_words_, 0);
   match_scratch_.assign(eff_words_, 0);
   query_bits_.assign(p.class_count_ * p.dim_words_, 0);
-  lane_counts_.assign(p.match_blocks() * kMatchBlockLanes, 0);
+  lane_counts_.assign((p.match_blocks() * kMatchBlockLanes + kEmitGroup - 1) /
+                          kEmitGroup * kEmitGroup,
+                      0);
   count_cursor_.assign(p.dims_ + 1, 0);
   reset();
 }
@@ -1103,6 +1109,7 @@ void BatchSimulator::step(std::uint8_t symbol) {
   //    reference simulator's counter-slot propagation order.
   for (std::size_t w = 0; w < words; ++w) {
     std::uint64_t bits = counter_out_[w];
+    report_count_ += static_cast<std::uint64_t>(std::popcount(bits));
     while (bits != 0) {
       const std::size_t m = w * 64 + static_cast<std::size_t>(
                                           std::countr_zero(bits));
@@ -1204,8 +1211,8 @@ bool BatchSimulator::quiescent() const noexcept {
          zero(counter_out_) && planes_ == reset_planes_;
 }
 
-bool BatchSimulator::try_closed_form_frame(
-    std::span<const std::uint8_t> rest) {
+bool BatchSimulator::try_closed_form_frame(std::span<const std::uint8_t> rest,
+                                           std::size_t report_limit) {
   const BatchProgram& p = *program_;
   const std::size_t cpq = frame_cycles_;
   if (rest.size() < cpq || rest[0] != p.sof_ || rest[cpq - 1] != p.eof_) {
@@ -1239,35 +1246,68 @@ bool BatchSimulator::try_closed_form_frame(
                 p.match_blocks(), lane_counts_.data());
 
   // Counting sort on h, descending (ascending report cycle), stable in lane
-  // order (the within-cycle report order).
+  // order (the within-cycle report order). Under a report limit the sort
+  // stops at h_min, the count whose cycle holds the limit-th report, and
+  // lanes below it are left out: the kept events are the full order's
+  // prefix through that whole cycle.
   std::fill(count_cursor_.begin(), count_cursor_.end(), 0);
   for (std::size_t l = 0; l < p.macro_count_; ++l) {
     ++count_cursor_[lane_counts_[l]];
   }
-  std::size_t at = reports_.size();
+  const std::size_t first = reports_.size();
+  std::size_t at = first;
+  std::uint32_t h_min = 0;
   for (std::size_t h = p.dims_ + 1; h-- > 0;) {
     const std::size_t lanes_at_h = count_cursor_[h];
     count_cursor_[h] = at;
     at += lanes_at_h;
+    if (report_limit != 0 && at - first >= report_limit) {
+      h_min = static_cast<std::uint32_t>(h);
+      break;
+    }
   }
   reports_.resize(at);
   const std::uint64_t frame_end = cycle_ + cpq;
-  for (std::size_t l = 0; l < p.macro_count_; ++l) {
+  const auto emit = [&](std::size_t l) {
     const std::uint32_t h = lane_counts_[l];
     reports_[count_cursor_[h]++] = {frame_end - h, p.report_elem_[l],
                                     p.report_code_[l]};
+  };
+  if (h_min == 0) {
+    for (std::size_t l = 0; l < p.macro_count_; ++l) {
+      emit(l);
+    }
+  } else {
+    // Under a cut, lanes are visited kEmitGroup at a time and a branch-free
+    // test skips the groups with no lane at h >= h_min, which under a small
+    // limit is all but a few. The zero padding of lane_counts_ never passes.
+    for (std::size_t g = 0; g < p.macro_count_; g += kEmitGroup) {
+      std::uint32_t any = 0;
+      for (std::size_t i = 0; i < kEmitGroup; ++i) {
+        any |= static_cast<std::uint32_t>(lane_counts_[g + i] >= h_min);
+      }
+      if (any == 0) {
+        continue;
+      }
+      for (std::size_t l = g; l < g + kEmitGroup; ++l) {
+        if (lane_counts_[l] >= h_min) {
+          emit(l);
+        }
+      }
+    }
   }
+  report_count_ += p.macro_count_;
   cycle_ = frame_end;
   ring_pos_ = (ring_pos_ + cpq) % p.levels_;
   ++closed_form_frames_;
   return true;
 }
 
-std::vector<ReportEvent> BatchSimulator::run_continue(
-    std::span<const std::uint8_t> stream) {
+std::vector<ReportEvent> BatchSimulator::run_unchecked(
+    std::span<const std::uint8_t> stream, std::size_t report_limit) {
   const std::size_t first_new = reports_.size();
   for (std::size_t pos = 0; pos < stream.size();) {
-    if (try_closed_form_frame(stream.subspan(pos))) {
+    if (try_closed_form_frame(stream.subspan(pos), report_limit)) {
       pos += frame_cycles_;
     } else {
       step(stream[pos++]);
@@ -1277,16 +1317,23 @@ std::vector<ReportEvent> BatchSimulator::run_continue(
           reports_.end()};
 }
 
+std::vector<ReportEvent> BatchSimulator::run_continue(
+    std::span<const std::uint8_t> stream) {
+  return run_unchecked(stream, 0);
+}
+
 std::vector<ReportEvent> BatchSimulator::run(
-    std::span<const std::uint8_t> stream, const util::RunControl& control) {
+    std::span<const std::uint8_t> stream, const util::RunControl& control,
+    std::size_t report_limit) {
   reset();
-  return run_continue(stream, control);
+  return run_continue(stream, control, report_limit);
 }
 
 std::vector<ReportEvent> BatchSimulator::run_continue(
-    std::span<const std::uint8_t> stream, const util::RunControl& control) {
+    std::span<const std::uint8_t> stream, const util::RunControl& control,
+    std::size_t report_limit) {
   if (!control.engaged() && !util::FaultInjector::armed()) {
-    return run_continue(stream);
+    return run_unchecked(stream, report_limit);
   }
   const std::size_t first_new = reports_.size();
   const std::uint64_t period =
@@ -1295,7 +1342,7 @@ std::vector<ReportEvent> BatchSimulator::run_continue(
   for (std::size_t pos = 0; pos < stream.size();) {
     // A closed-form frame may end on a checkpoint but not span one.
     if (period - since >= frame_cycles_ &&
-        try_closed_form_frame(stream.subspan(pos))) {
+        try_closed_form_frame(stream.subspan(pos), report_limit)) {
       pos += frame_cycles_;
       since += frame_cycles_;
     } else {

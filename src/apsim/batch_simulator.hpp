@@ -308,10 +308,20 @@ class BatchSimulator {
   /// site is armed. A frame is computed in closed form only when no
   /// checkpoint falls before its last symbol, so checkpoints and fault
   /// checks fire after exactly the same symbol counts as when stepping.
+  ///
+  /// `report_limit` > 0 cuts what each closed-form frame emits: only the
+  /// lanes whose match count is at or above the count whose cycle holds the
+  /// frame's report_limit-th report, i.e. exactly the prefix of the frame's
+  /// full events through that cycle (a tie at the cut is kept whole).
+  /// Stepped symbols report in full, 0 keeps every event, and the state
+  /// left behind does not depend on the limit. report_count() counts the
+  /// events left out too.
   std::vector<ReportEvent> run(std::span<const std::uint8_t> stream,
-                               const util::RunControl& control);
+                               const util::RunControl& control,
+                               std::size_t report_limit = 0);
   std::vector<ReportEvent> run_continue(std::span<const std::uint8_t> stream,
-                                        const util::RunControl& control);
+                                        const util::RunControl& control,
+                                        std::size_t report_limit = 0);
 
   std::uint64_t cycle() const noexcept { return cycle_; }
   /// Frames computed in closed form since construction (the rest of the
@@ -319,6 +329,9 @@ class BatchSimulator {
   std::uint64_t closed_form_frames() const noexcept {
     return closed_form_frames_;
   }
+  /// Reports since construction, including those a report limit kept out
+  /// of reports() — the count an unlimited run would have emitted.
+  std::uint64_t report_count() const noexcept { return report_count_; }
   const std::vector<ReportEvent>& reports() const noexcept { return reports_; }
   void clear_reports() { reports_.clear(); }
   const BatchProgram& program() const noexcept { return *program_; }
@@ -334,10 +347,15 @@ class BatchSimulator {
   /// cycle_, reports_ and ring_pos_ (unobservable while the ring is zero).
   /// A member added to the dynamic state must be checked here too.
   bool quiescent() const noexcept;
-  /// Consumes the frame at the head of `rest` in closed form and returns
-  /// true, or returns false (consuming nothing) when the frame template or
-  /// the quiescent precondition does not hold.
-  bool try_closed_form_frame(std::span<const std::uint8_t> rest);
+  /// Consumes the frame at the head of `rest` in closed form, emitting its
+  /// events up to `report_limit` (see run()), and returns true; or returns
+  /// false (consuming nothing) when the frame template or the quiescent
+  /// precondition does not hold.
+  bool try_closed_form_frame(std::span<const std::uint8_t> rest,
+                             std::size_t report_limit);
+  /// The unchecked loop behind both run_continue overloads.
+  std::vector<ReportEvent> run_unchecked(std::span<const std::uint8_t> stream,
+                                         std::size_t report_limit);
 
   std::shared_ptr<const BatchProgram> program_;
   LaneKernels kernels_;     ///< resolved hot-loop kernels (width + ISA)
@@ -347,6 +365,7 @@ class BatchSimulator {
 
   std::uint64_t cycle_ = 0;
   std::uint64_t closed_form_frames_ = 0;
+  std::uint64_t report_count_ = 0;
   bool guard_prev_ = false;  ///< guard output last cycle (scalar: uniform)
   bool sort_prev_ = false;   ///< sort-state output last cycle
   std::uint64_t bridge_ = 0;  ///< bridge-chain outputs last cycle, bit k = slot k
@@ -362,7 +381,8 @@ class BatchSimulator {
   std::vector<std::uint64_t> match_scratch_;
   /// Closed-form scratch: class_count x dim_words query masks (bit i of
   /// class c = the dim-i data symbol is accepted by c), per-lane match
-  /// counts, and the counting sort's per-count output cursors.
+  /// counts (zero past the live lanes, padded to whole emit groups), and
+  /// the counting sort's per-count output cursors.
   std::vector<std::uint64_t> query_bits_;
   std::vector<std::uint32_t> lane_counts_;
   std::vector<std::size_t> count_cursor_;

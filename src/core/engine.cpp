@@ -421,14 +421,21 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
     /// Shard-local ReportEvent buffer, rebased to the configuration's full
     /// query-stream timeline after decoding.
     std::vector<apsim::ReportEvent> events;
+    /// Reports the shard's simulation produced, including those the report
+    /// limit kept out of `events`.
+    std::size_t report_count = 0;
     std::vector<std::vector<knn::Neighbor>> partial;
   };
   std::vector<Shard> shards;
   for (std::size_t c = 0; c < partitions_.size(); ++c) {
     for (std::size_t q_begin = 0; q_begin < q; q_begin += chunk) {
-      shards.push_back({c, q_begin, std::min(chunk, q - q_begin), {}, {}});
+      shards.push_back({c, q_begin, std::min(chunk, q - q_begin), {}, 0, {}});
     }
   }
+  // The temporal sort makes a query's first k reports its k nearest, so a
+  // bit-parallel closed-form frame emits only those (plus the rest of the
+  // k-th report's cycle, for the tie cut); a collected stream stays whole.
+  const std::size_t report_limit = options_.collect_report_stream ? 0 : k;
 
   const SymbolStreamEncoder encoder(spec_);
   const apsim::SimOptions sim_options =
@@ -506,8 +513,14 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
       for (std::size_t i = 0; i < shard.q_count; ++i) {
         encoder.append_query(queries.row(shard.q_begin + i), stream);
       }
-      shard.events = batch != nullptr ? batch->run(stream, ctl)
-                                      : reference->run(stream, ctl);
+      if (batch != nullptr) {
+        const std::uint64_t before = batch->report_count();
+        shard.events = batch->run(stream, ctl, report_limit);
+        shard.report_count = batch->report_count() - before;
+      } else {
+        shard.events = reference->run(stream, ctl);
+        shard.report_count = shard.events.size();
+      }
       const TemporalSortDecoder decoder(spec_, shard.q_count);
       shard.partial = decoder.decode(shard.events, k);
       apsim::rebase_events(shard.events,
@@ -618,7 +631,7 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
     if (!survives(shard.config)) {
       continue;
     }
-    stats_.report_events += shard.events.size();
+    stats_.report_events += shard.report_count;
     if (options_.collect_report_stream) {
       report_stream_.insert(report_stream_.end(), shard.events.begin(),
                             shard.events.end());
@@ -632,12 +645,18 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
   if (surviving != partitions_.size()) {
     stats_.simulated_cycles = q * stats_.cycles_per_query * surviving;
   }
+  // Each query holds up to k candidates per configuration. (distance, id)
+  // is a strict order over unique global ids, so selecting the first `want`
+  // and sorting only those returns exactly a full sort's prefix.
   const std::size_t want = std::min(k, dataset_.size());
   for (auto& list : results) {
-    std::sort(list.begin(), list.end());
     if (list.size() > want) {
+      std::nth_element(list.begin(),
+                       list.begin() + static_cast<std::ptrdiff_t>(want),
+                       list.end());
       list.resize(want);
     }
+    std::sort(list.begin(), list.end());
   }
   return results;
 }

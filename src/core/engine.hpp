@@ -152,7 +152,10 @@ struct EngineOptions {
   /// Retain the merged ReportEvent stream of the last search() — shard
   /// buffers rebased to each configuration's full query-stream timeline and
   /// concatenated in configuration/frame order (last_report_stream()).
-  /// Off by default: the raw stream can dwarf the decoded results.
+  /// Off by default: the raw stream can dwarf the decoded results. While it
+  /// is off, bit-parallel shards pass the search's k as BatchSimulator's
+  /// per-frame report limit, so closed-form frames emit only their earliest
+  /// reports; answers and EngineStats are the same either way.
   bool collect_report_stream = false;
   /// Simulation backend (default: the cycle-accurate reference).
   SimulationBackend backend = SimulationBackend::kCycleAccurate;

@@ -1,40 +1,36 @@
 #include "core/temporal_decode.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace apss::core {
-
-std::pair<std::size_t, knn::Neighbor> TemporalSortDecoder::decode_event(
-    const apsim::ReportEvent& event) const {
-  if (event.cycle == 0) {
-    throw std::out_of_range("TemporalSortDecoder: zero cycle");
-  }
-  const std::size_t cpq = spec_.cycles_per_query();
-  const std::size_t query = (event.cycle - 1) / cpq;
-  if (query >= query_count_) {
-    throw std::out_of_range("TemporalSortDecoder: event beyond last query");
-  }
-  const std::size_t offset = event.cycle - query * cpq;
-  const std::size_t distance = spec_.distance_from_offset(offset);
-  return {query,
-          {event.report_code, static_cast<std::uint32_t>(distance)}};
-}
 
 std::vector<std::vector<knn::Neighbor>> TemporalSortDecoder::decode(
     std::span<const apsim::ReportEvent> events, std::size_t k) const {
   std::vector<std::vector<knn::Neighbor>> results(query_count_);
+  if (k > 0) {
+    for (auto& list : results) {
+      list.reserve(std::min(k, events.size()));
+    }
+  }
   for (const apsim::ReportEvent& event : events) {
     auto [query, neighbor] = decode_event(event);
     auto& list = results[query];
-    if (k == 0 || list.size() < k) {
+    // Arrivals are distance-ordered within a query, so past the k-th only
+    // the rest of the k-th one's distance group can still make the cut.
+    if (k == 0 || list.size() < k ||
+        neighbor.distance == list[k - 1].distance) {
       list.push_back(neighbor);
     }
   }
-  // Events with equal distance share a cycle and arrive in arbitrary id
-  // order; normalize within each distance group for deterministic output.
+  // A distance group shares a cycle and arrives in counter order, not id
+  // order: put each list in (distance, id) order, then cut the tie at k.
   for (auto& list : results) {
-    std::stable_sort(list.begin(), list.end());
+    if (!std::is_sorted(list.begin(), list.end())) {
+      std::sort(list.begin(), list.end());
+    }
+    if (k > 0 && list.size() > k) {
+      list.resize(k);
+    }
   }
   return results;
 }

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "apsim/simulator.hpp"
@@ -24,15 +25,31 @@ class TemporalSortDecoder {
 
   /// Decodes a batch run's events (cycles are 1-based over the whole
   /// concatenated stream; report codes are dataset vector ids). Returns one
-  /// ascending-distance neighbor list per query, truncated to `k` if k > 0.
+  /// neighbor list per query in (distance, id) order, cut to `k` if k > 0.
+  /// The cut is canonical: a distance tie straddling the k-th slot keeps
+  /// its smallest ids, whatever their arrival order within the cycle.
   /// Throws std::out_of_range if an event falls outside any sort window —
   /// that would mean the automata design is broken.
   std::vector<std::vector<knn::Neighbor>> decode(
       std::span<const apsim::ReportEvent> events, std::size_t k = 0) const;
 
-  /// Decodes one event's (query index, neighbor).
+  /// Decodes one event's (query index, neighbor). Defined here so that
+  /// decode()'s per-event loop inlines it.
   std::pair<std::size_t, knn::Neighbor> decode_event(
-      const apsim::ReportEvent& event) const;
+      const apsim::ReportEvent& event) const {
+    if (event.cycle == 0) {
+      throw std::out_of_range("TemporalSortDecoder: zero cycle");
+    }
+    const std::size_t cpq = spec_.cycles_per_query();
+    const std::size_t query = (event.cycle - 1) / cpq;
+    if (query >= query_count_) {
+      throw std::out_of_range("TemporalSortDecoder: event beyond last query");
+    }
+    const std::size_t offset = event.cycle - query * cpq;
+    const std::size_t distance = spec_.distance_from_offset(offset);
+    return {query,
+            {event.report_code, static_cast<std::uint32_t>(distance)}};
+  }
 
  private:
   StreamSpec spec_;

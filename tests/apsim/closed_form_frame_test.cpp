@@ -8,7 +8,10 @@
 // behind (probed by stepping both simulators through the same continuation)
 // must be bit-identical, at every lane width, SIMD and APSS_DISABLE_SIMD=1
 // alike. Checkpoints and the batch.frame fault site must fire after the
-// same symbol counts as when stepping.
+// same symbol counts as when stepping. A report limit must cut each
+// closed-form frame to the prefix of its full events through the cycle of
+// the limit-th report, leave stepped frames whole, and change neither
+// report_count() nor the state a run leaves behind.
 
 #include <gtest/gtest.h>
 
@@ -158,6 +161,8 @@ std::vector<ReportEvent> run_vs_stepping(const Config& c, LaneWidth width,
   }
   EXPECT_EQ(events, slow.reports()) << context;
   EXPECT_EQ(fast.cycle(), slow.cycle()) << context;
+  EXPECT_EQ(fast.report_count(), events.size()) << context;
+  EXPECT_EQ(slow.report_count(), events.size()) << context;
   EXPECT_EQ(slow.closed_form_frames(), 0u) << context;
   if (closed_frames != kAnyCount) {
     EXPECT_EQ(fast.closed_form_frames(), closed_frames) << context;
@@ -170,11 +175,103 @@ std::vector<ReportEvent> run_vs_stepping(const Config& c, LaneWidth width,
   return events;
 }
 
+/// Start positions of the frames run() computes in closed form over
+/// `stream`, found by replaying it on a fresh simulator: a whole frame
+/// template at a time where one starts (no closed-form frame can start
+/// inside it), else one symbol. Each run_continue then takes the closed
+/// form exactly where the whole-stream run does.
+std::vector<std::uint64_t> closed_frame_starts(
+    const Config& c, std::span<const std::uint8_t> stream) {
+  const BatchProgramState state = c.program->state();
+  const std::size_t frame = c.frame();
+  BatchSimulator sim(c.program);
+  std::vector<std::uint64_t> starts;
+  for (std::size_t pos = 0; pos < stream.size();) {
+    const auto interior = [&] {
+      const auto data = stream.subspan(pos + 1, frame - 2);
+      return std::none_of(data.begin(), data.end(), [&](std::uint8_t s) {
+        return s == state.sof || s == state.eof;
+      });
+    };
+    const bool is_template = pos + frame <= stream.size() &&
+                             stream[pos] == state.sof &&
+                             stream[pos + frame - 1] == state.eof &&
+                             interior();
+    const std::size_t len = is_template ? frame : 1;
+    const std::uint64_t before = sim.closed_form_frames();
+    sim.run_continue(stream.subspan(pos, len));
+    if (sim.closed_form_frames() != before) {
+      starts.push_back(pos);
+    }
+    pos += len;
+  }
+  return starts;
+}
+
+/// What a run with `limit` must emit: `full` with each closed-form frame
+/// (cycles start + 1 .. start + frame) cut after the cycle that holds its
+/// limit-th report; every other event kept.
+std::vector<ReportEvent> cut_events(const std::vector<ReportEvent>& full,
+                                    const std::vector<std::uint64_t>& starts,
+                                    std::size_t frame, std::size_t limit) {
+  std::vector<ReportEvent> out;
+  std::size_t f = 0;
+  std::size_t kept = 0;
+  std::uint64_t cut_cycle = 0;
+  for (const ReportEvent& e : full) {
+    while (f < starts.size() && e.cycle > starts[f] + frame) {
+      ++f;
+      kept = 0;
+    }
+    if (f == starts.size() || e.cycle <= starts[f]) {
+      out.push_back(e);  // a stepped cycle
+    } else if (kept < limit) {
+      ++kept;
+      cut_cycle = e.cycle;
+      out.push_back(e);
+    } else if (e.cycle == cut_cycle) {
+      out.push_back(e);  // the rest of the limit-th report's cycle
+    }
+  }
+  return out;
+}
+
+/// run(stream, control, limit) at one width against an unlimited run of
+/// the same stream: the cut events, the full report_count(), and the same
+/// cycle(), closed-form frames and behaviour through `probe` afterwards.
+void expect_limited_run(const Config& c, LaneWidth width,
+                        std::span<const std::uint8_t> stream,
+                        std::span<const std::uint8_t> probe,
+                        std::size_t limit,
+                        const std::vector<ReportEvent>& want,
+                        const std::string& context) {
+  BatchSimulator cut(c.program, width);
+  BatchSimulator whole(c.program, width);
+  EXPECT_EQ(cut.run(stream, util::RunControl{}, limit), want) << context;
+  const std::size_t full_count = whole.run(stream).size();
+  EXPECT_EQ(cut.report_count(), full_count) << context;
+  EXPECT_EQ(cut.cycle(), whole.cycle()) << context;
+  EXPECT_EQ(cut.closed_form_frames(), whole.closed_form_frames()) << context;
+  const auto cut_at = static_cast<std::ptrdiff_t>(cut.reports().size());
+  const auto whole_at = static_cast<std::ptrdiff_t>(whole.reports().size());
+  for (const std::uint8_t s : probe) {
+    cut.step(s);
+    whole.step(s);
+  }
+  EXPECT_EQ(std::vector<ReportEvent>(cut.reports().begin() + cut_at,
+                                     cut.reports().end()),
+            std::vector<ReportEvent>(whole.reports().begin() + whole_at,
+                                     whole.reports().end()))
+      << context << " (continuation)";
+  EXPECT_EQ(cut.report_count(), whole.report_count()) << context;
+}
+
 /// The whole matrix for one stream: every width, SIMD and portable, against
-/// stepping; every width's events against each other; and, when
-/// `with_reference`, against the cycle-accurate Simulator. The probe that
-/// checks the state left behind is one more frame plus a ragged tail with
-/// a stray SOF.
+/// stepping; every width's events against each other; when
+/// `with_reference`, against the cycle-accurate Simulator; and every width
+/// under report limits 1, 10, lanes - 1, lanes and 2 x lanes. The probe
+/// that checks the state left behind is one more frame plus a ragged tail
+/// with a stray SOF.
 void expect_closed_form(const Config& c, std::span<const std::uint8_t> stream,
                         std::uint64_t closed_frames, bool with_reference,
                         util::Rng& rng, const std::string& context) {
@@ -202,6 +299,26 @@ void expect_closed_form(const Config& c, std::span<const std::uint8_t> stream,
   if (with_reference) {
     Simulator reference(c.network);
     EXPECT_EQ(reference.run(stream), first) << context << " vs reference";
+  }
+  const std::vector<std::uint64_t> starts = closed_frame_starts(c, stream);
+  if (closed_frames != kAnyCount) {
+    EXPECT_EQ(starts.size(), closed_frames) << context;
+  }
+  const std::size_t lanes = c.program->macro_count();
+  for (const std::size_t limit : {std::size_t{1}, std::size_t{10}, lanes - 1,
+                                  lanes, 2 * lanes}) {
+    if (limit == 0) {
+      continue;  // lanes - 1 at one lane: 0 means no limit
+    }
+    const auto want = cut_events(first, starts, c.frame(), limit);
+    if (limit >= lanes) {
+      EXPECT_EQ(want, first) << context;
+    }
+    for (const LaneWidth w : kWidths) {
+      expect_limited_run(c, w, stream, probe, limit, want,
+                         context + " limit=" + std::to_string(limit) + " w" +
+                             to_string(w));
+    }
   }
 }
 
@@ -560,6 +677,22 @@ TEST_F(ClosedFormCheckpoints, FireAtTheSameSymbolCountsAsStepping) {
     BatchSimulator quiet(c.program);
     EXPECT_EQ(quiet.run(stream, engaged), stepped.reports()) << context;
     EXPECT_EQ(quiet.closed_form_frames(), sim.closed_form_frames()) << context;
+
+    // A report limit under the checkpointed loop cuts exactly the frames it
+    // computes in closed form: every frame of the aligned stream, none of
+    // the misaligned one.
+    if (tc.closed != kAnyCount) {
+      std::vector<std::uint64_t> starts;
+      for (std::uint64_t f = 0; f < tc.closed; ++f) {
+        starts.push_back(f * frame);
+      }
+      BatchSimulator limited(c.program);
+      EXPECT_EQ(limited.run(stream, engaged, 3),
+                cut_events(stepped.reports(), starts, frame, 3))
+          << context;
+      EXPECT_EQ(limited.report_count(), stepped.reports().size()) << context;
+      EXPECT_EQ(limited.closed_form_frames(), tc.closed) << context;
+    }
   }
 }
 

@@ -107,6 +107,20 @@ inline std::vector<apsim::ReportEvent> run_hamming_query(
   return sim.run(encoder.encode_query(query));
 }
 
+/// Asserts that `results` equals knn::knn_scan's answer for every query
+/// row: the same neighbours in the same (distance, id) order, tie order
+/// included. `context` prefixes failure messages.
+inline void expect_exact_knn_results(
+    const knn::BinaryDataset& data, const knn::BinaryDataset& queries,
+    std::size_t k, const std::vector<std::vector<knn::Neighbor>>& results,
+    const std::string& context = {}) {
+  ASSERT_EQ(results.size(), queries.size()) << context;
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    EXPECT_EQ(results[q], knn::knn_scan(data, queries.row(q), k))
+        << context << (context.empty() ? "" : " ") << "query " << q;
+  }
+}
+
 /// Asserts that `results` holds one valid k-NN answer (distance-exact under
 /// ties) per query row. `context` prefixes failure messages.
 inline void expect_valid_knn_results(

@@ -8,6 +8,7 @@
 
 #include "apss_test_support.hpp"
 #include "core/engine.hpp"
+#include "util/fault_injection.hpp"
 #include "util/thread_pool.hpp"
 
 namespace apss::core {
@@ -36,7 +37,7 @@ void expect_same_search(const knn::BinaryDataset& data,
     EXPECT_EQ(actual[q], expected[q]) << context << " query " << q;
   }
   EXPECT_TRUE(bit.last_stats().same_work(cycle.last_stats())) << context;
-  test::expect_valid_knn_results(data, queries, k, actual, context);
+  test::expect_exact_knn_results(data, queries, k, actual, context);
 }
 
 TEST(EngineBackend, BitParallelCompilesEveryConfiguration) {
@@ -123,6 +124,109 @@ TEST(EngineBackend, PackedConfigurationsCompileAndMatch) {
   }
 }
 
+/// A dataset of `n` rows cycling through `distinct` random vectors, so
+/// distance ties straddle every k, inside one configuration and across
+/// configurations alike.
+knn::BinaryDataset repeating_dataset(util::Rng& rng, std::size_t n,
+                                     std::size_t distinct, std::size_t dims) {
+  const auto base = test::random_dataset(rng, distinct, dims);
+  knn::BinaryDataset data(n, dims);
+  for (std::size_t v = 0; v < n; ++v) {
+    for (std::size_t i = 0; i < dims; ++i) {
+      data.set(v, i, base.get(v % distinct, i));
+    }
+  }
+  return data;
+}
+
+struct CutRun {
+  std::vector<std::vector<knn::Neighbor>> results;
+  EngineStats stats;
+};
+
+CutRun run_cut(const knn::BinaryDataset& data,
+               const knn::BinaryDataset& queries, std::size_t k,
+               EngineOptions opt, bool collect_stream) {
+  opt.collect_report_stream = collect_stream;
+  ApKnnEngine engine(data, opt);
+  CutRun r;
+  r.results = engine.search(queries, k);
+  r.stats = engine.last_stats();
+  EXPECT_EQ(engine.last_report_stream().empty(), !collect_stream);
+  return r;
+}
+
+TEST(EngineBackend, ReportCutKeepsAnswersAndStats) {
+  // Without a collected stream, bit-parallel frames emit only each query's
+  // k earliest reports (plus the rest of the k-th one's cycle). Answers and
+  // EngineStats must equal the full-stream run's, and the exact oracle's,
+  // with ties at k inside and across 8-vector configurations.
+  util::Rng rng(312);
+  const auto data = repeating_dataset(rng, 37, 5, 24);
+  knn::BinaryDataset queries = test::random_dataset(rng, 7, 24);
+  for (std::size_t i = 0; i < 24; ++i) {
+    queries.set(0, i, data.get(3, i));  // distance 0 to ids 3, 8, 13, ...
+  }
+  for (const std::size_t packing : {0u, 4u}) {
+    for (const std::size_t k : {1u, 10u, 8u, 40u}) {  // 8 = lanes per config
+      for (const std::size_t threads : {1u, 4u}) {
+        EngineOptions opt =
+            backend_options(SimulationBackend::kBitParallel, 8);
+        opt.packing_group_size = packing;
+        opt.threads = threads;
+        const std::string ctx = "packing=" + std::to_string(packing) +
+                                " k=" + std::to_string(k) +
+                                " threads=" + std::to_string(threads);
+        const CutRun cut = run_cut(data, queries, k, opt, false);
+        const CutRun whole = run_cut(data, queries, k, opt, true);
+        EXPECT_EQ(cut.results, whole.results) << ctx;
+        EXPECT_EQ(cut.stats, whole.stats) << ctx;
+        EXPECT_EQ(cut.stats.report_events, queries.size() * data.size())
+            << ctx;
+        test::expect_exact_knn_results(data, queries, k, cut.results, ctx);
+      }
+    }
+  }
+}
+
+TEST(EngineBackend, ReportCutWithDegradedShardDecodesFullStream) {
+  // A persistent batch.frame fault on configuration 1 under kRetry: its
+  // shards degrade to the cycle-accurate reference, whose full stream the
+  // decoder cuts itself, while the other configurations cut in the kernel.
+  util::Rng rng(313);
+  const auto data = repeating_dataset(rng, 37, 5, 24);
+  const auto queries = test::random_dataset(rng, 6, 24);
+  auto& injector = util::FaultInjector::instance();
+  for (const std::size_t threads : {1u, 4u}) {
+    EngineOptions opt = backend_options(SimulationBackend::kBitParallel, 8);
+    opt.threads = threads;
+    opt.on_error = OnError::kRetry;
+    std::vector<CutRun> runs;
+    for (const bool collect : {false, true}) {
+      util::FaultInjector::Plan plan;
+      plan.match_key = 1;
+      injector.arm(util::kFaultBatchFrame, plan);
+      runs.push_back(run_cut(data, queries, 3, opt, collect));
+      injector.disarm_all();
+    }
+    const std::string ctx = "threads=" + std::to_string(threads);
+    EXPECT_EQ(runs[0].results, runs[1].results) << ctx;
+    EXPECT_TRUE(runs[0].stats.same_work(runs[1].stats)) << ctx;
+    ASSERT_EQ(runs[0].stats.shard_status.size(), 5u) << ctx;
+    for (std::size_t c = 0; c < 5; ++c) {
+      for (const CutRun& run : runs) {
+        EXPECT_EQ(run.stats.shard_status[c].state,
+                  c == 1 ? ShardState::kDegraded : ShardState::kOk)
+            << ctx << " config " << c;
+        EXPECT_EQ(run.stats.shard_status[c].retries,
+                  runs[0].stats.shard_status[c].retries)
+            << ctx << " config " << c;
+      }
+    }
+    test::expect_exact_knn_results(data, queries, 3, runs[0].results, ctx);
+  }
+}
+
 TEST(EngineBackend, PackedFallsBackWhenDeviceFeaturesUnsupported) {
   const auto data = knn::BinaryDataset::uniform(18, 16, 309);
   const auto queries = knn::BinaryDataset::uniform(5, 16, 311);
@@ -132,7 +236,7 @@ TEST(EngineBackend, PackedFallsBackWhenDeviceFeaturesUnsupported) {
   ApKnnEngine engine(data, opt);
   EXPECT_EQ(engine.bit_parallel_configurations(), 0u);
   const auto results = engine.search(queries, 4);
-  test::expect_valid_knn_results(data, queries, 4, results);
+  test::expect_exact_knn_results(data, queries, 4, results);
 }
 
 TEST(EngineBackend, FallsBackWhenDeviceFeaturesUnsupported) {
@@ -145,7 +249,7 @@ TEST(EngineBackend, FallsBackWhenDeviceFeaturesUnsupported) {
   ApKnnEngine engine(data, opt);
   EXPECT_EQ(engine.bit_parallel_configurations(), 0u);
   const auto results = engine.search(queries, 4);
-  test::expect_valid_knn_results(data, queries, 4, results);
+  test::expect_exact_knn_results(data, queries, 4, results);
 
   // No silent fallback: every declined configuration carries its reason,
   // aggregated per distinct reason, and search() embeds them in the stats.

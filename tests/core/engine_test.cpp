@@ -25,7 +25,7 @@ TEST(ApKnnEngine, SingleConfigurationMatchesCpuExact) {
   ApKnnEngine engine(data, small_engine_options());
   EXPECT_EQ(engine.configurations(), 1u);
   const auto results = engine.search(queries, 5);
-  test::expect_valid_knn_results(data, queries, 5, results);
+  test::expect_exact_knn_results(data, queries, 5, results);
 }
 
 TEST(ApKnnEngine, MultiConfigurationPartialReconfiguration) {
@@ -35,7 +35,7 @@ TEST(ApKnnEngine, MultiConfigurationPartialReconfiguration) {
   ApKnnEngine engine(data, small_engine_options(8));
   EXPECT_EQ(engine.configurations(), 5u);
   const auto results = engine.search(queries, 4);
-  test::expect_valid_knn_results(data, queries, 4, results);
+  test::expect_exact_knn_results(data, queries, 4, results);
   const EngineStats& stats = engine.last_stats();
   EXPECT_EQ(stats.configurations, 5u);
   EXPECT_EQ(stats.queries, 6u);
@@ -73,7 +73,7 @@ TEST(ApKnnEngine, ClusteredDataProperty) {
     const auto queries = knn::perturbed_queries(data, 4, 0.1, rng.next());
     ApKnnEngine engine(data, small_engine_options(1 + rng.below(n)));
     const auto results = engine.search(queries, k);
-    test::expect_valid_knn_results(data, queries, k, results,
+    test::expect_exact_knn_results(data, queries, k, results,
                                    "trial " + std::to_string(trial));
   }
 }
@@ -86,6 +86,7 @@ TEST(ApKnnEngine, KLargerThanDatasetReturnsAll) {
   for (const auto& r : results) {
     EXPECT_EQ(r.size(), 5u);
   }
+  test::expect_exact_knn_results(data, queries, 50, results);
 }
 
 TEST(ApKnnEngine, RejectsBadQueries) {

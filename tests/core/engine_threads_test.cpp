@@ -49,7 +49,7 @@ void expect_thread_invariant(const knn::BinaryDataset& data,
     EXPECT_EQ(run.stats, reference.stats) << ctx;
     EXPECT_EQ(run.compile, reference.compile) << ctx;
   }
-  test::expect_valid_knn_results(data, queries, k, reference.results, context);
+  test::expect_exact_knn_results(data, queries, k, reference.results, context);
 }
 
 TEST(EngineThreads, BitParallelStreamIdenticalAcrossThreadCounts) {
@@ -151,7 +151,7 @@ TEST(EngineThreads, ExplicitPoolStillWins) {
   ApKnnEngine engine(data, opt);
   EXPECT_EQ(engine.simulation_threads(), 4u);
   const auto results = engine.search(queries, 3);
-  test::expect_valid_knn_results(data, queries, 3, results);
+  test::expect_exact_knn_results(data, queries, 3, results);
 }
 
 TEST(EngineThreads, SerialEngineReportsOneThread) {

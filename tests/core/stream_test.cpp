@@ -152,6 +152,23 @@ TEST(TemporalSortDecoder, NormalizesTieOrderById) {
   EXPECT_EQ(result[0][1].id, 9u);
 }
 
+TEST(TemporalSortDecoder, TieAtTheCutKeepsTheSmallestIds) {
+  const StreamSpec spec{4, 1};
+  const TemporalSortDecoder decoder(spec, 1);
+  // A distance tie straddles the k-th slot and the higher id arrives first:
+  // the cut must not depend on arrival order within the cycle.
+  const std::vector<apsim::ReportEvent> events = {{9, 1, 9}, {9, 0, 4}};
+  const auto result = decoder.decode(events, 1);
+  ASSERT_EQ(result[0].size(), 1u);
+  EXPECT_EQ(result[0][0], (knn::Neighbor{4, 1}));
+  // Ties past the k-th slot's cycle are still cut: ids 4 and 9 share
+  // distance 1, and the later id 2 at distance 2 never makes k = 2.
+  const std::vector<apsim::ReportEvent> three = {
+      {9, 1, 9}, {9, 0, 4}, {10, 0, 2}};
+  EXPECT_EQ(decoder.decode(three, 2)[0],
+            (std::vector<knn::Neighbor>{{4, 1}, {9, 1}}));
+}
+
 TEST(TemporalSortDecoder, RejectsOutOfWindowEvents) {
   const StreamSpec spec{4, 1};
   const TemporalSortDecoder decoder(spec, 1);

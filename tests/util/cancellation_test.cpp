@@ -45,6 +45,13 @@ TEST(DeadlineTest, FutureDeadlineNotExpiredUntilItPasses) {
   const Deadline soon = Deadline::after_ms(1);
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   EXPECT_TRUE(soon.expired());
+
+  // Set further out than the coarse clock's slack: expired() starts on the
+  // coarse pre-check and must still see the deadline pass.
+  const Deadline later = Deadline::after_ms(120);
+  EXPECT_FALSE(later.expired());
+  std::this_thread::sleep_for(std::chrono::milliseconds(130));
+  EXPECT_TRUE(later.expired());
 }
 
 TEST(DeadlineTest, LatestPrefersTheLongerBudgetAndUnsetWins) {
