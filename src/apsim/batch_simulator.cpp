@@ -221,7 +221,8 @@ void transpose64(std::uint64_t (&m)[64]) {
 }
 
 /// Lanes per group of the closed-form emit loop's skip test (see
-/// try_closed_form_frame); lane_counts_ is padded to whole groups.
+/// try_closed_form_frame); lane_counts_ is padded to whole groups, so the
+/// test may read past the last lane.
 constexpr std::size_t kEmitGroup = 16;
 
 }  // namespace
@@ -1268,31 +1269,23 @@ bool BatchSimulator::try_closed_form_frame(std::span<const std::uint8_t> rest,
   }
   reports_.resize(at);
   const std::uint64_t frame_end = cycle_ + cpq;
-  const auto emit = [&](std::size_t l) {
-    const std::uint32_t h = lane_counts_[l];
-    reports_[count_cursor_[h]++] = {frame_end - h, p.report_elem_[l],
-                                    p.report_code_[l]};
-  };
-  if (h_min == 0) {
-    for (std::size_t l = 0; l < p.macro_count_; ++l) {
-      emit(l);
+  // Lanes are visited kEmitGroup at a time, and a branch-free test skips
+  // the groups with no lane at h >= h_min: under a small limit, all but a
+  // few. Uncut (h_min = 0), every group is visited.
+  for (std::size_t g = 0; g < p.macro_count_; g += kEmitGroup) {
+    std::uint32_t any = 0;
+    for (std::size_t i = 0; i < kEmitGroup; ++i) {
+      any |= static_cast<std::uint32_t>(lane_counts_[g + i] >= h_min);
     }
-  } else {
-    // Under a cut, lanes are visited kEmitGroup at a time and a branch-free
-    // test skips the groups with no lane at h >= h_min, which under a small
-    // limit is all but a few. The zero padding of lane_counts_ never passes.
-    for (std::size_t g = 0; g < p.macro_count_; g += kEmitGroup) {
-      std::uint32_t any = 0;
-      for (std::size_t i = 0; i < kEmitGroup; ++i) {
-        any |= static_cast<std::uint32_t>(lane_counts_[g + i] >= h_min);
-      }
-      if (any == 0) {
-        continue;
-      }
-      for (std::size_t l = g; l < g + kEmitGroup; ++l) {
-        if (lane_counts_[l] >= h_min) {
-          emit(l);
-        }
+    if (any == 0) {
+      continue;
+    }
+    const std::size_t group_end = std::min(g + kEmitGroup, p.macro_count_);
+    for (std::size_t l = g; l < group_end; ++l) {
+      const std::uint32_t h = lane_counts_[l];
+      if (h >= h_min) {
+        reports_[count_cursor_[h]++] = {frame_end - h, p.report_elem_[l],
+                                        p.report_code_[l]};
       }
     }
   }

@@ -78,22 +78,46 @@ class Deadline {
     }
 #if defined(__linux__)
     // CLOCK_MONOTONIC_COARSE is steady_clock's CLOCK_MONOTONIC as of the
-    // last timer tick: it never runs ahead of steady_clock and trails it by
-    // about one tick (at most 10 ms at HZ >= 100), and it reads in a few ns
-    // instead of tens. So while the deadline is more than kCoarseSlack past
-    // it, the deadline has not passed, and the precise clock is not read —
-    // a checkpoint per ~2 us query frame then costs well under 1%.
+    // last timer tick: it never runs ahead of steady_clock, trails it by
+    // about one tick, and reads in a few ns instead of tens. So while the
+    // deadline is more than coarse_slack() past it, the deadline has not
+    // passed and the precise clock is not read. Only the last few ticks of
+    // a budget pay the precise read (plus the coarse one).
+    const std::chrono::nanoseconds slack = coarse_slack();
     timespec coarse;
-    if (clock_gettime(CLOCK_MONOTONIC_COARSE, &coarse) == 0 &&
+    if (slack.count() > 0 &&
+        clock_gettime(CLOCK_MONOTONIC_COARSE, &coarse) == 0 &&
         std::chrono::steady_clock::time_point(
             std::chrono::seconds(coarse.tv_sec) +
             std::chrono::nanoseconds(coarse.tv_nsec)) +
-                kCoarseSlack <
+                slack <
             at_) {
       return false;
     }
 #endif
     return std::chrono::steady_clock::now() >= at_;
+  }
+
+  /// How far past the coarse clock a deadline must lie for expired() to
+  /// skip the precise read, i.e. the budget left below which every call
+  /// reads the precise clock: three ticks of the coarse clock (12 ms at
+  /// HZ=250), three times its usual lag. Zero, which never skips, where the
+  /// coarse clock is unavailable.
+  static std::chrono::nanoseconds coarse_slack() noexcept {
+#if defined(__linux__)
+    static const std::chrono::nanoseconds slack = [] {
+      timespec res;
+      if (clock_getres(CLOCK_MONOTONIC_COARSE, &res) != 0) {
+        return std::chrono::nanoseconds{0};
+      }
+      return std::chrono::nanoseconds(
+          3 * (std::chrono::seconds(res.tv_sec) +
+               std::chrono::nanoseconds(res.tv_nsec)));
+    }();
+    return slack;
+#else
+    return std::chrono::nanoseconds{0};
+#endif
   }
 
   /// Milliseconds left (negative once expired); +infinity when unset.
@@ -130,10 +154,6 @@ class Deadline {
   }
 
  private:
-  /// How far past the coarse clock a deadline must lie for expired() to
-  /// skip the precise read: ten times the coarse clock's worst lag.
-  static constexpr std::chrono::milliseconds kCoarseSlack{100};
-
   bool set_ = false;
   std::chrono::steady_clock::time_point at_{};
 };

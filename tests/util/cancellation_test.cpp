@@ -46,8 +46,10 @@ TEST(DeadlineTest, FutureDeadlineNotExpiredUntilItPasses) {
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   EXPECT_TRUE(soon.expired());
 
-  // Set further out than the coarse clock's slack: expired() starts on the
-  // coarse pre-check and must still see the deadline pass.
+  // Set further out than the coarse clock's slack (a few timer ticks):
+  // expired() starts on the coarse pre-check and must still see the
+  // deadline pass.
+  EXPECT_LT(Deadline::coarse_slack(), std::chrono::milliseconds(120));
   const Deadline later = Deadline::after_ms(120);
   EXPECT_FALSE(later.expired());
   std::this_thread::sleep_for(std::chrono::milliseconds(130));
