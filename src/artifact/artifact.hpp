@@ -23,10 +23,11 @@
 //    revalidates every structural invariant the compiler establishes, so a
 //    loaded program is exactly as trustworthy as a freshly compiled one.
 //
-// Consumers: core::ApKnnEngine / core::MultiplexedKnn compile-on-miss and
-// load-on-hit through EngineOptions::artifact_cache_dir (see
-// core/artifact_cache.hpp), and `apss_cli knn --save-artifact/
-// --load-artifact` moves single configurations by hand.
+// Consumers: core::ApKnnEngine (every macro family: base, packed and
+// multiplexed designs) compiles on a miss and loads on a hit through
+// EngineOptions::artifact_cache_dir (see core/artifact_cache.hpp), and
+// `apss_cli knn --save-artifact/--load-artifact` moves single
+// configurations by hand.
 
 #include <cstdint>
 #include <memory>

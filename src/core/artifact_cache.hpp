@@ -1,5 +1,5 @@
 #pragma once
-// Compile-cache glue between the engines and src/artifact: outcome/counter
+// Compile-cache glue between the engine and src/artifact: outcome/counter
 // types surfaced through EngineStats::backend, the slot-file naming scheme,
 // the compile-input key hash helpers, and the shared load/store flow.
 //
@@ -102,8 +102,8 @@ std::string artifact_cache_path(const std::string& dir,
                                 std::string_view builder, std::size_t slot);
 
 // --- Compile-input key ingredients -----------------------------------------
-// Every helper feeds one streaming hasher; the builders in engine.cpp /
-// stream_multiplexing.cpp compose them in a pinned order (ARTIFACTS.md).
+// Every helper feeds one streaming hasher; ApKnnEngine::artifact_key
+// composes them in a pinned order (ARTIFACTS.md).
 
 /// Layout (count, dims, word stride) and raw row bytes of the slice
 /// [begin, begin + count) of `data`.

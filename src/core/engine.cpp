@@ -9,6 +9,7 @@
 
 #include "anml/anml_io.hpp"
 #include "core/batch_compile.hpp"
+#include "core/opt/stream_multiplexing.hpp"
 #include "core/temporal_decode.hpp"
 #include "util/fault_injection.hpp"
 #include "util/fnv.hpp"
@@ -16,9 +17,7 @@
 namespace apss::core {
 namespace {
 
-/// Builder tag: names the cache slot files and salts the compile-input key,
-/// so engine artifacts and multiplexed artifacts can never satisfy each
-/// other even from a shared cache directory.
+/// Builder tag: names the cache slot files and salts the compile-input key.
 constexpr std::string_view kEngineBuilder = "apss-knn-engine";
 
 /// Worst-wins ordering for reducing shard outcomes to one per-configuration
@@ -75,6 +74,13 @@ ApKnnEngine::ApKnnEngine(knn::BinaryDataset dataset, EngineOptions options)
   if (dataset_.empty()) {
     throw std::invalid_argument("ApKnnEngine: empty dataset");
   }
+  if (options_.multiplex_slices > kMaxSlices) {
+    throw std::invalid_argument("ApKnnEngine: multiplex_slices must be 0..7");
+  }
+  if (options_.multiplex_slices > 0 && options_.packing_group_size > 0) {
+    throw std::invalid_argument(
+        "ApKnnEngine: multiplexing cannot be combined with vector packing");
+  }
   // Resolve the worker pool once: an explicit pool wins; otherwise
   // `threads` picks serial (1), the shared process-wide pool (0), or a
   // private pool sized so that N threads total run this engine's shards
@@ -99,11 +105,12 @@ ApKnnEngine::ApKnnEngine(knn::BinaryDataset dataset, EngineOptions options)
 
   // Board capacity: how many vectors fit one configuration. Plain macros of
   // a given dimensionality are isomorphic, so any vector serves as the
-  // prototype. Packed groups differ in how many value states their vectors
-  // share, so the prototype is a WORST-CASE group (alternating all-zeros /
-  // all-ones rows: two value states at every dimension once the group holds
-  // two vectors) — capacity must never overcommit the board just because
-  // the first group happened to share more than later ones.
+  // prototype; a multiplexed vector costs its S slice replicas. Packed
+  // groups differ in how many value states their vectors share, so the
+  // prototype is a WORST-CASE group (alternating all-zeros / all-ones rows:
+  // two value states at every dimension once the group holds two vectors)
+  // — capacity must never overcommit the board just because the first
+  // group happened to share more than later ones.
   {
     anml::AutomataNetwork prototype("prototype");
     std::size_t vectors_per_copy = 1;
@@ -116,6 +123,9 @@ ApKnnEngine::ApKnnEngine(knn::BinaryDataset dataset, EngineOptions options)
         }
       }
       append_packed_group(prototype, worst, 0, vectors_per_copy, pack_opt);
+    } else if (options_.multiplex_slices > 0) {
+      build_multiplexed_network(prototype, dataset_, options_.multiplex_slices,
+                                options_.macro, 0, 1);
     } else {
       append_hamming_macro(prototype, dataset_.vector(0), 0, options_.macro);
     }
@@ -169,9 +179,9 @@ ApKnnEngine::ApKnnEngine(knn::BinaryDataset dataset, EngineOptions options)
     p.begin = c * capacity_;
     p.count = std::min(capacity_, dataset_.size() - p.begin);
     if (cache_enabled) {
-      CachedProgram cached =
-          try_load_program(artifact_cache_file(c), artifact_key(c), p.count,
-                           dataset_.dims());
+      CachedProgram cached = try_load_program(
+          artifact_cache_file(c), artifact_key(c),
+          p.count * queries_per_frame(), dataset_.dims());
       cache_stats[c].record(cached.outcome);
       cache_stats[c].io_retries += cached.io_retries;
       cache_stats[c].quarantined += cached.quarantined ? 1 : 0;
@@ -273,6 +283,19 @@ void ApKnnEngine::build_network(
         packed_layouts->push_back(std::move(layout));
       }
     }
+  } else if (options_.multiplex_slices > 0) {
+    std::vector<MacroLayout> layouts =
+        build_multiplexed_network(*p.network, dataset_,
+                                  options_.multiplex_slices, options_.macro,
+                                  p.begin, p.count);
+    for (const MacroLayout& layout : layouts) {
+      if (layout.collector_levels != spec_.collector_levels) {
+        throw std::logic_error("ApKnnEngine: inconsistent collector depth");
+      }
+    }
+    if (hamming_layouts != nullptr) {
+      *hamming_layouts = std::move(layouts);
+    }
   } else {
     for (std::size_t i = 0; i < p.count; ++i) {
       MacroLayout layout = append_hamming_macro(
@@ -310,6 +333,7 @@ std::uint64_t ApKnnEngine::artifact_key(std::size_t i) const {
   hash_macro_options(hasher, options_.macro);
   hasher.update_u64(options_.packing_group_size);
   hasher.update(static_cast<std::uint8_t>(options_.packing_style));
+  hasher.update_u64(options_.multiplex_slices);
   hash_sim_options(hasher, apsim::SimOptions::from(options_.device.features));
   return hasher.digest();
 }
@@ -367,16 +391,19 @@ EngineStats ApKnnEngine::project(std::size_t query_count) const {
   s.vectors_per_config = capacity_;
   s.cycles_per_query = spec_.cycles_per_query();
   s.queries = query_count;
-  s.simulated_cycles = query_count * s.cycles_per_query * s.configurations;
+  s.simulated_cycles =
+      frames_for(query_count) * s.cycles_per_query * s.configurations;
   s.backend = compile_stats_;
   return s;
 }
 
 double ApKnnEngine::report_bandwidth_gbps() const {
-  // Sec. VI-C: 32*(n + d) bits conveyed per query, one query every
+  // Sec. VI-C: 32*(n + d) bits conveyed per frame, one frame every
   // cycles_per_query cycles (the paper uses 2d; we use our exact frame).
-  const double bits = 32.0 * (static_cast<double>(capacity_) +
-                              static_cast<double>(dataset_.dims()));
+  // Each vector reports once per query the frame carries.
+  const double reports = static_cast<double>(capacity_ * queries_per_frame());
+  const double bits =
+      32.0 * (reports + static_cast<double>(dataset_.dims()));
   const double seconds = static_cast<double>(spec_.cycles_per_query()) *
                          options_.device.timing.cycle_seconds();
   return bits / seconds / 1e9;
@@ -387,6 +414,34 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
   return search(queries, k, SearchControl{});
 }
 
+struct ApKnnEngine::Shard {
+  std::size_t config = 0;
+  std::size_t first_frame = 0;
+  std::size_t frames = 0;
+  /// The queries those frames carry.
+  std::size_t first_query = 0;
+  std::size_t queries = 0;
+  /// Shard-local ReportEvent buffer, rebased to the configuration's full
+  /// query-stream timeline after decoding.
+  std::vector<apsim::ReportEvent> events;
+  /// Reports the shard's simulation produced, including those the report
+  /// limit kept out of `events`.
+  std::size_t report_count = 0;
+  std::vector<std::vector<knn::Neighbor>> partial;
+  /// Outcome under OnError::kIsolate/kRetry (kFailFast throws instead).
+  ShardState state = ShardState::kOk;
+  std::string error;
+  std::uint32_t retries = 0;
+};
+
+struct ApKnnEngine::SearchPlan {
+  std::size_t queries = 0;
+  std::size_t k = 0;
+  /// BatchSimulator's per-frame report limit (0 keeps every report).
+  std::size_t report_limit = 0;
+  std::vector<Shard> shards;
+};
+
 std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
     const knn::BinaryDataset& queries, std::size_t k,
     const SearchControl& control) {
@@ -396,56 +451,73 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
   if (k == 0) {
     throw std::invalid_argument("ApKnnEngine::search: k must be >= 1");
   }
-  const std::size_t q = queries.size();
-  stats_ = project(q);
+  stats_ = project(queries.size());
   report_stream_.clear();
+  SearchPlan plan = plan_search(queries.size(), k);
+  run_shards(plan, queries, control);
+  reduce_shard_status(plan);
+  return merge_shards(plan);
+}
 
-  // One shard per (configuration, query-frame range). queries_per_chunk
-  // caps the shard size; with a pool the size is refined downward so every
-  // thread gets several shards to balance. The shard list itself — and
-  // therefore every shard's simulation — is a pure function of the inputs,
-  // never of which worker ran it.
+ApKnnEngine::SearchPlan ApKnnEngine::plan_search(std::size_t query_count,
+                                                 std::size_t k) const {
+  SearchPlan plan;
+  plan.queries = query_count;
+  plan.k = k;
+  // The temporal sort makes a query's first k reports its k nearest, so a
+  // bit-parallel closed-form frame emits only those (plus the rest of the
+  // k-th report's cycle, for the tie cut). A collected stream stays whole,
+  // and so does a multiplexed frame, whose earliest k reports span all its
+  // slices.
+  plan.report_limit =
+      options_.collect_report_stream || options_.multiplex_slices > 0 ? 0 : k;
+
+  // One shard per (configuration, frame range). queries_per_chunk caps the
+  // shard size; with a pool the size is refined downward so every thread
+  // gets several shards to balance. The shard list itself — and therefore
+  // every shard's simulation — is a pure function of the inputs, never of
+  // which worker ran it.
+  const std::size_t frames = frames_for(query_count);
   std::size_t chunk = std::max<std::size_t>(1, options_.queries_per_chunk);
   if (pool_ != nullptr) {
     const std::size_t target_shards = 4 * (pool_->size() + 1);
-    const std::size_t total_frames = q * partitions_.size();
+    const std::size_t total_frames = frames * partitions_.size();
     chunk = std::min(
         chunk,
         std::max<std::size_t>(
             1, (total_frames + target_shards - 1) / target_shards));
   }
-  struct Shard {
-    std::size_t config = 0;
-    std::size_t q_begin = 0;
-    std::size_t q_count = 0;
-    /// Shard-local ReportEvent buffer, rebased to the configuration's full
-    /// query-stream timeline after decoding.
-    std::vector<apsim::ReportEvent> events;
-    /// Reports the shard's simulation produced, including those the report
-    /// limit kept out of `events`.
-    std::size_t report_count = 0;
-    std::vector<std::vector<knn::Neighbor>> partial;
-  };
-  std::vector<Shard> shards;
+  const std::size_t per_frame = queries_per_frame();
   for (std::size_t c = 0; c < partitions_.size(); ++c) {
-    for (std::size_t q_begin = 0; q_begin < q; q_begin += chunk) {
-      shards.push_back({c, q_begin, std::min(chunk, q - q_begin), {}, 0, {}});
+    for (std::size_t f = 0; f < frames; f += chunk) {
+      Shard& shard = plan.shards.emplace_back();
+      shard.config = c;
+      shard.first_frame = f;
+      shard.frames = std::min(chunk, frames - f);
+      shard.first_query = f * per_frame;
+      shard.queries = std::min(query_count, (f + shard.frames) * per_frame) -
+                      shard.first_query;
     }
   }
-  // The temporal sort makes a query's first k reports its k nearest, so a
-  // bit-parallel closed-form frame emits only those (plus the rest of the
-  // k-th report's cycle, for the tie cut); a collected stream stays whole.
-  const std::size_t report_limit = options_.collect_report_stream ? 0 : k;
+  return plan;
+}
 
-  const SymbolStreamEncoder encoder(spec_);
+void ApKnnEngine::run_shards(SearchPlan& plan,
+                             const knn::BinaryDataset& queries,
+                             const SearchControl& control) const {
+  const std::size_t cpq = spec_.cycles_per_query();
+  const std::size_t per_frame = queries_per_frame();
+  // A one-query frame is exactly the base design's frame, so one encoder
+  // serves both designs.
+  const MultiplexedStreamEncoder encoder(spec_);
   const apsim::SimOptions sim_options =
       apsim::SimOptions::from(options_.device.features);
 
   // Fault-tolerance plumbing (docs/ROBUSTNESS.md). The deadline starts
   // here — it budgets the whole search — and every shard polls it (plus the
   // cancellation token) at query-frame boundaries inside the simulators.
-  // Per-shard outcomes are recorded into a pre-sized vector (no locking,
-  // no ordering dependence) and reduced per configuration after the run.
+  // Each shard records its own outcome (no locking, no ordering
+  // dependence); reduce_shard_status() folds them per configuration.
   util::Deadline deadline;
   if (control.deadline != nullptr) {
     deadline = *control.deadline;
@@ -454,12 +526,6 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
   }
   const util::CancellationToken* cancel =
       control.cancel != nullptr ? control.cancel : options_.cancel;
-  struct ShardOutcome {
-    ShardState state = ShardState::kOk;
-    std::string error;
-    std::uint32_t retries = 0;
-  };
-  std::vector<ShardOutcome> outcomes(shards.size());
   // Degrading a shard of an artifact-cache-hit configuration needs the
   // automata network, which was never built; the lazy rebuild mutates the
   // partition, so it is serialized (plain runs never take this lock).
@@ -470,7 +536,7 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
   // the cycle-accurate simulator's construction (a full validation pass)
   // then amortizes over the chunk. run() resets per shard, so reuse cannot
   // leak state between shards.
-  const auto run_shards = [&](std::size_t lo, std::size_t hi) {
+  const auto run_range = [&](std::size_t lo, std::size_t hi) {
     constexpr std::size_t kNoConfig = static_cast<std::size_t>(-1);
     std::size_t sim_config = kNoConfig;
     bool sim_is_batch = false;
@@ -509,30 +575,31 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
         sim_is_batch = use_batch;
       }
       stream.clear();
-      stream.reserve(shard.q_count * spec_.cycles_per_query());
-      for (std::size_t i = 0; i < shard.q_count; ++i) {
-        encoder.append_query(queries.row(shard.q_begin + i), stream);
+      stream.reserve(shard.frames * cpq);
+      const std::size_t end = shard.first_query + shard.queries;
+      for (std::size_t q = shard.first_query; q < end; q += per_frame) {
+        encoder.append_group(queries, q, std::min(per_frame, end - q), stream);
       }
       if (batch != nullptr) {
         const std::uint64_t before = batch->report_count();
-        shard.events = batch->run(stream, ctl, report_limit);
+        shard.events = batch->run(stream, ctl, plan.report_limit);
         shard.report_count = batch->report_count() - before;
       } else {
         shard.events = reference->run(stream, ctl);
         shard.report_count = shard.events.size();
       }
-      const TemporalSortDecoder decoder(spec_, shard.q_count);
-      shard.partial = decoder.decode(shard.events, k);
-      apsim::rebase_events(shard.events,
-                           shard.q_begin * spec_.cycles_per_query());
+      const TemporalSortDecoder decoder(spec_, shard.queries,
+                                        options_.multiplex_slices);
+      shard.partial = decoder.decode(shard.events, plan.k);
+      apsim::rebase_events(shard.events, shard.first_frame * cpq);
     };
     for (std::size_t t = lo; t < hi; ++t) {
-      Shard& shard = shards[t];
+      Shard& shard = plan.shards[t];
       const Partition& part = partitions_[shard.config];
       util::RunControl ctl;
       ctl.deadline = &deadline;
       ctl.cancel = cancel;
-      ctl.checkpoint_period = spec_.cycles_per_query();
+      ctl.checkpoint_period = cpq;
       ctl.fault_key = static_cast<std::int64_t>(shard.config);
       if (options_.on_error == OnError::kFailFast) {
         // The pre-fault-tolerance path, byte for byte: nothing is caught
@@ -541,7 +608,6 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
         run_attempt(shard, part, ctl, /*force_reference=*/false);
         continue;
       }
-      ShardOutcome& out = outcomes[t];
       std::size_t retries_left =
           options_.on_error == OnError::kRetry ? options_.max_retries : 0;
       bool degraded = false;
@@ -549,43 +615,43 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
         try {
           run_attempt(shard, part, ctl, /*force_reference=*/degraded);
           if (degraded) {
-            out.state = ShardState::kDegraded;
+            shard.state = ShardState::kDegraded;
           } else {
-            out.state = ShardState::kOk;
-            out.error.clear();  // recovered by a plain retry
+            shard.state = ShardState::kOk;
+            shard.error.clear();  // recovered by a plain retry
           }
           break;
         } catch (const util::DeadlineExceeded& e) {
           // The budget is gone; retrying could only blow past it further.
-          out.state = ShardState::kTimedOut;
-          if (out.error.empty()) {
-            out.error = e.what();
+          shard.state = ShardState::kTimedOut;
+          if (shard.error.empty()) {
+            shard.error = e.what();
           }
           break;
         } catch (const util::OperationCancelled& e) {
-          out.state = ShardState::kCancelled;
-          if (out.error.empty()) {
-            out.error = e.what();
+          shard.state = ShardState::kCancelled;
+          if (shard.error.empty()) {
+            shard.error = e.what();
           }
           break;
         } catch (const std::exception& e) {
-          if (out.error.empty()) {
-            out.error = e.what();
+          if (shard.error.empty()) {
+            shard.error = e.what();
           }
           // A failed attempt may leave the cached simulator mid-stream;
           // force reconstruction before any further attempt or shard.
           sim_config = kNoConfig;
           if (retries_left > 0) {
             --retries_left;
-            ++out.retries;
+            ++shard.retries;
             continue;
           }
           if (!degraded && part.program != nullptr) {
             degraded = true;
-            ++out.retries;
+            ++shard.retries;
             continue;
           }
-          out.state = ShardState::kFailed;
+          shard.state = ShardState::kFailed;
           break;
         }
       }
@@ -593,41 +659,45 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
   };
 
   if (pool_ != nullptr) {
-    pool_->parallel_for_chunks(0, shards.size(), run_shards, /*grain=*/1);
+    pool_->parallel_for_chunks(0, plan.shards.size(), run_range, /*grain=*/1);
   } else {
-    run_shards(0, shards.size());
+    run_range(0, plan.shards.size());
   }
+}
 
-  // Reduce shard outcomes to one status per configuration (worst state
-  // wins; first error in shard order is kept; retries accumulate). A
-  // configuration SURVIVES when every shard is kOk or kDegraded —
-  // anything else poisons it: partial per-query lists would silently rank
-  // neighbors against an incomplete candidate set.
+void ApKnnEngine::reduce_shard_status(const SearchPlan& plan) {
+  // One status per configuration: the worst state wins, the first error in
+  // shard order is kept, retries accumulate.
   stats_.shard_status.assign(partitions_.size(), ShardStatus{});
-  for (std::size_t t = 0; t < shards.size(); ++t) {
-    ShardStatus& status = stats_.shard_status[shards[t].config];
-    const ShardOutcome& out = outcomes[t];
-    if (severity(out.state) > severity(status.state)) {
-      status.state = out.state;
+  for (const Shard& shard : plan.shards) {
+    ShardStatus& status = stats_.shard_status[shard.config];
+    if (severity(shard.state) > severity(status.state)) {
+      status.state = shard.state;
     }
-    if (status.error.empty() && !out.error.empty()) {
-      status.error = out.error;
+    if (status.error.empty() && !shard.error.empty()) {
+      status.error = shard.error;
     }
-    status.retries += out.retries;
+    status.retries += shard.retries;
   }
-  const auto survives = [&](std::size_t c) {
-    const ShardState s = stats_.shard_status[c].state;
-    return s == ShardState::kOk || s == ShardState::kDegraded;
-  };
+}
 
+std::vector<std::vector<knn::Neighbor>> ApKnnEngine::merge_shards(
+    SearchPlan& plan) {
   // Host-side merge across configurations (Sec. III-C: the host tracks
   // intermediary per-query results between reconfigurations). Shards are
   // walked in configuration/frame order on this thread, so stats
   // accumulation, the merged report stream, and the per-query lists are
-  // bit-identical at any thread count. Non-surviving configurations are
-  // skipped wholesale, so what remains equals a run without them.
-  std::vector<std::vector<knn::Neighbor>> results(q);
-  for (Shard& shard : shards) {
+  // bit-identical at any thread count. A configuration SURVIVES when every
+  // shard is kOk or kDegraded; any other configuration is skipped
+  // wholesale — its partial per-query lists would silently rank neighbors
+  // against an incomplete candidate set — so what remains equals a run
+  // without it.
+  const auto survives = [&](std::size_t c) {
+    const ShardState s = stats_.shard_status[c].state;
+    return s == ShardState::kOk || s == ShardState::kDegraded;
+  };
+  std::vector<std::vector<knn::Neighbor>> results(plan.queries);
+  for (Shard& shard : plan.shards) {
     if (!survives(shard.config)) {
       continue;
     }
@@ -636,19 +706,20 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
       report_stream_.insert(report_stream_.end(), shard.events.begin(),
                             shard.events.end());
     }
-    for (std::size_t i = 0; i < shard.q_count; ++i) {
-      auto& dst = results[shard.q_begin + i];
+    for (std::size_t i = 0; i < shard.queries; ++i) {
+      auto& dst = results[shard.first_query + i];
       dst.insert(dst.end(), shard.partial[i].begin(), shard.partial[i].end());
     }
   }
   const std::size_t surviving = stats_.surviving_configurations();
   if (surviving != partitions_.size()) {
-    stats_.simulated_cycles = q * stats_.cycles_per_query * surviving;
+    stats_.simulated_cycles =
+        frames_for(plan.queries) * stats_.cycles_per_query * surviving;
   }
   // Each query holds up to k candidates per configuration. (distance, id)
   // is a strict order over unique global ids, so selecting the first `want`
   // and sorting only those returns exactly a full sort's prefix.
-  const std::size_t want = std::min(k, dataset_.size());
+  const std::size_t want = std::min(plan.k, dataset_.size());
   for (auto& list : results) {
     if (list.size() > want) {
       std::nth_element(list.begin(),

@@ -3,7 +3,9 @@
 // board-configuration-sized chunks, builds one Hamming+sorting macro per
 // vector, streams queries through a cycle-accurate simulation of every
 // configuration, and merges per-configuration partial results on the host —
-// exactly the partial-reconfiguration workflow of Sec. III-C.
+// exactly the partial-reconfiguration workflow of Sec. III-C. The Sec. VI
+// macro shapes — vector packing and symbol-stream multiplexing — are
+// options of the same engine.
 
 #include <cstddef>
 #include <memory>
@@ -146,16 +148,19 @@ struct EngineOptions {
   /// Any setting yields bit-identical results: shards are merged in
   /// configuration/frame order, never completion order.
   std::size_t threads = 0;
-  /// Upper bound on query frames per simulation shard; the engine refines
-  /// the shard size downward so every thread gets several shards.
+  /// Upper bound on query frames per simulation shard (a multiplexed frame
+  /// carries up to multiplex_slices queries); the engine refines the shard
+  /// size downward so every thread gets several shards.
   std::size_t queries_per_chunk = 64;
   /// Retain the merged ReportEvent stream of the last search() — shard
   /// buffers rebased to each configuration's full query-stream timeline and
   /// concatenated in configuration/frame order (last_report_stream()).
   /// Off by default: the raw stream can dwarf the decoded results. While it
-  /// is off, bit-parallel shards pass the search's k as BatchSimulator's
-  /// per-frame report limit, so closed-form frames emit only their earliest
-  /// reports; answers and EngineStats are the same either way.
+  /// is off, bit-parallel shards of the base and packed designs pass the
+  /// search's k as BatchSimulator's per-frame report limit, so closed-form
+  /// frames emit only their earliest reports (a multiplexed frame's
+  /// earliest k reports span all its slices, so it keeps them all); answers
+  /// and EngineStats are the same either way.
   bool collect_report_stream = false;
   /// Simulation backend (default: the cycle-accurate reference).
   SimulationBackend backend = SimulationBackend::kCycleAccurate;
@@ -179,6 +184,15 @@ struct EngineOptions {
   /// routable at high dimensionality; kFlat reproduces the paper's naive
   /// construction (fan-in = dims, "places but only partially routes").
   CollectorStyle packing_style = CollectorStyle::kTree;
+  /// Symbol-stream multiplexing (Sec. VI-B, Fig. 6). 0 (default) runs the
+  /// base design, one query per frame. S in 1..7 builds each vector as S
+  /// bit-slice replicas (core::build_multiplexed_network; report code =
+  /// global vector id * 8 + slice), so one frame carries up to S queries:
+  /// a search streams ceil(q / S) frames per configuration, and board
+  /// capacity counts a vector's S replicas. Answers equal the base
+  /// design's. Values above 7, or any value with packing_group_size > 0,
+  /// throw std::invalid_argument.
+  std::size_t multiplex_slices = 0;
   /// Ahead-of-time compile cache directory (created if absent). With the
   /// kBitParallel backend, each configuration first tries to LOAD its
   /// compiled program from a slot file here (skipping network construction
@@ -208,9 +222,13 @@ struct EngineOptions {
 struct EngineStats {
   std::size_t configurations = 0;
   std::size_t vectors_per_config = 0;  ///< capacity (last config may be smaller)
-  std::size_t cycles_per_query = 0;    ///< per configuration pass
+  /// Cycles per query frame per configuration pass. A multiplexed frame
+  /// (EngineOptions::multiplex_slices = S) carries up to S queries.
+  std::size_t cycles_per_query = 0;
   std::size_t queries = 0;
-  std::size_t simulated_cycles = 0;  ///< total across configurations
+  /// Total across configurations: frames x cycles_per_query x
+  /// configurations, with ceil(queries / S) frames when multiplexed.
+  std::size_t simulated_cycles = 0;
   std::size_t report_events = 0;
   /// Which backend compiled each configuration (and why any fell back).
   BackendCompileStats backend;
@@ -315,6 +333,14 @@ class ApKnnEngine {
   std::size_t capacity_per_config() const noexcept { return capacity_; }
   const StreamSpec& stream_spec() const noexcept { return spec_; }
 
+  /// Query frames one configuration pass streams for `query_count`
+  /// queries: ceil(query_count / S) when multiplexed, query_count
+  /// otherwise — the throughput gain of Sec. VI-B.
+  std::size_t frames_for(std::size_t query_count) const noexcept {
+    const std::size_t per_frame = queries_per_frame();
+    return (query_count + per_frame - 1) / per_frame;
+  }
+
   /// Number of configurations the bit-parallel backend compiled (0 when the
   /// backend is kCycleAccurate or every configuration fell back).
   std::size_t bit_parallel_configurations() const noexcept;
@@ -359,8 +385,9 @@ class ApKnnEngine {
   /// workloads); mirrors the accounting search() performs.
   EngineStats project(std::size_t query_count) const;
 
-  /// Sustained report bandwidth model of Sec. VI-C: 32*(n+d) bits per query
-  /// every cycles_per_query; returns Gbit/s.
+  /// Sustained report bandwidth model of Sec. VI-C: 32*(n+d) bits per frame
+  /// every cycles_per_query, with n counting each vector's S reports when
+  /// multiplexed; returns Gbit/s.
   double report_bandwidth_gbps() const;
 
  private:
@@ -384,6 +411,23 @@ class ApKnnEngine {
                      std::vector<PackedGroupLayout>* packed_layouts) const;
   void ensure_network(const Partition& p) const;
   artifact::ArtifactMeta artifact_meta(const Partition& p) const;
+  /// Queries one frame carries: multiplex_slices, or 1 for the base design.
+  std::size_t queries_per_frame() const noexcept {
+    return options_.multiplex_slices > 0 ? options_.multiplex_slices : 1;
+  }
+
+  /// One (configuration, query-frame range) unit of search() work, with its
+  /// outputs and failure outcome; and the shard list plus the per-call
+  /// constants every search() step reads. Both are defined in engine.cpp.
+  struct Shard;
+  struct SearchPlan;
+  // search() runs these four steps in order. Only plan_search() and the
+  // frame codec (encode/decode) know whether the design is multiplexed.
+  SearchPlan plan_search(std::size_t query_count, std::size_t k) const;
+  void run_shards(SearchPlan& plan, const knn::BinaryDataset& queries,
+                  const SearchControl& control) const;
+  void reduce_shard_status(const SearchPlan& plan);
+  std::vector<std::vector<knn::Neighbor>> merge_shards(SearchPlan& plan);
 
   knn::BinaryDataset dataset_;
   EngineOptions options_;

@@ -1,37 +1,25 @@
 #include "core/opt/stream_multiplexing.hpp"
 
 #include <algorithm>
-#include <filesystem>
 #include <stdexcept>
-#include <string_view>
-#include <system_error>
-
-#include "anml/anml_io.hpp"
-#include "apsim/batch_simulator.hpp"
-#include "apsim/simulator.hpp"
-#include "core/batch_compile.hpp"
-#include "core/temporal_decode.hpp"
-#include "util/fault_injection.hpp"
-#include "util/fnv.hpp"
 
 namespace apss::core {
-namespace {
-
-/// Cache builder tag (see kEngineBuilder in engine.cpp: the tag salts the
-/// key so engine and multiplexed artifacts never satisfy each other).
-constexpr std::string_view kMuxBuilder = "apss-mux-knn";
-
-}  // namespace
 
 std::vector<MacroLayout> build_multiplexed_network(
     anml::AutomataNetwork& network, const knn::BinaryDataset& data,
-    std::size_t slices, const HammingMacroOptions& base_options) {
+    std::size_t slices, const HammingMacroOptions& base_options,
+    std::size_t begin, std::size_t count) {
   if (slices == 0 || slices > kMaxSlices) {
     throw std::invalid_argument("build_multiplexed_network: slices must be 1..7");
   }
+  if (begin > data.size()) {
+    throw std::invalid_argument(
+        "build_multiplexed_network: begin out of bounds");
+  }
+  count = std::min(count, data.size() - begin);
   std::vector<MacroLayout> layouts;
-  layouts.reserve(data.size() * slices);
-  for (std::size_t v = 0; v < data.size(); ++v) {
+  layouts.reserve(count * slices);
+  for (std::size_t v = begin; v < begin + count; ++v) {
     for (std::size_t s = 0; s < slices; ++s) {
       HammingMacroOptions opt = base_options;
       opt.bit_slice = s;
@@ -43,9 +31,9 @@ std::vector<MacroLayout> build_multiplexed_network(
   return layouts;
 }
 
-std::vector<std::uint8_t> MultiplexedStreamEncoder::encode_group(
-    const knn::BinaryDataset& queries, std::size_t begin,
-    std::size_t count) const {
+void MultiplexedStreamEncoder::append_group(
+    const knn::BinaryDataset& queries, std::size_t begin, std::size_t count,
+    std::vector<std::uint8_t>& out) const {
   if (count == 0 || count > kMaxSlices) {
     throw std::invalid_argument("encode_group: count must be 1..7");
   }
@@ -55,22 +43,27 @@ std::vector<std::uint8_t> MultiplexedStreamEncoder::encode_group(
   if (queries.dims() != spec_.dims) {
     throw std::invalid_argument("encode_group: query dims mismatch");
   }
-  std::vector<std::uint8_t> out;
-  out.reserve(spec_.cycles_per_query());
+  out.reserve(out.size() + spec_.cycles_per_query());
   out.push_back(Alphabet::kSof);
-  for (std::size_t i = 0; i < spec_.dims; ++i) {
-    std::uint8_t payload = 0;
-    for (std::size_t s = 0; s < count; ++s) {
-      if (queries.get(begin + s, i)) {
-        payload |= static_cast<std::uint8_t>(1u << s);
-      }
+  // Data symbols carry query s's bit i in bit s (Alphabet::data(0) == 0).
+  const std::size_t first = out.size();
+  out.resize(first + spec_.dims, Alphabet::data(0));
+  for (std::size_t s = 0; s < count; ++s) {
+    const auto row = queries.row(begin + s);
+    for (std::size_t i = 0; i < spec_.dims; ++i) {
+      out[first + i] |=
+          static_cast<std::uint8_t>(((row[i >> 6] >> (i & 63)) & 1u) << s);
     }
-    out.push_back(Alphabet::data(payload));
   }
-  for (std::size_t i = 0; i < spec_.fill_symbols(); ++i) {
-    out.push_back(Alphabet::kFill);
-  }
+  out.insert(out.end(), spec_.fill_symbols(), Alphabet::kFill);
   out.push_back(Alphabet::kEof);
+}
+
+std::vector<std::uint8_t> MultiplexedStreamEncoder::encode_group(
+    const knn::BinaryDataset& queries, std::size_t begin,
+    std::size_t count) const {
+  std::vector<std::uint8_t> out;
+  append_group(queries, begin, count, out);
   return out;
 }
 
@@ -79,256 +72,11 @@ std::vector<std::uint8_t> MultiplexedStreamEncoder::encode_batch(
   std::vector<std::uint8_t> out;
   frames_out = 0;
   for (std::size_t begin = 0; begin < queries.size(); begin += kMaxSlices) {
-    const std::size_t count = std::min(kMaxSlices, queries.size() - begin);
-    const auto frame = encode_group(queries, begin, count);
-    out.insert(out.end(), frame.begin(), frame.end());
+    append_group(queries, begin, std::min(kMaxSlices, queries.size() - begin),
+                 out);
     ++frames_out;
   }
   return out;
-}
-
-MultiplexedKnn::MultiplexedKnn(knn::BinaryDataset data, std::size_t slices,
-                               HammingMacroOptions options,
-                               SimulationBackend backend,
-                               std::string artifact_cache_dir,
-                               apsim::LaneWidth lane_width)
-    : data_(std::move(data)),
-      slices_(slices),
-      network_("multiplexed"),
-      lane_width_(lane_width),
-      macro_options_(options) {
-  if (data_.empty()) {
-    throw std::invalid_argument("MultiplexedKnn: empty dataset");
-  }
-  spec_ = StreamSpec{data_.dims(),
-                     collector_levels_for(data_.dims(), options)};
-  const auto layouts =
-      build_multiplexed_network(network_, data_, slices_, options);
-  if (backend != SimulationBackend::kBitParallel) {
-    return;
-  }
-  // Compile cache: the network itself is always built (it backs network()
-  // and the cycle-accurate fallback); a hit skips the try_compile
-  // verification pass over the slice-replicated design.
-  const bool cache_enabled = !artifact_cache_dir.empty();
-  std::string cache_file;
-  if (cache_enabled) {
-    std::error_code ec;
-    std::filesystem::create_directories(artifact_cache_dir, ec);
-    if (ec) {
-      throw std::invalid_argument(
-          "MultiplexedKnn: cannot create artifact cache directory " +
-          artifact_cache_dir + ": " + ec.message());
-    }
-    cache_file = artifact_cache_path(artifact_cache_dir, kMuxBuilder, 0);
-    CachedProgram cached = try_load_program(
-        cache_file, artifact_key(), data_.size() * slices_, data_.dims());
-    artifact_outcome_ = cached.outcome;
-    artifact_detail_ = std::move(cached.detail);
-    if (cached.outcome == ArtifactOutcome::kHit) {
-      program_ = std::move(cached.program);
-      return;
-    }
-  }
-  program_ = compile_hamming_batch(network_, layouts, {}, &fallback_reason_);
-  if (cache_enabled && program_ != nullptr) {
-    artifact::ArtifactMeta meta;
-    meta.key_hash = artifact_key();
-    meta.network_digest = anml::network_digest(network_);
-    meta.builder = std::string(kMuxBuilder);
-    meta.network_name = network_.name();
-    meta.network_elements = network_.size();
-    meta.network_edges = network_.edges().size();
-    meta.dataset_begin = 0;
-    meta.dataset_count = data_.size();
-    store_program(cache_file, meta, program_);
-  }
-}
-
-std::uint64_t MultiplexedKnn::artifact_key() const {
-  util::Fnv1a64 hasher;
-  hasher.update_string(kMuxBuilder);
-  hasher.update_u32(artifact::kFormatVersion);
-  hasher.update_u64(slices_);
-  hash_dataset_slice(hasher, data_, 0, data_.size());
-  hash_macro_options(hasher, macro_options_);
-  hash_sim_options(hasher, apsim::SimOptions{});
-  return hasher.digest();
-}
-
-std::vector<std::vector<knn::Neighbor>> MultiplexedKnn::search(
-    const knn::BinaryDataset& queries, std::size_t k, util::ThreadPool* pool,
-    std::vector<apsim::ReportEvent>* merged_events) const {
-  return search(queries, k, pool, merged_events, MuxSearchOptions{});
-}
-
-std::vector<std::vector<knn::Neighbor>> MultiplexedKnn::search(
-    const knn::BinaryDataset& queries, std::size_t k, util::ThreadPool* pool,
-    std::vector<apsim::ReportEvent>* merged_events,
-    const MuxSearchOptions& options,
-    std::vector<ShardStatus>* frame_status) const {
-  if (queries.dims() != data_.dims()) {
-    throw std::invalid_argument("MultiplexedKnn::search: dims mismatch");
-  }
-  if (k == 0) {
-    throw std::invalid_argument("MultiplexedKnn::search: k must be >= 1");
-  }
-  const MultiplexedStreamEncoder encoder(spec_);
-  const std::size_t frames = frames_for(queries.size());
-
-  // Fault-tolerance plumbing mirrors ApKnnEngine::search with the FRAME as
-  // the isolation unit (docs/ROBUSTNESS.md): the deadline/token are polled
-  // at frame boundaries, the "mux.frame" fault site fires at each frame
-  // attempt keyed by frame index (deterministic at any thread count), and
-  // per-frame statuses are recorded lock-free into a pre-sized vector.
-  util::Deadline deadline;
-  if (options.deadline_ms > 0) {
-    deadline = util::Deadline::after_ms(options.deadline_ms);
-  }
-  std::vector<ShardStatus> statuses(frames);
-
-  // Frames reset the automata, so they simulate independently: per-frame
-  // ReportEvent buffers, filled serially or by frame-range shards on the
-  // pool. One simulator per shard on whichever backend compiled
-  // (constructing the unused reference would pay a full validation pass
-  // over the 7x-replicated network); run() per frame matches a fresh
-  // simulator per frame.
-  std::vector<std::vector<apsim::ReportEvent>> frame_events(frames);
-  const auto run_frames = [&](std::size_t lo, std::size_t hi) {
-    std::unique_ptr<apsim::Simulator> reference;
-    std::unique_ptr<apsim::BatchSimulator> batch;
-    const auto run_attempt = [&](std::size_t f, const util::RunControl& ctl,
-                                 bool force_reference) {
-      ctl.checkpoint();
-      util::FaultInjector::check(util::kFaultMuxFrame, ctl.fault_key);
-      const bool use_batch = program_ != nullptr && !force_reference;
-      if (use_batch && batch == nullptr) {
-        batch = std::make_unique<apsim::BatchSimulator>(program_, lane_width_);
-      } else if (!use_batch && reference == nullptr) {
-        reference = std::make_unique<apsim::Simulator>(network_);
-      }
-      const std::size_t begin = f * slices_;
-      const std::size_t count = std::min(slices_, queries.size() - begin);
-      const auto frame = encoder.encode_group(queries, begin, count);
-      frame_events[f] =
-          use_batch ? batch->run(frame, ctl) : reference->run(frame, ctl);
-    };
-    for (std::size_t f = lo; f < hi; ++f) {
-      util::RunControl ctl;
-      ctl.deadline = &deadline;
-      ctl.cancel = options.cancel;
-      ctl.checkpoint_period = spec_.cycles_per_query();
-      ctl.fault_key = static_cast<std::int64_t>(f);
-      if (options.on_error == OnError::kFailFast) {
-        // Pre-fault-tolerance path, byte for byte: nothing caught, the
-        // first failure unwinds through the pool's first-exception rethrow.
-        run_attempt(f, ctl, /*force_reference=*/false);
-        continue;
-      }
-      ShardStatus& out = statuses[f];
-      std::size_t retries_left =
-          options.on_error == OnError::kRetry ? options.max_retries : 0;
-      bool degraded = false;
-      for (;;) {
-        try {
-          run_attempt(f, ctl, /*force_reference=*/degraded);
-          if (degraded) {
-            out.state = ShardState::kDegraded;
-          } else {
-            out.state = ShardState::kOk;
-            out.error.clear();  // recovered by a plain retry
-          }
-          break;
-        } catch (const util::DeadlineExceeded& e) {
-          out.state = ShardState::kTimedOut;
-          if (out.error.empty()) {
-            out.error = e.what();
-          }
-          break;
-        } catch (const util::OperationCancelled& e) {
-          out.state = ShardState::kCancelled;
-          if (out.error.empty()) {
-            out.error = e.what();
-          }
-          break;
-        } catch (const std::exception& e) {
-          if (out.error.empty()) {
-            out.error = e.what();
-          }
-          // A failed attempt may leave a simulator mid-stream; rebuild.
-          batch.reset();
-          reference.reset();
-          if (retries_left > 0) {
-            --retries_left;
-            ++out.retries;
-            continue;
-          }
-          if (!degraded && program_ != nullptr) {
-            degraded = true;
-            ++out.retries;
-            continue;
-          }
-          out.state = ShardState::kFailed;
-          break;
-        }
-      }
-    }
-  };
-  if (pool != nullptr && frames > 1) {
-    // Few large shards: the per-shard simulator amortizes over many frames.
-    const std::size_t runners = pool->size() + 1;
-    const std::size_t grain =
-        std::max<std::size_t>(1, (frames + 2 * runners - 1) / (2 * runners));
-    pool->parallel_for_chunks(0, frames, run_frames, grain);
-  } else {
-    run_frames(0, frames);
-  }
-
-  // Merge in frame order on this thread — bit-identical demux and event
-  // stream at any thread count. Frames that did not survive are skipped
-  // wholesale: their queries return empty lists, every surviving frame
-  // demuxes exactly as it would in an uninjected run.
-  if (merged_events != nullptr) {
-    merged_events->clear();
-  }
-  std::vector<std::vector<knn::Neighbor>> results(queries.size());
-  for (std::size_t f = 0; f < frames; ++f) {
-    if (statuses[f].state != ShardState::kOk &&
-        statuses[f].state != ShardState::kDegraded) {
-      continue;
-    }
-    const std::size_t begin = f * slices_;
-    const std::size_t count = std::min(slices_, queries.size() - begin);
-    // Demux: slice s belongs to query begin+s.
-    for (const apsim::ReportEvent& event : frame_events[f]) {
-      const std::size_t slice = MuxReportCode::slice(event.report_code);
-      if (slice >= count) {
-        continue;  // macros of unused slices observe stale bit 0 values
-      }
-      const std::size_t distance = spec_.distance_from_offset(event.cycle);
-      auto& list = results[begin + slice];
-      if (list.size() < k) {
-        list.push_back({MuxReportCode::vector_id(event.report_code),
-                        static_cast<std::uint32_t>(distance)});
-      }
-    }
-    if (merged_events != nullptr) {
-      apsim::rebase_events(frame_events[f], f * spec_.cycles_per_query());
-      merged_events->insert(merged_events->end(), frame_events[f].begin(),
-                            frame_events[f].end());
-    }
-  }
-  const std::size_t want = std::min(k, data_.size());
-  for (auto& list : results) {
-    std::stable_sort(list.begin(), list.end());
-    if (list.size() > want) {
-      list.resize(want);
-    }
-  }
-  if (frame_status != nullptr) {
-    *frame_status = std::move(statuses);
-  }
-  return results;
 }
 
 }  // namespace apss::core

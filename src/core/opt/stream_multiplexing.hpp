@@ -4,17 +4,17 @@
 // (bit 7 is reserved to distinguish control symbols). Each dataset vector
 // gets one macro per active slice whose matching states perform the ternary
 // match 0b*......b on their slice — the TCAM-style encoding of the paper.
+// core::ApKnnEngine runs this design when EngineOptions::multiplex_slices
+// is set; this header holds its builder, report codes and frame encoder.
 
 #include <cstdint>
-#include <memory>
-#include <string>
+#include <limits>
 #include <vector>
 
 #include "anml/network.hpp"
-#include "core/engine.hpp"
+#include "core/design.hpp"
 #include "core/hamming_macro.hpp"
 #include "knn/dataset.hpp"
-#include "knn/exact.hpp"
 
 namespace apss::core {
 
@@ -29,13 +29,16 @@ struct MuxReportCode {
   static std::size_t slice(std::uint32_t code) { return code % 8; }
 };
 
-/// Builds macros for every dataset vector replicated across `slices` bit
-/// slices (Fig. 6: "NFA STEs are replicated and encoded to discriminate
-/// among different bit slices"). Returns one layout per (vector, slice),
-/// vector-major.
+/// Builds macros for dataset vectors [begin, begin + count) (default: all)
+/// replicated across `slices` bit slices (Fig. 6: "NFA STEs are replicated
+/// and encoded to discriminate among different bit slices"); slice s of
+/// vector v reports MuxReportCode::encode(v, s). Returns one layout per
+/// (vector, slice), vector-major.
 std::vector<MacroLayout> build_multiplexed_network(
     anml::AutomataNetwork& network, const knn::BinaryDataset& data,
-    std::size_t slices, const HammingMacroOptions& base_options = {});
+    std::size_t slices, const HammingMacroOptions& base_options = {},
+    std::size_t begin = 0,
+    std::size_t count = std::numeric_limits<std::size_t>::max());
 
 /// Encodes up to 7 parallel queries (rows of `queries`, all with the macro
 /// dimensionality) into ONE multiplexed frame per query group.
@@ -49,6 +52,11 @@ class MultiplexedStreamEncoder {
                                          std::size_t begin,
                                          std::size_t count) const;
 
+  /// encode_group() appending to `out`. A one-query frame equals
+  /// SymbolStreamEncoder's frame for that query.
+  void append_group(const knn::BinaryDataset& queries, std::size_t begin,
+                    std::size_t count, std::vector<std::uint8_t>& out) const;
+
   /// Encodes a whole query set, 7 per frame; returns the stream and the
   /// number of frames.
   std::vector<std::uint8_t> encode_batch(const knn::BinaryDataset& queries,
@@ -58,120 +66,6 @@ class MultiplexedStreamEncoder {
 
  private:
   StreamSpec spec_;
-};
-
-/// Fault-tolerance knobs for MultiplexedKnn::search (docs/ROBUSTNESS.md) —
-/// the multiplexed mirror of the EngineOptions deadline/on_error fields.
-/// Isolation granularity is the query FRAME (up to 7 queries): a frame that
-/// fails under OnError::kIsolate/kRetry is skipped and its queries return
-/// empty neighbor lists while every surviving frame demuxes bit-identically.
-struct MuxSearchOptions {
-  /// Wall-clock budget for one search() in ms (0 = unlimited), polled at
-  /// frame boundaries.
-  double deadline_ms = 0;
-  /// Optional external cancellation; must outlive the search.
-  const util::CancellationToken* cancel = nullptr;
-  OnError on_error = OnError::kFailFast;
-  /// kRetry only: extra attempts per frame before the degrade/fail path.
-  std::size_t max_retries = 2;
-};
-
-/// End-to-end multiplexed kNN on one board configuration: builds the
-/// slice-replicated network, streams 7 queries per frame, and demuxes
-/// reports back to per-query neighbor lists. Used by tests and the Fig. 6
-/// bench to demonstrate the 7x query-throughput improvement.
-///
-/// Invariants: the dataset is non-empty, 1 <= slices <= kMaxSlices, and
-/// every macro shares one StreamSpec (uniform collector depth).
-class MultiplexedKnn {
- public:
-  /// Builds the slice-replicated network. With backend == kBitParallel the
-  /// network is additionally compiled for apsim::BatchSimulator (the
-  /// multiplexed shape always compiles under stock device features); if
-  /// compilation declines, search() falls back to the cycle-accurate
-  /// simulator, exactly like core::ApKnnEngine. A non-empty
-  /// `artifact_cache_dir` (kBitParallel only) loads the compiled program
-  /// from its cache slot when a valid artifact is present — skipping the
-  /// verification compile — and compiles + saves otherwise; the outcome is
-  /// reported by artifact_outcome().
-  /// `lane_width` picks the bit-parallel execution width (kAuto = widest
-  /// the CPU + build support); any width yields bit-identical results.
-  MultiplexedKnn(knn::BinaryDataset data, std::size_t slices = kMaxSlices,
-                 HammingMacroOptions options = {},
-                 SimulationBackend backend = SimulationBackend::kCycleAccurate,
-                 std::string artifact_cache_dir = {},
-                 apsim::LaneWidth lane_width = apsim::LaneWidth::kAuto);
-
-  /// Exact kNN for all rows of `queries`, `slices` queries per frame.
-  /// Returns ascending-distance neighbor lists of dataset vector ids.
-  ///
-  /// Frames are independent (every frame resets the automata), so with a
-  /// `pool` they run as frame-range shards across the workers, each shard
-  /// owning its own simulator scratch; shard buffers merge in frame order,
-  /// so results are bit-identical at any thread count. When
-  /// `merged_events` is non-null it receives the merged ReportEvent
-  /// stream, rebased to the full query-stream timeline — the same
-  /// differential contract as ApKnnEngine::last_report_stream().
-  std::vector<std::vector<knn::Neighbor>> search(
-      const knn::BinaryDataset& queries, std::size_t k,
-      util::ThreadPool* pool = nullptr,
-      std::vector<apsim::ReportEvent>* merged_events = nullptr) const;
-
-  /// Fault-tolerant search: like the overload above plus a deadline,
-  /// cooperative cancellation, and a per-FRAME failure policy. With
-  /// `frame_status` non-null it receives one ShardStatus per query frame
-  /// (all kOk on a healthy run; under kFailFast failures throw instead and
-  /// the statuses of already-run frames stay kOk). A bit-parallel frame
-  /// that fails is re-attempted on the cycle-accurate reference
-  /// (kDegraded, bit-identical events) before it is declared kFailed.
-  std::vector<std::vector<knn::Neighbor>> search(
-      const knn::BinaryDataset& queries, std::size_t k, util::ThreadPool* pool,
-      std::vector<apsim::ReportEvent>* merged_events,
-      const MuxSearchOptions& options,
-      std::vector<ShardStatus>* frame_status = nullptr) const;
-
-  const anml::AutomataNetwork& network() const noexcept { return network_; }
-  std::size_t slices() const noexcept { return slices_; }
-  const StreamSpec& spec() const noexcept { return spec_; }
-  /// True when search() runs on the bit-parallel batch backend.
-  bool bit_parallel() const noexcept { return program_ != nullptr; }
-  /// Why try_compile declined when a kBitParallel request fell back to the
-  /// cycle-accurate simulator (empty otherwise) — fallbacks stay visible.
-  const std::string& fallback_reason() const noexcept {
-    return fallback_reason_;
-  }
-
-  /// What the compile cache did at construction (kDisabled without a cache
-  /// directory; see core/artifact_cache.hpp).
-  ArtifactOutcome artifact_outcome() const noexcept {
-    return artifact_outcome_;
-  }
-  /// Why a cached artifact was rejected (empty unless kInvalidated).
-  const std::string& artifact_detail() const noexcept {
-    return artifact_detail_;
-  }
-
-  /// Compile-input key a cached artifact must match for this design.
-  std::uint64_t artifact_key() const;
-
-  /// Frames (and thus cycles) needed for `q` queries: ceil(q / slices) vs
-  /// q for the base design — the throughput gain of Sec. VI-B.
-  std::size_t frames_for(std::size_t q) const {
-    return (q + slices_ - 1) / slices_;
-  }
-
- private:
-  knn::BinaryDataset data_;
-  std::size_t slices_;
-  StreamSpec spec_;
-  anml::AutomataNetwork network_;
-  /// Compiled bit-parallel program; null = use the cycle-accurate path.
-  std::shared_ptr<const apsim::BatchProgram> program_;
-  apsim::LaneWidth lane_width_ = apsim::LaneWidth::kAuto;
-  std::string fallback_reason_;
-  HammingMacroOptions macro_options_;
-  ArtifactOutcome artifact_outcome_ = ArtifactOutcome::kDisabled;
-  std::string artifact_detail_;
 };
 
 }  // namespace apss::core

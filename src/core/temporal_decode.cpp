@@ -1,8 +1,51 @@
 #include "core/temporal_decode.hpp"
 
 #include <algorithm>
+#include <tuple>
+
+#include "core/opt/stream_multiplexing.hpp"
 
 namespace apss::core {
+
+template <bool kMultiplexed>
+void TemporalSortDecoder::collect(
+    std::span<const apsim::ReportEvent> events, std::size_t k,
+    std::vector<std::vector<knn::Neighbor>>& results) const {
+  const std::size_t cpq = spec_.cycles_per_query();
+  for (const apsim::ReportEvent& event : events) {
+    std::size_t query = 0;
+    knn::Neighbor neighbor;
+    if constexpr (kMultiplexed) {
+      if (event.cycle == 0) {
+        throw std::out_of_range("TemporalSortDecoder: zero cycle");
+      }
+      const std::size_t frame = (event.cycle - 1) / cpq;
+      const std::size_t slice = MuxReportCode::slice(event.report_code);
+      if (slice >= slices_) {
+        throw std::out_of_range("TemporalSortDecoder: slice beyond S");
+      }
+      if (frame * slices_ >= query_count_) {
+        throw std::out_of_range("TemporalSortDecoder: event beyond last frame");
+      }
+      query = frame * slices_ + slice;
+      if (query >= query_count_) {
+        continue;  // an unused slice of the partial last frame
+      }
+      neighbor = {MuxReportCode::vector_id(event.report_code),
+                  static_cast<std::uint32_t>(spec_.distance_from_offset(
+                      event.cycle - frame * cpq))};
+    } else {
+      std::tie(query, neighbor) = decode_event(event);
+    }
+    auto& list = results[query];
+    // Arrivals are distance-ordered within a query, so past the k-th only
+    // the rest of the k-th one's distance group can still make the cut.
+    if (k == 0 || list.size() < k ||
+        neighbor.distance == list[k - 1].distance) {
+      list.push_back(neighbor);
+    }
+  }
+}
 
 std::vector<std::vector<knn::Neighbor>> TemporalSortDecoder::decode(
     std::span<const apsim::ReportEvent> events, std::size_t k) const {
@@ -12,15 +55,10 @@ std::vector<std::vector<knn::Neighbor>> TemporalSortDecoder::decode(
       list.reserve(std::min(k, events.size()));
     }
   }
-  for (const apsim::ReportEvent& event : events) {
-    auto [query, neighbor] = decode_event(event);
-    auto& list = results[query];
-    // Arrivals are distance-ordered within a query, so past the k-th only
-    // the rest of the k-th one's distance group can still make the cut.
-    if (k == 0 || list.size() < k ||
-        neighbor.distance == list[k - 1].distance) {
-      list.push_back(neighbor);
-    }
+  if (slices_ > 0) {
+    collect<true>(events, k, results);
+  } else {
+    collect<false>(events, k, results);
   }
   // A distance group shares a cycle and arrives in counter order, not id
   // order: put each list in (distance, id) order, then cut the tie at k.

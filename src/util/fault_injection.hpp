@@ -8,7 +8,7 @@
 //   "artifact.read"       core::try_load_program, before each load attempt
 //   "artifact.write"      core::store_program, before each save attempt
 //   "engine.shard"        ApKnnEngine::search, at each shard attempt entry
-//   "mux.frame"           MultiplexedKnn::search, at each frame attempt entry
+//                         (every design, multiplexed included)
 //   "sim.frame"           apsim::Simulator, at each query-frame boundary
 //   "batch.frame"         apsim::BatchSimulator, at each query-frame boundary
 //   "serve.admit"         serve::KnnServer::submit, at each admission attempt
@@ -47,7 +47,6 @@ class InjectedFault : public std::runtime_error {
 inline constexpr std::string_view kFaultArtifactRead = "artifact.read";
 inline constexpr std::string_view kFaultArtifactWrite = "artifact.write";
 inline constexpr std::string_view kFaultEngineShard = "engine.shard";
-inline constexpr std::string_view kFaultMuxFrame = "mux.frame";
 inline constexpr std::string_view kFaultSimFrame = "sim.frame";
 inline constexpr std::string_view kFaultBatchFrame = "batch.frame";
 inline constexpr std::string_view kFaultServeAdmit = "serve.admit";

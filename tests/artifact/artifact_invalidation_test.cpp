@@ -15,7 +15,6 @@
 #include "artifact/artifact.hpp"
 #include "core/artifact_cache.hpp"
 #include "core/engine.hpp"
-#include "core/opt/stream_multiplexing.hpp"
 
 namespace apss {
 namespace {
@@ -77,7 +76,7 @@ TEST(ArtifactInvalidation, DatasetMutationInvalidates) {
   EXPECT_EQ(cache_stats(second).misses, 0u);
   // The recompiled program answers for the NEW dataset...
   auto queries = test::random_dataset(rng, 3, 16);
-  test::expect_valid_knn_results(data, queries, 2,
+  test::expect_exact_knn_results(data, queries, 2,
                                  second.search(queries, 2), "post-mutation");
   // ...and overwrote the slot: the mutated dataset now hits.
   core::ApKnnEngine third(data, bit_options(dir));
@@ -179,44 +178,53 @@ TEST(ArtifactInvalidation, TryLoadRejectsForeignKey) {
 }
 
 TEST(ArtifactInvalidation, MultiplexedCacheFlow) {
+  // The multiplexed design rides the engine's one cache path: same slots,
+  // same counters, the slice count in the key.
   util::Rng rng(47);
   auto data = test::random_dataset(rng, 8, 12);
   const auto queries = test::random_dataset(rng, 10, 12);
   const std::string dir = fresh_dir("mux_flow");
+  core::EngineOptions opt = bit_options(dir);
+  opt.multiplex_slices = 7;
 
-  const core::MultiplexedKnn cold(data, 7, {},
-                                  core::SimulationBackend::kBitParallel, dir);
-  EXPECT_EQ(cold.artifact_outcome(), core::ArtifactOutcome::kMiss);
-  ASSERT_TRUE(cold.bit_parallel());
+  core::ApKnnEngine cold(data, opt);
+  EXPECT_EQ(cache_stats(cold).misses, 1u);
+  ASSERT_EQ(cold.bit_parallel_configurations(), 1u);
+  EXPECT_EQ(cold.backend_stats().multiplexed, 1u);
   const auto expected = cold.search(queries, 2);
+  test::expect_exact_knn_results(data, queries, 2, expected, "cold");
 
-  const core::MultiplexedKnn warm(data, 7, {},
-                                  core::SimulationBackend::kBitParallel, dir);
-  EXPECT_EQ(warm.artifact_outcome(), core::ArtifactOutcome::kHit);
-  ASSERT_TRUE(warm.bit_parallel());
+  core::ApKnnEngine warm(data, opt);
+  EXPECT_EQ(cache_stats(warm).hits, 1u);
+  ASSERT_EQ(warm.bit_parallel_configurations(), 1u);
   EXPECT_EQ(warm.search(queries, 2), expected);
 
   // Slice count is part of the key: same data, different slices must not
-  // serve the cached 7-slice program (slot collision => invalidation).
-  const core::MultiplexedKnn other(data, 3, {},
-                                   core::SimulationBackend::kBitParallel, dir);
-  EXPECT_EQ(other.artifact_outcome(), core::ArtifactOutcome::kInvalidated);
-  ASSERT_TRUE(other.bit_parallel());
-  test::expect_valid_knn_results(data, queries, 2, other.search(queries, 2),
+  // serve the cached 7-slice program (slot collision => invalidation), and
+  // neither may the base design.
+  opt.multiplex_slices = 3;
+  core::ApKnnEngine other(data, opt);
+  EXPECT_EQ(cache_stats(other).invalidations, 1u);
+  ASSERT_EQ(other.bit_parallel_configurations(), 1u);
+  test::expect_exact_knn_results(data, queries, 2, other.search(queries, 2),
                                  "3-slice");
+  core::ApKnnEngine base(data, bit_options(dir));
+  EXPECT_EQ(cache_stats(base).invalidations, 1u);
 
-  // Dataset mutation invalidates as well (slot now holds the 3-slice key).
+  // Dataset mutation invalidates as well.
+  core::ApKnnEngine three_again(data, opt);
+  EXPECT_EQ(cache_stats(three_again).invalidations, 1u);  // slot held base
+  EXPECT_EQ(core::ApKnnEngine(data, opt).backend_stats().artifact.hits, 1u);
   data.set(0, 0, !data.get(0, 0));
-  const core::MultiplexedKnn mutated(data, 3, {},
-                                     core::SimulationBackend::kBitParallel,
-                                     dir);
-  EXPECT_EQ(mutated.artifact_outcome(), core::ArtifactOutcome::kInvalidated);
-  EXPECT_FALSE(mutated.artifact_detail().empty());
+  core::ApKnnEngine mutated(data, opt);
+  EXPECT_EQ(cache_stats(mutated).invalidations, 1u);
+  test::expect_exact_knn_results(data, queries, 2, mutated.search(queries, 2),
+                                 "post-mutation");
 
   // Without a cache directory the whole machinery stays off.
-  const core::MultiplexedKnn off(data, 3, {},
-                                 core::SimulationBackend::kBitParallel);
-  EXPECT_EQ(off.artifact_outcome(), core::ArtifactOutcome::kDisabled);
+  opt.artifact_cache_dir.clear();
+  core::ApKnnEngine off(data, opt);
+  EXPECT_FALSE(cache_stats(off).any());
 }
 
 }  // namespace

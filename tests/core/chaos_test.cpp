@@ -1,9 +1,10 @@
 // Chaos suite (docs/ROBUSTNESS.md): drives every named fault site through
 // every failure policy and differentially asserts the fault-isolation
 // contract — surviving shards return results and merged ReportEvent
-// streams BIT-IDENTICAL to an uninjected run, at 1 and 4 threads. Faults
-// are keyed by configuration / frame index, so which shard fails never
-// depends on thread scheduling. Runs under TSan in CI (label: chaos).
+// streams BIT-IDENTICAL to an uninjected run, at 1 and 4 threads, for the
+// base and the multiplexed design alike. Faults are keyed by configuration
+// index, so which shard fails never depends on thread scheduling. Runs
+// under TSan in CI (label: chaos).
 
 #include <gtest/gtest.h>
 
@@ -19,7 +20,6 @@
 #include "knn/exact.hpp"
 #include "util/cancellation.hpp"
 #include "util/fault_injection.hpp"
-#include "util/thread_pool.hpp"
 
 namespace apss::core {
 namespace {
@@ -31,7 +31,6 @@ class Chaos : public ::testing::Test {
   void TearDown() override { util::FaultInjector::instance().disarm_all(); }
 };
 using ChaosEngine = Chaos;
-using ChaosMux = Chaos;
 using ChaosArtifact = Chaos;
 using ChaosControl = Chaos;
 
@@ -54,30 +53,46 @@ SearchRun run_engine(const knn::BinaryDataset& data,
   return r;
 }
 
-/// The 4-configuration test bed shared by the engine matrix: report_code
-/// is the GLOBAL vector id, so configuration c owns codes
-/// [c * 7, (c + 1) * 7) and dropping a configuration from the baseline
-/// stream is a pure filter.
+/// The 4-configuration test bed shared by the engine matrix: report codes
+/// carry the GLOBAL vector id (directly, or as MuxReportCode when
+/// multiplexed), so configuration c owns vectors [c * 7, (c + 1) * 7) and
+/// dropping a configuration from the baseline stream is a pure filter.
 constexpr std::size_t kCap = 7;
 constexpr std::size_t kVectors = 26;  // 4 configurations (7+7+7+5)
 constexpr std::size_t kConfigs = 4;
 constexpr std::int64_t kVictim = 1;  // injected configuration
+constexpr std::size_t kSlices = 7;   // the multiplexed arm
 
-EngineOptions bed_options(SimulationBackend backend) {
+EngineOptions bed_options(SimulationBackend backend,
+                          std::size_t multiplex_slices = 0) {
   EngineOptions opt;
   opt.backend = backend;
   opt.max_vectors_per_config = kCap;
-  opt.queries_per_chunk = 2;  // several (config, frame) shards per config
+  // Several (config, frame) shards per configuration, as many at 4 threads
+  // as at 1 — retry counts are per shard.
+  opt.queries_per_chunk = multiplex_slices > 0 ? 1 : 2;
+  opt.multiplex_slices = multiplex_slices;
   return opt;
+}
+
+/// Queries for the bed: the multiplexed arm gets three frames (7 + 7 + 2),
+/// so its configurations span three shards.
+knn::BinaryDataset bed_queries(std::size_t multiplex_slices,
+                               std::uint64_t seed) {
+  return knn::BinaryDataset::uniform(multiplex_slices > 0 ? 16 : 6, 24, seed);
 }
 
 /// Baseline stream minus every event of configuration `config` — what a
 /// fault-isolated run must emit when that configuration is lost.
 std::vector<apsim::ReportEvent> without_config(
-    const std::vector<apsim::ReportEvent>& stream, std::size_t config) {
+    const std::vector<apsim::ReportEvent>& stream, std::size_t config,
+    std::size_t multiplex_slices) {
   std::vector<apsim::ReportEvent> out;
   for (const apsim::ReportEvent& e : stream) {
-    if (e.report_code / kCap != config) {
+    const std::uint32_t id = multiplex_slices > 0
+                                 ? MuxReportCode::vector_id(e.report_code)
+                                 : e.report_code;
+    if (id / kCap != config) {
       out.push_back(e);
     }
   }
@@ -131,16 +146,12 @@ void expect_states(const EngineStats& stats, ShardState victim_state,
 }
 
 /// The heart of the matrix: arm `site` (keyed to the victim configuration,
-/// persistent), search under `policy` at 1 and 4 threads, and check the
-/// survivors against the uninjected baseline.
+/// persistent), search `opt` (a bed_options() variant) under `policy` at 1
+/// and 4 threads, and check the survivors against the uninjected baseline.
 void expect_isolation(const knn::BinaryDataset& data,
-                      const knn::BinaryDataset& queries,
-                      SimulationBackend backend, std::string_view site,
-                      OnError policy, ShardState victim_state,
-                      const std::string& ctx,
-                      apsim::LaneWidth lane_width = apsim::LaneWidth::kAuto) {
-  EngineOptions opt = bed_options(backend);
-  opt.lane_width = lane_width;
+                      const knn::BinaryDataset& queries, EngineOptions opt,
+                      std::string_view site, OnError policy,
+                      ShardState victim_state, const std::string& ctx) {
   const SearchRun baseline = run_engine(data, queries, 4, opt, 1);
   ASSERT_FALSE(baseline.stream.empty()) << ctx;
 
@@ -152,7 +163,9 @@ void expect_isolation(const knn::BinaryDataset& data,
   const bool survives = victim_state == ShardState::kOk ||
                         victim_state == ShardState::kDegraded;
   const auto want_stream =
-      survives ? baseline.stream : without_config(baseline.stream, kVictim);
+      survives ? baseline.stream
+               : without_config(baseline.stream, kVictim,
+                                opt.multiplex_slices);
   const knn::BinaryDataset survivors = without_config_data(data, kVictim);
   SearchRun first;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
@@ -166,10 +179,10 @@ void expect_isolation(const knn::BinaryDataset& data,
       // Losing a configuration backfills the top-k from the survivors'
       // partial lists (the baseline truncated those candidates away), so
       // the right expectation is the exact oracle over surviving vectors.
+      // The remap keeps id order, so (distance, id) order carries over.
       for (std::size_t q = 0; q < queries.size(); ++q) {
-        const auto mapped = remap_without_config(run.results[q], kVictim);
-        EXPECT_TRUE(
-            knn::is_valid_knn_result(survivors, queries.row(q), 4, mapped))
+        EXPECT_EQ(remap_without_config(run.results[q], kVictim),
+                  knn::knn_scan(survivors, queries.row(q), 4))
             << tctx << " query " << q;
       }
     }
@@ -177,7 +190,7 @@ void expect_isolation(const knn::BinaryDataset& data,
               survives ? kConfigs : kConfigs - 1)
         << tctx;
     EXPECT_EQ(run.stats.simulated_cycles,
-              queries.size() * run.stats.cycles_per_query *
+              baseline.stats.simulated_cycles / kConfigs *
                   run.stats.surviving_configurations())
         << tctx;
     if (threads == 1) {
@@ -206,10 +219,13 @@ void expect_isolation(const knn::BinaryDataset& data,
 
 TEST_F(ChaosEngine, ShardSiteIsolatesConfigCycleAccurate) {
   const auto data = knn::BinaryDataset::uniform(kVectors, 24, 701);
-  const auto queries = knn::BinaryDataset::uniform(6, 24, 702);
-  expect_isolation(data, queries, SimulationBackend::kCycleAccurate,
-                   util::kFaultEngineShard, OnError::kIsolate,
-                   ShardState::kFailed, "engine.shard/isolate/cycle");
+  for (const std::size_t slices : {std::size_t{0}, kSlices}) {
+    expect_isolation(data, bed_queries(slices, 702),
+                     bed_options(SimulationBackend::kCycleAccurate, slices),
+                     util::kFaultEngineShard, OnError::kIsolate,
+                     ShardState::kFailed,
+                     "engine.shard/isolate/cycle/s" + std::to_string(slices));
+  }
 }
 
 TEST_F(ChaosEngine, ShardSiteIsolatesConfigEvenWithRetries) {
@@ -218,21 +234,28 @@ TEST_F(ChaosEngine, ShardSiteIsolatesConfigEvenWithRetries) {
   // on both backends.
   const auto data = knn::BinaryDataset::uniform(kVectors, 24, 703);
   const auto queries = knn::BinaryDataset::uniform(6, 24, 704);
-  expect_isolation(data, queries, SimulationBackend::kCycleAccurate,
+  expect_isolation(data, queries,
+                   bed_options(SimulationBackend::kCycleAccurate),
                    util::kFaultEngineShard, OnError::kRetry,
                    ShardState::kFailed, "engine.shard/retry/cycle");
-  expect_isolation(data, queries, SimulationBackend::kBitParallel,
+  expect_isolation(data, queries, bed_options(SimulationBackend::kBitParallel),
                    util::kFaultEngineShard, OnError::kRetry,
                    ShardState::kFailed, "engine.shard/retry/bit");
+  expect_isolation(data, bed_queries(kSlices, 704),
+                   bed_options(SimulationBackend::kBitParallel, kSlices),
+                   util::kFaultEngineShard, OnError::kRetry,
+                   ShardState::kFailed, "engine.shard/retry/bit/s7");
 }
 
 TEST_F(ChaosEngine, SimFrameSiteIsolatesConfig) {
   const auto data = knn::BinaryDataset::uniform(kVectors, 24, 705);
   const auto queries = knn::BinaryDataset::uniform(6, 24, 706);
-  expect_isolation(data, queries, SimulationBackend::kCycleAccurate,
+  expect_isolation(data, queries,
+                   bed_options(SimulationBackend::kCycleAccurate),
                    util::kFaultSimFrame, OnError::kIsolate,
                    ShardState::kFailed, "sim.frame/isolate/cycle");
-  expect_isolation(data, queries, SimulationBackend::kCycleAccurate,
+  expect_isolation(data, queries,
+                   bed_options(SimulationBackend::kCycleAccurate),
                    util::kFaultSimFrame, OnError::kRetry, ShardState::kFailed,
                    "sim.frame/retry/cycle");
 }
@@ -243,12 +266,16 @@ TEST_F(ChaosEngine, BatchFrameFaultDegradesToCycleAccurate) {
   // merged stream equal the full baseline bit for bit.
   const auto data = knn::BinaryDataset::uniform(kVectors, 24, 707);
   const auto queries = knn::BinaryDataset::uniform(6, 24, 708);
-  expect_isolation(data, queries, SimulationBackend::kBitParallel,
+  expect_isolation(data, queries, bed_options(SimulationBackend::kBitParallel),
                    util::kFaultBatchFrame, OnError::kIsolate,
                    ShardState::kDegraded, "batch.frame/isolate/bit");
-  expect_isolation(data, queries, SimulationBackend::kBitParallel,
+  expect_isolation(data, queries, bed_options(SimulationBackend::kBitParallel),
                    util::kFaultBatchFrame, OnError::kRetry,
                    ShardState::kDegraded, "batch.frame/retry/bit");
+  expect_isolation(data, bed_queries(kSlices, 708),
+                   bed_options(SimulationBackend::kBitParallel, kSlices),
+                   util::kFaultBatchFrame, OnError::kIsolate,
+                   ShardState::kDegraded, "batch.frame/isolate/bit/s7");
 }
 
 TEST_F(ChaosEngine, FaultSitesIsolateAtWideLaneWidth) {
@@ -257,45 +284,51 @@ TEST_F(ChaosEngine, FaultSitesIsolateAtWideLaneWidth) {
   // 1/4-thread merges must behave exactly as they do at 64 bits.
   const auto data = knn::BinaryDataset::uniform(kVectors, 24, 723);
   const auto queries = knn::BinaryDataset::uniform(6, 24, 724);
-  expect_isolation(data, queries, SimulationBackend::kBitParallel,
+  const auto w512 = [](SimulationBackend backend) {
+    EngineOptions opt = bed_options(backend);
+    opt.lane_width = apsim::LaneWidth::k512;
+    return opt;
+  };
+  expect_isolation(data, queries, w512(SimulationBackend::kBitParallel),
                    util::kFaultEngineShard, OnError::kIsolate,
-                   ShardState::kFailed, "engine.shard/isolate/bit/w512",
-                   apsim::LaneWidth::k512);
-  expect_isolation(data, queries, SimulationBackend::kBitParallel,
+                   ShardState::kFailed, "engine.shard/isolate/bit/w512");
+  expect_isolation(data, queries, w512(SimulationBackend::kBitParallel),
                    util::kFaultBatchFrame, OnError::kIsolate,
-                   ShardState::kDegraded, "batch.frame/isolate/bit/w512",
-                   apsim::LaneWidth::k512);
+                   ShardState::kDegraded, "batch.frame/isolate/bit/w512");
   // lane_width is a bit-parallel knob: on the cycle-accurate backend it
   // must be inert, including on the sim.frame failure path.
-  expect_isolation(data, queries, SimulationBackend::kCycleAccurate,
+  expect_isolation(data, queries, w512(SimulationBackend::kCycleAccurate),
                    util::kFaultSimFrame, OnError::kIsolate,
-                   ShardState::kFailed, "sim.frame/isolate/cycle/w512",
-                   apsim::LaneWidth::k512);
+                   ShardState::kFailed, "sim.frame/isolate/cycle/w512");
 }
 
 TEST_F(ChaosEngine, RetryRecoversTransientFault) {
   // One-shot fault window: the first attempt on the victim configuration
   // fails, its retry succeeds — full baseline results, one extra attempt.
   const auto data = knn::BinaryDataset::uniform(kVectors, 24, 709);
-  const auto queries = knn::BinaryDataset::uniform(6, 24, 710);
-  EngineOptions opt = bed_options(SimulationBackend::kCycleAccurate);
-  const SearchRun baseline = run_engine(data, queries, 4, opt, 1);
+  for (const std::size_t slices : {std::size_t{0}, kSlices}) {
+    const auto queries = bed_queries(slices, 710);
+    EngineOptions opt = bed_options(SimulationBackend::kCycleAccurate, slices);
+    const SearchRun baseline = run_engine(data, queries, 4, opt, 1);
 
-  opt.on_error = OnError::kRetry;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    util::FaultInjector::Plan plan;
-    plan.match_key = kVictim;
-    plan.fail_on_hit = 1;
-    plan.fail_count = 1;
-    util::FaultInjector::instance().arm(util::kFaultEngineShard, plan);
-    const SearchRun run = run_engine(data, queries, 4, opt, threads);
-    EXPECT_EQ(run.results, baseline.results) << threads;
-    EXPECT_EQ(run.stream, baseline.stream) << threads;
-    ASSERT_EQ(run.stats.shard_status.size(), kConfigs);
-    EXPECT_EQ(run.stats.shard_status[kVictim].state, ShardState::kOk);
-    EXPECT_EQ(run.stats.shard_status[kVictim].retries, 1u);
-    EXPECT_TRUE(run.stats.shard_status[kVictim].error.empty());
-    util::FaultInjector::instance().disarm_all();
+    opt.on_error = OnError::kRetry;
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      const std::string ctx = "s" + std::to_string(slices) + " threads=" +
+                              std::to_string(threads);
+      util::FaultInjector::Plan plan;
+      plan.match_key = kVictim;
+      plan.fail_on_hit = 1;
+      plan.fail_count = 1;
+      util::FaultInjector::instance().arm(util::kFaultEngineShard, plan);
+      const SearchRun run = run_engine(data, queries, 4, opt, threads);
+      EXPECT_EQ(run.results, baseline.results) << ctx;
+      EXPECT_EQ(run.stream, baseline.stream) << ctx;
+      ASSERT_EQ(run.stats.shard_status.size(), kConfigs) << ctx;
+      EXPECT_EQ(run.stats.shard_status[kVictim].state, ShardState::kOk) << ctx;
+      EXPECT_EQ(run.stats.shard_status[kVictim].retries, 1u) << ctx;
+      EXPECT_TRUE(run.stats.shard_status[kVictim].error.empty()) << ctx;
+      util::FaultInjector::instance().disarm_all();
+    }
   }
 }
 
@@ -337,40 +370,41 @@ TEST_F(ChaosEngine, IsolatePolicyWithoutFaultsMatchesBaseline) {
   }
 }
 
-TEST_F(ChaosControl, TinyDeadlineTimesOutEveryConfiguration) {
+TEST_F(ChaosControl, TinyDeadlineTimesOutOrThrows) {
   const auto data = knn::BinaryDataset::uniform(kVectors, 24, 715);
-  const auto queries = knn::BinaryDataset::uniform(6, 24, 716);
-  EngineOptions opt = bed_options(SimulationBackend::kCycleAccurate);
-  opt.on_error = OnError::kIsolate;
-  opt.deadline_ms = 1e-4;  // expires before the first frame completes
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    const auto start = std::chrono::steady_clock::now();
-    const SearchRun run = run_engine(data, queries, 4, opt, threads);
-    const double elapsed_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - start)
-            .count();
-    EXPECT_EQ(run.stats.count_state(ShardState::kTimedOut), kConfigs);
-    EXPECT_EQ(run.stats.surviving_configurations(), 0u);
-    EXPECT_EQ(run.stats.simulated_cycles, 0u);
-    EXPECT_TRUE(run.stream.empty());
-    for (const auto& list : run.results) {
-      EXPECT_TRUE(list.empty());
+  for (const std::size_t slices : {std::size_t{0}, kSlices}) {
+    const auto queries = bed_queries(slices, 716);
+    EngineOptions opt = bed_options(SimulationBackend::kCycleAccurate, slices);
+    opt.on_error = OnError::kIsolate;
+    opt.deadline_ms = 1e-4;  // expires before the first frame completes
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      const std::string ctx = "s" + std::to_string(slices) + " threads=" +
+                              std::to_string(threads);
+      const auto start = std::chrono::steady_clock::now();
+      const SearchRun run = run_engine(data, queries, 4, opt, threads);
+      const double elapsed_ms =
+          std::chrono::duration<double, std::milli>(
+              std::chrono::steady_clock::now() - start)
+              .count();
+      EXPECT_EQ(run.stats.count_state(ShardState::kTimedOut), kConfigs)
+          << ctx;
+      EXPECT_EQ(run.stats.surviving_configurations(), 0u) << ctx;
+      EXPECT_EQ(run.stats.simulated_cycles, 0u) << ctx;
+      EXPECT_TRUE(run.stream.empty()) << ctx;
+      for (const auto& list : run.results) {
+        EXPECT_TRUE(list.empty()) << ctx;
+      }
+      // Frame-granular enforcement: the whole search (construction aside)
+      // winds down in far less than a second once the deadline is gone.
+      EXPECT_LT(elapsed_ms, 5000.0) << ctx;
     }
-    // Frame-granular enforcement: the whole search (construction aside)
-    // winds down in far less than a second once the deadline is gone.
-    EXPECT_LT(elapsed_ms, 5000.0);
+    // ...and the default fail-fast policy throws instead.
+    opt.on_error = OnError::kFailFast;
+    opt.threads = 1;
+    ApKnnEngine engine(data, opt);
+    EXPECT_THROW(engine.search(queries, 4), util::DeadlineExceeded)
+        << "s" << slices;
   }
-}
-
-TEST_F(ChaosControl, FailFastDeadlineThrows) {
-  const auto data = knn::BinaryDataset::uniform(kVectors, 24, 717);
-  const auto queries = knn::BinaryDataset::uniform(6, 24, 718);
-  EngineOptions opt = bed_options(SimulationBackend::kCycleAccurate);
-  opt.deadline_ms = 1e-4;
-  opt.threads = 1;
-  ApKnnEngine engine(data, opt);
-  EXPECT_THROW(engine.search(queries, 4), util::DeadlineExceeded);
 }
 
 TEST_F(ChaosControl, PreCancelledTokenCancelsEveryConfiguration) {
@@ -408,123 +442,6 @@ TEST_F(ChaosControl, EngagedRunControlIsBitIdenticalToPlainRun) {
       EXPECT_TRUE(run.stats.same_work(baseline.stats));
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// Multiplexed engine: the FRAME is the isolation unit.
-
-TEST_F(ChaosMux, FrameFaultIsolatesOneFrame) {
-  const auto data = knn::BinaryDataset::uniform(20, 16, 731);
-  const auto queries = knn::BinaryDataset::uniform(26, 16, 732);  // 4 frames
-  const MultiplexedKnn mux(data, 7);
-  std::vector<apsim::ReportEvent> base_stream;
-  const auto baseline = mux.search(queries, 5, nullptr, &base_stream);
-  ASSERT_FALSE(base_stream.empty());
-
-  constexpr std::size_t kVictimFrame = 2;
-  const std::size_t cpq = mux.spec().cycles_per_query();
-  std::vector<apsim::ReportEvent> want_stream;
-  for (const apsim::ReportEvent& e : base_stream) {
-    if (e.cycle / cpq != kVictimFrame) {
-      want_stream.push_back(e);
-    }
-  }
-
-  MuxSearchOptions mopt;
-  mopt.on_error = OnError::kIsolate;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    util::FaultInjector::Plan plan;
-    plan.match_key = kVictimFrame;
-    util::FaultInjector::instance().arm(util::kFaultMuxFrame, plan);
-    util::ThreadPool pool(3);  // 4 runners incl. the submitter
-    std::vector<apsim::ReportEvent> stream;
-    std::vector<ShardStatus> status;
-    const auto results = mux.search(queries, 5, threads > 1 ? &pool : nullptr,
-                                    &stream, mopt, &status);
-    util::FaultInjector::instance().disarm_all();
-    EXPECT_EQ(stream, want_stream) << threads;
-    ASSERT_EQ(status.size(), 4u);
-    for (std::size_t f = 0; f < status.size(); ++f) {
-      EXPECT_EQ(status[f].state,
-                f == kVictimFrame ? ShardState::kFailed : ShardState::kOk)
-          << "frame " << f;
-    }
-    // Queries of the dead frame return empty; every other query is
-    // bit-identical to the baseline.
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-      if (q / 7 == kVictimFrame) {
-        EXPECT_TRUE(results[q].empty()) << "query " << q;
-      } else {
-        EXPECT_EQ(results[q], baseline[q]) << "query " << q;
-      }
-    }
-  }
-}
-
-TEST_F(ChaosMux, BatchFrameFaultDegradesToCycleAccurate) {
-  const auto data = knn::BinaryDataset::uniform(20, 16, 733);
-  const auto queries = knn::BinaryDataset::uniform(26, 16, 734);
-  const MultiplexedKnn mux(data, 7, {}, SimulationBackend::kBitParallel);
-  ASSERT_TRUE(mux.bit_parallel()) << mux.fallback_reason();
-  std::vector<apsim::ReportEvent> base_stream;
-  const auto baseline = mux.search(queries, 5, nullptr, &base_stream);
-
-  util::FaultInjector::Plan plan;
-  plan.match_key = 1;  // frame 1, every attempt
-  util::FaultInjector::instance().arm(util::kFaultBatchFrame, plan);
-  MuxSearchOptions mopt;
-  mopt.on_error = OnError::kIsolate;
-  std::vector<apsim::ReportEvent> stream;
-  std::vector<ShardStatus> status;
-  const auto results = mux.search(queries, 5, nullptr, &stream, mopt, &status);
-  util::FaultInjector::instance().disarm_all();
-  // Degradation, not loss: the cycle-accurate rerun of frame 1 emits the
-  // same events, so everything matches the baseline in full.
-  EXPECT_EQ(results, baseline);
-  EXPECT_EQ(stream, base_stream);
-  ASSERT_EQ(status.size(), 4u);
-  EXPECT_EQ(status[1].state, ShardState::kDegraded);
-  EXPECT_GE(status[1].retries, 1u);
-  EXPECT_FALSE(status[1].error.empty());
-}
-
-TEST_F(ChaosMux, RetryRecoversAndDeadlineTimesOut) {
-  const auto data = knn::BinaryDataset::uniform(20, 16, 735);
-  const auto queries = knn::BinaryDataset::uniform(26, 16, 736);
-  const MultiplexedKnn mux(data, 7);
-  const auto baseline = mux.search(queries, 5);
-
-  // One-shot fault on frame 0: recovered by the retry.
-  util::FaultInjector::Plan plan;
-  plan.match_key = 0;
-  plan.fail_count = 1;
-  util::FaultInjector::instance().arm(util::kFaultMuxFrame, plan);
-  MuxSearchOptions mopt;
-  mopt.on_error = OnError::kRetry;
-  std::vector<ShardStatus> status;
-  const auto results = mux.search(queries, 5, nullptr, nullptr, mopt, &status);
-  util::FaultInjector::instance().disarm_all();
-  EXPECT_EQ(results, baseline);
-  ASSERT_EQ(status.size(), 4u);
-  EXPECT_EQ(status[0].state, ShardState::kOk);
-  EXPECT_EQ(status[0].retries, 1u);
-
-  // A vanishing deadline times out every frame under kIsolate...
-  mopt = {};
-  mopt.deadline_ms = 1e-4;
-  mopt.on_error = OnError::kIsolate;
-  status.clear();
-  const auto timed = mux.search(queries, 5, nullptr, nullptr, mopt, &status);
-  for (const auto& st : status) {
-    EXPECT_EQ(st.state, ShardState::kTimedOut);
-  }
-  for (const auto& list : timed) {
-    EXPECT_TRUE(list.empty());
-  }
-  // ...and throws under the default fail-fast policy.
-  mopt.on_error = OnError::kFailFast;
-  EXPECT_THROW(mux.search(queries, 5, nullptr, nullptr, mopt),
-               util::DeadlineExceeded);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,15 +1,14 @@
-// Configuration-shard scale-out differential tests: ApKnnEngine and
-// MultiplexedKnn must produce bit-identical neighbor lists, EngineStats,
-// AND merged ReportEvent streams at every thread count — the merge walks
-// shards in configuration/frame order, never completion order, so thread
-// scheduling can never show through. These run under TSan in CI
+// Configuration-shard scale-out differential tests: ApKnnEngine's base,
+// packed and multiplexed designs must produce bit-identical neighbor lists,
+// EngineStats, AND merged ReportEvent streams at every thread count — the
+// merge walks shards in configuration/frame order, never completion order,
+// so thread scheduling can never show through. These run under TSan in CI
 // (APSS_SANITIZE=thread) to also prove the sharding is race-free.
 
 #include <gtest/gtest.h>
 
 #include "apss_test_support.hpp"
 #include "core/engine.hpp"
-#include "core/opt/stream_multiplexing.hpp"
 #include "util/thread_pool.hpp"
 
 namespace apss::core {
@@ -167,20 +166,15 @@ TEST(EngineThreads, MultiplexedSearchIdenticalAcrossThreadCounts) {
   const auto queries = knn::BinaryDataset::uniform(26, 16, 613);  // 4 frames
   for (const auto backend : {SimulationBackend::kCycleAccurate,
                              SimulationBackend::kBitParallel}) {
-    const MultiplexedKnn mux(data, 7, {}, backend);
-    if (backend == SimulationBackend::kBitParallel) {
-      ASSERT_TRUE(mux.bit_parallel()) << mux.fallback_reason();
-    }
-    std::vector<apsim::ReportEvent> serial_stream;
-    const auto serial = mux.search(queries, 5, nullptr, &serial_stream);
-    EXPECT_FALSE(serial_stream.empty());
-    for (const std::size_t threads : {2, 8}) {
-      util::ThreadPool pool(threads);
-      std::vector<apsim::ReportEvent> pooled_stream;
-      const auto pooled = mux.search(queries, 5, &pool, &pooled_stream);
-      EXPECT_EQ(pooled, serial) << "threads=" << threads;
-      EXPECT_EQ(pooled_stream, serial_stream) << "threads=" << threads;
-    }
+    EngineOptions opt;
+    opt.backend = backend;
+    opt.multiplex_slices = 7;
+    opt.max_vectors_per_config = 9;  // 4 configurations
+    opt.queries_per_chunk = 1;       // one frame per shard
+    expect_thread_invariant(data, queries, 5, opt,
+                            backend == SimulationBackend::kBitParallel
+                                ? "multiplexed bit-parallel"
+                                : "multiplexed cycle-accurate");
   }
 }
 

@@ -12,7 +12,6 @@
 #include "core/engine.hpp"
 #include "core/ext/counter_increment.hpp"
 #include "core/opt/interleaved.hpp"
-#include "core/opt/stream_multiplexing.hpp"
 #include "core/opt/vector_packing.hpp"
 #include "core/stream.hpp"
 #include "core/temporal_decode.hpp"
@@ -43,7 +42,7 @@ TEST_P(EngineSweep, ApEngineReturnsExactKnn) {
   opt.max_vectors_per_config = p.vectors_per_config;
   ApKnnEngine engine(data, opt);
   const auto results = engine.search(queries, p.k);
-  test::expect_valid_knn_results(data, queries, p.k, results);
+  test::expect_exact_knn_results(data, queries, p.k, results);
 }
 
 TEST_P(EngineSweep, BitParallelBackendAgreesWithCycleAccurate) {
@@ -153,7 +152,7 @@ TEST_P(PackingSweep, BitParallelBackendAgreesOnPackedEngines) {
   const auto actual = bit.search(queries, 4);
   ASSERT_EQ(actual, expected);
   EXPECT_TRUE(bit.last_stats().same_work(cycle.last_stats()));
-  test::expect_valid_knn_results(data, queries, 4, actual);
+  test::expect_exact_knn_results(data, queries, 4, actual);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -173,28 +172,34 @@ INSTANTIATE_TEST_SUITE_P(
 class MuxSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(MuxSweep, EverySliceCountReturnsExactKnn) {
+  // Every slice count, on both backends, at 1 and 4 threads, in one and in
+  // several configurations: answers equal knn_scan, and the backends do the
+  // same device work.
   const std::size_t slices = GetParam();
   const auto data = knn::BinaryDataset::uniform(18, 12, 8200 + slices);
   const auto queries =
       knn::BinaryDataset::uniform(2 * slices + 1, 12, 8300);
-  const MultiplexedKnn mux(data, slices);
-  const auto results = mux.search(queries, 3);
-  test::expect_valid_knn_results(data, queries, 3, results,
-                                 "slices=" + std::to_string(slices));
-}
-
-TEST_P(MuxSweep, BitParallelBackendAgreesForEverySliceCount) {
-  // The multiplexed shape compiles to the batch backend (two match classes
-  // per slice); its demuxed kNN answers must equal the reference path's.
-  const std::size_t slices = GetParam();
-  const auto data = knn::BinaryDataset::uniform(18, 12, 8200 + slices);
-  const auto queries =
-      knn::BinaryDataset::uniform(2 * slices + 1, 12, 8300);
-  const MultiplexedKnn cycle(data, slices);
-  const MultiplexedKnn bit(data, slices, {},
-                           SimulationBackend::kBitParallel);
-  ASSERT_TRUE(bit.bit_parallel());
-  EXPECT_EQ(bit.search(queries, 3), cycle.search(queries, 3));
+  for (const std::size_t cap : {std::size_t{0}, std::size_t{5}}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      EngineOptions cycle_opt;
+      cycle_opt.multiplex_slices = slices;
+      cycle_opt.max_vectors_per_config = cap;
+      cycle_opt.threads = threads;
+      EngineOptions bit_opt = cycle_opt;
+      bit_opt.backend = SimulationBackend::kBitParallel;
+      ApKnnEngine cycle(data, cycle_opt);
+      ApKnnEngine bit(data, bit_opt);
+      ASSERT_EQ(bit.bit_parallel_configurations(), bit.configurations());
+      const std::string ctx = "slices=" + std::to_string(slices) +
+                              " cap=" + std::to_string(cap) +
+                              " threads=" + std::to_string(threads);
+      test::expect_exact_knn_results(data, queries, 3,
+                                     cycle.search(queries, 3), ctx + " cycle");
+      test::expect_exact_knn_results(data, queries, 3, bit.search(queries, 3),
+                                     ctx + " bit");
+      EXPECT_TRUE(bit.last_stats().same_work(cycle.last_stats())) << ctx;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Grid, MuxSweep,

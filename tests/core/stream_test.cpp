@@ -178,5 +178,29 @@ TEST(TemporalSortDecoder, RejectsOutOfWindowEvents) {
   EXPECT_THROW(decoder.decode(beyond), std::out_of_range);
 }
 
+TEST(TemporalSortDecoder, DemultiplexesSlices) {
+  // S = 3, four queries: frame 0 carries queries 0-2, frame 1 (cycles
+  // 13..24) carries query 3 in slice 0 and stale slices 1-2.
+  const StreamSpec spec{4, 1};
+  const TemporalSortDecoder decoder(spec, 4, 3);
+  const std::vector<apsim::ReportEvent> events = {
+      {9, 0, 5 * 8 + 2},    // vector 5, slice 2 -> query 2, distance 1
+      {9, 1, 7 * 8 + 0},    // vector 7, slice 0 -> query 0, distance 1
+      {20, 2, 6 * 8 + 0},   // vector 6, slice 0 -> query 3, distance 0
+      {20, 3, 6 * 8 + 1}};  // stale slice 1 of the partial frame: dropped
+  const auto result = decoder.decode(events);
+  ASSERT_EQ(result.size(), 4u);
+  EXPECT_EQ(result[0], (std::vector<knn::Neighbor>{{7, 1}}));
+  EXPECT_TRUE(result[1].empty());
+  EXPECT_EQ(result[2], (std::vector<knn::Neighbor>{{5, 1}}));
+  EXPECT_EQ(result[3], (std::vector<knn::Neighbor>{{6, 0}}));
+  // A slice beyond S or an event beyond the last frame means a broken
+  // design.
+  const std::vector<apsim::ReportEvent> bad_slice = {{9, 0, 5 * 8 + 3}};
+  EXPECT_THROW(decoder.decode(bad_slice), std::out_of_range);
+  const std::vector<apsim::ReportEvent> beyond = {{32, 0, 5 * 8}};
+  EXPECT_THROW(decoder.decode(beyond), std::out_of_range);
+}
+
 }  // namespace
 }  // namespace apss::core
