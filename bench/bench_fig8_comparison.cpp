@@ -5,10 +5,18 @@
 // clock, simulated cycles, and modeled device time recorded to
 // BENCH_fig8_comparison.json.
 //
+// The backend speedup divides one cycle-accurate search by the median of
+// repeated warm bit-parallel searches, so one host stall during a ~0.2 ms
+// search cannot sink it.
+//
 // A thread-sweep section then re-runs the bit-parallel search with
-// EngineOptions::threads in {1, 2, 4, ...}, asserting bit-identical
-// neighbor lists AND a bit-identical merged ReportEvent stream at every
-// thread count, and records the scaling (knn_thread_sweep records).
+// EngineOptions::threads in {2, 4, 8}, asserting bit-identical neighbor
+// lists AND a bit-identical merged ReportEvent stream at every thread
+// count, and records the scaling (knn_thread_sweep records). Each thread
+// count is timed against the 1-thread engine in alternating rounds, the
+// order reversing every round as bench_robustness does, and its speedup is
+// the median per-round ratio: a host speed swing then hits both searches
+// of a round alike instead of reading as a scale-out change.
 //
 // A lane-width sweep does the same across EngineOptions::lane_width in
 // {64, 256, 512}: every width must reproduce the 64-bit results and
@@ -20,6 +28,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,6 +38,7 @@
 #include "core/ext/comparison_macro.hpp"
 #include "knn/dataset.hpp"
 #include "util/bench_report.hpp"
+#include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
@@ -94,15 +104,31 @@ int run_comparison_grid(util::BenchReport& report) {
   return 0;
 }
 
+/// Wall clock of one search; counts an answer that differs from
+/// `expected` in `errors`.
+double timed_search(core::ApKnnEngine& engine,
+                    const knn::BinaryDataset& queries, std::size_t k,
+                    const std::vector<std::vector<knn::Neighbor>>& expected,
+                    std::size_t& errors) {
+  util::Timer timer;
+  const auto results = engine.search(queries, k);
+  const double wall = timer.seconds();
+  errors += results != expected;
+  return wall;
+}
+
 struct BackendRun {
   double wall_seconds = 0.0;
   std::vector<std::vector<knn::Neighbor>> results;
   core::EngineStats stats;
 };
 
+/// The first search on a fresh engine, then (when `warm_reps` > 0) its
+/// median wall clock over that many further searches.
 BackendRun run_backend(const knn::BinaryDataset& data,
                        const knn::BinaryDataset& queries, std::size_t k,
-                       core::SimulationBackend backend) {
+                       core::SimulationBackend backend,
+                       std::size_t warm_reps) {
   core::EngineOptions opt;
   opt.backend = backend;
   core::ApKnnEngine engine(data, opt);
@@ -111,6 +137,14 @@ BackendRun run_backend(const knn::BinaryDataset& data,
   r.results = engine.search(queries, k);
   r.wall_seconds = timer.seconds();
   r.stats = engine.last_stats();
+  if (warm_reps > 0) {
+    std::vector<double> walls;
+    std::size_t errors = 0;
+    for (std::size_t rep = 0; rep < warm_reps; ++rep) {
+      walls.push_back(timed_search(engine, queries, k, r.results, errors));
+    }
+    r.wall_seconds = errors == 0 ? util::median(walls) : 0.0;
+  }
   return r;
 }
 
@@ -121,12 +155,13 @@ int run_backend_comparison(util::BenchReport& report, std::size_t n,
   const auto queries = knn::BinaryDataset::uniform(queries_n, dims, 98);
   const apsim::DeviceTiming timing = apsim::DeviceConfig::gen1().timing;
 
-  const BackendRun cycle =
-      run_backend(data, queries, k, core::SimulationBackend::kCycleAccurate);
-  const BackendRun bit =
-      run_backend(data, queries, k, core::SimulationBackend::kBitParallel);
+  constexpr std::size_t kWarmReps = 31;
+  const BackendRun cycle = run_backend(
+      data, queries, k, core::SimulationBackend::kCycleAccurate, 0);
+  const BackendRun bit = run_backend(
+      data, queries, k, core::SimulationBackend::kBitParallel, kWarmReps);
 
-  if (cycle.results != bit.results ||
+  if (cycle.results != bit.results || bit.wall_seconds == 0.0 ||
       !cycle.stats.same_work(bit.stats)) {
     std::fprintf(stderr,
                  "FAIL: backends disagree on results or EngineStats\n");
@@ -163,12 +198,15 @@ int run_backend_comparison(util::BenchReport& report, std::size_t n,
   row("cycle_accurate", cycle);
   row("bit_parallel", bit);
   table.add_note("identical neighbor lists and EngineStats from both "
-                 "backends; speedup = wall(cycle)/wall(bit).");
+                 "backends; speedup = wall(cycle) / median wall(bit) over " +
+                 std::to_string(kWarmReps) + " warm searches.");
   table.print(std::cout);
   report.write(util::BenchRecord("knn_backend_speedup")
                    .param("n", static_cast<std::uint64_t>(n))
                    .param("dims", static_cast<std::uint64_t>(dims))
                    .param("queries", static_cast<std::uint64_t>(queries_n))
+                   .param("bit_parallel_reps",
+                          static_cast<std::uint64_t>(kWarmReps))
                    .param("speedup", speedup));
   std::printf("\nbit-parallel speedup: %.1fx wall-clock "
               "(CI gate at default sizes: >= 700x)\n", speedup);
@@ -183,70 +221,91 @@ int run_thread_sweep(util::BenchReport& report, std::size_t n,
 
   // Fixed sweep (not capped at hardware_concurrency): correctness must
   // hold even oversubscribed, and the scaling rows are meaningful wherever
-  // the snapshot was recorded. Best-of-3 timing per point — the bit-
-  // parallel search is milliseconds, well inside scheduler noise.
+  // the snapshot was recorded.
   const std::size_t hw =
       std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  constexpr int kReps = 3;
-  util::TablePrinter table(
-      "Bit-parallel thread sweep (configuration/frame shards, " +
-      std::to_string(hw) + " hardware threads, best of " +
-      std::to_string(kReps) + ")");
-  table.set_header({"threads", "wall s", "speedup", "stream events"});
-  double base_wall = 0.0;
-  std::vector<std::vector<knn::Neighbor>> base_results;
-  std::vector<apsim::ReportEvent> base_stream;
-  std::size_t errors = 0;
-  for (const std::size_t t : {1, 2, 4, 8}) {
+  constexpr std::size_t kRounds = 101;
+  const auto make_engine = [&](std::size_t threads) {
     core::EngineOptions opt;
     opt.backend = core::SimulationBackend::kBitParallel;
-    opt.threads = t;
+    opt.threads = threads;
     opt.collect_report_stream = true;
-    core::ApKnnEngine engine(data, opt);
-    double wall = 0.0;
-    std::vector<std::vector<knn::Neighbor>> results;
-    for (int rep = 0; rep < kReps; ++rep) {
-      util::Timer timer;
-      auto rep_results = engine.search(queries, k);
-      const double rep_wall = timer.seconds();
-      if (rep == 0) {
-        wall = rep_wall;
-        results = std::move(rep_results);
-      } else if (rep_results != results) {
-        std::fprintf(stderr, "FAIL: threads=%zu rep %d diverged\n", t, rep);
-        ++errors;
-      } else {
-        wall = std::min(wall, rep_wall);
-      }
-    }
-    if (t == 1) {
-      base_wall = wall;
-      base_results = results;
-      base_stream = engine.last_report_stream();
-    } else if (results != base_results ||
-               engine.last_report_stream() != base_stream) {
-      std::fprintf(stderr,
-                   "FAIL: threads=%zu diverged from the single-threaded "
-                   "reference (results or merged report stream)\n", t);
-      ++errors;
-    }
-    const double speedup = wall > 0.0 ? base_wall / wall : 0.0;
+    return std::make_unique<core::ApKnnEngine>(data, opt);
+  };
+  const auto one = make_engine(1);
+  const auto base_results = one->search(queries, k);
+  const std::vector<apsim::ReportEvent> base_stream =
+      one->last_report_stream();
+
+  util::TablePrinter table(
+      "Bit-parallel thread sweep (configuration/frame shards, " +
+      std::to_string(hw) + " hardware threads, medians over " +
+      std::to_string(kRounds) + " alternating rounds)");
+  table.set_header({"threads", "wall s", "speedup", "stream events"});
+  const auto record = [&](std::size_t t, double wall, double speedup) {
     table.add_row({std::to_string(t), util::TablePrinter::fmt(wall, 4),
                    util::TablePrinter::fmt(speedup, 2),
-                   std::to_string(engine.last_report_stream().size())});
+                   std::to_string(base_stream.size())});
     report.write(util::BenchRecord("knn_thread_sweep")
                      .param("n", static_cast<std::uint64_t>(n))
                      .param("dims", static_cast<std::uint64_t>(dims))
                      .param("queries", static_cast<std::uint64_t>(queries_n))
                      .param("threads", static_cast<std::uint64_t>(t))
                      .param("hardware_threads", static_cast<std::uint64_t>(hw))
+                     .param("rounds", static_cast<std::uint64_t>(kRounds))
                      .param("speedup_vs_1_thread", speedup)
                      .wall_seconds(wall));
+  };
+  struct Row {
+    std::size_t threads;
+    double wall;
+    double speedup;
+  };
+  std::vector<Row> rows;
+  std::vector<double> one_walls;
+  std::size_t errors = 0;
+  for (const std::size_t t : {2, 4, 8}) {
+    const auto many = make_engine(t);
+    if (many->search(queries, k) != base_results ||
+        many->last_report_stream() != base_stream) {
+      std::fprintf(stderr,
+                   "FAIL: threads=%zu diverged from the single-threaded "
+                   "reference (results or merged report stream)\n", t);
+      ++errors;
+      continue;
+    }
+    std::vector<double> walls;
+    std::vector<double> ratios;
+    for (std::size_t round = 0; round < kRounds; ++round) {
+      double one_wall = 0.0;
+      double many_wall = 0.0;
+      if (round % 2 == 0) {
+        one_wall = timed_search(*one, queries, k, base_results, errors);
+        many_wall = timed_search(*many, queries, k, base_results, errors);
+      } else {
+        many_wall = timed_search(*many, queries, k, base_results, errors);
+        one_wall = timed_search(*one, queries, k, base_results, errors);
+      }
+      one_walls.push_back(one_wall);
+      walls.push_back(many_wall);
+      ratios.push_back(one_wall / many_wall);
+    }
+    rows.push_back({t, util::median(walls), util::median(ratios)});
+  }
+  if (errors != 0) {
+    std::fprintf(stderr, "FAIL: %zu thread-sweep searches diverged\n", errors);
+    return 1;
+  }
+  record(1, util::median(one_walls), 1.0);
+  for (const Row& row : rows) {
+    record(row.threads, row.wall, row.speedup);
   }
   table.add_note("identical neighbor lists and merged ReportEvent stream at "
-                 "every thread count; speedup = wall(1 thread)/wall(t).");
+                 "every thread count; speedup = median over rounds of "
+                 "wall(1 thread) / wall(t), the two timed back to back in "
+                 "alternating order.");
   table.print(std::cout);
-  return errors == 0 ? 0 : 1;
+  return 0;
 }
 
 int run_lane_width_sweep(util::BenchReport& report, std::size_t n,
