@@ -20,7 +20,6 @@
 #include <string>
 
 #include "apsim/batch_simulator.hpp"
-#include "apsim/placement.hpp"
 #include "bench_util.hpp"
 #include "core/batch_compile.hpp"
 #include "core/engine.hpp"
