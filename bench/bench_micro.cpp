@@ -1,9 +1,10 @@
 // Google-benchmark microbenchmarks for the hot kernels: the Hamming scan
 // (CPU baseline), top-k strategies, stream encoding, cycle-accurate and
 // bit-parallel simulation throughput, the closed-form match-count kernel
-// (the resolved build against the POPCNT one), and ITQ encoding. These
-// quantify the SIMULATION substrate itself (how fast this repo executes
-// automata), complementing the modeled device times in the table benches.
+// (the resolved build against the POPCNT one), a closed-form frame under a
+// report limit, and ITQ encoding. These quantify the SIMULATION substrate
+// itself (how fast this repo executes automata), complementing the modeled
+// device times in the table benches.
 
 #include <benchmark/benchmark.h>
 
@@ -15,10 +16,12 @@
 #include "core/batch_compile.hpp"
 #include "core/engine.hpp"
 #include "core/hamming_macro.hpp"
+#include "core/opt/stream_multiplexing.hpp"
 #include "core/stream.hpp"
 #include "knn/exact.hpp"
 #include "quant/itq.hpp"
 #include "util/bench_report.hpp"
+#include "util/cancellation.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -58,11 +61,18 @@ BENCHMARK(BM_TopK)
     ->ArgsProduct({{4096}, {0 /*heap*/, 1 /*select*/}});
 
 void BM_StreamEncode(benchmark::State& state) {
+  // 16 base-design frames, one query each, as the engine encodes a shard.
   const std::size_t dims = state.range(0);
-  const core::SymbolStreamEncoder enc(core::StreamSpec{dims, 1});
+  const core::MultiplexedStreamEncoder enc(core::StreamSpec{dims, 1});
   const auto queries = knn::BinaryDataset::uniform(16, dims, 6);
+  std::vector<std::uint8_t> stream;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(enc.encode_batch(queries));
+    stream.clear();
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      enc.append_group(queries, q, 1, stream);
+    }
+    benchmark::DoNotOptimize(stream.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_StreamEncode)->Arg(128);
@@ -93,10 +103,9 @@ void BM_SimulatorQueryFrame(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorQueryFrame)->Arg(16)->Arg(128)->Arg(1024);
 
-void BM_BatchSimulatorQueryFrame(benchmark::State& state) {
-  // The bit-parallel counterpart of BM_SimulatorQueryFrame: same network,
-  // same stream, packed 64-macros-per-word execution.
-  const std::size_t n = state.range(0);
+/// The bit-parallel program of BM_SimulatorQueryFrame's network: `n`
+/// macros of d = 128.
+std::shared_ptr<const apsim::BatchProgram> query_frame_program(std::size_t n) {
   const auto data = knn::BinaryDataset::uniform(n, 128, 7);
   anml::AutomataNetwork net;
   std::vector<core::MacroLayout> layouts;
@@ -104,15 +113,23 @@ void BM_BatchSimulatorQueryFrame(benchmark::State& state) {
     layouts.push_back(core::append_hamming_macro(
         net, data.vector(i), static_cast<std::uint32_t>(i)));
   }
-  std::vector<apsim::HammingMacroSlots> slots;
-  for (const auto& layout : layouts) {
-    slots.push_back(core::batch_slots(layout));
-  }
-  apsim::BatchSimulator sim(apsim::BatchProgram::try_compile(net, slots, {}));
+  return core::compile_hamming_batch(net, layouts, {});
+}
+
+/// BM_SimulatorQueryFrame's one-query frame.
+std::vector<std::uint8_t> query_frame() {
   const core::SymbolStreamEncoder enc(core::StreamSpec{128, 1});
   const auto query = knn::BinaryDataset::uniform(1, 128, 8);
   std::vector<std::uint8_t> stream;
   enc.append_query(query.row(0), stream);
+  return stream;
+}
+
+void BM_BatchSimulatorQueryFrame(benchmark::State& state) {
+  // The bit-parallel counterpart of BM_SimulatorQueryFrame: same network,
+  // same stream, packed 64-macros-per-word execution.
+  apsim::BatchSimulator sim(query_frame_program(state.range(0)));
+  const std::vector<std::uint8_t> stream = query_frame();
   for (auto _ : state) {
     benchmark::DoNotOptimize(sim.run(stream));
   }
@@ -124,22 +141,40 @@ void BM_BatchSimulatorQueryFrame(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchSimulatorQueryFrame)->Arg(16)->Arg(128)->Arg(1024);
 
+void BM_ClosedFormFrameCut(benchmark::State& state) {
+  // BM_BatchSimulatorQueryFrame's frame through the checkpointed run() at
+  // report limit arg 1 (0 = uncut): the closed-form frame's block-floor
+  // select and emit, with every frame's fixed costs.
+  apsim::BatchSimulator sim(query_frame_program(state.range(0)));
+  const std::vector<std::uint8_t> stream = query_frame();
+  const auto limit = static_cast<std::size_t>(state.range(1));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sim.run(stream, util::RunControl{}, limit));
+  }
+  state.counters["closed_form"] =
+      static_cast<double>(sim.closed_form_frames()) /
+      static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_ClosedFormFrameCut)->ArgsProduct({{1024}, {10, 0}});
+
 #if defined(__x86_64__) || defined(__i386__)
 // The hardware-POPCNT build of the closed-form match-count loop — what
 // resolve_match_counts() picks on a CPU without AVX-512 VPOPCNTDQ.
 __attribute__((target("popcnt"))) void match_counts_popcnt(
     const std::uint64_t* lane_bits, const std::uint64_t* query,
-    std::size_t row_words, std::size_t blocks, std::uint32_t* counts) {
+    std::size_t row_words, std::size_t blocks, std::uint32_t* counts,
+    std::uint32_t* block_max) {
   apsim::detail::match_counts_impl(lane_bits, query, row_words, blocks,
-                                   counts);
+                                   counts, block_max);
 }
 #endif
 
 void BM_MatchCounts(benchmark::State& state) {
   // One closed-form frame's match-count sweep at d = 128 (two classes x two
-  // dimension words per lane). Arg 0 = lanes; arg 1 = 0 for the kernel
-  // resolve_match_counts() picks on this CPU (counter vpopcntdq = 1 when
-  // that is the AVX-512 VPOPCNTDQ one), 1 for the POPCNT build.
+  // dimension words per lane), counts and block maxima. Arg 0 = lanes;
+  // arg 1 = 0 for the kernel resolve_match_counts() picks on this CPU
+  // (counter vpopcntdq = 1 when that is the AVX-512 VPOPCNTDQ one), 1 for
+  // the POPCNT build.
   const std::size_t lanes = state.range(0);
   constexpr std::size_t kRowWords = 2 * 2;
   const std::size_t blocks =
@@ -155,6 +190,7 @@ void BM_MatchCounts(benchmark::State& state) {
     word = rng.next();
   }
   std::vector<std::uint32_t> counts(blocks * apsim::kMatchBlockLanes);
+  std::vector<std::uint32_t> block_max(blocks);
   apsim::LaneMatchCounts kernel = apsim::resolve_match_counts();
   if (state.range(1) == 1) {
 #if defined(__x86_64__) || defined(__i386__)
@@ -165,8 +201,10 @@ void BM_MatchCounts(benchmark::State& state) {
 #endif
   }
   for (auto _ : state) {
-    kernel(lane_bits.data(), query.data(), kRowWords, blocks, counts.data());
+    kernel(lane_bits.data(), query.data(), kRowWords, blocks, counts.data(),
+           block_max.data());
     benchmark::DoNotOptimize(counts.data());
+    benchmark::DoNotOptimize(block_max.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

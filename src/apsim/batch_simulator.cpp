@@ -220,10 +220,12 @@ void transpose64(std::uint64_t (&m)[64]) {
   }
 }
 
-/// Lanes per group of the closed-form emit loop's skip test (see
-/// try_closed_form_frame); lane_counts_ is padded to whole groups, so the
-/// test may read past the last lane.
-constexpr std::size_t kEmitGroup = 16;
+/// Bit 0 of every byte.
+constexpr std::uint64_t kByteLowBits = 0x0101010101010101ull;
+/// Multiplying a word whose bytes are each 0 or 1 by this moves byte j's
+/// bit to bit 56 + j. Every partial product lands on a bit of its own, so
+/// nothing carries into the top byte, which holds the 8 bits in order.
+constexpr std::uint64_t kGatherByteLowBits = 0x0102040810204080ull;
 
 }  // namespace
 
@@ -1078,9 +1080,9 @@ BatchSimulator::BatchSimulator(std::shared_ptr<const BatchProgram> program,
   counter_out_.assign(eff_words_, 0);
   match_scratch_.assign(eff_words_, 0);
   query_bits_.assign(p.class_count_ * p.dim_words_, 0);
-  lane_counts_.assign((p.match_blocks() * kMatchBlockLanes + kEmitGroup - 1) /
-                          kEmitGroup * kEmitGroup,
-                      0);
+  lane_counts_.assign(p.match_blocks() * kMatchBlockLanes, 0);
+  block_max_.assign(p.match_blocks(), 0);
+  block_index_.assign(p.match_blocks(), 0);
   count_cursor_.assign(p.dims_ + 1, 0);
   reset();
 }
@@ -1203,13 +1205,16 @@ std::vector<ReportEvent> BatchSimulator::run(
 }
 
 bool BatchSimulator::quiescent() const noexcept {
-  const auto zero = [](const std::vector<std::uint64_t>& v) {
-    return std::all_of(v.begin(), v.end(),
-                       [](std::uint64_t x) { return x == 0; });
-  };
-  return !guard_prev_ && !sort_prev_ && bridge_ == 0 && zero(chain_) &&
-         zero(match_ring_) && zero(cond_prev_) && zero(pulse_) &&
-         zero(counter_out_) && planes_ == reset_planes_;
+  // One branch-free OR over every word that must be zero.
+  std::uint64_t any = bridge_ | static_cast<std::uint64_t>(guard_prev_) |
+                      static_cast<std::uint64_t>(sort_prev_);
+  for (const std::vector<std::uint64_t>* v :
+       {&chain_, &match_ring_, &cond_prev_, &pulse_, &counter_out_}) {
+    for (const std::uint64_t x : *v) {
+      any |= x;
+    }
+  }
+  return any == 0 && planes_ == reset_planes_;
 }
 
 bool BatchSimulator::try_closed_form_frame(std::span<const std::uint8_t> rest,
@@ -1219,11 +1224,12 @@ bool BatchSimulator::try_closed_form_frame(std::span<const std::uint8_t> rest,
   if (rest.size() < cpq || rest[0] != p.sof_ || rest[cpq - 1] != p.eof_) {
     return false;
   }
-  const auto interior = rest.subspan(1, cpq - 2);
-  if (std::any_of(interior.begin(), interior.end(), [&](std::uint8_t s) {
-        return s == p.sof_ || s == p.eof_;
-      }) ||
-      !quiescent()) {
+  std::uint8_t stray = 0;  // a SOF or EOF inside the frame
+  for (std::size_t i = 1; i + 1 < cpq; ++i) {
+    stray |= static_cast<std::uint8_t>((rest[i] == p.sof_) |
+                                       (rest[i] == p.eof_));
+  }
+  if (stray != 0 || !quiescent()) {
     return false;
   }
 
@@ -1233,28 +1239,85 @@ bool BatchSimulator::try_closed_form_frame(std::span<const std::uint8_t> rest,
   // So lane l's count after the data is h = its matched dimensions, the
   // sort state then adds one per cycle, and the counter crosses d exactly
   // once: it reports at frame offset 2d+L+3-h.
+  //
+  // The query masks take 8 data symbols at a time: byte j of `accepts`
+  // holds 8 class bits of symbol j, and one multiply gathers bit c of all 8
+  // into class c's byte. The last d % 8 symbols go one by one.
   const std::size_t dw = p.dim_words_;
+  const std::size_t classes = p.class_count_;
+  const std::uint8_t* data = rest.data() + 1;
+  std::uint64_t* query = query_bits_.data();
   std::fill(query_bits_.begin(), query_bits_.end(), 0);
-  for (std::size_t i = 0; i < p.dims_; ++i) {
-    std::uint16_t accept = p.sym_classes_[rest[1 + i]];
+  const std::size_t whole = p.dims_ - p.dims_ % 8;
+  for (std::size_t i = 0; i < whole; i += 8) {
+    for (std::size_t c0 = 0; c0 < classes; c0 += 8) {
+      std::uint64_t accepts = 0;
+      for (std::size_t j = 0; j < 8; ++j) {
+        accepts |= std::uint64_t{static_cast<std::uint8_t>(
+                       p.sym_classes_[data[i + j]] >> c0)}
+                   << (8 * j);
+      }
+      for (std::size_t c = c0; c < std::min(c0 + 8, classes); ++c) {
+        const std::uint64_t bits = accepts >> (c - c0) & kByteLowBits;
+        query[c * dw + i / 64] |= (bits * kGatherByteLowBits >> 56)
+                                  << (i % 64);
+      }
+    }
+  }
+  for (std::size_t i = whole; i < p.dims_; ++i) {
+    std::uint16_t accept = p.sym_classes_[data[i]];
     while (accept != 0) {
       const auto c = static_cast<std::size_t>(std::countr_zero(accept));
       accept &= static_cast<std::uint16_t>(accept - 1);
-      query_bits_[c * dw + i / 64] |= std::uint64_t{1} << (i % 64);
+      query[c * dw + i / 64] |= std::uint64_t{1} << (i % 64);
     }
   }
+  const std::size_t blocks = p.match_blocks();
   match_counts_(p.lane_bits_.data(), query_bits_.data(), query_bits_.size(),
-                p.match_blocks(), lane_counts_.data());
+                blocks, lane_counts_.data(), block_max_.data());
+
+  // The block floor F: under a limit k below the block count, the k-th
+  // largest block maximum; else 0. k blocks each hold a lane at or above F,
+  // so the cut count h_min found below is at least F, and every lane at or
+  // above h_min sits in a block whose maximum reaches F. Only those blocks
+  // are histogrammed and emitted (every block when F = 0).
+  std::fill(count_cursor_.begin(), count_cursor_.end(), 0);
+  std::uint32_t block_floor = 0;
+  if (report_limit != 0 && report_limit < blocks) {
+    for (std::size_t b = 0; b < blocks; ++b) {
+      ++count_cursor_[block_max_[b]];
+    }
+    std::size_t above = 0;
+    std::size_t h = p.dims_ + 1;
+    while (above < report_limit) {
+      above += count_cursor_[--h];
+    }
+    block_floor = static_cast<std::uint32_t>(h);
+    std::fill(count_cursor_.begin(), count_cursor_.end(), 0);
+  }
+  std::size_t selected = 0;
+  for (std::size_t b = 0; b < blocks; ++b) {
+    block_index_[selected] = static_cast<std::uint32_t>(b);
+    selected += static_cast<std::size_t>(block_max_[b] >= block_floor);
+  }
+  // Pad lanes (past the last live lane of a partial last block) count 0
+  // and are never visited.
+  const auto lanes_of = [&](std::size_t b) {
+    return std::min(kMatchBlockLanes, p.macro_count_ - b * kMatchBlockLanes);
+  };
+  for (std::size_t s = 0; s < selected; ++s) {
+    const std::uint32_t* counts =
+        &lane_counts_[block_index_[s] * kMatchBlockLanes];
+    for (std::size_t i = 0, n = lanes_of(block_index_[s]); i < n; ++i) {
+      ++count_cursor_[counts[i]];
+    }
+  }
 
   // Counting sort on h, descending (ascending report cycle), stable in lane
   // order (the within-cycle report order). Under a report limit the sort
   // stops at h_min, the count whose cycle holds the limit-th report, and
   // lanes below it are left out: the kept events are the full order's
   // prefix through that whole cycle.
-  std::fill(count_cursor_.begin(), count_cursor_.end(), 0);
-  for (std::size_t l = 0; l < p.macro_count_; ++l) {
-    ++count_cursor_[lane_counts_[l]];
-  }
   const std::size_t first = reports_.size();
   std::size_t at = first;
   std::uint32_t h_min = 0;
@@ -1269,19 +1332,10 @@ bool BatchSimulator::try_closed_form_frame(std::span<const std::uint8_t> rest,
   }
   reports_.resize(at);
   const std::uint64_t frame_end = cycle_ + cpq;
-  // Lanes are visited kEmitGroup at a time, and a branch-free test skips
-  // the groups with no lane at h >= h_min: under a small limit, all but a
-  // few. Uncut (h_min = 0), every group is visited.
-  for (std::size_t g = 0; g < p.macro_count_; g += kEmitGroup) {
-    std::uint32_t any = 0;
-    for (std::size_t i = 0; i < kEmitGroup; ++i) {
-      any |= static_cast<std::uint32_t>(lane_counts_[g + i] >= h_min);
-    }
-    if (any == 0) {
-      continue;
-    }
-    const std::size_t group_end = std::min(g + kEmitGroup, p.macro_count_);
-    for (std::size_t l = g; l < group_end; ++l) {
+  for (std::size_t s = 0; s < selected; ++s) {
+    const std::size_t base = block_index_[s] * kMatchBlockLanes;
+    for (std::size_t l = base, end = base + lanes_of(block_index_[s]);
+         l < end; ++l) {
       const std::uint32_t h = lane_counts_[l];
       if (h >= h_min) {
         reports_[count_cursor_[h]++] = {frame_end - h, p.report_elem_[l],

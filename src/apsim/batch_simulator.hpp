@@ -381,10 +381,13 @@ class BatchSimulator {
   std::vector<std::uint64_t> match_scratch_;
   /// Closed-form scratch: class_count x dim_words query masks (bit i of
   /// class c = the dim-i data symbol is accepted by c), per-lane match
-  /// counts (zero past the live lanes, padded to whole emit groups), and
-  /// the counting sort's per-count output cursors.
+  /// counts (zero past the live lanes, up to a whole block), per-block
+  /// maxima, the indices of the blocks a frame visits, and the counting
+  /// sort's per-count output cursors.
   std::vector<std::uint64_t> query_bits_;
   std::vector<std::uint32_t> lane_counts_;
+  std::vector<std::uint32_t> block_max_;
+  std::vector<std::uint32_t> block_index_;
   std::vector<std::size_t> count_cursor_;
   std::vector<ReportEvent> reports_;
 };

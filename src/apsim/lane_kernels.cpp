@@ -58,8 +58,10 @@ namespace {
 
 void match_counts_portable(const std::uint64_t* lane_bits,
                            const std::uint64_t* query, std::size_t row_words,
-                           std::size_t blocks, std::uint32_t* counts) {
-  detail::match_counts_impl(lane_bits, query, row_words, blocks, counts);
+                           std::size_t blocks, std::uint32_t* counts,
+                           std::uint32_t* block_max) {
+  detail::match_counts_impl(lane_bits, query, row_words, blocks, counts,
+                            block_max);
 }
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -67,8 +69,10 @@ void match_counts_portable(const std::uint64_t* lane_bits,
 // clone of the same loop is compiled for it and picked at run time.
 __attribute__((target("popcnt"))) void match_counts_popcnt(
     const std::uint64_t* lane_bits, const std::uint64_t* query,
-    std::size_t row_words, std::size_t blocks, std::uint32_t* counts) {
-  detail::match_counts_impl(lane_bits, query, row_words, blocks, counts);
+    std::size_t row_words, std::size_t blocks, std::uint32_t* counts,
+    std::uint32_t* block_max) {
+  detail::match_counts_impl(lane_bits, query, row_words, blocks, counts,
+                            block_max);
 }
 #endif
 

@@ -55,23 +55,66 @@ constexpr LaneKernels make_kernels() {
 
 const LaneKernels kAvx512Kernels = make_kernels();
 
-/// match_counts_impl with one block of 8 lanes per zmm register: word k of
-/// the block's lanes, ANDed with query word k, counted by VPOPCNTQ.
+/// One block's 8 lane counts, one per 64-bit element: word k of the
+/// block's lanes, ANDed with query word k, counted by VPOPCNTQ.
+__attribute__((target("avx512f,avx512vpopcntdq"), always_inline)) inline __m512i
+block_counts(const std::uint64_t* block, const std::uint64_t* query,
+             std::size_t row_words) {
+  __m512i h = _mm512_setzero_si512();
+  for (std::size_t k = 0; k < row_words; ++k) {
+    const __m512i hits =
+        _mm512_and_si512(_mm512_loadu_si512(block + k * 8),
+                         _mm512_set1_epi64(static_cast<long long>(query[k])));
+    h = _mm512_add_epi64(h, _mm512_popcnt_epi64(hits));
+  }
+  return h;
+}
+
+/// Pairs up 128-bit lanes: the result's lanes are the element-wise max of
+/// a's lanes 0 and 1, of a's lanes 2 and 3, then the same two of b.
+__attribute__((target("avx512f"), always_inline)) inline __m512i
+max_lane_pairs(__m512i a, __m512i b) {
+  return _mm512_max_epu64(_mm512_shuffle_i64x2(a, b, _MM_SHUFFLE(2, 0, 2, 0)),
+                          _mm512_shuffle_i64x2(a, b, _MM_SHUFFLE(3, 1, 3, 1)));
+}
+
+/// match_counts_impl with one block of 8 lanes per zmm register. Blocks go
+/// 8 at a time so their maxima come out of one max tree: pairs of adjacent
+/// elements, then pairs of 128-bit lanes twice, which leaves block j's
+/// maximum in element j. Remaining blocks reduce one by one.
 __attribute__((target("avx512f,avx512vpopcntdq"))) void match_counts_avx512(
     const std::uint64_t* lane_bits, const std::uint64_t* query,
-    std::size_t row_words, std::size_t blocks, std::uint32_t* counts) {
+    std::size_t row_words, std::size_t blocks, std::uint32_t* counts,
+    std::uint32_t* block_max) {
   static_assert(kMatchBlockLanes == 8, "one block per 512-bit register");
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const std::uint64_t* block = lane_bits + b * row_words * 8;
-    __m512i h = _mm512_setzero_si512();
-    for (std::size_t k = 0; k < row_words; ++k) {
-      const __m512i hits = _mm512_and_si512(
-          _mm512_loadu_si512(block + k * 8),
-          _mm512_set1_epi64(static_cast<long long>(query[k])));
-      h = _mm512_add_epi64(h, _mm512_popcnt_epi64(hits));
+  const std::size_t block_words = row_words * 8;
+  std::size_t b = 0;
+  for (; b + 8 <= blocks; b += 8) {
+    __m512i pair[4];
+    for (std::size_t j = 0; j < 8; j += 2) {
+      const __m512i h0 =
+          block_counts(lane_bits + (b + j) * block_words, query, row_words);
+      const __m512i h1 = block_counts(lane_bits + (b + j + 1) * block_words,
+                                      query, row_words);
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(counts + (b + j) * 8),
+                          _mm512_cvtepi64_epi32(h0));
+      _mm256_storeu_si256(
+          reinterpret_cast<__m256i*>(counts + (b + j + 1) * 8),
+          _mm512_cvtepi64_epi32(h1));
+      pair[j / 2] = _mm512_max_epu64(_mm512_unpacklo_epi64(h0, h1),
+                                     _mm512_unpackhi_epi64(h0, h1));
     }
+    const __m512i top = max_lane_pairs(max_lane_pairs(pair[0], pair[1]),
+                                       max_lane_pairs(pair[2], pair[3]));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(block_max + b),
+                        _mm512_cvtepi64_epi32(top));
+  }
+  for (; b < blocks; ++b) {
+    const __m512i h = block_counts(lane_bits + b * block_words, query,
+                                   row_words);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(counts + b * 8),
                         _mm512_cvtepi64_epi32(h));
+    block_max[b] = static_cast<std::uint32_t>(_mm512_reduce_max_epu64(h));
   }
 }
 

@@ -85,13 +85,15 @@ inline void counter_update_impl(const LaneCounterCtx& ctx) {
   }
 }
 
-/// The closed-form frame's per-lane match counts (see LaneMatchCounts): one
-/// popcount per (lane, row word), kMatchBlockLanes independent lane sums
-/// per block so the fixed inner loop pipelines (or vectorizes).
+/// The closed-form frame's per-lane match counts and per-block maxima (see
+/// LaneMatchCounts): one popcount per (lane, row word), kMatchBlockLanes
+/// independent lane sums per block so the fixed inner loop pipelines (or
+/// vectorizes).
 inline void match_counts_impl(const std::uint64_t* lane_bits,
                               const std::uint64_t* query,
                               std::size_t row_words, std::size_t blocks,
-                              std::uint32_t* counts) {
+                              std::uint32_t* counts,
+                              std::uint32_t* block_max) {
   for (std::size_t b = 0; b < blocks; ++b) {
     const std::uint64_t* block = lane_bits + b * row_words * kMatchBlockLanes;
     std::uint32_t h[kMatchBlockLanes] = {};
@@ -101,9 +103,12 @@ inline void match_counts_impl(const std::uint64_t* lane_bits,
             std::popcount(block[k * kMatchBlockLanes + i] & query[k]));
       }
     }
+    std::uint32_t top = 0;
     for (std::size_t i = 0; i < kMatchBlockLanes; ++i) {
       counts[b * kMatchBlockLanes + i] = h[i];
+      top = h[i] > top ? h[i] : top;
     }
+    block_max[b] = top;
   }
 }
 

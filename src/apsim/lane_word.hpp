@@ -162,12 +162,14 @@ inline constexpr std::size_t kMatchBlockLanes = 8;
 /// lane l at lane_bits[((l / 8) * row_words + k) * 8 + l % 8], so one
 /// 512-bit load holds word k of a whole block. counts[l] = the sum over k
 /// of popcount(word k of lane l & query[k]), for `blocks` blocks (lanes
-/// rounded up to a whole block; pad lanes have zero rows). Independent of
+/// rounded up to a whole block; pad lanes have zero rows), and
+/// block_max[b] = the largest counts[l] of block b's lanes. Independent of
 /// the execution lane width.
 using LaneMatchCounts = void (*)(const std::uint64_t* lane_bits,
                                  const std::uint64_t* query,
                                  std::size_t row_words, std::size_t blocks,
-                                 std::uint32_t* counts);
+                                 std::uint32_t* counts,
+                                 std::uint32_t* block_max);
 
 /// The AVX-512 VPOPCNTDQ variant, else the hardware-POPCNT one, when the
 /// CPU has it and APSS_DISABLE_SIMD is unset; else the portable bit count

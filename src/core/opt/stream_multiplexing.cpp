@@ -1,9 +1,25 @@
 #include "core/opt/stream_multiplexing.hpp"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 
 namespace apss::core {
+namespace {
+
+/// Byte j of kSpreadBits[b] = bit j of b: 8 query bits spread over bit 0
+/// of 8 data symbols.
+constexpr std::array<std::uint64_t, 256> kSpreadBits = [] {
+  std::array<std::uint64_t, 256> table{};
+  for (std::uint64_t b = 0; b < 256; ++b) {
+    for (std::size_t j = 0; j < 8; ++j) {
+      table[b] |= ((b >> j) & 1) << (8 * j);
+    }
+  }
+  return table;
+}();
+
+}  // namespace
 
 std::vector<MacroLayout> build_multiplexed_network(
     anml::AutomataNetwork& network, const knn::BinaryDataset& data,
@@ -46,12 +62,27 @@ void MultiplexedStreamEncoder::append_group(
   out.reserve(out.size() + spec_.cycles_per_query());
   out.push_back(Alphabet::kSof);
   // Data symbols carry query s's bit i in bit s (Alphabet::data(0) == 0).
+  // Each whole byte of the rows fills 8 symbols with one table lookup per
+  // query; the last dims % 8 dimensions go bit by bit.
   const std::size_t first = out.size();
   out.resize(first + spec_.dims, Alphabet::data(0));
+  std::uint8_t* data = out.data() + first;
+  const std::size_t whole = spec_.dims - spec_.dims % 8;
+  for (std::size_t i = 0; i < whole; i += 8) {
+    std::uint64_t symbols = 0;
+    for (std::size_t s = 0; s < count; ++s) {
+      const std::uint64_t byte = (queries.row(begin + s)[i >> 6] >> (i & 63)) &
+                                 0xff;
+      symbols |= kSpreadBits[byte] << s;
+    }
+    for (std::size_t j = 0; j < 8; ++j) {
+      data[i + j] = static_cast<std::uint8_t>(symbols >> (8 * j));
+    }
+  }
   for (std::size_t s = 0; s < count; ++s) {
     const auto row = queries.row(begin + s);
-    for (std::size_t i = 0; i < spec_.dims; ++i) {
-      out[first + i] |=
+    for (std::size_t i = whole; i < spec_.dims; ++i) {
+      data[i] |=
           static_cast<std::uint8_t>(((row[i >> 6] >> (i & 63)) & 1u) << s);
     }
   }

@@ -11,17 +11,22 @@
 // same symbol counts as when stepping. A report limit must cut each
 // closed-form frame to the prefix of its full events through the cycle of
 // the limit-th report, leave stepped frames whole, and change neither
-// report_count() nor the state a run leaves behind.
+// report_count() nor the state a run leaves behind, also where the floor
+// the cut takes from the per-block maxima decides which blocks it visits.
+// The resolved match-count kernel must write the same counts and block
+// maxima as the portable one.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "apsim/batch_simulator.hpp"
+#include "apsim/lane_kernels_impl.hpp"
 #include "apsim/simulator.hpp"
 #include "apss_test_support.hpp"
 #include "core/batch_compile.hpp"
@@ -268,10 +273,11 @@ void expect_limited_run(const Config& c, LaneWidth width,
 
 /// The whole matrix for one stream: every width, SIMD and portable, against
 /// stepping; every width's events against each other; when
-/// `with_reference`, against the cycle-accurate Simulator; and every width
-/// under report limits 1, 10, lanes - 1, lanes and 2 x lanes. The probe
-/// that checks the state left behind is one more frame plus a ragged tail
-/// with a stray SOF.
+/// `with_reference`, against the cycle-accurate Simulator; and every width,
+/// SIMD and portable, under report limits 1, 2, 10, blocks - 1, blocks,
+/// blocks + 1 (around where the block floor turns off), lanes - 1, lanes
+/// and 2 x lanes. The probe that checks the state left behind is one more
+/// frame plus a ragged tail with a stray SOF.
 void expect_closed_form(const Config& c, std::span<const std::uint8_t> stream,
                         std::uint64_t closed_frames, bool with_reference,
                         util::Rng& rng, const std::string& context) {
@@ -305,20 +311,25 @@ void expect_closed_form(const Config& c, std::span<const std::uint8_t> stream,
     EXPECT_EQ(starts.size(), closed_frames) << context;
   }
   const std::size_t lanes = c.program->macro_count();
-  for (const std::size_t limit : {std::size_t{1}, std::size_t{10}, lanes - 1,
-                                  lanes, 2 * lanes}) {
+  const std::size_t blocks = (lanes + kMatchBlockLanes - 1) / kMatchBlockLanes;
+  for (const std::size_t limit :
+       {std::size_t{1}, std::size_t{2}, std::size_t{10}, blocks - 1, blocks,
+        blocks + 1, lanes - 1, lanes, 2 * lanes}) {
     if (limit == 0) {
-      continue;  // lanes - 1 at one lane: 0 means no limit
+      continue;  // blocks - 1 at one block, lanes - 1 at one lane: no limit
     }
     const auto want = cut_events(first, starts, c.frame(), limit);
     if (limit >= lanes) {
       EXPECT_EQ(want, first) << context;
     }
+    const std::string at = context + " limit=" + std::to_string(limit);
     for (const LaneWidth w : kWidths) {
       expect_limited_run(c, w, stream, probe, limit, want,
-                         context + " limit=" + std::to_string(limit) + " w" +
-                             to_string(w));
+                         at + " w" + to_string(w));
     }
+    ForcePortable portable;
+    expect_limited_run(c, LaneWidth::k64, stream, probe, limit, want,
+                       at + " portable");
   }
 }
 
@@ -361,8 +372,11 @@ TEST(ClosedFormFrame, HammingDimensionSweep) {
 }
 
 TEST(ClosedFormFrame, LaneCountSweep) {
+  // 1, 7, 9, 63, 65 and 1023 lanes end in a partial block, whose pad lanes
+  // count 0 and must never be counted or emitted, even when the cut count
+  // is 0.
   util::Rng rng(1264);
-  for (const std::size_t lanes : {1u, 63u, 64u, 65u, 1264u}) {
+  for (const std::size_t lanes : {1u, 7u, 9u, 63u, 64u, 65u, 1023u, 1264u}) {
     const Config c = hamming(test::random_dataset(rng, lanes, 70));
     expect_closed_form(c, random_frames(rng, c, 3), 3,
                        /*with_reference=*/true, rng,
@@ -427,6 +441,153 @@ TEST(ClosedFormFrame, MultiplexedMultiClassSymbols) {
     append_random_frame(rng, c, stream);
     expect_closed_form(c, stream, frames + 1, true, rng,
                        "mux d=" + std::to_string(dims));
+  }
+}
+
+// --- The block floor ---------------------------------------------------------
+
+/// A configuration of d = `dims` whose lane l matches the all-zero query in
+/// exactly counts[l] dimensions (its vector has dims - counts[l] ones).
+Config with_counts(const std::vector<std::size_t>& counts, std::size_t dims) {
+  knn::BinaryDataset data(counts.size(), dims);
+  for (std::size_t l = 0; l < counts.size(); ++l) {
+    for (std::size_t i = 0; i < dims - counts[l]; ++i) {
+      data.set(l, i, true);
+    }
+  }
+  return hamming(data);
+}
+
+/// The all-zero query's frame (lane l counts counts[l]), then the all-ones
+/// query's (lane l counts dims - counts[l]).
+std::vector<std::uint8_t> zero_then_ones(const Config& c) {
+  knn::BinaryDataset queries(2, c.dims);
+  for (std::size_t i = 0; i < c.dims; ++i) {
+    queries.set(1, i, true);
+  }
+  std::vector<std::uint8_t> stream;
+  const core::SymbolStreamEncoder enc(c.spec());
+  enc.append_query(queries.row(0), stream);
+  enc.append_query(queries.row(1), stream);
+  return stream;
+}
+
+/// Events a run under `limit` keeps from the stream's first frame.
+std::size_t kept_in_first_frame(const Config& c,
+                                std::span<const std::uint8_t> stream,
+                                std::size_t limit) {
+  BatchSimulator sim(c.program);
+  const auto events = sim.run(stream, util::RunControl{}, limit);
+  return static_cast<std::size_t>(
+      std::count_if(events.begin(), events.end(), [&](const ReportEvent& e) {
+        return e.cycle <= c.frame();
+      }));
+}
+
+TEST(ClosedFormBlockFloor, TieAtTheCutStraddlesTwoBlocks) {
+  // Lane 20 matches 14 dimensions, lanes 6 and 7 (block 0) and 8 and 9
+  // (block 1) tie at 11, and every other lane matches 3. At limits 2 and 3
+  // the floor is 11, the second and third largest block maxima, and the
+  // cut keeps the whole tie across both blocks.
+  util::Rng rng(611);
+  std::vector<std::size_t> counts(32, 3);
+  counts[6] = counts[7] = counts[8] = counts[9] = 11;
+  counts[20] = 14;
+  const Config c = with_counts(counts, 16);
+  const auto stream = zero_then_ones(c);
+  EXPECT_EQ(kept_in_first_frame(c, stream, 1), 1u);
+  EXPECT_EQ(kept_in_first_frame(c, stream, 2), 5u);
+  EXPECT_EQ(kept_in_first_frame(c, stream, 3), 5u);
+  expect_closed_form(c, stream, 2, /*with_reference=*/true, rng,
+                     "tie across blocks 0 and 1");
+}
+
+TEST(ClosedFormBlockFloor, KthBlockMaximumSharedBySeveralBlocks) {
+  // Lane 3 of each block holds its maximum, 9 in five blocks, 12 in one and
+  // less in two; the other lanes count below 9. At limit 2 the floor is 9,
+  // shared by five blocks, and the cut keeps the 12 and all five 9s.
+  util::Rng rng(612);
+  const std::size_t maxima[] = {9, 12, 9, 9, 5, 9, 3, 9};
+  std::vector<std::size_t> counts;
+  for (const std::size_t top : maxima) {
+    for (std::size_t i = 0; i < kMatchBlockLanes; ++i) {
+      counts.push_back(i == 3 ? top : rng.below(std::min<std::size_t>(top, 9)));
+    }
+  }
+  const Config c = with_counts(counts, 16);
+  const auto stream = zero_then_ones(c);
+  for (const std::size_t limit : {2u, 4u, 6u}) {
+    EXPECT_EQ(kept_in_first_frame(c, stream, limit), 6u) << limit;
+  }
+  expect_closed_form(c, stream, 2, /*with_reference=*/true, rng,
+                     "shared block maximum");
+}
+
+TEST(ClosedFormBlockFloor, EveryLaneAtOneCount) {
+  // One tie over every lane: any limit keeps the whole frame. At count 0
+  // the floor and the cut count are 0, where only the lane bound keeps the
+  // pad lanes of a partial last block out.
+  util::Rng rng(613);
+  for (const std::size_t lanes : {9u, 64u, 1264u}) {
+    for (const std::size_t count : {0u, 5u}) {
+      const Config c = with_counts(std::vector<std::size_t>(lanes, count), 12);
+      const auto stream = zero_then_ones(c);
+      EXPECT_EQ(kept_in_first_frame(c, stream, 1), lanes);
+      expect_closed_form(c, stream, 2, /*with_reference=*/lanes < 100, rng,
+                         "lanes=" + std::to_string(lanes) +
+                             " count=" + std::to_string(count));
+    }
+  }
+}
+
+TEST(MatchCountKernels, ResolvedKernelMatchesThePortableOne) {
+  // Random tables over whole and partial blocks, fewer and more than the 8
+  // blocks the VPOPCNTDQ kernel reduces at once; pad lanes stay zero.
+  util::Rng rng(614);
+  for (const std::size_t lanes : {1u, 8u, 9u, 1024u, 1264u}) {
+    for (const std::size_t row_words : {1u, 4u, 5u}) {
+      const std::size_t blocks =
+          (lanes + kMatchBlockLanes - 1) / kMatchBlockLanes;
+      std::vector<std::uint64_t> lane_bits(blocks * row_words *
+                                           kMatchBlockLanes);
+      for (std::size_t l = 0; l < lanes; ++l) {
+        for (std::size_t k = 0; k < row_words; ++k) {
+          lane_bits[(l / kMatchBlockLanes * row_words + k) * kMatchBlockLanes +
+                    l % kMatchBlockLanes] = rng.next();
+        }
+      }
+      std::vector<std::uint64_t> query(row_words);
+      for (auto& word : query) {
+        word = rng.next();
+      }
+      const std::string context = "lanes=" + std::to_string(lanes) +
+                                  " row_words=" + std::to_string(row_words);
+      std::vector<std::uint32_t> counts(blocks * kMatchBlockLanes);
+      std::vector<std::uint32_t> maxima(blocks);
+      detail::match_counts_impl(lane_bits.data(), query.data(), row_words,
+                                blocks, counts.data(), maxima.data());
+      for (std::size_t b = 0; b < blocks; ++b) {
+        const auto block = counts.begin() +
+                           static_cast<std::ptrdiff_t>(b * kMatchBlockLanes);
+        EXPECT_EQ(maxima[b], *std::max_element(block, block + kMatchBlockLanes))
+            << context;
+      }
+      for (std::size_t l = lanes; l < counts.size(); ++l) {
+        EXPECT_EQ(counts[l], 0u) << context;
+      }
+      for (const bool portable : {false, true}) {
+        std::optional<ForcePortable> force;
+        if (portable) {
+          force.emplace();
+        }
+        std::vector<std::uint32_t> got_counts(counts.size(), 0xdeadbeef);
+        std::vector<std::uint32_t> got_maxima(blocks, 0xdeadbeef);
+        resolve_match_counts()(lane_bits.data(), query.data(), row_words,
+                               blocks, got_counts.data(), got_maxima.data());
+        EXPECT_EQ(got_counts, counts) << context << " portable=" << portable;
+        EXPECT_EQ(got_maxima, maxima) << context << " portable=" << portable;
+      }
+    }
   }
 }
 

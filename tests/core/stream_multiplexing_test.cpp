@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "apsim/placement.hpp"
 #include "apss_test_support.hpp"
 #include "core/engine.hpp"
@@ -60,16 +63,51 @@ TEST(MultiplexedNetwork, ReplicatesMacrosPerSlice) {
   EXPECT_EQ(net.stats().ste_count, 7 * single.stats().ste_count);
 }
 
+/// The frame of queries [begin, begin + count) built one query bit at a
+/// time: the encoding's definition.
+std::vector<std::uint8_t> per_bit_frame(const StreamSpec& spec,
+                                        const knn::BinaryDataset& queries,
+                                        std::size_t begin, std::size_t count) {
+  std::vector<std::uint8_t> frame = {Alphabet::kSof};
+  for (std::size_t i = 0; i < spec.dims; ++i) {
+    std::uint8_t payload = 0;
+    for (std::size_t s = 0; s < count; ++s) {
+      payload |= static_cast<std::uint8_t>(queries.get(begin + s, i) << s);
+    }
+    frame.push_back(Alphabet::data(payload));
+  }
+  frame.insert(frame.end(), spec.fill_symbols(), Alphabet::kFill);
+  frame.push_back(Alphabet::kEof);
+  return frame;
+}
+
 TEST(MultiplexedStreamEncoder, OneQueryFrameEqualsTheBaseDesignFrame) {
   // The engine encodes base-design frames as one-query multiplexed frames.
-  const auto queries = knn::BinaryDataset::uniform(3, 70, 607);
-  const StreamSpec spec{70, collector_levels_for(70)};
-  const MultiplexedStreamEncoder mux(spec);
-  const SymbolStreamEncoder plain(spec);
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    EXPECT_EQ(mux.encode_group(queries, q, 1),
-              plain.encode_query(queries.vector(q)))
-        << q;
+  // Every frame, at every slice count and for a partial last group, must
+  // equal the per-bit frame: the dimensions straddle the whole bytes the
+  // encoder spreads by table and the dims % 8 it writes bit by bit.
+  constexpr std::size_t kQueries = 10;
+  for (const std::size_t dims : {1u, 7u, 8u, 63u, 64u, 65u, 127u, 130u}) {
+    const auto queries = knn::BinaryDataset::uniform(kQueries, dims, 607 + dims);
+    const StreamSpec spec{dims, collector_levels_for(dims)};
+    const MultiplexedStreamEncoder mux(spec);
+    const SymbolStreamEncoder plain(spec);
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      EXPECT_EQ(mux.encode_group(queries, q, 1),
+                plain.encode_query(queries.vector(q)))
+          << "d=" << dims << " q=" << q;
+    }
+    for (std::size_t slices = 1; slices <= kMaxSlices; ++slices) {
+      std::vector<std::uint8_t> stream = {Alphabet::kFill};
+      std::vector<std::uint8_t> want = stream;
+      for (std::size_t begin = 0; begin < kQueries; begin += slices) {
+        const std::size_t count = std::min(slices, kQueries - begin);
+        mux.append_group(queries, begin, count, stream);
+        const auto frame = per_bit_frame(spec, queries, begin, count);
+        want.insert(want.end(), frame.begin(), frame.end());
+      }
+      EXPECT_EQ(stream, want) << "d=" << dims << " S=" << slices;
+    }
   }
 }
 
