@@ -1,17 +1,16 @@
 // Google-benchmark microbenchmarks for the hot kernels: the Hamming scan
 // (CPU baseline), top-k strategies, stream encoding, cycle-accurate and
-// bit-parallel simulation throughput, the closed-form match-count kernel
-// (the resolved build against the POPCNT one), a closed-form frame under a
-// report limit, and ITQ encoding. These quantify the SIMULATION substrate
-// itself (how fast this repo executes automata), complementing the modeled
-// device times in the table benches.
+// bit-parallel simulation throughput, the closed-form match-count kernels
+// (two-class and multi-class, the resolved build against the POPCNT one), a
+// closed-form frame under a report limit, and ITQ encoding. These quantify
+// the SIMULATION substrate itself (how fast this repo executes automata),
+// complementing the modeled device times in the table benches.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 
 #include "apsim/batch_simulator.hpp"
-#include "apsim/lane_kernels_impl.hpp"
 #include "apsim/simulator.hpp"
 #include "core/batch_compile.hpp"
 #include "core/engine.hpp"
@@ -157,62 +156,65 @@ void BM_ClosedFormFrameCut(benchmark::State& state) {
 }
 BENCHMARK(BM_ClosedFormFrameCut)->ArgsProduct({{1024}, {10, 0}});
 
-#if defined(__x86_64__) || defined(__i386__)
-// The hardware-POPCNT build of the closed-form match-count loop — what
-// resolve_match_counts() picks on a CPU without AVX-512 VPOPCNTDQ.
-__attribute__((target("popcnt"))) void match_counts_popcnt(
-    const std::uint64_t* lane_bits, const std::uint64_t* query,
-    std::size_t row_words, std::size_t blocks, std::uint32_t* counts,
-    std::uint32_t* block_max) {
-  apsim::detail::match_counts_impl(lane_bits, query, row_words, blocks,
-                                   counts, block_max);
-}
-#endif
-
 void BM_MatchCounts(benchmark::State& state) {
-  // One closed-form frame's match-count sweep at d = 128 (two classes x two
-  // dimension words per lane), counts and block maxima. Arg 0 = lanes;
-  // arg 1 = 0 for the kernel resolve_match_counts() picks on this CPU
-  // (counter vpopcntdq = 1 when that is the AVX-512 VPOPCNTDQ one), 1 for
-  // the POPCNT build.
+  // One closed-form frame's match-count sweep at d = 128, counts and block
+  // maxima. Arg 0 = lanes; arg 1 = 0 for the kernels resolve_match_counts()
+  // picks on this CPU (counter vpopcntdq = 1 when those are the AVX-512
+  // VPOPCNTDQ ones), 1 for the POPCNT build; arg 2 = the classes whose rows
+  // the sweep reads: 1 for the two-class kernel every plain or packed
+  // program now runs (class 0's two dimension words per lane, on an engine
+  // frame's query), 2 for the multi-class kernel over both classes' rows.
   const std::size_t lanes = state.range(0);
-  constexpr std::size_t kRowWords = 2 * 2;
+  const bool two_class = state.range(2) == 1;
+  const std::size_t row_words = 2 * static_cast<std::size_t>(state.range(2));
   const std::size_t blocks =
       (lanes + apsim::kMatchBlockLanes - 1) / apsim::kMatchBlockLanes;
   util::Rng rng(12);
-  std::vector<std::uint64_t> lane_bits(blocks * kRowWords *
+  std::vector<std::uint64_t> lane_bits(blocks * row_words *
                                        apsim::kMatchBlockLanes);
   for (auto& word : lane_bits) {
     word = rng.next();
   }
-  std::vector<std::uint64_t> query(kRowWords);
+  std::vector<std::uint64_t> query(row_words);
   for (auto& word : query) {
     word = rng.next();
   }
+  // Every engine data symbol is in exactly one class: e covers all
+  // d = 128 dimensions and base = d.
+  const std::vector<std::uint64_t> exact(row_words, ~std::uint64_t{0});
   std::vector<std::uint32_t> counts(blocks * apsim::kMatchBlockLanes);
   std::vector<std::uint32_t> block_max(blocks);
-  apsim::LaneMatchCounts kernel = apsim::resolve_match_counts();
+  apsim::MatchCountKernels kernels = apsim::resolve_match_counts();
   if (state.range(1) == 1) {
-#if defined(__x86_64__) || defined(__i386__)
-    kernel = match_counts_popcnt;
-#else
-    state.SkipWithError("no POPCNT build on this architecture");
-    return;
-#endif
+    const apsim::MatchCountKernels* popcnt =
+        apsim::detail::popcnt_match_counts();
+    if (popcnt == nullptr) {
+      state.SkipWithError("no POPCNT build on this architecture");
+      return;
+    }
+    kernels = *popcnt;
   }
   for (auto _ : state) {
-    kernel(lane_bits.data(), query.data(), kRowWords, blocks, counts.data(),
-           block_max.data());
+    if (two_class) {
+      kernels.two_class(lane_bits.data(), query.data(), exact.data(),
+                        64 * static_cast<std::uint32_t>(row_words), row_words,
+                        lanes, counts.data(), block_max.data());
+    } else {
+      kernels.multi_class(lane_bits.data(), query.data(), row_words, blocks,
+                          counts.data(), block_max.data());
+    }
     benchmark::DoNotOptimize(counts.data());
     benchmark::DoNotOptimize(block_max.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(lanes));
+  const apsim::MatchCountKernels* avx512 =
+      apsim::detail::avx512_match_counts();
   state.counters["vpopcntdq"] =
-      kernel == apsim::detail::avx512_match_counts() ? 1 : 0;
+      avx512 != nullptr && kernels.two_class == avx512->two_class;
 }
-BENCHMARK(BM_MatchCounts)->ArgsProduct({{1024, 1264}, {0, 1}});
+BENCHMARK(BM_MatchCounts)->ArgsProduct({{1024, 1264}, {0, 1}, {1, 2}});
 
 void BM_EngineSearch(benchmark::State& state) {
   const auto data = knn::BinaryDataset::uniform(256, 64, 9);

@@ -987,11 +987,12 @@ std::shared_ptr<const BatchProgram> BatchProgram::from_state(
   // transpose per (class, 64 dimensions, 64 lanes): block row r is the
   // lane word of dimension 64j + r, so transposed row b is lane 64w + b's
   // class-c bits over those dimensions, row word k = c * dim_words_ + j.
-  const std::size_t row_words = prog->class_count_ * prog->dim_words_;
+  // Two-class programs transpose class 0 only.
+  const std::size_t row_words = prog->lane_row_words();
   prog->lane_bits_.assign(prog->match_blocks() * row_words * kMatchBlockLanes,
                           0);
   std::uint64_t block[64];
-  for (std::uint64_t c = 0; c < s.class_count; ++c) {
+  for (std::uint64_t c = 0; c * prog->dim_words_ < row_words; ++c) {
     for (std::uint64_t j = 0; j < prog->dim_words_; ++j) {
       const std::size_t k = c * prog->dim_words_ + j;
       for (std::uint64_t w = 0; w < words; ++w) {
@@ -1079,7 +1080,8 @@ BatchSimulator::BatchSimulator(std::shared_ptr<const BatchProgram> program,
   pulse_.assign(eff_words_, 0);
   counter_out_.assign(eff_words_, 0);
   match_scratch_.assign(eff_words_, 0);
-  query_bits_.assign(p.class_count_ * p.dim_words_, 0);
+  query_bits_.assign(std::max<std::size_t>(p.class_count_, 2) * p.dim_words_,
+                     0);
   lane_counts_.assign(p.match_blocks() * kMatchBlockLanes, 0);
   block_max_.assign(p.match_blocks(), 0);
   block_index_.assign(p.match_blocks(), 0);
@@ -1272,9 +1274,26 @@ bool BatchSimulator::try_closed_form_frame(std::span<const std::uint8_t> rest,
       query[c * dw + i / 64] |= std::uint64_t{1} << (i % 64);
     }
   }
+  // Two classes: a lane matches dimension i when its class-0 row bit r_i
+  // equals the class-0 query bit q0_i and that symbol is in exactly one
+  // class (e_i = q0_i ^ q1_i), or when both classes accept the symbol; a
+  // symbol in neither matches no lane. So h = base - popcount((row ^ q0) &
+  // e) with base = popcount(q0 | q1); class 1's query word becomes e.
   const std::size_t blocks = p.match_blocks();
-  match_counts_(p.lane_bits_.data(), query_bits_.data(), query_bits_.size(),
-                blocks, lane_counts_.data(), block_max_.data());
+  if (p.two_class()) {
+    std::uint32_t base = 0;
+    std::uint64_t* exact = query + dw;
+    for (std::size_t k = 0; k < dw; ++k) {
+      base += static_cast<std::uint32_t>(std::popcount(query[k] | exact[k]));
+      exact[k] ^= query[k];
+    }
+    match_counts_.two_class(p.lane_bits_.data(), query, exact, base, dw,
+                            p.macro_count_, lane_counts_.data(),
+                            block_max_.data());
+  } else {
+    match_counts_.multi_class(p.lane_bits_.data(), query, p.lane_row_words(),
+                              blocks, lane_counts_.data(), block_max_.data());
+  }
 
   // The block floor F: under a limit k below the block count, the k-th
   // largest block maximum; else 0. k blocks each hold a lane at or above F,

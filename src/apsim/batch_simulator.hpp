@@ -245,12 +245,19 @@ class BatchProgram {
   /// row_stride_ words: bit l = lane l is live (zero in the pad words).
   std::vector<std::uint64_t> valid_;
   /// The lane-major transpose of dim_rows_, for the closed-form frame path:
-  /// lane l's row holds class_count_ x dim_words_ words, bit i%64 of word
+  /// lane l's row holds lane_row_words() words, bit i%64 of word
   /// c * dim_words_ + i/64 = lane l's dim-i matching state uses class c.
-  /// Rows are interleaved in blocks of kMatchBlockLanes lanes (the
-  /// LaneMatchCounts layout), pad lanes zero. Derived in from_state, never
-  /// serialized.
+  /// A two-class program keeps class 0's words only, since a lane's class-1
+  /// bits are their complement over the live dimensions. Rows are
+  /// interleaved in blocks of kMatchBlockLanes lanes (the LaneMatchCounts
+  /// layout), pad lanes zero. Derived in from_state, never serialized.
   std::vector<std::uint64_t> lane_bits_;
+  /// At most two match classes: the closed form counts with
+  /// TwoClassMatchCounts over one class's rows.
+  bool two_class() const noexcept { return class_count_ <= 2; }
+  std::size_t lane_row_words() const noexcept {
+    return (two_class() ? 1 : class_count_) * dim_words_;
+  }
   std::size_t match_blocks() const noexcept {
     return (macro_count_ + kMatchBlockLanes - 1) / kMatchBlockLanes;
   }
@@ -359,7 +366,7 @@ class BatchSimulator {
 
   std::shared_ptr<const BatchProgram> program_;
   LaneKernels kernels_;     ///< resolved hot-loop kernels (width + ISA)
-  LaneMatchCounts match_counts_ = nullptr;  ///< closed-form frame kernel
+  MatchCountKernels match_counts_;  ///< closed-form frame kernels
   std::size_t eff_words_ = 0;  ///< words_ rounded up to the kernel block
   std::size_t frame_cycles_ = 0;  ///< 2d+L+3: one closed-form frame
 
@@ -379,8 +386,8 @@ class BatchSimulator {
   std::vector<std::uint64_t> pulse_;      ///< staged counter pulse
   std::vector<std::uint64_t> counter_out_;  ///< counter outputs last cycle
   std::vector<std::uint64_t> match_scratch_;
-  /// Closed-form scratch: class_count x dim_words query masks (bit i of
-  /// class c = the dim-i data symbol is accepted by c), per-lane match
+  /// Closed-form scratch: max(class_count, 2) x dim_words query masks (bit
+  /// i of class c = the dim-i data symbol is accepted by c), per-lane match
   /// counts (zero past the live lanes, up to a whole block), per-block
   /// maxima, the indices of the blocks a frame visits, and the counting
   /// sort's per-count output cursors.

@@ -56,17 +56,12 @@ bool cpu_supports_avx512() noexcept { return false; }
 
 namespace {
 
-void match_counts_portable(const std::uint64_t* lane_bits,
-                           const std::uint64_t* query, std::size_t row_words,
-                           std::size_t blocks, std::uint32_t* counts,
-                           std::uint32_t* block_max) {
-  detail::match_counts_impl(lane_bits, query, row_words, blocks, counts,
-                            block_max);
-}
+const MatchCountKernels kPortableCounts = {detail::match_counts_impl,
+                                           detail::two_class_counts_impl};
 
 #if defined(__x86_64__) || defined(__i386__)
-// The baseline ISA lacks POPCNT (std::popcount becomes a libgcc call); this
-// clone of the same loop is compiled for it and picked at run time.
+// The baseline ISA lacks POPCNT (std::popcount becomes a libgcc call); these
+// clones of the same loops are compiled for it and picked at run time.
 __attribute__((target("popcnt"))) void match_counts_popcnt(
     const std::uint64_t* lane_bits, const std::uint64_t* query,
     std::size_t row_words, std::size_t blocks, std::uint32_t* counts,
@@ -74,24 +69,45 @@ __attribute__((target("popcnt"))) void match_counts_popcnt(
   detail::match_counts_impl(lane_bits, query, row_words, blocks, counts,
                             block_max);
 }
+
+__attribute__((target("popcnt"))) void two_class_counts_popcnt(
+    const std::uint64_t* lane_bits, const std::uint64_t* query,
+    const std::uint64_t* exact, std::uint32_t base, std::size_t row_words,
+    std::size_t lanes, std::uint32_t* counts, std::uint32_t* block_max) {
+  detail::two_class_counts_impl(lane_bits, query, exact, base, row_words,
+                                lanes, counts, block_max);
+}
+
+const MatchCountKernels kPopcntCounts = {match_counts_popcnt,
+                                         two_class_counts_popcnt};
 #endif
 
 }  // namespace
 
-LaneMatchCounts resolve_match_counts() noexcept {
+namespace detail {
+const MatchCountKernels* popcnt_match_counts() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  return &kPopcntCounts;
+#else
+  return nullptr;
+#endif
+}
+}  // namespace detail
+
+MatchCountKernels resolve_match_counts() noexcept {
 #if defined(__x86_64__) || defined(__i386__)
   if (!lane_simd_disabled_by_env()) {
-    const LaneMatchCounts avx512 = detail::avx512_match_counts();
+    const MatchCountKernels* avx512 = detail::avx512_match_counts();
     if (avx512 != nullptr && cpu_supports_avx512() &&
         __builtin_cpu_supports("avx512vpopcntdq")) {
-      return avx512;
+      return *avx512;
     }
     if (__builtin_cpu_supports("popcnt")) {
-      return match_counts_popcnt;
+      return kPopcntCounts;
     }
   }
 #endif
-  return match_counts_portable;
+  return kPortableCounts;
 }
 
 namespace {

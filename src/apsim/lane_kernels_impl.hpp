@@ -112,4 +112,34 @@ inline void match_counts_impl(const std::uint64_t* lane_bits,
   }
 }
 
+/// The two-class closed-form counts (see TwoClassMatchCounts): one popcount
+/// of (row ^ query) & exact per (lane, row word), subtracted from base.
+/// Pad lanes are zeroed by their position, since a zero row still counts.
+inline void two_class_counts_impl(const std::uint64_t* lane_bits,
+                                  const std::uint64_t* query,
+                                  const std::uint64_t* exact,
+                                  std::uint32_t base, std::size_t row_words,
+                                  std::size_t lanes, std::uint32_t* counts,
+                                  std::uint32_t* block_max) {
+  const std::size_t blocks = (lanes + kMatchBlockLanes - 1) / kMatchBlockLanes;
+  for (std::size_t b = 0; b < blocks; ++b) {
+    const std::uint64_t* block = lane_bits + b * row_words * kMatchBlockLanes;
+    std::uint32_t miss[kMatchBlockLanes] = {};
+    for (std::size_t k = 0; k < row_words; ++k) {
+      for (std::size_t i = 0; i < kMatchBlockLanes; ++i) {
+        miss[i] += static_cast<std::uint32_t>(std::popcount(
+            (block[k * kMatchBlockLanes + i] ^ query[k]) & exact[k]));
+      }
+    }
+    const std::size_t live = lanes - b * kMatchBlockLanes;
+    std::uint32_t top = 0;
+    for (std::size_t i = 0; i < kMatchBlockLanes; ++i) {
+      const std::uint32_t h = i < live ? base - miss[i] : 0;
+      counts[b * kMatchBlockLanes + i] = h;
+      top = h > top ? h : top;
+    }
+    block_max[b] = top;
+  }
+}
+
 }  // namespace apss::apsim::detail

@@ -171,10 +171,33 @@ using LaneMatchCounts = void (*)(const std::uint64_t* lane_bits,
                                  std::uint32_t* counts,
                                  std::uint32_t* block_max);
 
-/// The AVX-512 VPOPCNTDQ variant, else the hardware-POPCNT one, when the
-/// CPU has it and APSS_DISABLE_SIMD is unset; else the portable bit count
-/// (all bit-identical).
-LaneMatchCounts resolve_match_counts() noexcept;
+/// The same counts for a program with at most two match classes, from one
+/// row per lane (its class-0 bits) in the LaneMatchCounts layout:
+/// counts[l] = base - the sum over k of popcount((word k of lane l ^
+/// query[k]) & exact[k]) for the `lanes` live lanes, 0 for the pad lanes of
+/// a partial last block, and block_max[b] = the largest count of block b.
+/// `query` is class 0's query mask, `exact` marks the dimensions whose data
+/// symbol exactly one class accepts, and base counts those some class
+/// accepts, so base >= the popcount of `exact` and no count wraps.
+using TwoClassMatchCounts = void (*)(const std::uint64_t* lane_bits,
+                                     const std::uint64_t* query,
+                                     const std::uint64_t* exact,
+                                     std::uint32_t base,
+                                     std::size_t row_words, std::size_t lanes,
+                                     std::uint32_t* counts,
+                                     std::uint32_t* block_max);
+
+/// One build of both match-count kernels; BatchSimulator calls the one its
+/// program's class count selects.
+struct MatchCountKernels {
+  LaneMatchCounts multi_class = nullptr;
+  TwoClassMatchCounts two_class = nullptr;
+};
+
+/// The AVX-512 VPOPCNTDQ build, else the hardware-POPCNT one, when the CPU
+/// has it and APSS_DISABLE_SIMD is unset; else the portable bit count (all
+/// bit-identical).
+MatchCountKernels resolve_match_counts() noexcept;
 
 /// True when the environment variable APSS_DISABLE_SIMD is set to anything
 /// but "" or "0" — the portable-fallback override (read on every resolve,
@@ -198,9 +221,12 @@ namespace detail {
 /// (non-x86, or a compiler without -mavx2 / -mavx512f).
 const LaneKernels* avx2_lane_kernels() noexcept;
 const LaneKernels* avx512_lane_kernels() noexcept;
-/// The VPOPCNTDQ match-count kernel; null when not compiled in. The caller
+/// The VPOPCNTDQ match-count kernels; null when not compiled in. The caller
 /// checks the CPU for avx512vpopcntdq first.
-LaneMatchCounts avx512_match_counts() noexcept;
+const MatchCountKernels* avx512_match_counts() noexcept;
+/// The hardware-POPCNT build of the portable kernels; null off x86. The
+/// caller checks the CPU for popcnt first.
+const MatchCountKernels* popcnt_match_counts() noexcept;
 }  // namespace detail
 
 }  // namespace apss::apsim

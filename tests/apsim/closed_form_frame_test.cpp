@@ -13,12 +13,15 @@
 // the limit-th report, leave stepped frames whole, and change neither
 // report_count() nor the state a run leaves behind, also where the floor
 // the cut takes from the per-block maxima decides which blocks it visits.
-// The resolved match-count kernel must write the same counts and block
-// maxima as the portable one.
+// Programs loaded from a hand-built state, with symbols in both classes or
+// in neither, check the two-class count's every term. Both resolved
+// match-count kernels must write the same counts and block maxima as the
+// portable ones.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <memory>
 #include <optional>
@@ -374,12 +377,19 @@ TEST(ClosedFormFrame, HammingDimensionSweep) {
 TEST(ClosedFormFrame, LaneCountSweep) {
   // 1, 7, 9, 63, 65 and 1023 lanes end in a partial block, whose pad lanes
   // count 0 and must never be counted or emitted, even when the cut count
-  // is 0.
+  // is 0. The last two frames come from the encoder (a dataset row, then a
+  // random query): there every data symbol is in exactly one class, the
+  // case every engine frame takes, while about half of the random payload
+  // symbols have bit 7 set and fall in neither class.
   util::Rng rng(1264);
   for (const std::size_t lanes : {1u, 7u, 9u, 63u, 64u, 65u, 1023u, 1264u}) {
-    const Config c = hamming(test::random_dataset(rng, lanes, 70));
-    expect_closed_form(c, random_frames(rng, c, 3), 3,
-                       /*with_reference=*/true, rng,
+    const auto data = test::random_dataset(rng, lanes, 70);
+    const Config c = hamming(data);
+    std::vector<std::uint8_t> stream = random_frames(rng, c, 3);
+    const core::SymbolStreamEncoder enc(c.spec());
+    enc.append_query(data.row(rng.below(lanes)), stream);
+    enc.append_query(test::random_dataset(rng, 1, 70).row(0), stream);
+    expect_closed_form(c, stream, 5, /*with_reference=*/true, rng,
                        "lanes=" + std::to_string(lanes));
   }
 }
@@ -441,6 +451,90 @@ TEST(ClosedFormFrame, MultiplexedMultiClassSymbols) {
     append_random_frame(rng, c, stream);
     expect_closed_form(c, stream, frames + 1, true, rng,
                        "mux d=" + std::to_string(dims));
+  }
+}
+
+// --- Symbols in both classes or in neither ----------------------------------
+
+/// A program loaded through BatchProgram::from_state rather than compiled
+/// from a network: `lanes` lanes over `dims` dimensions, each lane's class
+/// at each dimension drawn from `classes` (1 or 2), and each symbol but SOF
+/// and EOF accepted by a random subset of the classes, with data_bit(0) in
+/// every class and data_bit(1) in none. Engine-built programs put each data
+/// symbol in exactly one class, so only a state like this one reaches the
+/// two-class count's base and exactly-one-class terms.
+Config hand_built(util::Rng& rng, std::size_t lanes, std::size_t dims,
+                  std::size_t classes) {
+  BatchProgramState s;
+  s.lanes = lanes;
+  s.dims = dims;
+  s.levels = 1 + rng.below(3);
+  s.class_count = classes;
+  s.sof = Alphabet::kSof;
+  s.eof = Alphabet::kEof;
+  const auto all = static_cast<std::uint16_t>((1u << classes) - 1);
+  for (std::size_t sym = 0; sym < 256; ++sym) {
+    if (sym != s.sof && sym != s.eof) {
+      s.sym_classes[sym] = static_cast<std::uint16_t>(rng.below(all + 1));
+    }
+  }
+  s.sym_classes[Alphabet::data_bit(false)] = all;
+  s.sym_classes[Alphabet::data_bit(true)] = 0;
+  const std::size_t words = (lanes + 63) / 64;
+  s.dim_rows.assign(dims * classes * words, 0);
+  for (std::size_t l = 0; l < lanes; ++l) {
+    s.report_elem.push_back(static_cast<anml::ElementId>(l));
+    s.report_code.push_back(static_cast<std::uint32_t>(l));
+    for (std::size_t i = 0; i < dims; ++i) {
+      s.dim_rows[(i * classes + rng.below(classes)) * words + l / 64] |=
+          std::uint64_t{1} << (l % 64);
+    }
+  }
+  Config c;
+  std::string error;
+  c.program = BatchProgram::from_state(s, &error);
+  if (c.program == nullptr) {
+    throw std::runtime_error(error);
+  }
+  c.dims = dims;
+  c.levels = s.levels;
+  return c;
+}
+
+TEST(ClosedFormTwoClass, SymbolsInBothClassesOrInNeither) {
+  // Random payload frames mix symbols in class 0 only, class 1 only, both
+  // and neither. The encoder's frames use only data_bit(0), which every
+  // lane matches, and data_bit(1), which none does, so every lane counts
+  // the query's zero bits and one tie holds the whole frame. No network
+  // exists for the cycle-accurate reference; stepping is the oracle.
+  util::Rng rng(615);
+  for (const std::size_t classes : {1u, 2u}) {
+    for (const std::size_t lanes : {1u, 9u, 64u, 200u}) {
+      for (const std::size_t dims : {7u, 70u, 130u}) {
+        const Config c = hand_built(rng, lanes, dims, classes);
+        std::vector<std::uint8_t> stream = random_frames(rng, c, 3);
+        const core::SymbolStreamEncoder enc(c.spec());
+        const auto query = test::random_dataset(rng, 1, dims);
+        enc.append_query(query.row(0), stream);
+        const std::string context =
+            "classes=" + std::to_string(classes) + " lanes=" +
+            std::to_string(lanes) + " d=" + std::to_string(dims);
+        expect_closed_form(c, stream, 4, /*with_reference=*/false, rng,
+                           context);
+        const auto events = BatchSimulator(c.program).run(stream);
+        std::size_t zeros = 0;
+        for (std::size_t i = 0; i < dims; ++i) {
+          zeros += query.get(0, i) ? 0 : 1;
+        }
+        const std::size_t last = 3 * c.frame();
+        EXPECT_EQ(std::count_if(events.begin(), events.end(),
+                                [&](const ReportEvent& e) {
+                                  return e.cycle == last + c.frame() - zeros;
+                                }),
+                  static_cast<std::ptrdiff_t>(lanes))
+            << context;
+      }
+    }
   }
 }
 
@@ -540,40 +634,106 @@ TEST(ClosedFormBlockFloor, EveryLaneAtOneCount) {
   }
 }
 
+/// A random lane-major table: `row_words` random words per live lane in the
+/// LaneMatchCounts layout, pad lanes zero.
+std::vector<std::uint64_t> random_lane_bits(util::Rng& rng, std::size_t lanes,
+                                            std::size_t row_words) {
+  const std::size_t blocks = (lanes + kMatchBlockLanes - 1) / kMatchBlockLanes;
+  std::vector<std::uint64_t> lane_bits(blocks * row_words * kMatchBlockLanes);
+  for (std::size_t l = 0; l < lanes; ++l) {
+    for (std::size_t k = 0; k < row_words; ++k) {
+      lane_bits[(l / kMatchBlockLanes * row_words + k) * kMatchBlockLanes +
+                l % kMatchBlockLanes] = rng.next();
+    }
+  }
+  return lane_bits;
+}
+
+std::vector<std::uint64_t> random_words(util::Rng& rng, std::size_t n) {
+  std::vector<std::uint64_t> words(n);
+  for (auto& word : words) {
+    word = rng.next();
+  }
+  return words;
+}
+
+/// Pad lanes count 0 and each block maximum is its largest count.
+void expect_pads_and_maxima(const std::vector<std::uint32_t>& counts,
+                            const std::vector<std::uint32_t>& maxima,
+                            std::size_t lanes, const std::string& context) {
+  for (std::size_t b = 0; b < maxima.size(); ++b) {
+    const auto block =
+        counts.begin() + static_cast<std::ptrdiff_t>(b * kMatchBlockLanes);
+    EXPECT_EQ(maxima[b], *std::max_element(block, block + kMatchBlockLanes))
+        << context;
+  }
+  for (std::size_t l = lanes; l < counts.size(); ++l) {
+    EXPECT_EQ(counts[l], 0u) << context;
+  }
+}
+
 TEST(MatchCountKernels, ResolvedKernelMatchesThePortableOne) {
   // Random tables over whole and partial blocks, fewer and more than the 8
-  // blocks the VPOPCNTDQ kernel reduces at once; pad lanes stay zero.
+  // blocks the VPOPCNTDQ kernels reduce at once. The multi-class kernel's
+  // pad lanes have zero rows; the two-class kernel must zero them itself,
+  // since a zero row still counts base - popcount(query & exact).
   util::Rng rng(614);
   for (const std::size_t lanes : {1u, 8u, 9u, 1024u, 1264u}) {
+    const std::size_t blocks =
+        (lanes + kMatchBlockLanes - 1) / kMatchBlockLanes;
     for (const std::size_t row_words : {1u, 4u, 5u}) {
-      const std::size_t blocks =
-          (lanes + kMatchBlockLanes - 1) / kMatchBlockLanes;
-      std::vector<std::uint64_t> lane_bits(blocks * row_words *
-                                           kMatchBlockLanes);
-      for (std::size_t l = 0; l < lanes; ++l) {
-        for (std::size_t k = 0; k < row_words; ++k) {
-          lane_bits[(l / kMatchBlockLanes * row_words + k) * kMatchBlockLanes +
-                    l % kMatchBlockLanes] = rng.next();
-        }
-      }
-      std::vector<std::uint64_t> query(row_words);
-      for (auto& word : query) {
-        word = rng.next();
-      }
-      const std::string context = "lanes=" + std::to_string(lanes) +
+      const auto lane_bits = random_lane_bits(rng, lanes, row_words);
+      const auto query = random_words(rng, row_words);
+      const std::string context = "multi-class lanes=" +
+                                  std::to_string(lanes) +
                                   " row_words=" + std::to_string(row_words);
       std::vector<std::uint32_t> counts(blocks * kMatchBlockLanes);
       std::vector<std::uint32_t> maxima(blocks);
       detail::match_counts_impl(lane_bits.data(), query.data(), row_words,
                                 blocks, counts.data(), maxima.data());
-      for (std::size_t b = 0; b < blocks; ++b) {
-        const auto block = counts.begin() +
-                           static_cast<std::ptrdiff_t>(b * kMatchBlockLanes);
-        EXPECT_EQ(maxima[b], *std::max_element(block, block + kMatchBlockLanes))
-            << context;
+      expect_pads_and_maxima(counts, maxima, lanes, context);
+      for (const bool portable : {false, true}) {
+        std::optional<ForcePortable> force;
+        if (portable) {
+          force.emplace();
+        }
+        std::vector<std::uint32_t> got_counts(counts.size(), 0xdeadbeef);
+        std::vector<std::uint32_t> got_maxima(blocks, 0xdeadbeef);
+        resolve_match_counts().multi_class(lane_bits.data(), query.data(),
+                                           row_words, blocks,
+                                           got_counts.data(),
+                                           got_maxima.data());
+        EXPECT_EQ(got_counts, counts) << context << " portable=" << portable;
+        EXPECT_EQ(got_maxima, maxima) << context << " portable=" << portable;
       }
-      for (std::size_t l = lanes; l < counts.size(); ++l) {
-        EXPECT_EQ(counts[l], 0u) << context;
+    }
+    for (const std::size_t row_words : {1u, 2u, 3u}) {
+      const auto lane_bits = random_lane_bits(rng, lanes, row_words);
+      const auto query = random_words(rng, row_words);
+      const auto exact = random_words(rng, row_words);
+      std::uint32_t base = static_cast<std::uint32_t>(rng.below(64));
+      for (const std::uint64_t word : exact) {
+        base += static_cast<std::uint32_t>(std::popcount(word));
+      }
+      const std::string context = "two-class lanes=" + std::to_string(lanes) +
+                                  " row_words=" + std::to_string(row_words);
+      std::vector<std::uint32_t> counts(blocks * kMatchBlockLanes);
+      std::vector<std::uint32_t> maxima(blocks);
+      detail::two_class_counts_impl(lane_bits.data(), query.data(),
+                                    exact.data(), base, row_words, lanes,
+                                    counts.data(), maxima.data());
+      expect_pads_and_maxima(counts, maxima, lanes, context);
+      for (std::size_t l = 0; l < lanes; ++l) {
+        std::uint32_t h = base;
+        for (std::size_t k = 0; k < row_words; ++k) {
+          const std::uint64_t row =
+              lane_bits[(l / kMatchBlockLanes * row_words + k) *
+                            kMatchBlockLanes +
+                        l % kMatchBlockLanes];
+          h -= static_cast<std::uint32_t>(
+              std::popcount((row ^ query[k]) & exact[k]));
+        }
+        ASSERT_EQ(counts[l], h) << context << " lane " << l;
       }
       for (const bool portable : {false, true}) {
         std::optional<ForcePortable> force;
@@ -582,8 +742,9 @@ TEST(MatchCountKernels, ResolvedKernelMatchesThePortableOne) {
         }
         std::vector<std::uint32_t> got_counts(counts.size(), 0xdeadbeef);
         std::vector<std::uint32_t> got_maxima(blocks, 0xdeadbeef);
-        resolve_match_counts()(lane_bits.data(), query.data(), row_words,
-                               blocks, got_counts.data(), got_maxima.data());
+        resolve_match_counts().two_class(
+            lane_bits.data(), query.data(), exact.data(), base, row_words,
+            lanes, got_counts.data(), got_maxima.data());
         EXPECT_EQ(got_counts, counts) << context << " portable=" << portable;
         EXPECT_EQ(got_maxima, maxima) << context << " portable=" << portable;
       }

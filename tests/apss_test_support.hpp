@@ -50,19 +50,6 @@ inline knn::BinaryDataset random_dataset(util::Rng& rng, std::size_t n,
   return data;
 }
 
-/// Like random_dataset, but every row is guaranteed at least one set bit
-/// (Jaccard macros reject empty sets).
-inline knn::BinaryDataset random_nonempty_dataset(util::Rng& rng,
-                                                  std::size_t n,
-                                                  std::size_t dims,
-                                                  double p = 0.5) {
-  knn::BinaryDataset data = random_dataset(rng, n, dims, p);
-  for (std::size_t v = 0; v < n; ++v) {
-    data.set(v, rng.below(dims), true);
-  }
-  return data;
-}
-
 /// A random symbol stream of `len` symbols drawn from ['a', 'a' + alphabet).
 inline std::vector<std::uint8_t> random_symbol_stream(util::Rng& rng,
                                                       std::size_t len,
