@@ -33,8 +33,8 @@ int main() {
   const auto il = core::interleaved_knn_search(data, queries, 4);
   const auto ci = core::ci_knn_search(data, queries, 4);
   for (std::size_t q = 0; q < queries.size(); ++q) {
-    if (!knn::is_valid_knn_result(data, queries.row(q), 4, il[q]) ||
-        !knn::is_valid_knn_result(data, queries.row(q), 4, ci[q])) {
+    const auto exact = knn::knn_scan(data, queries.row(q), 4);
+    if (il[q] != exact || ci[q] != exact) {
       std::cerr << "ablation: design validation FAILED\n";
       return 1;
     }

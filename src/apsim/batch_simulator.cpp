@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstddef>
+#include <functional>
 #include <stdexcept>
 
 #include "util/fault_injection.hpp"
@@ -25,22 +26,6 @@ using anml::ElementKind;
 using anml::StartKind;
 using anml::SymbolSet;
 
-/// Shape-neutral recognizer output: everything the shared back-end needs to
-/// emit a compiled program. A lane is one (counter, report) pair; lane l's
-/// dim-i matching state uses match class lane_class[l * dims + i].
-struct BatchProgram::LaneTable {
-  MacroFamily family = MacroFamily::kHamming;
-  std::size_t lanes = 0;
-  std::size_t dims = 0;
-  std::size_t levels = 1;
-  int sof = -1;
-  int eof = -1;
-  std::vector<SymbolSet> classes;        ///< distinct matching classes
-  std::vector<std::uint8_t> lane_class;  ///< lanes x dims class indices
-  std::vector<ElementId> report_elem;    ///< per lane
-  std::vector<std::uint32_t> report_code;
-};
-
 namespace {
 
 /// Structural role of an element inside the macro set. kMatch doubles as
@@ -59,15 +44,86 @@ enum class Role : std::uint8_t {
   kReport,
 };
 
-/// (role, owner, pos) of one element. `owner` is the macro index for the
-/// plain shape; for the packed shape it is the group index on shared roles
-/// (guard/chain/match/bridge/sort/eof) and the LANE index on per-lane roles
-/// (collector/counter/report).
+/// (role, owner, pos) of one element. `owner` is the group index on shared
+/// roles (guard/chain/match/bridge/sort/eof) and the LANE index on per-lane
+/// roles (collector/counter/report).
 struct Slot {
   Role role = Role::kUnassigned;
   std::uint32_t owner = 0;
   std::uint32_t pos = 0;
 };
+
+/// A try_compile front end's role assignment. A lane is one (counter,
+/// report) pair; a group is the lanes that share one guard, ladder, bridge,
+/// sort and EOF state: a vector-packed group (Fig. 5), or a plain or
+/// multiplexed macro as a group of one lane.
+struct Roles {
+  Roles(bool packed_shape, std::size_t dim_count, std::size_t level_count,
+        std::size_t elements)
+      : packed(packed_shape), dims(dim_count), levels(level_count),
+        slots(elements) {}
+
+  bool packed;  ///< from the packed overload (family kPacked)
+  std::size_t dims;
+  std::size_t levels;
+  std::vector<Slot> slots;                 ///< per element
+  std::vector<ElementId> group_sort;       ///< per group: its sort state
+  std::vector<std::uint32_t> lane_group;   ///< per lane
+  std::vector<ElementId> lane_counter;     ///< per lane
+  std::vector<ElementId> lane_report;      ///< per lane
+  std::vector<std::span<const ElementId>> lane_collectors;  ///< per lane
+
+  /// Gives `id` its slot; false when it is out of range or already taken.
+  bool assign(ElementId id, Role role, std::size_t owner, std::size_t pos) {
+    if (id >= slots.size() || slots[id].role != Role::kUnassigned) {
+      return false;
+    }
+    slots[id] = {role, static_cast<std::uint32_t>(owner),
+                 static_cast<std::uint32_t>(pos)};
+    return true;
+  }
+  /// Opens a group with its shared states (value states are assigned by
+  /// the caller, owner = this group's index).
+  bool add_group(ElementId guard, std::span<const ElementId> chain,
+                 std::span<const ElementId> bridge, ElementId sort,
+                 ElementId eof) {
+    const std::size_t g = group_sort.size();
+    group_sort.push_back(sort);
+    bool ok = assign(guard, Role::kGuard, g, 0) &&
+              assign(sort, Role::kSort, g, 0) && assign(eof, Role::kEof, g, 0);
+    for (std::size_t i = 0; ok && i < chain.size(); ++i) {
+      ok = assign(chain[i], Role::kChain, g, i);
+    }
+    for (std::size_t i = 0; ok && i < bridge.size(); ++i) {
+      ok = assign(bridge[i], Role::kBridge, g, i);
+    }
+    return ok;
+  }
+  /// Adds a lane to the last group opened.
+  bool add_lane(ElementId counter, ElementId report,
+                std::span<const ElementId> collectors) {
+    const std::size_t l = lane_report.size();
+    lane_group.push_back(static_cast<std::uint32_t>(group_sort.size() - 1));
+    lane_counter.push_back(counter);
+    lane_report.push_back(report);
+    lane_collectors.push_back(collectors);
+    bool ok = assign(counter, Role::kCounter, l, 0) &&
+              assign(report, Role::kReport, l, 0);
+    for (std::size_t c = 0; ok && c < collectors.size(); ++c) {
+      ok = assign(collectors[c], Role::kCollector, l, c);
+    }
+    return ok;
+  }
+};
+
+/// Fills *reason (when non-null) and returns the declined, null program.
+std::shared_ptr<const BatchProgram> decline(std::string* reason,
+                                            std::string why) {
+  if (reason != nullptr) {
+    *reason = std::move(why);
+  }
+  return nullptr;
+}
 
 /// Returns the only symbol of a single-symbol class, or -1.
 int single_symbol(const SymbolSet& s) {
@@ -123,17 +179,19 @@ MacroFamily detect_hamming_family(const std::vector<SymbolSet>& classes) {
                                         : MacroFamily::kHamming;
 }
 
-// Required-out-edge bookkeeping bits (per role; see check loops below).
+// Required-out-edge bookkeeping bits (per role; see compile_roles).
 constexpr std::uint8_t kSawFirst = 1;    // chain succ / collector parent / ...
 constexpr std::uint8_t kSawSecond = 2;   // match succ / counter enable
 constexpr std::uint8_t kSawThird = 4;    // sort -> eof
+// Per-lane counter inputs.
+constexpr std::uint8_t kSortEnable = 1;
+constexpr std::uint8_t kEofReset = 2;
 
-/// Shape-independent per-element checks shared by both recognizers: element
-/// kinds, start kinds, reporting flags, guard/EOF single-symbol uniformity,
-/// match-class interning (into `classes`, recorded per element in
-/// `elem_class`), counter mode/threshold. Returns "" on success, else the
-/// failure reason. The sort-class check needs the resolved EOF symbol and
-/// stays with the callers.
+/// Per-element checks: element kinds, start kinds, reporting flags,
+/// guard/EOF single-symbol uniformity, match-class interning (into
+/// `classes`, recorded per element in `elem_class`), counter
+/// mode/threshold. Returns "" on success, else the failure reason. The
+/// sort-class check needs the resolved EOF symbol and follows it.
 std::string check_element_properties(const anml::AutomataNetwork& network,
                                      const std::vector<Slot>& slots,
                                      std::size_t dims, int& sof, int& eof,
@@ -188,7 +246,7 @@ std::string check_element_properties(const anml::AutomataNetwork& network,
         }
         break;
       case Role::kSort:
-        break;  // checked against eof by the callers
+        break;  // checked against eof once eof is known
       case Role::kCounter:
         if (e.kind != ElementKind::kCounter ||
             e.mode != anml::CounterMode::kPulse ||
@@ -204,6 +262,259 @@ std::string check_element_properties(const anml::AutomataNetwork& network,
     return "guard/eof symbols missing or identical";
   }
   return "";
+}
+
+/// The one recognizer behind both try_compile overloads: verifies that the
+/// role-assigned network is a supported homogeneous configuration (element
+/// properties, edges, per-lane collector trees, required connections) and
+/// packs it into a program, or declines with the first failure's reason.
+std::shared_ptr<const BatchProgram> compile_roles(
+    const anml::AutomataNetwork& network, const Roles& roles,
+    SimOptions options, std::string* reason) {
+  const std::string noun = roles.packed ? "packed group" : "macro";
+  const std::vector<Slot>& slots = roles.slots;
+  const std::size_t dims = roles.dims;
+  const std::size_t levels = roles.levels;
+  const std::size_t n = roles.lane_report.size();
+  if (options.max_counter_increment != 1) {
+    return decline(reason,
+                   "bit-parallel backend requires max_counter_increment == 1 "
+                   "(enables must OR together)");
+  }
+  if (dims == 0) {
+    return decline(reason, noun + " has zero dimensions");
+  }
+  if (levels == 0 || levels > 63) {
+    return decline(reason, "collector depth outside [1, 63]");
+  }
+  if (std::adjacent_find(roles.lane_counter.begin(), roles.lane_counter.end(),
+                         std::greater_equal<>()) != roles.lane_counter.end()) {
+    return decline(reason, "lanes are not in counter creation order "
+                           "(within-cycle report order would diverge)");
+  }
+  for (ElementId id = 0; id < network.size(); ++id) {
+    if (slots[id].role == Role::kUnassigned) {
+      return decline(reason, "network contains elements outside the macro set");
+    }
+  }
+
+  // --- Element property checks + match-class discovery ---------------------
+  int sof = -1;
+  int eof = -1;
+  std::vector<SymbolSet> classes;
+  std::vector<std::uint8_t> elem_class(network.size(), 0);
+  if (std::string why = check_element_properties(network, slots, dims, sof,
+                                                 eof, classes, elem_class);
+      !why.empty()) {
+    return decline(reason, std::move(why));
+  }
+  for (const ElementId sort : roles.group_sort) {
+    if (!(network.element(sort).symbols ==
+          SymbolSet::all_except(static_cast<std::uint8_t>(eof)))) {
+      return decline(reason, "sort class must be all-except-eof");
+    }
+  }
+
+  // --- Edge checks ----------------------------------------------------------
+  // Every edge must be one of a group's internal connections: the ladder
+  // fans out to the group's value states, which feed level-0 collectors of
+  // any lane in the group, and the sort/eof states fan out to every lane's
+  // counter. Each value state must be driven by the wavefront (a dead leaf
+  // would desynchronise the lanes that collect it), hence has_driver.
+  std::vector<std::uint8_t> saw(network.size(), 0);
+  std::vector<std::uint8_t> has_driver(network.size(), 0);
+  std::vector<std::vector<ElementId>> collector_in(network.size());
+  std::vector<std::uint8_t> lane_inputs(n, 0);
+  const auto group_of = [&](const Slot& s) {
+    return s.role == Role::kCollector || s.role == Role::kCounter ||
+                   s.role == Role::kReport
+               ? roles.lane_group[s.owner]
+               : s.owner;
+  };
+  for (const anml::Edge& edge : network.edges()) {
+    if (edge.from >= network.size() || edge.to >= network.size()) {
+      return decline(reason, "edge endpoint out of range");
+    }
+    if (edge.port == CounterPort::kThreshold) {
+      return decline(reason, "dynamic-threshold edge");
+    }
+    const Slot& a = slots[edge.from];
+    const Slot& b = slots[edge.to];
+    if (group_of(a) != group_of(b)) {
+      return decline(reason, "edge crosses " + noun + "s");
+    }
+    const bool same_lane = a.owner == b.owner;
+    std::uint8_t bit = 0;  // the required connection it makes; 0 = illegal
+    switch (a.role) {
+      case Role::kGuard:
+      case Role::kChain: {
+        // The wavefront: guard -> dim 0, chain i -> dim i+1, last -> bridge.
+        const std::size_t next = a.role == Role::kGuard ? 0 : a.pos + 1;
+        if (next == dims) {
+          bit = b.role == Role::kBridge && b.pos == 0 ? kSawFirst : 0;
+        } else if (b.pos == next) {
+          bit = b.role == Role::kChain   ? kSawFirst
+                : b.role == Role::kMatch ? kSawSecond
+                                         : 0;
+          if (bit == kSawSecond) {
+            has_driver[edge.to] = 1;
+          }
+        }
+        break;
+      }
+      case Role::kMatch:
+        if (b.role == Role::kCollector) {
+          bit = kSawFirst;
+          collector_in[edge.to].push_back(edge.from);
+        }
+        break;
+      case Role::kCollector:
+        if (same_lane && b.role == Role::kCollector) {
+          bit = kSawFirst;
+          collector_in[edge.to].push_back(edge.from);
+        } else if (same_lane && b.role == Role::kCounter) {
+          bit = kSawFirst | kSawSecond;  // root: feeds the counter directly
+        }
+        break;
+      case Role::kBridge:
+        if (a.pos + 1 < levels ? b.role == Role::kBridge && b.pos == a.pos + 1
+                               : b.role == Role::kSort) {
+          bit = kSawFirst;
+        }
+        break;
+      case Role::kSort:
+        if (b.role == Role::kSort && edge.to == edge.from) {
+          bit = kSawFirst;
+        } else if (b.role == Role::kCounter) {
+          bit = kSawSecond;
+          lane_inputs[b.owner] |= kSortEnable;
+        } else if (b.role == Role::kEof) {
+          bit = kSawThird;
+        }
+        break;
+      case Role::kEof:
+        if (b.role == Role::kCounter) {
+          bit = kSawFirst;
+          lane_inputs[b.owner] |= kEofReset;
+        }
+        break;
+      case Role::kCounter:
+        bit = same_lane && b.role == Role::kReport ? kSawFirst : 0;
+        break;
+      case Role::kReport:
+      case Role::kUnassigned:
+        break;
+    }
+    // Reset ports are driven by the EOF state alone, and it drives nothing
+    // but reset ports.
+    if (bit == 0 ||
+        (edge.port == CounterPort::kReset) != (a.role == Role::kEof)) {
+      return decline(reason, "unexpected edge for the " + noun + " shape");
+    }
+    saw[edge.from] |= bit;
+  }
+
+  // --- Per-lane collector trees -> the lane-mask rows -----------------------
+  // Lane l's tree must reach its counter in exactly `levels` steps and
+  // collect exactly one value state per dimension: that value state's
+  // class IS lane l's class at that dimension. Slots list collectors in
+  // creation order (level by level), so inputs are assigned a level before
+  // their parent is visited.
+  BatchProgramState state;
+  state.lanes = n;
+  state.dims = dims;
+  state.levels = levels;
+  state.class_count = classes.size();
+  const std::size_t words = (n + 63) / 64;
+  state.dim_rows.assign(dims * classes.size() * words, 0);
+  std::vector<std::int32_t> collector_level(network.size(), -1);
+  std::vector<std::uint8_t> dim_seen(dims, 0);
+  for (std::size_t lane = 0; lane < n; ++lane) {
+    std::fill(dim_seen.begin(), dim_seen.end(), 0);
+    for (const ElementId c : roles.lane_collectors[lane]) {
+      if (collector_in[c].empty()) {
+        return decline(reason, "collector with no inputs");
+      }
+      std::int32_t level = -2;
+      for (const ElementId src : collector_in[c]) {
+        std::int32_t in_level = collector_level[src];
+        if (slots[src].role == Role::kMatch) {
+          in_level = 0;
+          const std::size_t dim = slots[src].pos;
+          if (dim_seen[dim] != 0) {
+            return decline(reason, "lane collects a dimension more than once");
+          }
+          dim_seen[dim] = 1;
+          state.dim_rows[(dim * classes.size() + elem_class[src]) * words +
+                         lane / 64] |= std::uint64_t{1} << (lane % 64);
+        }
+        if (in_level < 0 || (level != -2 && in_level != level)) {
+          return decline(reason, "collector tree depth is not uniform");
+        }
+        level = in_level;
+      }
+      collector_level[c] = level + 1;
+      const bool is_root = (saw[c] & kSawSecond) != 0;
+      if (is_root !=
+          (collector_level[c] == static_cast<std::int32_t>(levels))) {
+        return decline(reason, "collector root depth != collector_levels");
+      }
+    }
+    if (std::find(dim_seen.begin(), dim_seen.end(), 0) != dim_seen.end()) {
+      return decline(reason, "lane does not collect every dimension");
+    }
+    if (lane_inputs[lane] != (kSortEnable | kEofReset)) {
+      return decline(reason,
+                     "lane counter is missing its sort enable or eof reset");
+    }
+  }
+
+  // --- Required out-edges present? ------------------------------------------
+  for (ElementId id = 0; id < network.size(); ++id) {
+    std::uint8_t need = kSawFirst;  // collector, bridge, eof, counter
+    switch (slots[id].role) {
+      case Role::kGuard: need = kSawFirst | kSawSecond; break;
+      case Role::kChain:
+        if (slots[id].pos + 1 < dims) {
+          need = kSawFirst | kSawSecond;
+        }
+        break;
+      case Role::kMatch:
+        if (has_driver[id] == 0) {
+          return decline(reason, "value state is not driven by the wavefront");
+        }
+        break;
+      case Role::kSort: need = kSawFirst | kSawSecond | kSawThird; break;
+      case Role::kReport:
+      case Role::kUnassigned: need = 0; break;
+      default: break;
+    }
+    if ((saw[id] & need) != need) {
+      return decline(reason, noun + " is missing a required connection");
+    }
+  }
+
+  // --- Emit the program -----------------------------------------------------
+  state.family =
+      roles.packed ? MacroFamily::kPacked : detect_hamming_family(classes);
+  state.sof = static_cast<std::uint8_t>(sof);
+  state.eof = static_cast<std::uint8_t>(eof);
+  for (int sym = 0; sym < 256; ++sym) {
+    const auto s = static_cast<std::uint8_t>(sym);
+    for (std::size_t c = 0; c < classes.size(); ++c) {
+      if (classes[c].test(s)) {
+        state.sym_classes[s] |= static_cast<std::uint16_t>(1u << c);
+      }
+    }
+  }
+  state.report_elem = roles.lane_report;
+  for (const ElementId report : roles.lane_report) {
+    state.report_code.push_back(network.element(report).report_code);
+  }
+  // Funnel through from_state so the invariants it enforces on artifact
+  // load also hold for every freshly compiled program (a violation here
+  // would be a recognizer bug, surfaced as a decline).
+  return BatchProgram::from_state(state, nullptr);
 }
 
 /// In-place transpose of a 64x64 bit matrix: afterwards bit r of m[b] is
@@ -230,640 +541,83 @@ constexpr std::uint64_t kGatherByteLowBits = 0x0102040810204080ull;
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Plain Hamming/sorting macros (also the multiplexed per-slice replicas,
-// which differ only in their matching-state classes).
+// Front ends: each assigns roles and checks its own slot spans, then hands
+// the assignment to compile_roles.
 // ---------------------------------------------------------------------------
 
+/// Plain Hamming/sorting macros and the multiplexed per-slice replicas
+/// (which differ only in their matching-state classes): each macro is a
+/// group of one lane.
 std::shared_ptr<const BatchProgram> BatchProgram::try_compile(
     const anml::AutomataNetwork& network,
     std::span<const HammingMacroSlots> macros, SimOptions options,
     std::string* reason) {
-  const auto fail = [&](const std::string& why) {
-    if (reason != nullptr) {
-      *reason = why;
-    }
-    return std::shared_ptr<const BatchProgram>{};
-  };
-
-  if (options.max_counter_increment != 1) {
-    return fail("bit-parallel backend requires max_counter_increment == 1 "
-                "(enables must OR together)");
-  }
   if (macros.empty()) {
-    return fail("no macros");
+    return decline(reason, "no macros");
   }
-  const std::size_t n = macros.size();
-  const std::size_t dims = macros[0].match.size();
-  const std::size_t levels = macros[0].collector_levels;
-  if (dims == 0) {
-    return fail("macro has zero dimensions");
-  }
-  if (levels == 0 || levels > 63) {
-    return fail("collector depth outside [1, 63]");
-  }
-
-  // --- Assign every element a (role, macro, position) ----------------------
-  std::vector<Slot> slots(network.size());
-  const auto assign = [&](ElementId id, Role role, std::size_t macro,
-                          std::size_t pos) {
-    if (id >= network.size() || slots[id].role != Role::kUnassigned) {
-      return false;
-    }
-    slots[id] = {role, static_cast<std::uint32_t>(macro),
-                 static_cast<std::uint32_t>(pos)};
-    return true;
-  };
-  for (std::size_t m = 0; m < n; ++m) {
+  Roles roles(false, macros[0].match.size(), macros[0].collector_levels,
+              network.size());
+  for (std::size_t m = 0; m < macros.size(); ++m) {
     const HammingMacroSlots& s = macros[m];
-    if (s.match.size() != dims || s.chain.size() != dims ||
-        s.collector_levels != levels || s.bridge.size() != levels) {
-      return fail("macros are not structurally identical");
+    if (s.match.size() != roles.dims || s.chain.size() != roles.dims ||
+        s.collector_levels != roles.levels || s.bridge.size() != roles.levels) {
+      return decline(reason, "macros are not structurally identical");
     }
-    if (m > 0 && s.counter <= macros[m - 1].counter) {
-      return fail("macros are not in counter creation order "
-                  "(within-cycle report order would diverge)");
-    }
-    bool ok = assign(s.guard, Role::kGuard, m, 0) &&
-              assign(s.sort_state, Role::kSort, m, 0) &&
-              assign(s.eof_state, Role::kEof, m, 0) &&
-              assign(s.counter, Role::kCounter, m, 0) &&
-              assign(s.report, Role::kReport, m, 0);
-    for (std::size_t i = 0; ok && i < dims; ++i) {
-      ok = assign(s.chain[i], Role::kChain, m, i) &&
-           assign(s.match[i], Role::kMatch, m, i);
-    }
-    for (std::size_t i = 0; ok && i < s.collectors.size(); ++i) {
-      ok = assign(s.collectors[i], Role::kCollector, m, i);
-    }
-    for (std::size_t i = 0; ok && i < levels; ++i) {
-      ok = assign(s.bridge[i], Role::kBridge, m, i);
+    bool ok = roles.add_group(s.guard, s.chain, s.bridge, s.sort_state,
+                              s.eof_state) &&
+              roles.add_lane(s.counter, s.report, s.collectors);
+    for (std::size_t i = 0; ok && i < roles.dims; ++i) {
+      ok = roles.assign(s.match[i], Role::kMatch, m, i);
     }
     if (!ok) {
-      return fail("macro slot ids out of range or shared between macros");
+      return decline(reason,
+                     "macro slot ids out of range or shared between macros");
     }
   }
-  for (ElementId id = 0; id < network.size(); ++id) {
-    if (slots[id].role == Role::kUnassigned) {
-      return fail("network contains elements outside the macro set");
-    }
-  }
-
-  // --- Element property checks + match-class discovery ---------------------
-  LaneTable lanes;
-  lanes.lanes = n;
-  lanes.dims = dims;
-  lanes.levels = levels;
-  std::vector<std::uint8_t> elem_class(network.size(), 0);
-  if (const std::string why = check_element_properties(
-          network, slots, dims, lanes.sof, lanes.eof, lanes.classes,
-          elem_class);
-      !why.empty()) {
-    return fail(why);
-  }
-  for (std::size_t m = 0; m < n; ++m) {
-    if (!(network.element(macros[m].sort_state).symbols ==
-          SymbolSet::all_except(static_cast<std::uint8_t>(lanes.eof)))) {
-      return fail("sort class must be all-except-eof");
-    }
-  }
-
-  // --- Edge checks ----------------------------------------------------------
-  // Every edge must be one of the macro's internal connections; collector
-  // levels are recomputed from the wiring so the delay-line equivalence
-  // (every match -> counter path has length exactly L) is verified, not
-  // assumed.
-  std::vector<std::uint8_t> saw(network.size(), 0);
-  std::vector<std::int32_t> collector_level(network.size(), -1);
-  std::vector<std::vector<ElementId>> collector_in(network.size());
-  for (const anml::Edge& edge : network.edges()) {
-    if (edge.from >= network.size() || edge.to >= network.size()) {
-      return fail("edge endpoint out of range");
-    }
-    const Slot& a = slots[edge.from];
-    const Slot& b = slots[edge.to];
-    if (a.owner != b.owner) {
-      return fail("edge crosses macros");
-    }
-    const bool reset_port = edge.port == CounterPort::kReset;
-    if (edge.port == CounterPort::kThreshold) {
-      return fail("dynamic-threshold edge");
-    }
-    bool legal = false;
-    switch (a.role) {
-      case Role::kGuard:
-        legal = (b.role == Role::kChain || b.role == Role::kMatch) &&
-                b.pos == 0 && !reset_port;
-        if (legal) {
-          saw[edge.from] |= b.role == Role::kChain ? kSawFirst : kSawSecond;
-        }
-        break;
-      case Role::kChain:
-        if (a.pos + 1 < dims) {
-          legal = (b.role == Role::kChain || b.role == Role::kMatch) &&
-                  b.pos == a.pos + 1 && !reset_port;
-          if (legal) {
-            saw[edge.from] |= b.role == Role::kChain ? kSawFirst : kSawSecond;
-          }
-        } else {
-          legal = b.role == Role::kBridge && b.pos == 0 && !reset_port;
-          if (legal) {
-            saw[edge.from] |= kSawFirst;
-          }
-        }
-        break;
-      case Role::kMatch:
-        legal = b.role == Role::kCollector && !reset_port;
-        if (legal) {
-          saw[edge.from] |= kSawFirst;
-          collector_in[edge.to].push_back(edge.from);
-        }
-        break;
-      case Role::kCollector:
-        legal = (b.role == Role::kCollector || b.role == Role::kCounter) &&
-                !reset_port;
-        if (legal) {
-          saw[edge.from] |= kSawFirst;
-          if (b.role == Role::kCollector) {
-            collector_in[edge.to].push_back(edge.from);
-          } else {
-            saw[edge.from] |= kSawSecond;  // root: feeds the counter directly
-          }
-        }
-        break;
-      case Role::kBridge:
-        if (a.pos + 1 < levels) {
-          legal = b.role == Role::kBridge && b.pos == a.pos + 1 && !reset_port;
-        } else {
-          legal = b.role == Role::kSort && !reset_port;
-        }
-        if (legal) {
-          saw[edge.from] |= kSawFirst;
-        }
-        break;
-      case Role::kSort:
-        legal = !reset_port &&
-                ((b.role == Role::kSort && edge.to == edge.from) ||
-                 b.role == Role::kCounter || b.role == Role::kEof);
-        if (legal) {
-          saw[edge.from] |= b.role == Role::kSort    ? kSawFirst
-                            : b.role == Role::kCounter ? kSawSecond
-                                                       : kSawThird;
-        }
-        break;
-      case Role::kEof:
-        legal = b.role == Role::kCounter && reset_port;
-        if (legal) {
-          saw[edge.from] |= kSawFirst;
-        }
-        break;
-      case Role::kCounter:
-        legal = b.role == Role::kReport && !reset_port;
-        if (legal) {
-          saw[edge.from] |= kSawFirst;
-        }
-        break;
-      case Role::kReport:
-      case Role::kUnassigned:
-        legal = false;
-        break;
-    }
-    if (!legal) {
-      return fail("unexpected edge for the Hamming/sorting macro shape");
-    }
-  }
-
-  // Collector depth: slots list collectors in creation order (level by
-  // level), so inputs are always assigned before their parent is visited.
-  for (std::size_t m = 0; m < n; ++m) {
-    for (const ElementId c : macros[m].collectors) {
-      if (collector_in[c].empty()) {
-        return fail("collector with no inputs");
-      }
-      std::int32_t level = -2;
-      for (const ElementId src : collector_in[c]) {
-        const std::int32_t in_level =
-            slots[src].role == Role::kMatch ? 0 : collector_level[src];
-        if (in_level < 0 || (level != -2 && in_level != level)) {
-          return fail("collector tree depth is not uniform");
-        }
-        level = in_level;
-      }
-      collector_level[c] = level + 1;
-      const bool is_root = (saw[c] & kSawSecond) != 0;
-      if (is_root != (collector_level[c] == static_cast<std::int32_t>(levels))) {
-        return fail("collector root depth != collector_levels");
-      }
-    }
-  }
-
-  // Required out-edges present?
-  for (ElementId id = 0; id < network.size(); ++id) {
-    std::uint8_t need = 0;
-    switch (slots[id].role) {
-      case Role::kGuard: need = kSawFirst | kSawSecond; break;
-      case Role::kChain:
-        need = slots[id].pos + 1 < dims ? (kSawFirst | kSawSecond) : kSawFirst;
-        break;
-      case Role::kMatch: need = kSawFirst; break;
-      case Role::kCollector: need = kSawFirst; break;
-      case Role::kBridge: need = kSawFirst; break;
-      case Role::kSort: need = kSawFirst | kSawSecond | kSawThird; break;
-      case Role::kEof: need = kSawFirst; break;
-      case Role::kCounter: need = kSawFirst; break;
-      case Role::kReport:
-      case Role::kUnassigned: need = 0; break;
-    }
-    if ((saw[id] & need) != need) {
-      return fail("macro is missing a required connection");
-    }
-  }
-
-  // --- Emit the lane table --------------------------------------------------
-  lanes.family = detect_hamming_family(lanes.classes);
-  lanes.lane_class.resize(n * dims);
-  lanes.report_elem.resize(n);
-  lanes.report_code.resize(n);
-  for (std::size_t m = 0; m < n; ++m) {
-    lanes.report_elem[m] = macros[m].report;
-    lanes.report_code[m] = network.element(macros[m].report).report_code;
-    for (std::size_t i = 0; i < dims; ++i) {
-      lanes.lane_class[m * dims + i] = elem_class[macros[m].match[i]];
-    }
-  }
-  return compile_lanes(lanes);
+  return compile_roles(network, roles, options, reason);
 }
 
-// ---------------------------------------------------------------------------
-// Vector-packed groups (shared ladder, per-lane collectors/counter/report).
-// ---------------------------------------------------------------------------
-
+/// Vector-packed groups: a shared ladder with one or two value states per
+/// dimension, and per-lane collectors, counter and report.
 std::shared_ptr<const BatchProgram> BatchProgram::try_compile(
     const anml::AutomataNetwork& network,
     std::span<const PackedGroupSlots> groups, SimOptions options,
     std::string* reason) {
-  const auto fail = [&](const std::string& why) {
-    if (reason != nullptr) {
-      *reason = why;
-    }
-    return std::shared_ptr<const BatchProgram>{};
-  };
-
-  if (options.max_counter_increment != 1) {
-    return fail("bit-parallel backend requires max_counter_increment == 1 "
-                "(enables must OR together)");
-  }
   if (groups.empty()) {
-    return fail("no packed groups");
+    return decline(reason, "no packed groups");
   }
-  const std::size_t dims = groups[0].chain.size();
-  const std::size_t levels = groups[0].collector_levels;
-  if (dims == 0) {
-    return fail("packed group has zero dimensions");
-  }
-  if (levels == 0 || levels > 63) {
-    return fail("collector depth outside [1, 63]");
-  }
-
-  // --- Assign every element a (role, group-or-lane, position) --------------
-  // Shared roles carry the group index; collector/counter/report carry the
-  // global lane index. lane_group maps lanes back to their group.
-  std::vector<Slot> slots(network.size());
-  const auto assign = [&](ElementId id, Role role, std::size_t owner,
-                          std::size_t pos) {
-    if (id >= network.size() || slots[id].role != Role::kUnassigned) {
-      return false;
-    }
-    slots[id] = {role, static_cast<std::uint32_t>(owner),
-                 static_cast<std::uint32_t>(pos)};
-    return true;
-  };
-  std::size_t n = 0;  // total lanes
-  std::vector<std::uint32_t> lane_group;
-  ElementId prev_counter = anml::kInvalidElement;
+  Roles roles(true, groups[0].chain.size(), groups[0].collector_levels,
+              network.size());
   for (std::size_t g = 0; g < groups.size(); ++g) {
     const PackedGroupSlots& s = groups[g];
     const std::size_t count = s.counters.size();
     if (count == 0 || s.reports.size() != count ||
         s.collectors.size() != count) {
-      return fail("packed group lane spans are inconsistent");
+      return decline(reason, "packed group lane spans are inconsistent");
     }
-    if (s.chain.size() != dims || s.value_states.size() != dims ||
-        s.collector_levels != levels || s.bridge.size() != levels) {
-      return fail("packed groups are not structurally identical");
+    if (s.chain.size() != roles.dims || s.value_states.size() != roles.dims ||
+        s.collector_levels != roles.levels || s.bridge.size() != roles.levels) {
+      return decline(reason, "packed groups are not structurally identical");
     }
-    bool ok = assign(s.guard, Role::kGuard, g, 0) &&
-              assign(s.sort_state, Role::kSort, g, 0) &&
-              assign(s.eof_state, Role::kEof, g, 0);
-    for (std::size_t i = 0; ok && i < dims; ++i) {
-      ok = assign(s.chain[i], Role::kChain, g, i);
-      if (ok && (s.value_states[i].empty() || s.value_states[i].size() > 2)) {
-        return fail("dimension must carry one or two value states");
+    bool ok = roles.add_group(s.guard, s.chain, s.bridge, s.sort_state,
+                              s.eof_state);
+    for (std::size_t i = 0; ok && i < roles.dims; ++i) {
+      if (s.value_states[i].empty() || s.value_states[i].size() > 2) {
+        return decline(reason, "dimension must carry one or two value states");
       }
-      for (std::size_t v = 0; ok && v < s.value_states[i].size(); ++v) {
-        ok = assign(s.value_states[i][v], Role::kMatch, g, i);
+      for (const ElementId value : s.value_states[i]) {
+        ok = ok && roles.assign(value, Role::kMatch, g, i);
       }
-    }
-    for (std::size_t i = 0; ok && i < levels; ++i) {
-      ok = assign(s.bridge[i], Role::kBridge, g, i);
     }
     for (std::size_t v = 0; ok && v < count; ++v) {
-      const std::size_t lane = n + v;
-      if (prev_counter != anml::kInvalidElement &&
-          s.counters[v] <= prev_counter) {
-        return fail("packed lanes are not in counter creation order "
-                    "(within-cycle report order would diverge)");
-      }
-      prev_counter = s.counters[v];
-      ok = assign(s.counters[v], Role::kCounter, lane, 0) &&
-           assign(s.reports[v], Role::kReport, lane, 0);
-      for (std::size_t c = 0; ok && c < s.collectors[v].size(); ++c) {
-        ok = assign(s.collectors[v][c], Role::kCollector, lane, c);
-      }
+      ok = roles.add_lane(s.counters[v], s.reports[v], s.collectors[v]);
     }
     if (!ok) {
-      return fail("packed slot ids out of range or shared between roles");
-    }
-    lane_group.insert(lane_group.end(), count, static_cast<std::uint32_t>(g));
-    n += count;
-  }
-  for (ElementId id = 0; id < network.size(); ++id) {
-    if (slots[id].role == Role::kUnassigned) {
-      return fail("network contains elements outside the macro set");
+      return decline(reason,
+                     "packed slot ids out of range or shared between roles");
     }
   }
-
-  // --- Element property checks + match-class discovery ---------------------
-  LaneTable lanes;
-  lanes.family = MacroFamily::kPacked;
-  lanes.lanes = n;
-  lanes.dims = dims;
-  lanes.levels = levels;
-  std::vector<std::uint8_t> elem_class(network.size(), 0);
-  if (const std::string why = check_element_properties(
-          network, slots, dims, lanes.sof, lanes.eof, lanes.classes,
-          elem_class);
-      !why.empty()) {
-    return fail(why);
-  }
-  for (const PackedGroupSlots& s : groups) {
-    if (!(network.element(s.sort_state).symbols ==
-          SymbolSet::all_except(static_cast<std::uint8_t>(lanes.eof)))) {
-      return fail("sort class must be all-except-eof");
-    }
-  }
-
-  // --- Edge checks ----------------------------------------------------------
-  // As for the plain shape, but the ladder fans out to shared value states
-  // and the sort/eof states fan out to EVERY lane's counter. Value states
-  // must each be driven by the wavefront (a dead leaf would desynchronise
-  // the lanes that collect it), hence the has_driver tracking.
-  std::vector<std::uint8_t> saw(network.size(), 0);
-  std::vector<std::uint8_t> has_driver(network.size(), 0);
-  std::vector<std::int32_t> collector_level(network.size(), -1);
-  std::vector<std::vector<ElementId>> collector_in(network.size());
-  std::vector<std::uint8_t> lane_sort_enable(n, 0);
-  std::vector<std::uint8_t> lane_eof_reset(n, 0);
-  for (const anml::Edge& edge : network.edges()) {
-    if (edge.from >= network.size() || edge.to >= network.size()) {
-      return fail("edge endpoint out of range");
-    }
-    const Slot& a = slots[edge.from];
-    const Slot& b = slots[edge.to];
-    const bool reset_port = edge.port == CounterPort::kReset;
-    if (edge.port == CounterPort::kThreshold) {
-      return fail("dynamic-threshold edge");
-    }
-    // Group of each endpoint (lanes resolve through lane_group).
-    const auto group_of = [&](const Slot& s) {
-      return s.role == Role::kCollector || s.role == Role::kCounter ||
-                     s.role == Role::kReport
-                 ? lane_group[s.owner]
-                 : s.owner;
-    };
-    if (group_of(a) != group_of(b)) {
-      return fail("edge crosses packed groups");
-    }
-    bool legal = false;
-    switch (a.role) {
-      case Role::kGuard:
-        legal = (b.role == Role::kChain || b.role == Role::kMatch) &&
-                b.pos == 0 && !reset_port;
-        if (legal) {
-          saw[edge.from] |= b.role == Role::kChain ? kSawFirst : kSawSecond;
-          if (b.role == Role::kMatch) {
-            has_driver[edge.to] = 1;
-          }
-        }
-        break;
-      case Role::kChain:
-        if (a.pos + 1 < dims) {
-          legal = (b.role == Role::kChain || b.role == Role::kMatch) &&
-                  b.pos == a.pos + 1 && !reset_port;
-          if (legal) {
-            saw[edge.from] |= b.role == Role::kChain ? kSawFirst : kSawSecond;
-            if (b.role == Role::kMatch) {
-              has_driver[edge.to] = 1;
-            }
-          }
-        } else {
-          legal = b.role == Role::kBridge && b.pos == 0 && !reset_port;
-          if (legal) {
-            saw[edge.from] |= kSawFirst;
-          }
-        }
-        break;
-      case Role::kMatch:
-        // Value state: feeds level-0 collectors of any lane in its group.
-        legal = b.role == Role::kCollector && !reset_port;
-        if (legal) {
-          saw[edge.from] |= kSawFirst;
-          collector_in[edge.to].push_back(edge.from);
-        }
-        break;
-      case Role::kCollector:
-        legal = (b.role == Role::kCollector || b.role == Role::kCounter) &&
-                b.owner == a.owner && !reset_port;
-        if (legal) {
-          saw[edge.from] |= kSawFirst;
-          if (b.role == Role::kCollector) {
-            collector_in[edge.to].push_back(edge.from);
-          } else {
-            saw[edge.from] |= kSawSecond;  // root: feeds the counter directly
-          }
-        }
-        break;
-      case Role::kBridge:
-        if (a.pos + 1 < levels) {
-          legal = b.role == Role::kBridge && b.pos == a.pos + 1 && !reset_port;
-        } else {
-          legal = b.role == Role::kSort && !reset_port;
-        }
-        if (legal) {
-          saw[edge.from] |= kSawFirst;
-        }
-        break;
-      case Role::kSort:
-        legal = !reset_port &&
-                ((b.role == Role::kSort && edge.to == edge.from) ||
-                 b.role == Role::kCounter || b.role == Role::kEof);
-        if (legal) {
-          if (b.role == Role::kCounter) {
-            lane_sort_enable[b.owner] = 1;
-          }
-          saw[edge.from] |= b.role == Role::kSort    ? kSawFirst
-                            : b.role == Role::kCounter ? kSawSecond
-                                                       : kSawThird;
-        }
-        break;
-      case Role::kEof:
-        legal = b.role == Role::kCounter && reset_port;
-        if (legal) {
-          lane_eof_reset[b.owner] = 1;
-          saw[edge.from] |= kSawFirst;
-        }
-        break;
-      case Role::kCounter:
-        legal = b.role == Role::kReport && b.owner == a.owner && !reset_port;
-        if (legal) {
-          saw[edge.from] |= kSawFirst;
-        }
-        break;
-      case Role::kReport:
-      case Role::kUnassigned:
-        legal = false;
-        break;
-    }
-    if (!legal) {
-      return fail("unexpected edge for the packed macro shape");
-    }
-  }
-
-  // Per-lane collector depth AND leaf coverage: lane l's tree must reach
-  // its counter in exactly `levels` steps and collect exactly one value
-  // state per dimension — that value state's class IS lane l's dim class.
-  lanes.lane_class.assign(n * dims, 0);
-  lanes.report_elem.resize(n);
-  lanes.report_code.resize(n);
-  std::vector<std::uint8_t> dim_seen(dims, 0);
-  std::size_t lane = 0;
-  for (const PackedGroupSlots& s : groups) {
-    for (std::size_t v = 0; v < s.counters.size(); ++v, ++lane) {
-      std::fill(dim_seen.begin(), dim_seen.end(), 0);
-      for (const ElementId c : s.collectors[v]) {
-        if (collector_in[c].empty()) {
-          return fail("collector with no inputs");
-        }
-        std::int32_t level = -2;
-        for (const ElementId src : collector_in[c]) {
-          std::int32_t in_level = -1;
-          if (slots[src].role == Role::kMatch) {
-            in_level = 0;
-            const std::size_t dim = slots[src].pos;
-            if (dim_seen[dim] != 0) {
-              return fail("lane collects a dimension more than once");
-            }
-            dim_seen[dim] = 1;
-            lanes.lane_class[lane * dims + dim] = elem_class[src];
-          } else {
-            in_level = collector_level[src];
-          }
-          if (in_level < 0 || (level != -2 && in_level != level)) {
-            return fail("collector tree depth is not uniform");
-          }
-          level = in_level;
-        }
-        collector_level[c] = level + 1;
-        const bool is_root = (saw[c] & kSawSecond) != 0;
-        if (is_root !=
-            (collector_level[c] == static_cast<std::int32_t>(levels))) {
-          return fail("collector root depth != collector_levels");
-        }
-      }
-      for (std::size_t i = 0; i < dims; ++i) {
-        if (dim_seen[i] == 0) {
-          return fail("lane does not collect every dimension");
-        }
-      }
-      if (lane_sort_enable[lane] == 0 || lane_eof_reset[lane] == 0) {
-        return fail("lane counter is missing its sort enable or eof reset");
-      }
-      lanes.report_elem[lane] = s.reports[v];
-      lanes.report_code[lane] = network.element(s.reports[v]).report_code;
-    }
-  }
-
-  // Required out-edges present?
-  for (ElementId id = 0; id < network.size(); ++id) {
-    std::uint8_t need = 0;
-    switch (slots[id].role) {
-      case Role::kGuard: need = kSawFirst | kSawSecond; break;
-      case Role::kChain:
-        need = slots[id].pos + 1 < dims ? (kSawFirst | kSawSecond) : kSawFirst;
-        break;
-      case Role::kMatch:
-        if (has_driver[id] == 0) {
-          return fail("value state is not driven by the wavefront");
-        }
-        need = kSawFirst;
-        break;
-      case Role::kCollector: need = kSawFirst; break;
-      case Role::kBridge: need = kSawFirst; break;
-      case Role::kSort: need = kSawFirst | kSawSecond | kSawThird; break;
-      case Role::kEof: need = kSawFirst; break;
-      case Role::kCounter: need = kSawFirst; break;
-      case Role::kReport:
-      case Role::kUnassigned: need = 0; break;
-    }
-    if ((saw[id] & need) != need) {
-      return fail("packed group is missing a required connection");
-    }
-  }
-
-  return compile_lanes(lanes);
-}
-
-// ---------------------------------------------------------------------------
-// Shared back-end: lane table -> packed program.
-// ---------------------------------------------------------------------------
-
-std::shared_ptr<const BatchProgram> BatchProgram::compile_lanes(
-    const LaneTable& lanes) {
-  const std::size_t n = lanes.lanes;
-  const std::size_t dims = lanes.dims;
-  const std::size_t words = (n + 63) / 64;
-
-  BatchProgramState state;
-  state.family = lanes.family;
-  state.lanes = n;
-  state.dims = dims;
-  state.levels = lanes.levels;
-  state.class_count = lanes.classes.size();
-  state.sof = static_cast<std::uint8_t>(lanes.sof);
-  state.eof = static_cast<std::uint8_t>(lanes.eof);
-  for (int sym = 0; sym < 256; ++sym) {
-    const auto s = static_cast<std::uint8_t>(sym);
-    std::uint16_t accept = 0;
-    for (std::size_t c = 0; c < lanes.classes.size(); ++c) {
-      if (lanes.classes[c].test(s)) {
-        accept |= static_cast<std::uint16_t>(1u << c);
-      }
-    }
-    state.sym_classes[s] = accept;
-  }
-  state.dim_rows.assign(dims * state.class_count * words, 0);
-  for (std::size_t l = 0; l < n; ++l) {
-    for (std::size_t i = 0; i < dims; ++i) {
-      const std::size_t c = lanes.lane_class[l * dims + i];
-      state.dim_rows[(i * state.class_count + c) * words + l / 64] |=
-          std::uint64_t{1} << (l % 64);
-    }
-  }
-  state.report_elem = lanes.report_elem;
-  state.report_code = lanes.report_code;
-  // Funnel through from_state so the invariants it enforces on artifact
-  // load also hold for every freshly compiled program (a violation here
-  // would be a recognizer bug, surfaced as a decline).
-  return from_state(state, nullptr);
+  return compile_roles(network, roles, options, reason);
 }
 
 std::shared_ptr<const BatchProgram> BatchProgram::from_state(

@@ -16,7 +16,9 @@
 //    replicas — core::build_multiplexed_network), which is the plain shape
 //    with per-slice matching classes.
 //
-// All three reduce to the same compiled form, executed by one interpreter.
+// One recognizer verifies all three (a plain or multiplexed macro is a
+// packed group of one lane), and they reduce to the same compiled form,
+// executed by one interpreter.
 // A "lane" is one (counter, report) pair — a plain or multiplexed macro, or
 // one packed vector within its group. What makes the execution exact (see
 // docs/SIMULATOR_SEMANTICS.md for the contract):
@@ -157,16 +159,19 @@ class BatchProgram {
   /// its multiplexed per-slice variant — and compiles it. Returns nullptr
   /// (and fills *reason when non-null) if any structural or feature
   /// requirement fails — callers then use the cycle-accurate Simulator.
+  /// Each macro is checked as a packed group of one lane, by the same
+  /// recognizer as the packed overload: its collector tree must reach the
+  /// counter in exactly collector_levels steps, collecting each dimension
+  /// exactly once, and macros must appear in ascending counter-id order
+  /// (the reference simulator's report order).
   static std::shared_ptr<const BatchProgram> try_compile(
       const anml::AutomataNetwork& network,
       std::span<const HammingMacroSlots> macros, SimOptions options,
       std::string* reason = nullptr);
 
-  /// Same contract for the vector-packed shape: every group must share the
-  /// guard/backbone/bridge/sort/EOF structure, every lane's collector tree
-  /// must reach its counter in exactly collector_levels steps covering each
-  /// dimension exactly once, and lanes must appear in ascending counter-id
-  /// order (the reference simulator's report order).
+  /// Same contract for the vector-packed shape: every group shares the
+  /// guard/backbone/bridge/sort/EOF structure among its lanes, and every
+  /// lane meets the plain overload's per-lane requirements.
   static std::shared_ptr<const BatchProgram> try_compile(
       const anml::AutomataNetwork& network,
       std::span<const PackedGroupSlots> groups, SimOptions options,
@@ -207,13 +212,6 @@ class BatchProgram {
  private:
   friend class BatchSimulator;
   BatchProgram() = default;
-
-  /// Shape-neutral recognizer output (defined in batch_simulator.cpp):
-  /// both try_compile overloads reduce their verified structure to a lane
-  /// table, and this shared back-end packs it into a program.
-  struct LaneTable;
-  static std::shared_ptr<const BatchProgram> compile_lanes(
-      const LaneTable& lanes);
 
   MacroFamily family_ = MacroFamily::kHamming;
   std::size_t macro_count_ = 0;  ///< lanes

@@ -95,38 +95,6 @@ std::vector<std::vector<Neighbor>> batch_knn(const BinaryDataset& data,
   return results;
 }
 
-bool is_valid_knn_result(const BinaryDataset& data,
-                         std::span<const std::uint64_t> query, std::size_t k,
-                         std::span<const Neighbor> result) {
-  const std::size_t expected = std::min(k, data.size());
-  if (result.size() != expected) {
-    return false;
-  }
-  std::unordered_set<std::uint32_t> seen;
-  for (std::size_t i = 0; i < result.size(); ++i) {
-    const Neighbor& nb = result[i];
-    if (nb.id >= data.size() || !seen.insert(nb.id).second) {
-      return false;  // out of range or duplicate id
-    }
-    const auto true_dist = static_cast<std::uint32_t>(
-        util::hamming_distance(data.row(nb.id), query));
-    if (nb.distance != true_dist) {
-      return false;
-    }
-    if (i > 0 && result[i - 1].distance > nb.distance) {
-      return false;  // not sorted
-    }
-  }
-  // Distance multiset must match the exact answer (tie-tolerant check).
-  const auto truth = knn_scan(data, query, k);
-  for (std::size_t i = 0; i < truth.size(); ++i) {
-    if (truth[i].distance != result[i].distance) {
-      return false;
-    }
-  }
-  return true;
-}
-
 double recall_at_k(const BinaryDataset& data,
                    std::span<const std::uint64_t> query, std::size_t k,
                    std::span<const Neighbor> result) {

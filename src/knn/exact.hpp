@@ -48,14 +48,6 @@ std::vector<std::vector<Neighbor>> batch_knn(
     util::ThreadPool* pool = nullptr,
     TopKStrategy strategy = TopKStrategy::kBoundedHeap);
 
-/// Checks that `result` is a correct kNN answer for `query` under distance
-/// ties: sizes/order/distances must match the exact multiset. Returns true
-/// when valid. (The AP returns an arbitrary id order within a tie group, so
-/// id-exact comparison would be wrong.)
-bool is_valid_knn_result(const BinaryDataset& data,
-                         std::span<const std::uint64_t> query, std::size_t k,
-                         std::span<const Neighbor> result);
-
 /// recall@k: |result ids ∩ true ids| / k, with the exact set computed by
 /// linear scan. Used for the approximate-index experiments.
 double recall_at_k(const BinaryDataset& data,

@@ -286,10 +286,28 @@ TEST(BatchPackedProgram, RejectsCrossGroupCollectorEdges) {
 }
 
 TEST(BatchPackedProgram, RejectsDoubleCollectedDimension) {
-  // Find a dimension carrying two value states and feed BOTH into lane 0's
-  // collector: that lane would match the dimension on every data symbol —
-  // not a Hamming lane, so the compiler must refuse.
+  // A lane that collects one dimension twice is not a Hamming lane, so the
+  // compiler must refuse it on every shape. Plain (one slice) and
+  // multiplexed macros, groups of one lane: the last matching state of
+  // macro 1 also feeds that macro's first level-0 collector.
   util::Rng rng(9010);
+  core::HammingMacroOptions deep;
+  deep.collector_fan_in = 2;
+  for (const std::size_t slices : {1u, 3u}) {
+    MuxConfig c = build_mux(test::random_dataset(rng, 4, 8), slices, deep);
+    const core::MacroLayout& m = c.layouts[1];
+    c.network.connect(m.match.back(), m.collectors.front());
+    std::string reason;
+    const auto slots = c.slots();
+    EXPECT_EQ(BatchProgram::try_compile(c.network, slots, {}, &reason),
+              nullptr)
+        << "slices=" << slices;
+    EXPECT_NE(reason.find("lane collects a dimension more than once"),
+              std::string::npos)
+        << reason;
+  }
+  // Packed: find a dimension carrying two value states and feed BOTH into
+  // lane 0's collector, so that lane would match it on every data symbol.
   for (int attempt = 0; attempt < 20; ++attempt) {
     PackedConfig c = build_packed(test::random_dataset(rng, 4, 8),
                                   core::VectorPackingOptions{.group_size = 4});

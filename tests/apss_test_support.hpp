@@ -108,17 +108,4 @@ inline void expect_exact_knn_results(
   }
 }
 
-/// Asserts that `results` holds one valid k-NN answer (distance-exact under
-/// ties) per query row. `context` prefixes failure messages.
-inline void expect_valid_knn_results(
-    const knn::BinaryDataset& data, const knn::BinaryDataset& queries,
-    std::size_t k, const std::vector<std::vector<knn::Neighbor>>& results,
-    const std::string& context = {}) {
-  ASSERT_EQ(results.size(), queries.size()) << context;
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    EXPECT_TRUE(knn::is_valid_knn_result(data, queries.row(q), k, results[q]))
-        << context << (context.empty() ? "" : " ") << "query " << q;
-  }
-}
-
 }  // namespace apss::test

@@ -66,7 +66,7 @@ TEST(CiKnn, MatchesCpuExactProperty) {
     const auto data = knn::BinaryDataset::uniform(n, d, rng.next());
     const auto queries = knn::BinaryDataset::uniform(3, d, rng.next());
     const auto results = ci_knn_search(data, queries, k);
-    test::expect_valid_knn_results(
+    test::expect_exact_knn_results(
         data, queries, k, results,
         "trial " + std::to_string(trial) + " d=" + std::to_string(d));
   }
@@ -76,7 +76,7 @@ TEST(CiKnn, NonMultipleOfSevenDims) {
   const auto data = knn::BinaryDataset::uniform(10, 13, 802);
   const auto queries = knn::BinaryDataset::uniform(4, 13, 803);
   const auto results = ci_knn_search(data, queries, 3);
-  test::expect_valid_knn_results(data, queries, 3, results);
+  test::expect_exact_knn_results(data, queries, 3, results);
 }
 
 // --- Comparison macro (Fig. 8) -----------------------------------------------

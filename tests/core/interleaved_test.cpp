@@ -70,7 +70,7 @@ TEST(InterleavedSearch, SingleQueryMatchesCpu) {
   const auto data = knn::BinaryDataset::uniform(20, 16, 2);
   const auto queries = knn::BinaryDataset::uniform(1, 16, 3);
   const auto results = interleaved_knn_search(data, queries, 5);
-  test::expect_valid_knn_results(data, queries, 5, results);
+  test::expect_exact_knn_results(data, queries, 5, results);
 }
 
 TEST(InterleavedSearch, BackToBackQueriesProperty) {
@@ -83,7 +83,7 @@ TEST(InterleavedSearch, BackToBackQueriesProperty) {
     const auto data = knn::BinaryDataset::uniform(n, d, rng.next());
     const auto queries = knn::BinaryDataset::uniform(q, d, rng.next());
     const auto results = interleaved_knn_search(data, queries, k);
-    test::expect_valid_knn_results(
+    test::expect_exact_knn_results(
         data, queries, k, results,
         "trial " + std::to_string(trial) + " (n=" + std::to_string(n) +
             ", d=" + std::to_string(d) + ", k=" + std::to_string(k) + ")");

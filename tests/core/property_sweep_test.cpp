@@ -73,7 +73,7 @@ TEST_P(EngineSweep, InterleavedDesignAgrees) {
   const auto data = knn::BinaryDataset::uniform(p.n, p.dims, 7200 + p.n);
   const auto queries = knn::BinaryDataset::uniform(4, p.dims, 7300 + p.dims);
   const auto results = interleaved_knn_search(data, queries, p.k);
-  test::expect_valid_knn_results(data, queries, p.k, results);
+  test::expect_exact_knn_results(data, queries, p.k, results);
 }
 
 TEST_P(EngineSweep, CounterIncrementDesignAgrees) {
@@ -81,7 +81,7 @@ TEST_P(EngineSweep, CounterIncrementDesignAgrees) {
   const auto data = knn::BinaryDataset::uniform(p.n, p.dims, 7400 + p.n);
   const auto queries = knn::BinaryDataset::uniform(4, p.dims, 7500 + p.dims);
   const auto results = ci_knn_search(data, queries, p.k);
-  test::expect_valid_knn_results(data, queries, p.k, results);
+  test::expect_exact_knn_results(data, queries, p.k, results);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -99,41 +99,6 @@ TEST(BatchKnn, SerialAndParallelAgree) {
   }
 }
 
-TEST(IsValidKnnResult, AcceptsExactAnswerAndTieSwaps) {
-  BinaryDataset d(4, 8);
-  d.set_vector(0, util::BitVector::parse("00000000"));
-  d.set_vector(1, util::BitVector::parse("00000011"));  // distance 2
-  d.set_vector(2, util::BitVector::parse("00001100"));  // distance 2
-  d.set_vector(3, util::BitVector::parse("11111111"));
-  const util::BitVector q(8);
-  const auto exact = knn_scan(d, q.words(), 2);
-  EXPECT_TRUE(is_valid_knn_result(d, q.words(), 2, exact));
-
-  // Swapping tied ids is still valid: {0, 2} instead of {0, 1}.
-  std::vector<Neighbor> swapped = {{0, 0}, {2, 2}};
-  EXPECT_TRUE(is_valid_knn_result(d, q.words(), 2, swapped));
-}
-
-TEST(IsValidKnnResult, RejectsBadAnswers) {
-  const BinaryDataset d = tiny_dataset();
-  const util::BitVector q = util::BitVector::parse("1001");
-  // Wrong size.
-  std::vector<Neighbor> short_result = {{2, 0}};
-  EXPECT_FALSE(is_valid_knn_result(d, q.words(), 2, short_result));
-  // Wrong distance.
-  std::vector<Neighbor> wrong_dist = {{2, 1}, {0, 1}};
-  EXPECT_FALSE(is_valid_knn_result(d, q.words(), 2, wrong_dist));
-  // Not actually the nearest (distance multiset mismatch).
-  std::vector<Neighbor> not_nearest = {{2, 0}, {1, 2}};
-  EXPECT_FALSE(is_valid_knn_result(d, q.words(), 2, not_nearest));
-  // Duplicate id.
-  std::vector<Neighbor> dup = {{2, 0}, {2, 0}};
-  EXPECT_FALSE(is_valid_knn_result(d, q.words(), 2, dup));
-  // Unsorted.
-  std::vector<Neighbor> unsorted = {{0, 1}, {2, 0}};
-  EXPECT_FALSE(is_valid_knn_result(d, q.words(), 2, unsorted));
-}
-
 TEST(RecallAtK, ComputesOverlap) {
   const BinaryDataset d = tiny_dataset();
   const util::BitVector q = util::BitVector::parse("1001");
