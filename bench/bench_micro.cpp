@@ -2,7 +2,8 @@
 // (CPU baseline), top-k strategies, stream encoding, cycle-accurate and
 // bit-parallel simulation throughput, the closed-form match-count kernels
 // (two-class and multi-class, the resolved build against the POPCNT one), a
-// closed-form frame under a report limit, and ITQ encoding. These quantify
+// closed-form frame under a report limit, a multi-configuration engine
+// search, and ITQ encoding. These quantify
 // the SIMULATION substrate itself (how fast this repo executes automata),
 // complementing the modeled device times in the table benches.
 
@@ -143,7 +144,8 @@ BENCHMARK(BM_BatchSimulatorQueryFrame)->Arg(16)->Arg(128)->Arg(1024);
 void BM_ClosedFormFrameCut(benchmark::State& state) {
   // BM_BatchSimulatorQueryFrame's frame through the checkpointed run() at
   // report limit arg 1 (0 = uncut): the closed-form frame's block-floor
-  // select and emit, with every frame's fixed costs.
+  // select, candidate list and emit, with every frame's fixed costs.
+  // 1264/100 is one configuration of a k = 100 multi-configuration search.
   apsim::BatchSimulator sim(query_frame_program(state.range(0)));
   const std::vector<std::uint8_t> stream = query_frame();
   const auto limit = static_cast<std::size_t>(state.range(1));
@@ -154,7 +156,11 @@ void BM_ClosedFormFrameCut(benchmark::State& state) {
       static_cast<double>(sim.closed_form_frames()) /
       static_cast<double>(state.iterations());
 }
-BENCHMARK(BM_ClosedFormFrameCut)->ArgsProduct({{1024}, {10, 0}});
+BENCHMARK(BM_ClosedFormFrameCut)
+    ->Args({1024, 10})
+    ->Args({1024, 0})
+    ->Args({1264, 100})
+    ->Args({1264, 0});
 
 void BM_MatchCounts(benchmark::State& state) {
   // One closed-form frame's match-count sweep at d = 128, counts and block
@@ -225,6 +231,25 @@ void BM_EngineSearch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EngineSearch);
+
+void BM_EngineSearchMultiConfig(benchmark::State& state) {
+  // One bit-parallel, 1-thread search of 64 queries at k = 100 over four
+  // full 1264-vector configurations: the frames, the decode and the host
+  // merge across configurations.
+  const auto data = knn::BinaryDataset::uniform(4 * 1264, 128, 13);
+  core::EngineOptions opt;
+  opt.backend = core::SimulationBackend::kBitParallel;
+  core::ApKnnEngine engine(data, opt);
+  const auto queries = knn::perturbed_queries(data, 64, 0.1, 14);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine.search(queries, 100));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(queries.size()));
+  state.counters["configurations"] =
+      static_cast<double>(engine.configurations());
+}
+BENCHMARK(BM_EngineSearchMultiConfig);
 
 void BM_ItqEncode(benchmark::State& state) {
   const quant::Matrix features =

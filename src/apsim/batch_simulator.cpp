@@ -839,6 +839,7 @@ BatchSimulator::BatchSimulator(std::shared_ptr<const BatchProgram> program,
   lane_counts_.assign(p.match_blocks() * kMatchBlockLanes, 0);
   block_max_.assign(p.match_blocks(), 0);
   block_index_.assign(p.match_blocks(), 0);
+  candidate_lanes_.assign(p.macro_count_, 0);
   count_cursor_.assign(p.dims_ + 1, 0);
   reset();
 }
@@ -1050,13 +1051,18 @@ bool BatchSimulator::try_closed_form_frame(std::span<const std::uint8_t> rest,
   }
 
   // The block floor F: under a limit k below the block count, the k-th
-  // largest block maximum; else 0. k blocks each hold a lane at or above F,
-  // so the cut count h_min found below is at least F, and every lane at or
-  // above h_min sits in a block whose maximum reaches F. Only those blocks
-  // are histogrammed and emitted (every block when F = 0).
+  // largest block maximum. k blocks each hold a lane at or above F, so the
+  // cut count h_min found below is at least F, and every lane at or above
+  // h_min is a candidate: a lane of a block whose maximum reaches F, with a
+  // count of at least F. The candidates are listed in lane order, and only
+  // they are histogrammed and emitted. An uncut frame (no limit, or one of
+  // at least the block count) takes every live lane instead.
   std::fill(count_cursor_.begin(), count_cursor_.end(), 0);
-  std::uint32_t block_floor = 0;
-  if (report_limit != 0 && report_limit < blocks) {
+  const std::uint32_t* counts = lane_counts_.data();
+  std::uint32_t* candidates = candidate_lanes_.data();
+  const bool cut = report_limit != 0 && report_limit < blocks;
+  std::size_t listed = 0;
+  if (cut) {
     for (std::size_t b = 0; b < blocks; ++b) {
       ++count_cursor_[block_max_[b]];
     }
@@ -1065,24 +1071,30 @@ bool BatchSimulator::try_closed_form_frame(std::span<const std::uint8_t> rest,
     while (above < report_limit) {
       above += count_cursor_[--h];
     }
-    block_floor = static_cast<std::uint32_t>(h);
+    const auto block_floor = static_cast<std::uint32_t>(h);
     std::fill(count_cursor_.begin(), count_cursor_.end(), 0);
-  }
-  std::size_t selected = 0;
-  for (std::size_t b = 0; b < blocks; ++b) {
-    block_index_[selected] = static_cast<std::uint32_t>(b);
-    selected += static_cast<std::size_t>(block_max_[b] >= block_floor);
-  }
-  // Pad lanes (past the last live lane of a partial last block) count 0
-  // and are never visited.
-  const auto lanes_of = [&](std::size_t b) {
-    return std::min(kMatchBlockLanes, p.macro_count_ - b * kMatchBlockLanes);
-  };
-  for (std::size_t s = 0; s < selected; ++s) {
-    const std::uint32_t* counts =
-        &lane_counts_[block_index_[s] * kMatchBlockLanes];
-    for (std::size_t i = 0, n = lanes_of(block_index_[s]); i < n; ++i) {
-      ++count_cursor_[counts[i]];
+    std::size_t selected = 0;
+    for (std::size_t b = 0; b < blocks; ++b) {
+      block_index_[selected] = static_cast<std::uint32_t>(b);
+      selected += static_cast<std::size_t>(block_max_[b] >= block_floor);
+    }
+    // Branch-free: every visited lane is written, and the next one
+    // overwrites it unless it reaches the floor. Pad lanes (past the last
+    // live lane of a partial last block) count 0 and are never visited.
+    for (std::size_t s = 0; s < selected; ++s) {
+      const std::size_t lane = block_index_[s] * kMatchBlockLanes;
+      const std::size_t end = std::min(lane + kMatchBlockLanes, p.macro_count_);
+      for (std::size_t l = lane; l < end; ++l) {
+        candidates[listed] = static_cast<std::uint32_t>(l);
+        listed += static_cast<std::size_t>(counts[l] >= block_floor);
+      }
+    }
+    for (std::size_t j = 0; j < listed; ++j) {
+      ++count_cursor_[counts[candidates[j]]];
+    }
+  } else {
+    for (std::size_t l = 0; l < p.macro_count_; ++l) {
+      ++count_cursor_[counts[l]];
     }
   }
 
@@ -1104,15 +1116,30 @@ bool BatchSimulator::try_closed_form_frame(std::span<const std::uint8_t> rest,
     }
   }
   reports_.resize(at);
+  // Events are written through local copies of the buffer pointers, which
+  // no store can change, so the loops keep them in registers.
+  ReportEvent* out = reports_.data();
+  std::size_t* cursor = count_cursor_.data();
+  const anml::ElementId* elem = p.report_elem_.data();
+  const std::uint32_t* code = p.report_code_.data();
   const std::uint64_t frame_end = cycle_ + cpq;
-  for (std::size_t s = 0; s < selected; ++s) {
-    const std::size_t base = block_index_[s] * kMatchBlockLanes;
-    for (std::size_t l = base, end = base + lanes_of(block_index_[s]);
-         l < end; ++l) {
-      const std::uint32_t h = lane_counts_[l];
-      if (h >= h_min) {
-        reports_[count_cursor_[h]++] = {frame_end - h, p.report_elem_[l],
-                                        p.report_code_[l]};
+  const auto emit = [&](std::size_t l) {
+    const std::uint32_t h = counts[l];
+    out[cursor[h]++] = {frame_end - h, elem[l], code[l]};
+  };
+  if (cut) {
+    std::size_t kept = 0;  // the candidates at or above h_min, in place
+    for (std::size_t j = 0; j < listed; ++j) {
+      candidates[kept] = candidates[j];
+      kept += static_cast<std::size_t>(counts[candidates[j]] >= h_min);
+    }
+    for (std::size_t j = 0; j < kept; ++j) {
+      emit(candidates[j]);
+    }
+  } else {
+    for (std::size_t l = 0; l < p.macro_count_; ++l) {
+      if (counts[l] >= h_min) {
+        emit(l);
       }
     }
   }

@@ -57,6 +57,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <span>
 #include <string>
 #include <vector>
@@ -146,6 +147,22 @@ struct PackedGroupSlots {
   /// Per packed vector: that vector's collector-tree nodes, level by level.
   std::span<const std::vector<anml::ElementId>> collectors;
   std::size_t collector_levels = 1;  ///< tree depth L (1 for flat collectors)
+};
+
+/// std::allocator on 64-byte (cache-line) boundaries.
+template <class T>
+struct CacheLineAllocator {
+  using value_type = T;
+  CacheLineAllocator() = default;
+  template <class U>
+  CacheLineAllocator(const CacheLineAllocator<U>&) noexcept {}
+  T* allocate(std::size_t n) {
+    return static_cast<T*>(::operator new(n * sizeof(T), std::align_val_t{64}));
+  }
+  void deallocate(T* p, std::size_t) noexcept {
+    ::operator delete(p, std::align_val_t{64});
+  }
+  bool operator==(const CacheLineAllocator&) const = default;
 };
 
 /// Immutable compiled form of one configuration: per-symbol class
@@ -249,7 +266,9 @@ class BatchProgram {
   /// bits are their complement over the live dimensions. Rows are
   /// interleaved in blocks of kMatchBlockLanes lanes (the LaneMatchCounts
   /// layout), pad lanes zero. Derived in from_state, never serialized.
-  std::vector<std::uint64_t> lane_bits_;
+  /// Cache-line aligned, so that no 512-bit load of the sweep splits a
+  /// line whatever address the heap gives each program.
+  std::vector<std::uint64_t, CacheLineAllocator<std::uint64_t>> lane_bits_;
   /// At most two match classes: the closed form counts with
   /// TwoClassMatchCounts over one class's rows.
   bool two_class() const noexcept { return class_count_ <= 2; }
@@ -387,12 +406,13 @@ class BatchSimulator {
   /// Closed-form scratch: max(class_count, 2) x dim_words query masks (bit
   /// i of class c = the dim-i data symbol is accepted by c), per-lane match
   /// counts (zero past the live lanes, up to a whole block), per-block
-  /// maxima, the indices of the blocks a frame visits, and the counting
-  /// sort's per-count output cursors.
+  /// maxima, the indices of the blocks a cut frame visits, its candidate
+  /// lanes, and the counting sort's per-count output cursors.
   std::vector<std::uint64_t> query_bits_;
   std::vector<std::uint32_t> lane_counts_;
   std::vector<std::uint32_t> block_max_;
   std::vector<std::uint32_t> block_index_;
+  std::vector<std::uint32_t> candidate_lanes_;
   std::vector<std::size_t> count_cursor_;
   std::vector<ReportEvent> reports_;
 };

@@ -696,7 +696,13 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::merge_shards(
     const ShardState s = stats_.shard_status[c].state;
     return s == ShardState::kOk || s == ShardState::kDegraded;
   };
+  // Every partial list is in (distance, id) order and cut to k, and
+  // (distance, id) is a strict order over unique global ids. So merging
+  // each list into the query's running list and stopping at `want` keeps
+  // exactly a full sort's prefix; the first surviving list is moved in.
+  const std::size_t want = std::min(plan.k, dataset_.size());
   std::vector<std::vector<knn::Neighbor>> results(plan.queries);
+  std::vector<knn::Neighbor> merged;
   for (Shard& shard : plan.shards) {
     if (!survives(shard.config)) {
       continue;
@@ -708,26 +714,24 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::merge_shards(
     }
     for (std::size_t i = 0; i < shard.queries; ++i) {
       auto& dst = results[shard.first_query + i];
-      dst.insert(dst.end(), shard.partial[i].begin(), shard.partial[i].end());
+      auto& src = shard.partial[i];
+      if (dst.empty()) {
+        dst = std::move(src);
+        continue;
+      }
+      merged.resize(std::min(want, dst.size() + src.size()));
+      auto a = dst.cbegin();
+      auto b = src.cbegin();
+      for (knn::Neighbor& out : merged) {
+        out = b == src.cend() || (a != dst.cend() && *a < *b) ? *a++ : *b++;
+      }
+      dst.swap(merged);
     }
   }
   const std::size_t surviving = stats_.surviving_configurations();
   if (surviving != partitions_.size()) {
     stats_.simulated_cycles =
         frames_for(plan.queries) * stats_.cycles_per_query * surviving;
-  }
-  // Each query holds up to k candidates per configuration. (distance, id)
-  // is a strict order over unique global ids, so selecting the first `want`
-  // and sorting only those returns exactly a full sort's prefix.
-  const std::size_t want = std::min(plan.k, dataset_.size());
-  for (auto& list : results) {
-    if (list.size() > want) {
-      std::nth_element(list.begin(),
-                       list.begin() + static_cast<std::ptrdiff_t>(want),
-                       list.end());
-      list.resize(want);
-    }
-    std::sort(list.begin(), list.end());
   }
   return results;
 }

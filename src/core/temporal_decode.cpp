@@ -12,8 +12,13 @@ void TemporalSortDecoder::collect(
     std::span<const apsim::ReportEvent> events, std::size_t k,
     std::vector<std::vector<knn::Neighbor>>& results) const {
   const std::size_t cpq = spec_.cycles_per_query();
+  // The base design tracks the frame of the last event, cycles
+  // frame_start + 1 .. frame_start + frame_span; only an event outside it
+  // takes decode_event()'s division and checks.
+  std::size_t query = 0;
+  std::uint64_t frame_start = 0;
+  std::uint64_t frame_span = 0;  // no frame before the first event
   for (const apsim::ReportEvent& event : events) {
-    std::size_t query = 0;
     knn::Neighbor neighbor;
     if constexpr (kMultiplexed) {
       if (event.cycle == 0) {
@@ -34,8 +39,14 @@ void TemporalSortDecoder::collect(
       neighbor = {MuxReportCode::vector_id(event.report_code),
                   static_cast<std::uint32_t>(spec_.distance_from_offset(
                       event.cycle - frame * cpq))};
+    } else if (event.cycle - frame_start - 1 < frame_span) {
+      neighbor = {event.report_code,
+                  static_cast<std::uint32_t>(spec_.distance_from_offset(
+                      event.cycle - frame_start))};
     } else {
       std::tie(query, neighbor) = decode_event(event);
+      frame_start = query * cpq;
+      frame_span = cpq;
     }
     auto& list = results[query];
     // Arrivals are distance-ordered within a query, so past the k-th only

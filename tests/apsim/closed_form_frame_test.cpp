@@ -277,9 +277,11 @@ void expect_limited_run(const Config& c, LaneWidth width,
 /// The whole matrix for one stream: every width, SIMD and portable, against
 /// stepping; every width's events against each other; when
 /// `with_reference`, against the cycle-accurate Simulator; and every width,
-/// SIMD and portable, under report limits 1, 2, 10, blocks - 1, blocks,
-/// blocks + 1 (around where the block floor turns off), lanes - 1, lanes
-/// and 2 x lanes. The probe that checks the state left behind is one more
+/// SIMD and portable, under report limits 1, 2, 10, blocks / 2, lanes / 12
+/// (105 at 1264 lanes: a k = 100 search's shape, where ~100 visited blocks
+/// list more candidates than the cut keeps), blocks - 1, blocks, blocks + 1
+/// (around where the block floor turns off), lanes - 1, lanes and
+/// 2 x lanes. The probe that checks the state left behind is one more
 /// frame plus a ragged tail with a stray SOF.
 void expect_closed_form(const Config& c, std::span<const std::uint8_t> stream,
                         std::uint64_t closed_frames, bool with_reference,
@@ -316,10 +318,12 @@ void expect_closed_form(const Config& c, std::span<const std::uint8_t> stream,
   const std::size_t lanes = c.program->macro_count();
   const std::size_t blocks = (lanes + kMatchBlockLanes - 1) / kMatchBlockLanes;
   for (const std::size_t limit :
-       {std::size_t{1}, std::size_t{2}, std::size_t{10}, blocks - 1, blocks,
-        blocks + 1, lanes - 1, lanes, 2 * lanes}) {
+       {std::size_t{1}, std::size_t{2}, std::size_t{10}, blocks / 2,
+        lanes / 12, blocks - 1, blocks, blocks + 1, lanes - 1, lanes,
+        2 * lanes}) {
     if (limit == 0) {
-      continue;  // blocks - 1 at one block, lanes - 1 at one lane: no limit
+      continue;  // blocks / 2 and blocks - 1 at one block, lanes / 12 under
+                 // 12 lanes, lanes - 1 at one lane: no limit
     }
     const auto want = cut_events(first, starts, c.frame(), limit);
     if (limit >= lanes) {
@@ -615,6 +619,35 @@ TEST(ClosedFormBlockFloor, KthBlockMaximumSharedBySeveralBlocks) {
   }
   expect_closed_form(c, stream, 2, /*with_reference=*/true, rng,
                      "shared block maximum");
+}
+
+TEST(ClosedFormBlockFloor, CandidatesBelowTheCutAreDropped) {
+  // Block maxima 14, 12, 9, 9 and at most 6 in blocks 4-7. Blocks 0 and 1
+  // also hold lanes at 13, 12, 10 and 9, so the visited blocks list
+  // candidates at or above the floor F that lie below the cut count
+  // h_min, and the keep pass must drop them:
+  // - limit 2: F = 12, h_min = 13, the two 12s are dropped;
+  // - limits 3 and 4: F = 9, h_min = 12, the tie at 12 straddles blocks 0
+  //   and 1 and is kept whole, and six candidates at 9 or 10 are dropped;
+  // - limit 5: F falls to the largest maximum of blocks 4-7, h_min to 10.
+  util::Rng rng(614);
+  std::vector<std::size_t> counts(8 * kMatchBlockLanes);
+  for (std::size_t l = 4 * kMatchBlockLanes; l < counts.size(); ++l) {
+    counts[l] = rng.below(7);
+  }
+  const std::size_t high[][2] = {{0, 14}, {1, 13}, {2, 12}, {4, 9},  {6, 9},
+                                 {8, 10}, {9, 12}, {11, 9}, {19, 9}, {28, 9}};
+  for (const auto& [lane, count] : high) {
+    counts[lane] = count;
+  }
+  const Config c = with_counts(counts, 16);
+  const auto stream = zero_then_ones(c);
+  for (const auto& [limit, kept] :
+       {std::pair<std::size_t, std::size_t>{2, 2}, {3, 4}, {4, 4}, {5, 5}}) {
+    EXPECT_EQ(kept_in_first_frame(c, stream, limit), kept) << limit;
+  }
+  expect_closed_form(c, stream, 2, /*with_reference=*/true, rng,
+                     "candidates below the cut");
 }
 
 TEST(ClosedFormBlockFloor, EveryLaneAtOneCount) {

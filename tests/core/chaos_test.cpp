@@ -60,7 +60,7 @@ SearchRun run_engine(const knn::BinaryDataset& data,
 constexpr std::size_t kCap = 7;
 constexpr std::size_t kVectors = 26;  // 4 configurations (7+7+7+5)
 constexpr std::size_t kConfigs = 4;
-constexpr std::int64_t kVictim = 1;  // injected configuration
+constexpr std::size_t kVictim = 1;  // the default injected configuration
 constexpr std::size_t kSlices = 7;   // the multiplexed arm
 
 EngineOptions bed_options(SimulationBackend backend,
@@ -133,45 +133,47 @@ std::vector<knn::Neighbor> remap_without_config(
   return out;
 }
 
-void expect_states(const EngineStats& stats, ShardState victim_state,
-                   const std::string& ctx) {
+void expect_states(const EngineStats& stats, std::size_t victim,
+                   ShardState victim_state, const std::string& ctx) {
   ASSERT_EQ(stats.shard_status.size(), kConfigs) << ctx;
   for (std::size_t c = 0; c < kConfigs; ++c) {
-    const ShardState want = c == static_cast<std::size_t>(kVictim)
-                                ? victim_state
-                                : ShardState::kOk;
+    const ShardState want = c == victim ? victim_state : ShardState::kOk;
     EXPECT_EQ(stats.shard_status[c].state, want) << ctx << " config " << c;
   }
-  EXPECT_FALSE(stats.shard_status[kVictim].error.empty()) << ctx;
+  EXPECT_FALSE(stats.shard_status[victim].error.empty()) << ctx;
 }
 
-/// The heart of the matrix: arm `site` (keyed to the victim configuration,
+/// The heart of the matrix: arm `site` (keyed to configuration `victim`,
 /// persistent), search `opt` (a bed_options() variant) under `policy` at 1
 /// and 4 threads, and check the survivors against the uninjected baseline.
+/// Victim 0 makes the merge start from configuration 1's lists; victim 3,
+/// the partial 5-vector configuration, drops the last one.
 void expect_isolation(const knn::BinaryDataset& data,
                       const knn::BinaryDataset& queries, EngineOptions opt,
                       std::string_view site, OnError policy,
-                      ShardState victim_state, const std::string& ctx) {
+                      ShardState victim_state, const std::string& ctx,
+                      std::size_t victim = kVictim) {
   const SearchRun baseline = run_engine(data, queries, 4, opt, 1);
   ASSERT_FALSE(baseline.stream.empty()) << ctx;
 
   opt.on_error = policy;
   util::FaultInjector::Plan plan;
-  plan.match_key = kVictim;
+  plan.match_key = static_cast<std::int64_t>(victim);
   util::FaultInjector::instance().arm(site, plan);
 
   const bool survives = victim_state == ShardState::kOk ||
                         victim_state == ShardState::kDegraded;
   const auto want_stream =
       survives ? baseline.stream
-               : without_config(baseline.stream, kVictim,
+               : without_config(baseline.stream, victim,
                                 opt.multiplex_slices);
-  const knn::BinaryDataset survivors = without_config_data(data, kVictim);
+  const knn::BinaryDataset survivors = without_config_data(data, victim);
   SearchRun first;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    const std::string tctx = ctx + " threads=" + std::to_string(threads);
+    const std::string tctx = ctx + " victim=" + std::to_string(victim) +
+                             " threads=" + std::to_string(threads);
     const SearchRun run = run_engine(data, queries, 4, opt, threads);
-    expect_states(run.stats, victim_state, tctx);
+    expect_states(run.stats, victim, victim_state, tctx);
     EXPECT_EQ(run.stream, want_stream) << tctx;
     if (survives) {
       EXPECT_EQ(run.results, baseline.results) << tctx;
@@ -181,7 +183,7 @@ void expect_isolation(const knn::BinaryDataset& data,
       // the right expectation is the exact oracle over surviving vectors.
       // The remap keeps id order, so (distance, id) order carries over.
       for (std::size_t q = 0; q < queries.size(); ++q) {
-        EXPECT_EQ(remap_without_config(run.results[q], kVictim),
+        EXPECT_EQ(remap_without_config(run.results[q], victim),
                   knn::knn_scan(survivors, queries.row(q), 4))
             << tctx << " query " << q;
       }
@@ -238,13 +240,17 @@ TEST_F(ChaosEngine, ShardSiteIsolatesConfigEvenWithRetries) {
                    bed_options(SimulationBackend::kCycleAccurate),
                    util::kFaultEngineShard, OnError::kRetry,
                    ShardState::kFailed, "engine.shard/retry/cycle");
-  expect_isolation(data, queries, bed_options(SimulationBackend::kBitParallel),
-                   util::kFaultEngineShard, OnError::kRetry,
-                   ShardState::kFailed, "engine.shard/retry/bit");
-  expect_isolation(data, bed_queries(kSlices, 704),
-                   bed_options(SimulationBackend::kBitParallel, kSlices),
-                   util::kFaultEngineShard, OnError::kRetry,
-                   ShardState::kFailed, "engine.shard/retry/bit/s7");
+  // The bit-parallel arms also lose the first and the last configuration.
+  for (const std::size_t victim : {kVictim, std::size_t{0}, std::size_t{3}}) {
+    expect_isolation(data, queries,
+                     bed_options(SimulationBackend::kBitParallel),
+                     util::kFaultEngineShard, OnError::kRetry,
+                     ShardState::kFailed, "engine.shard/retry/bit", victim);
+    expect_isolation(data, bed_queries(kSlices, 704),
+                     bed_options(SimulationBackend::kBitParallel, kSlices),
+                     util::kFaultEngineShard, OnError::kRetry,
+                     ShardState::kFailed, "engine.shard/retry/bit/s7", victim);
+  }
 }
 
 TEST_F(ChaosEngine, SimFrameSiteIsolatesConfig) {
@@ -289,9 +295,12 @@ TEST_F(ChaosEngine, FaultSitesIsolateAtWideLaneWidth) {
     opt.lane_width = apsim::LaneWidth::k512;
     return opt;
   };
-  expect_isolation(data, queries, w512(SimulationBackend::kBitParallel),
-                   util::kFaultEngineShard, OnError::kIsolate,
-                   ShardState::kFailed, "engine.shard/isolate/bit/w512");
+  for (const std::size_t victim : {kVictim, std::size_t{0}, std::size_t{3}}) {
+    expect_isolation(data, queries, w512(SimulationBackend::kBitParallel),
+                     util::kFaultEngineShard, OnError::kIsolate,
+                     ShardState::kFailed, "engine.shard/isolate/bit/w512",
+                     victim);
+  }
   expect_isolation(data, queries, w512(SimulationBackend::kBitParallel),
                    util::kFaultBatchFrame, OnError::kIsolate,
                    ShardState::kDegraded, "batch.frame/isolate/bit/w512");

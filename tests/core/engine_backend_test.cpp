@@ -227,6 +227,33 @@ TEST(EngineBackend, ReportCutWithDegradedShardDecodesFullStream) {
   }
 }
 
+TEST(EngineBackend, BoardCapacityCutMatchesScan) {
+  // Four full 1264-vector configurations at d = 128: at k = 100 each cut
+  // frame visits about a hundred of its 158 blocks and lists more candidate
+  // lanes than it keeps, and the merge joins four lists of k per query.
+  // k = 157, 158 and 159 sit where the block floor turns off. Answers must
+  // equal the scan's, and EngineStats a collected stream's.
+  const auto data = knn::BinaryDataset::uniform(5056, 128, 314);
+  const auto queries = knn::perturbed_queries(data, 64, 0.1, 315);
+  for (const std::size_t threads : {1u, 2u}) {
+    EngineOptions opt = backend_options(SimulationBackend::kBitParallel);
+    opt.threads = threads;
+    ApKnnEngine cut(data, opt);
+    opt.collect_report_stream = true;
+    ApKnnEngine whole(data, opt);
+    ASSERT_EQ(cut.configurations(), 4u);
+    for (const std::size_t k : {10u, 100u, 157u, 158u, 159u}) {
+      const std::string ctx =
+          "k=" + std::to_string(k) + " threads=" + std::to_string(threads);
+      const auto results = cut.search(queries, k);
+      EXPECT_EQ(whole.search(queries, k), results) << ctx;
+      EXPECT_EQ(cut.last_stats(), whole.last_stats()) << ctx;
+      EXPECT_TRUE(cut.last_report_stream().empty()) << ctx;
+      test::expect_exact_knn_results(data, queries, k, results, ctx);
+    }
+  }
+}
+
 TEST(EngineBackend, PackedFallsBackWhenDeviceFeaturesUnsupported) {
   const auto data = knn::BinaryDataset::uniform(18, 16, 309);
   const auto queries = knn::BinaryDataset::uniform(5, 16, 311);
