@@ -17,12 +17,10 @@
 #include "perf/projection.hpp"
 #include "util/bench_report.hpp"
 #include "util/table.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 int main() {
   using namespace apss;
-  util::ThreadPool pool;
   util::BenchReport report("table3_small");
 
   util::TablePrinter runtime("Table III: small-dataset run time (ms)");
@@ -73,7 +71,6 @@ int main() {
     {
       core::EngineOptions opt;
       opt.max_vectors_per_config = w.vectors_per_config;
-      opt.pool = &pool;
       core::ApKnnEngine engine(data, opt);
       const auto sample = knn::BinaryDataset::uniform(16, w.dims, 45);
       const auto ap_results = engine.search(sample, w.k);

@@ -1,17 +1,17 @@
 // apss_serve: the always-on kNN serving core on the command line
 // (docs/ROBUSTNESS.md "Serving", ROADMAP item 2).
 //
-// Builds a synthetic n x d-bit dataset, compiles it into worker-resident
-// engines (optionally through the artifact cache), then drives the server
-// with an in-process open-loop load generator — requests arrive at a fixed
-// rate regardless of completions, the arrival pattern that actually
-// exposes overload behavior. The generator stands in for a network
+// Builds a synthetic n x d-bit dataset, compiles it into one resident
+// engine that every worker shares (optionally through the artifact cache),
+// then drives the server with an in-process open-loop load generator —
+// requests arrive at a fixed rate regardless of completions, the arrival
+// pattern that actually exposes overload behavior. The generator stands in for a network
 // frontend; serve::KnnServer itself is transport-agnostic.
 //
 // Usage:
 //   apss_serve [--dims=<d>] [--n=<vectors>] [--k=<neighbors>] [--seed=<s>]
 //              [--backend=cycle|bit] [--lane-width=auto|64|256|512]
-//              [--threads=<per-worker>] [--artifact-cache=<dir>]
+//              [--threads=<N>] [--artifact-cache=<dir>]
 //              [--workers=<N>] [--max-batch=<N>] [--batch-window-ms=<ms>]
 //              [--max-queue-depth=<N>] [--max-inflight=<N>]
 //              [--watchdog-timeout-ms=<ms>]
@@ -93,7 +93,7 @@ void usage() {
       stderr,
       "usage: apss_serve [--dims=<d>] [--n=<vectors>] [--k=<neighbors>]\n"
       "         [--seed=<s>] [--backend=cycle|bit]\n"
-      "         [--lane-width=auto|64|256|512] [--threads=<per-worker>]\n"
+      "         [--lane-width=auto|64|256|512] [--threads=<N>]\n"
       "         [--artifact-cache=<dir>] [--workers=<N>] [--max-batch=<N>]\n"
       "         [--batch-window-ms=<ms>] [--max-queue-depth=<N>]\n"
       "         [--max-inflight=<N>] [--watchdog-timeout-ms=<ms>]\n"
@@ -120,7 +120,7 @@ int run(const ServeFlags& flags) {
       std::chrono::duration<double, std::milli>(Clock::now() - compile_start)
           .count();
   std::printf("apss_serve: %zu vectors x %zu bits, k=%zu, %zu worker%s "
-              "(engines resident, %.1f ms startup%s)\n",
+              "(engine resident, %.1f ms startup%s)\n",
               flags.n, flags.dims, flags.k, server.workers(),
               server.workers() == 1 ? "" : "s", compile_ms,
               flags.engine.artifact_cache_dir.empty() ? ""

@@ -13,7 +13,6 @@
 #include "index/kd_tree.hpp"
 #include "knn/exact.hpp"
 #include "util/table.hpp"
-#include "util/thread_pool.hpp"
 
 int main() {
   using namespace apss;
@@ -41,7 +40,6 @@ int main() {
               forest.tree_count(), forest.bucket_count(),
               forest.max_bucket_size());
 
-  util::ThreadPool pool;
   double recall_sum = 0.0;
   std::size_t scanned_sum = 0;
   std::size_t ap_cycles = 0;
@@ -56,7 +54,6 @@ int main() {
     //    board configuration; the AP scans them for this query.
     const knn::BinaryDataset bucket = corpus.subset(candidate_ids);
     core::EngineOptions opt;
-    opt.pool = &pool;
     core::ApKnnEngine engine(bucket, opt);
     knn::BinaryDataset one(1, kDims);
     one.set_vector(0, queries.vector(q));

@@ -57,7 +57,6 @@ int main() {
   // --- Offline: compile board configurations -------------------------------
   util::ThreadPool pool;
   core::EngineOptions engine_opt;
-  engine_opt.pool = &pool;
   util::Timer compile_timer;
   core::ApKnnEngine engine(codes, engine_opt);
   std::printf("[offline] compiled %zu board configuration(s) in %.2f s "

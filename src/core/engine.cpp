@@ -81,13 +81,11 @@ ApKnnEngine::ApKnnEngine(knn::BinaryDataset dataset, EngineOptions options)
     throw std::invalid_argument(
         "ApKnnEngine: multiplexing cannot be combined with vector packing");
   }
-  // Resolve the worker pool once: an explicit pool wins; otherwise
-  // `threads` picks serial (1), the shared process-wide pool (0), or a
-  // private pool sized so that N threads total run this engine's shards
-  // (N-1 workers — the submitting thread participates in every job).
-  if (options_.pool != nullptr) {
-    pool_ = options_.pool;
-  } else if (options_.threads == 0) {
+  // Resolve the worker pool once: `threads` picks serial (1), the shared
+  // process-wide pool (0), or a private pool sized so that N threads total
+  // run this engine's shards (N-1 workers — the submitting thread
+  // participates in every job).
+  if (options_.threads == 0) {
     pool_ = &util::ThreadPool::global();
   } else if (options_.threads > 1) {
     owned_pool_ = std::make_unique<util::ThreadPool>(options_.threads - 1);
@@ -312,6 +310,7 @@ void ApKnnEngine::build_network(
 }
 
 void ApKnnEngine::ensure_network(const Partition& p) const {
+  std::lock_guard<std::mutex> lock(network_mutex_);
   if (p.network == nullptr) {
     build_network(p, nullptr, nullptr);
   }
@@ -411,7 +410,13 @@ double ApKnnEngine::report_bandwidth_gbps() const {
 
 std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
     const knn::BinaryDataset& queries, std::size_t k) {
-  return search(queries, k, SearchControl{});
+  SearchResult result;
+  result.events = std::move(report_stream_);
+  result.events.clear();
+  search_into(queries, k, SearchControl{}, result);
+  stats_ = std::move(result.stats);
+  report_stream_ = std::move(result.events);
+  return std::move(result.neighbors);
 }
 
 struct ApKnnEngine::Shard {
@@ -442,21 +447,28 @@ struct ApKnnEngine::SearchPlan {
   std::vector<Shard> shards;
 };
 
-std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
-    const knn::BinaryDataset& queries, std::size_t k,
-    const SearchControl& control) {
+SearchResult ApKnnEngine::search(const knn::BinaryDataset& queries,
+                                 std::size_t k,
+                                 const SearchControl& control) const {
+  SearchResult result;
+  search_into(queries, k, control, result);
+  return result;
+}
+
+void ApKnnEngine::search_into(const knn::BinaryDataset& queries,
+                              std::size_t k, const SearchControl& control,
+                              SearchResult& result) const {
   if (queries.dims() != dataset_.dims()) {
     throw std::invalid_argument("ApKnnEngine::search: query dims mismatch");
   }
   if (k == 0) {
     throw std::invalid_argument("ApKnnEngine::search: k must be >= 1");
   }
-  stats_ = project(queries.size());
-  report_stream_.clear();
+  result.stats = project(queries.size());
   SearchPlan plan = plan_search(queries.size(), k);
   run_shards(plan, queries, control);
-  reduce_shard_status(plan);
-  return merge_shards(plan);
+  reduce_shard_status(plan, result.stats);
+  merge_shards(plan, result);
 }
 
 ApKnnEngine::SearchPlan ApKnnEngine::plan_search(std::size_t query_count,
@@ -526,10 +538,6 @@ void ApKnnEngine::run_shards(SearchPlan& plan,
   }
   const util::CancellationToken* cancel =
       control.cancel != nullptr ? control.cancel : options_.cancel;
-  // Degrading a shard of an artifact-cache-hit configuration needs the
-  // automata network, which was never built; the lazy rebuild mutates the
-  // partition, so it is serialized (plain runs never take this lock).
-  std::mutex degrade_mutex;
 
   // Each worker owns its simulator scratch state and reuses it across the
   // consecutive shards of its chunk while they stay on one configuration —
@@ -559,15 +567,10 @@ void ApKnnEngine::run_shards(SearchPlan& plan,
         if (use_batch) {
           batch = std::make_unique<apsim::BatchSimulator>(part.program,
                                                           options_.lane_width);
-        } else if (part.program != nullptr) {
-          // Degrade path: the network may be absent (cache hit skipped
-          // construction) and other workers may degrade shards of the same
-          // configuration concurrently.
-          std::lock_guard<std::mutex> lock(degrade_mutex);
-          ensure_network(part);
-          reference = std::make_unique<apsim::Simulator>(*part.network,
-                                                         sim_options);
         } else {
+          // The degrade path may find the network absent: a cache hit
+          // skipped its construction.
+          ensure_network(part);
           reference = std::make_unique<apsim::Simulator>(*part.network,
                                                          sim_options);
         }
@@ -665,12 +668,13 @@ void ApKnnEngine::run_shards(SearchPlan& plan,
   }
 }
 
-void ApKnnEngine::reduce_shard_status(const SearchPlan& plan) {
+void ApKnnEngine::reduce_shard_status(const SearchPlan& plan,
+                                      EngineStats& stats) const {
   // One status per configuration: the worst state wins, the first error in
   // shard order is kept, retries accumulate.
-  stats_.shard_status.assign(partitions_.size(), ShardStatus{});
+  stats.shard_status.assign(partitions_.size(), ShardStatus{});
   for (const Shard& shard : plan.shards) {
-    ShardStatus& status = stats_.shard_status[shard.config];
+    ShardStatus& status = stats.shard_status[shard.config];
     if (severity(shard.state) > severity(status.state)) {
       status.state = shard.state;
     }
@@ -681,8 +685,7 @@ void ApKnnEngine::reduce_shard_status(const SearchPlan& plan) {
   }
 }
 
-std::vector<std::vector<knn::Neighbor>> ApKnnEngine::merge_shards(
-    SearchPlan& plan) {
+void ApKnnEngine::merge_shards(SearchPlan& plan, SearchResult& result) const {
   // Host-side merge across configurations (Sec. III-C: the host tracks
   // intermediary per-query results between reconfigurations). Shards are
   // walked in configuration/frame order on this thread, so stats
@@ -692,8 +695,9 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::merge_shards(
   // wholesale — its partial per-query lists would silently rank neighbors
   // against an incomplete candidate set — so what remains equals a run
   // without it.
+  EngineStats& stats = result.stats;
   const auto survives = [&](std::size_t c) {
-    const ShardState s = stats_.shard_status[c].state;
+    const ShardState s = stats.shard_status[c].state;
     return s == ShardState::kOk || s == ShardState::kDegraded;
   };
   // Every partial list is in (distance, id) order and cut to k, and
@@ -701,19 +705,19 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::merge_shards(
   // each list into the query's running list and stopping at `want` keeps
   // exactly a full sort's prefix; the first surviving list is moved in.
   const std::size_t want = std::min(plan.k, dataset_.size());
-  std::vector<std::vector<knn::Neighbor>> results(plan.queries);
+  result.neighbors.resize(plan.queries);
   std::vector<knn::Neighbor> merged;
   for (Shard& shard : plan.shards) {
     if (!survives(shard.config)) {
       continue;
     }
-    stats_.report_events += shard.report_count;
+    stats.report_events += shard.report_count;
     if (options_.collect_report_stream) {
-      report_stream_.insert(report_stream_.end(), shard.events.begin(),
-                            shard.events.end());
+      result.events.insert(result.events.end(), shard.events.begin(),
+                           shard.events.end());
     }
     for (std::size_t i = 0; i < shard.queries; ++i) {
-      auto& dst = results[shard.first_query + i];
+      auto& dst = result.neighbors[shard.first_query + i];
       auto& src = shard.partial[i];
       if (dst.empty()) {
         dst = std::move(src);
@@ -728,12 +732,11 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::merge_shards(
       dst.swap(merged);
     }
   }
-  const std::size_t surviving = stats_.surviving_configurations();
+  const std::size_t surviving = stats.surviving_configurations();
   if (surviving != partitions_.size()) {
-    stats_.simulated_cycles =
-        frames_for(plan.queries) * stats_.cycles_per_query * surviving;
+    stats.simulated_cycles =
+        frames_for(plan.queries) * stats.cycles_per_query * surviving;
   }
-  return results;
 }
 
 }  // namespace apss::core

@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -138,15 +139,12 @@ struct EngineOptions {
   /// Overrides the placement-derived capacity when nonzero (tests use this
   /// to force multi-configuration runs on small datasets).
   std::size_t max_vectors_per_config = 0;
-  /// Worker pool for parallel compile + simulation. When null, the engine
-  /// derives one from `threads` below.
-  util::ThreadPool* pool = nullptr;
-  /// Concurrency when `pool` is null: 0 (default) shares the process-wide
-  /// pool (hardware concurrency), 1 runs fully serial, N >= 2 gives the
-  /// engine a private pool so that N threads total (N-1 workers plus the
-  /// submitting thread) run its shards. Surfaced as `apss_cli --threads=N`.
-  /// Any setting yields bit-identical results: shards are merged in
-  /// configuration/frame order, never completion order.
+  /// Concurrency of compile + simulation: 0 (default) shares the
+  /// process-wide pool (hardware concurrency), 1 runs fully serial, N >= 2
+  /// gives the engine a private pool so that N threads total (N-1 workers
+  /// plus the submitting thread) run its shards. Surfaced as
+  /// `apss_cli --threads=N`. Any setting yields bit-identical results:
+  /// shards are merged in configuration/frame order, never completion order.
   std::size_t threads = 0;
   /// Upper bound on query frames per simulation shard (a multiplexed frame
   /// carries up to multiplex_slices queries); the engine refines the shard
@@ -290,36 +288,43 @@ struct EngineStats {
 /// cancellation token checked instead of EngineOptions::cancel. Both
 /// pointers must outlive the call; null fields fall back to the options.
 /// This is what lets a long-lived resident engine (the serving layer's
-/// workers) propagate PER-REQUEST budgets into the RunControl checkpoints
-/// without rebuilding the engine per request.
+/// shared engine) propagate PER-REQUEST budgets into the RunControl
+/// checkpoints without rebuilding the engine per request.
 struct SearchControl {
   const util::Deadline* deadline = nullptr;
   const util::CancellationToken* cancel = nullptr;
 };
 
+/// One search(): ascending-distance neighbor lists (global ids), its
+/// accounting, and the merged ReportEvent stream when
+/// EngineOptions::collect_report_stream is set (bit-identical at any thread
+/// count — the differential contract the thread-sweep tests assert).
+struct SearchResult {
+  std::vector<std::vector<knn::Neighbor>> neighbors;
+  EngineStats stats;
+  std::vector<apsim::ReportEvent> events;
+};
+
 class ApKnnEngine {
  public:
-  /// Compiles `dataset` into board configurations. The dataset is copied.
+  /// Compiles `dataset`, which the engine keeps, into board configurations.
   ApKnnEngine(knn::BinaryDataset dataset, EngineOptions options = {});
 
-  /// Exact kNN via simulated AP execution. Returns ascending-distance
-  /// neighbor lists (global ids); fills `last_stats()`.
+  /// Exact kNN via simulated AP execution, with per-call
+  /// deadline/cancellation overrides (see SearchControl). Writes nothing
+  /// to the engine but a lazily rebuilt network (see network()), so any
+  /// number of threads may search one engine at once.
+  SearchResult search(const knn::BinaryDataset& queries, std::size_t k,
+                      const SearchControl& control) const;
+
+  /// search() with an empty control that keeps the result's stats and
+  /// stream for last_stats() and last_report_stream(); returns the
+  /// neighbor lists. For single-threaded callers only.
   std::vector<std::vector<knn::Neighbor>> search(
       const knn::BinaryDataset& queries, std::size_t k);
 
-  /// search() with per-call deadline/cancellation overrides (see
-  /// SearchControl). search(queries, k) is exactly this with an empty
-  /// control.
-  std::vector<std::vector<knn::Neighbor>> search(
-      const knn::BinaryDataset& queries, std::size_t k,
-      const SearchControl& control);
-
+  /// SearchResult::stats and ::events of the last two-argument search().
   const EngineStats& last_stats() const noexcept { return stats_; }
-
-  /// Merged ReportEvent stream of the last search() when
-  /// EngineOptions::collect_report_stream is set (empty otherwise). The
-  /// stream is bit-identical at any thread count — the differential
-  /// contract the thread-sweep tests assert.
   const std::vector<apsim::ReportEvent>& last_report_stream() const noexcept {
     return report_stream_;
   }
@@ -354,8 +359,8 @@ class ApKnnEngine {
   /// The compiled automata network of configuration `i` (for inspection,
   /// ANML export, and resource benches). Configurations satisfied from the
   /// artifact cache skip network construction; the network is rebuilt
-  /// lazily — and deterministically — on first access. Not safe to call
-  /// concurrently with itself or placement() for the same `i`.
+  /// lazily — and deterministically — on first access, under one
+  /// engine-wide lock.
   const anml::AutomataNetwork& network(std::size_t i) const;
 
   /// Placement report of configuration `i` on the configured board.
@@ -394,10 +399,10 @@ class ApKnnEngine {
   struct Partition {
     std::size_t begin = 0;  ///< first global vector id
     std::size_t count = 0;
-    /// Null after an artifact-cache hit until network()/placement() rebuild
-    /// it lazily (mutable: rebuilding does not change observable state —
-    /// construction is deterministic, so the rebuilt network is the one the
-    /// compile path would have produced).
+    /// Null after an artifact-cache hit until ensure_network() rebuilds it
+    /// under network_mutex_ (mutable: rebuilding does not change observable
+    /// state — construction is deterministic, so the rebuilt network is the
+    /// one the compile path would have produced). Set at most once.
     mutable std::unique_ptr<anml::AutomataNetwork> network;
     /// Compiled bit-parallel program; null = use the cycle-accurate path.
     std::shared_ptr<const apsim::BatchProgram> program;
@@ -423,21 +428,28 @@ class ApKnnEngine {
   struct SearchPlan;
   // search() runs these four steps in order. Only plan_search() and the
   // frame codec (encode/decode) know whether the design is multiplexed.
+  /// search(queries, k, control) into `result`, appending to the events
+  /// buffer it brings (the two-argument search reuses its last one).
+  void search_into(const knn::BinaryDataset& queries, std::size_t k,
+                   const SearchControl& control, SearchResult& result) const;
   SearchPlan plan_search(std::size_t query_count, std::size_t k) const;
   void run_shards(SearchPlan& plan, const knn::BinaryDataset& queries,
                   const SearchControl& control) const;
-  void reduce_shard_status(const SearchPlan& plan);
-  std::vector<std::vector<knn::Neighbor>> merge_shards(SearchPlan& plan);
+  void reduce_shard_status(const SearchPlan& plan, EngineStats& stats) const;
+  void merge_shards(SearchPlan& plan, SearchResult& result) const;
 
   knn::BinaryDataset dataset_;
   EngineOptions options_;
   StreamSpec spec_;
   std::size_t capacity_ = 0;
   std::vector<Partition> partitions_;
+  /// Guards the lazy rebuild of Partition::network — the only engine state
+  /// the search path can change.
+  mutable std::mutex network_mutex_;
   BackendCompileStats compile_stats_;
   EngineStats stats_;
-  /// Resolved worker pool (options_.pool, the global pool, or owned_pool_;
-  /// nullptr = serial) — see EngineOptions::threads.
+  /// Resolved worker pool (the global pool or owned_pool_; nullptr =
+  /// serial) — see EngineOptions::threads.
   util::ThreadPool* pool_ = nullptr;
   std::unique_ptr<util::ThreadPool> owned_pool_;
   std::vector<apsim::ReportEvent> report_stream_;

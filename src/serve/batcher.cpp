@@ -12,7 +12,7 @@ Batcher::Batcher(RequestQueue& queue, std::size_t max_batch, double window_ms)
   }
 }
 
-std::vector<RequestPtr> Batcher::next_batch() {
+std::vector<RequestPtr> Batcher::next_batch() const {
   std::vector<RequestPtr> batch;
   RequestPtr first = queue_.pop_blocking();
   if (first == nullptr) {

@@ -27,11 +27,10 @@ class Batcher {
   /// whatever is instantaneously available, at least one request).
   Batcher(RequestQueue& queue, std::size_t max_batch, double window_ms);
 
-  /// Blocks for the next batch (>= 1 request). Returns an empty vector
-  /// once the queue is closed and drained — the worker's exit signal.
-  std::vector<RequestPtr> next_batch();
-
-  std::size_t max_batch() const noexcept { return max_batch_; }
+  /// Blocks for the next batch (>= 1 request); workers share one Batcher.
+  /// Returns an empty vector once the queue is closed and drained — the
+  /// worker's exit signal.
+  std::vector<RequestPtr> next_batch() const;
 
  private:
   RequestQueue& queue_;

@@ -33,9 +33,6 @@ struct KnnServer::BatchTicket {
 };
 
 struct KnnServer::Worker {
-  std::size_t index = 0;
-  std::unique_ptr<core::ApKnnEngine> engine;
-  std::unique_ptr<Batcher> batcher;
   std::thread thread;
   /// Current batch, shared with the watchdog (null while idle).
   std::mutex ticket_mutex;
@@ -44,12 +41,10 @@ struct KnnServer::Worker {
 
 KnnServer::KnnServer(knn::BinaryDataset dataset, ServerOptions options)
     : options_(std::move(options)),
-      dims_(dataset.dims()),
       queue_(options_.max_queue_depth),
-      stats_(options_.max_batch) {
-  if (dataset.empty()) {
-    throw std::invalid_argument("KnnServer: dataset must be non-empty");
-  }
+      batcher_(queue_, options_.max_batch, options_.batch_window_ms),
+      stats_(options_.max_batch),
+      workers_(options_.workers) {
   if (options_.k == 0) {
     throw std::invalid_argument("KnnServer: k must be >= 1");
   }
@@ -67,18 +62,8 @@ KnnServer::KnnServer(knn::BinaryDataset dataset, ServerOptions options)
   engine_options.cancel = nullptr;
   engine_options.on_error = core::OnError::kRetry;
   engine_options.collect_report_stream = false;
-  // Workers are constructed sequentially, so with artifact_cache_dir set
-  // the first engine warms the cache and the rest load from it.
-  workers_.reserve(options_.workers);
-  for (std::size_t w = 0; w < options_.workers; ++w) {
-    auto worker = std::make_unique<Worker>();
-    worker->index = w;
-    worker->engine =
-        std::make_unique<core::ApKnnEngine>(dataset, engine_options);
-    worker->batcher = std::make_unique<Batcher>(queue_, options_.max_batch,
-                                                options_.batch_window_ms);
-    workers_.push_back(std::move(worker));
-  }
+  engine_ = std::make_unique<const core::ApKnnEngine>(std::move(dataset),
+                                                      engine_options);
   if (!options_.defer_start) {
     start();
   }
@@ -91,8 +76,8 @@ void KnnServer::start() {
   if (!started_.compare_exchange_strong(expected, true)) {
     return;
   }
-  for (auto& worker : workers_) {
-    worker->thread = std::thread([this, w = worker.get()] { worker_loop(*w); });
+  for (Worker& worker : workers_) {
+    worker.thread = std::thread([this, &worker] { worker_loop(worker); });
   }
   watchdog_ = std::thread([this] { watchdog_loop(); });
 }
@@ -114,7 +99,7 @@ std::future<Response> KnnServer::submit(util::BitVector query,
   std::future<Response> future = request->promise.get_future();
   stats_.count_submitted();
 
-  if (request->query.size() != dims_) {
+  if (request->query.size() != dims()) {
     resolve(request, ResponseCode::kInvalidArgument);
     return future;
   }
@@ -201,7 +186,7 @@ bool KnnServer::resolve(const RequestPtr& request, ResponseCode code,
 
 void KnnServer::worker_loop(Worker& worker) {
   for (;;) {
-    std::vector<RequestPtr> batch = worker.batcher->next_batch();
+    std::vector<RequestPtr> batch = batcher_.next_batch();
     if (batch.empty()) {
       return;  // queue closed and drained
     }
@@ -258,26 +243,26 @@ void KnnServer::run_batch(Worker& worker, std::vector<RequestPtr> batch) {
   }
 
   ResponseCode failure = ResponseCode::kInternal;
-  std::vector<std::vector<knn::Neighbor>> results;
+  core::SearchResult result;
   bool complete = false;
   bool degraded = false;
   try {
     util::FaultInjector::check(util::kFaultServeBatch,
                                static_cast<std::int64_t>(ticket->seq));
-    knn::BinaryDataset queries(live.size(), dims_);
+    knn::BinaryDataset queries(live.size(), dims());
     for (std::size_t i = 0; i < live.size(); ++i) {
       queries.set_vector(i, live[i]->query);
     }
     core::SearchControl control;
     control.deadline = &frame_deadline;
     control.cancel = &ticket->cancel;
-    results = worker.engine->search(queries, options_.k, control);
+    result = engine_->search(queries, options_.k, control);
     // kRetry never throws for shard failures — judge the statuses. A batch
     // is only kOk when EVERY configuration survived; anything less would
     // rank neighbors against a silently partial candidate set.
-    const core::EngineStats& engine_stats = worker.engine->last_stats();
-    const std::size_t survivors = engine_stats.surviving_configurations();
-    if (survivors == worker.engine->configurations()) {
+    const core::EngineStats& engine_stats = result.stats;
+    if (engine_stats.surviving_configurations() ==
+        engine_->configurations()) {
       complete = true;
       degraded =
           engine_stats.count_state(core::ShardState::kDegraded) > 0;
@@ -304,7 +289,7 @@ void KnnServer::run_batch(Worker& worker, std::vector<RequestPtr> batch) {
       // their bit-identical results below.
       resolve(live[i], ResponseCode::kDeadlineExceeded);
     } else {
-      resolve(live[i], ResponseCode::kOk, std::move(results[i]));
+      resolve(live[i], ResponseCode::kOk, std::move(result.neighbors[i]));
     }
   }
 }
@@ -321,11 +306,11 @@ void KnnServer::watchdog_loop() {
       resolve(request, ResponseCode::kDeadlineExceeded);
     }
     const auto now = Clock::now();
-    for (auto& worker : workers_) {
+    for (Worker& worker : workers_) {
       std::shared_ptr<BatchTicket> ticket;
       {
-        std::lock_guard<std::mutex> lock(worker->ticket_mutex);
-        ticket = worker->ticket;
+        std::lock_guard<std::mutex> lock(worker.ticket_mutex);
+        ticket = worker.ticket;
       }
       if (ticket == nullptr) {
         continue;
@@ -381,9 +366,9 @@ void KnnServer::drain() {
     }
     joined_ = true;
   }
-  for (auto& worker : workers_) {
-    if (worker->thread.joinable()) {
-      worker->thread.join();
+  for (Worker& worker : workers_) {
+    if (worker.thread.joinable()) {
+      worker.thread.join();
     }
   }
   watchdog_stop_.store(true, std::memory_order_release);

@@ -6,9 +6,9 @@
 //
 //   submit() ──admission──▶ bounded queue ──batcher──▶ worker batches
 //      │                        │                          │
-//      ├─ kShuttingDown         ├─ watchdog reaps           ├─ resident
+//      ├─ kShuttingDown         ├─ watchdog reaps           ├─ one resident
 //      ├─ kInvalidArgument      │  expired requests         │  ApKnnEngine
-//      ├─ kDeadlineExceeded     │                           │  per worker
+//      ├─ kDeadlineExceeded     │                           │  shared by all
 //      │  (fast path)           ▼                           ▼
 //      └─ kOverloaded (shed) kDeadlineExceeded       kOk / typed failure
 //
@@ -16,10 +16,10 @@
 //   work; excess load is shed with typed kOverloaded responses instead of
 //   growing a queue without bound.
 // - Dynamic batching: admitted queries coalesce into shared query frames
-//   (flush on max_batch or batch_window_ms, whichever first) executed on
-//   worker-resident ApKnnEngines warmed from the artifact cache at
-//   construction.
-// - Per-request deadlines propagate into the engines' RunControl
+//   (flush on max_batch or batch_window_ms, whichever first) that every
+//   worker runs through one const ApKnnEngine, compiled (or loaded from the
+//   artifact cache) once at construction.
+// - Per-request deadlines propagate into the engine's RunControl
 //   checkpoints (batch budget = latest member deadline); requests whose
 //   own deadline expires — at admission, queued, or mid-batch — resolve
 //   kDeadlineExceeded while batch-mates still get bit-identical results.
@@ -54,12 +54,13 @@
 namespace apss::serve {
 
 struct ServerOptions {
-  /// Worker-engine configuration (backend, lane width, threads, artifact
-  /// cache, packing ...). The server overrides the robustness fields:
-  /// on_error is forced to kRetry (degrade, never silently lose answers),
-  /// deadline_ms/cancel are replaced by the per-request machinery, and
-  /// collect_report_stream is disabled. threads applies PER WORKER ENGINE
-  /// (1 = serial worker; scale out via `workers`).
+  /// Configuration of the server's one engine (backend, lane width,
+  /// threads, artifact cache, packing ...). The server overrides the
+  /// robustness fields: on_error is forced to kRetry (degrade, never
+  /// silently lose answers), deadline_ms/cancel are replaced by the
+  /// per-request machinery, and collect_report_stream is disabled. threads
+  /// sizes that engine's pool, which every worker's batches share (1 = each
+  /// batch runs serially on its worker; scale out via `workers`).
   core::EngineOptions engine;
   /// Neighbors returned per query (clamped to the dataset size).
   std::size_t k = 10;
@@ -74,9 +75,7 @@ struct ServerOptions {
   /// How long a forming batch waits for more queries after its first
   /// (<= 0: no wait — batches are whatever is instantaneously queued).
   double batch_window_ms = 1.0;
-  /// Batch-executor threads, each with its own resident ApKnnEngine
-  /// (constructed sequentially at startup; with engine.artifact_cache_dir
-  /// set, the first build warms the cache and the rest load from it).
+  /// Batch-executor threads; each runs its batches on the shared engine.
   std::size_t workers = 1;
   /// Watchdog: a batch executing longer than this is declared wedged —
   /// its requests fail kInternal and its cancellation token fires. 0
@@ -91,8 +90,8 @@ struct ServerOptions {
 
 class KnnServer {
  public:
-  /// Compiles `dataset` into `workers` resident engines and (unless
-  /// defer_start) launches the worker and watchdog threads.
+  /// Compiles `dataset` into one resident engine and (unless defer_start)
+  /// launches the worker and watchdog threads.
   KnnServer(knn::BinaryDataset dataset, ServerOptions options = {});
 
   /// Drains: equivalent to drain().
@@ -131,8 +130,8 @@ class KnnServer {
   /// Point-in-time health snapshot.
   ServerStats stats() const;
 
-  std::size_t workers() const noexcept { return workers_.size(); }
-  std::size_t dims() const noexcept { return dims_; }
+  std::size_t workers() const noexcept { return options_.workers; }
+  std::size_t dims() const noexcept { return engine_->stream_spec().dims; }
   std::size_t k() const noexcept { return options_.k; }
 
  private:
@@ -150,10 +149,11 @@ class KnnServer {
                bool expired_at_admission = false);
 
   ServerOptions options_;
-  std::size_t dims_ = 0;
   RequestQueue queue_;
+  Batcher batcher_;
   StatsCollector stats_;
-  std::vector<std::unique_ptr<Worker>> workers_;
+  std::unique_ptr<const core::ApKnnEngine> engine_;
+  std::vector<Worker> workers_;  // sized once; never moved
   std::thread watchdog_;
 
   std::atomic<std::uint64_t> next_request_id_{0};

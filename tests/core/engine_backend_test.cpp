@@ -9,7 +9,6 @@
 #include "apss_test_support.hpp"
 #include "core/engine.hpp"
 #include "util/fault_injection.hpp"
-#include "util/thread_pool.hpp"
 
 namespace apss::core {
 namespace {
@@ -80,9 +79,8 @@ TEST(EngineBackend, SearchMatchesAcrossConfigurationSplits) {
 TEST(EngineBackend, SearchMatchesWithThreadPoolAndChunking) {
   const auto data = knn::BinaryDataset::uniform(30, 32, 303);
   const auto queries = knn::BinaryDataset::uniform(11, 32, 304);
-  util::ThreadPool pool(4);
   EngineOptions opt = backend_options({}, 9);
-  opt.pool = &pool;
+  opt.threads = 5;  // 4 pool workers plus the submitting thread
   opt.queries_per_chunk = 3;
   expect_same_search(data, queries, 4, opt, opt, "pooled");
 }

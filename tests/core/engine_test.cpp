@@ -49,9 +49,8 @@ TEST(ApKnnEngine, ParallelPoolAgreesWithSerial) {
   const auto data = knn::BinaryDataset::uniform(30, 32, 105);
   const auto queries = knn::BinaryDataset::uniform(12, 32, 106);
   ApKnnEngine serial(data, small_engine_options(16));
-  util::ThreadPool pool(4);
   EngineOptions par_opt = small_engine_options(16);
-  par_opt.pool = &pool;
+  par_opt.threads = 5;  // 4 pool workers plus the submitting thread
   par_opt.queries_per_chunk = 3;
   ApKnnEngine parallel(data, par_opt);
   const auto a = serial.search(queries, 7);

@@ -2,14 +2,17 @@
 // packed and multiplexed designs must produce bit-identical neighbor lists,
 // EngineStats, AND merged ReportEvent streams at every thread count — the
 // merge walks shards in configuration/frame order, never completion order,
-// so thread scheduling can never show through. These run under TSan in CI
-// (APSS_SANITIZE=thread) to also prove the sharding is race-free.
+// so thread scheduling can never show through. The same holds when several
+// threads search one shared engine at once. These run under TSan in CI
+// (APSS_SANITIZE=thread) to also prove the sharding and the sharing are
+// race-free.
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "apss_test_support.hpp"
 #include "core/engine.hpp"
-#include "util/thread_pool.hpp"
 
 namespace apss::core {
 namespace {
@@ -47,6 +50,29 @@ void expect_thread_invariant(const knn::BinaryDataset& data,
     EXPECT_EQ(run.stream, reference.stream) << ctx;
     EXPECT_EQ(run.stats, reference.stats) << ctx;
     EXPECT_EQ(run.compile, reference.compile) << ctx;
+  }
+  // One engine, four concurrent searchers through the const overload:
+  // every SearchResult must equal the serial reference.
+  opt.collect_report_stream = true;
+  for (const std::size_t threads : {1, 2}) {
+    opt.threads = threads;
+    const ApKnnEngine engine(data, opt);
+    std::vector<SearchResult> results(4);
+    std::vector<std::thread> searchers;
+    for (SearchResult& result : results) {
+      searchers.emplace_back(
+          [&] { result = engine.search(queries, k, SearchControl{}); });
+    }
+    for (std::thread& searcher : searchers) {
+      searcher.join();
+    }
+    const std::string ctx =
+        context + " shared engine threads=" + std::to_string(threads);
+    for (const SearchResult& result : results) {
+      EXPECT_EQ(result.neighbors, reference.results) << ctx;
+      EXPECT_EQ(result.events, reference.stream) << ctx;
+      EXPECT_EQ(result.stats, reference.stats) << ctx;
+    }
   }
   test::expect_exact_knn_results(data, queries, k, reference.results, context);
 }
@@ -136,21 +162,6 @@ TEST(EngineThreads, FallbackStatsIdenticalAcrossThreadCounts) {
     EXPECT_EQ(run.compile, reference.compile) << "threads=" << threads;
     EXPECT_EQ(run.results, reference.results) << "threads=" << threads;
   }
-}
-
-TEST(EngineThreads, ExplicitPoolStillWins) {
-  const auto data = knn::BinaryDataset::uniform(19, 16, 609);
-  const auto queries = knn::BinaryDataset::uniform(5, 16, 610);
-  util::ThreadPool pool(3);
-  EngineOptions opt;
-  opt.backend = SimulationBackend::kBitParallel;
-  opt.pool = &pool;
-  opt.threads = 1;  // ignored: an explicit pool takes precedence
-  opt.max_vectors_per_config = 6;
-  ApKnnEngine engine(data, opt);
-  EXPECT_EQ(engine.simulation_threads(), 4u);
-  const auto results = engine.search(queries, 3);
-  test::expect_exact_knn_results(data, queries, 3, results);
 }
 
 TEST(EngineThreads, SerialEngineReportsOneThread) {

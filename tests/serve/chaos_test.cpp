@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <future>
+#include <string>
 #include <vector>
 
+#include "core/engine.hpp"
 #include "knn/dataset.hpp"
 #include "serve/server.hpp"
 #include "util/fault_injection.hpp"
@@ -129,27 +132,53 @@ TEST_F(ServeChaos, EngineDegradeStaysOkAndIsCounted) {
   // A persistent bit-parallel frame fault forces the engine's kRetry
   // policy to degrade configurations to the cycle-accurate reference:
   // answers stay exact and kOk, and the server counts the degraded batch.
+  // The 4-worker arm loads every program from a warm artifact cache, so no
+  // configuration holds a network, and runs 32 requests in batches of at
+  // most 4: several workers then rebuild one configuration's network on
+  // the shared engine at the same time.
   const auto data = bed_data();
   for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    const std::string ctx = "workers=" + std::to_string(workers);
+    const std::size_t requests = workers == 1 ? 1 : 32;
     ServerOptions options = bed_options(workers);
     options.engine.backend = core::SimulationBackend::kBitParallel;
-    KnnServer baseline_server(data, options);
-    const Response want = baseline_server.search(data.vector(9));
-    ASSERT_TRUE(want.ok());
-    baseline_server.drain();
+    if (workers > 1) {
+      const std::string dir = ::testing::TempDir() + "apss_serve_degrade";
+      std::filesystem::remove_all(dir);
+      options.engine.artifact_cache_dir = dir;
+      options.max_batch = 4;
+    }
+    std::vector<Response> want;
+    {
+      KnnServer baseline_server(data, options);  // warms the cache
+      for (std::size_t i = 0; i < requests; ++i) {
+        want.push_back(baseline_server.search(data.vector(9 + i)));
+        ASSERT_TRUE(want.back().ok()) << ctx << " request " << i;
+      }
+    }
+    if (workers > 1) {
+      const core::ApKnnEngine probe(data, options.engine);
+      ASSERT_EQ(probe.backend_stats().artifact.hits, probe.configurations());
+    }
 
     util::FaultInjector::Plan plan;  // every bit-parallel frame attempt
     util::FaultInjector::instance().arm(util::kFaultBatchFrame, plan);
     KnnServer server(data, options);
-    const Response response = server.search(data.vector(9));
+    std::vector<std::future<Response>> futures;
+    for (std::size_t i = 0; i < requests; ++i) {
+      futures.push_back(server.submit(data.vector(9 + i)));
+    }
+    for (std::size_t i = 0; i < requests; ++i) {
+      const Response response = futures[i].get();
+      ASSERT_EQ(response.code, ResponseCode::kOk) << ctx << " request " << i;
+      EXPECT_EQ(response.neighbors, want[i].neighbors)
+          << ctx << " request " << i;
+    }
     util::FaultInjector::instance().disarm_all();
-
-    ASSERT_EQ(response.code, ResponseCode::kOk) << "workers=" << workers;
-    EXPECT_EQ(response.neighbors, want.neighbors) << "workers=" << workers;
     server.drain();
     const ServerStats stats = server.stats();
-    EXPECT_GE(stats.degraded_batches, 1u) << "workers=" << workers;
-    EXPECT_TRUE(stats.accounted()) << "workers=" << workers;
+    EXPECT_GE(stats.degraded_batches, 1u) << ctx;
+    EXPECT_TRUE(stats.accounted()) << ctx;
   }
 }
 

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <future>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -40,7 +41,7 @@ ServerOptions bed_options(std::size_t workers) {
   ServerOptions options;
   options.k = kK;
   options.workers = workers;
-  options.engine.threads = 1;  // per worker; scale-out is via workers
+  options.engine.threads = 1;  // serial batches; scale-out is via workers
   // Several board configurations so batches really shard.
   options.engine.max_vectors_per_config = 40;
   return options;
@@ -48,7 +49,8 @@ ServerOptions bed_options(std::size_t workers) {
 
 // ---------------------------------------------------------------------------
 // Oracle bit-identity: concurrent batched serving vs a single-flight
-// standalone engine, at 1 and 4 workers.
+// standalone engine, at 1 and 4 serial workers and at 2 workers sharing the
+// engine's 2-thread pool.
 
 TEST_F(ServeTest, ConcurrentClientsMatchSingleFlightOracle) {
   const auto data = bed_data();
@@ -60,8 +62,11 @@ TEST_F(ServeTest, ConcurrentClientsMatchSingleFlightOracle) {
   core::ApKnnEngine oracle(data, oracle_options);
   const auto want = oracle.search(queries, kK);
 
-  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
-    KnnServer server(data, bed_options(workers));
+  for (const auto& [workers, threads] :
+       {std::pair<std::size_t, std::size_t>{1, 1}, {4, 1}, {2, 2}}) {
+    ServerOptions options = bed_options(workers);
+    options.engine.threads = threads;
+    KnnServer server(data, options);
     // 4 client threads race 12 submissions each; batching composition is
     // scheduling-dependent, the ANSWERS must not be.
     std::vector<std::future<Response>> futures(queries.size());
@@ -79,9 +84,11 @@ TEST_F(ServeTest, ConcurrentClientsMatchSingleFlightOracle) {
     for (std::size_t q = 0; q < queries.size(); ++q) {
       const Response response = futures[q].get();
       ASSERT_EQ(response.code, ResponseCode::kOk)
-          << "workers=" << workers << " query " << q;
+          << "workers=" << workers << " threads=" << threads << " query "
+          << q;
       EXPECT_EQ(response.neighbors, want[q])
-          << "workers=" << workers << " query " << q;
+          << "workers=" << workers << " threads=" << threads << " query "
+          << q;
       EXPECT_GE(response.batch_seq, 1u);
       EXPECT_GE(response.batch_size, 1u);
     }
