@@ -18,10 +18,6 @@
 // the median per-round ratio: a host speed swing then hits both searches
 // of a round alike instead of reading as a scale-out change.
 //
-// A lane-width sweep does the same across EngineOptions::lane_width in
-// {64, 256, 512}: every width must reproduce the 64-bit results and
-// stream exactly (knn_lane_width_sweep records, with the resolved ISA).
-//
 // Usage: bench_fig8_comparison [n] [dims] [queries]   (defaults 1024 128 32)
 
 #include <algorithm>
@@ -308,74 +304,6 @@ int run_thread_sweep(util::BenchReport& report, std::size_t n,
   return 0;
 }
 
-int run_lane_width_sweep(util::BenchReport& report, std::size_t n,
-                         std::size_t dims, std::size_t queries_n) {
-  const std::size_t k = 10;
-  const auto data = knn::BinaryDataset::uniform(n, dims, 97);
-  const auto queries = knn::BinaryDataset::uniform(queries_n, dims, 98);
-
-  constexpr int kReps = 3;
-  util::TablePrinter table("Bit-parallel lane-width sweep (best of " +
-                           std::to_string(kReps) + ")");
-  table.set_header({"width", "isa", "wall s", "speedup vs w64"});
-  double base_wall = 0.0;
-  std::vector<std::vector<knn::Neighbor>> base_results;
-  std::vector<apsim::ReportEvent> base_stream;
-  std::size_t errors = 0;
-  for (const apsim::LaneWidth w : {apsim::LaneWidth::k64,
-                                   apsim::LaneWidth::k256,
-                                   apsim::LaneWidth::k512}) {
-    core::EngineOptions opt;
-    opt.backend = core::SimulationBackend::kBitParallel;
-    opt.lane_width = w;
-    opt.collect_report_stream = true;
-    core::ApKnnEngine engine(data, opt);
-    double wall = 0.0;
-    std::vector<std::vector<knn::Neighbor>> results;
-    for (int rep = 0; rep < kReps; ++rep) {
-      util::Timer timer;
-      auto rep_results = engine.search(queries, k);
-      const double rep_wall = timer.seconds();
-      if (rep == 0) {
-        wall = rep_wall;
-        results = std::move(rep_results);
-      } else {
-        wall = std::min(wall, rep_wall);
-      }
-    }
-    if (w == apsim::LaneWidth::k64) {
-      base_wall = wall;
-      base_results = results;
-      base_stream = engine.last_report_stream();
-    } else if (results != base_results ||
-               engine.last_report_stream() != base_stream) {
-      std::fprintf(stderr,
-                   "FAIL: %s-bit lanes diverged from the 64-bit reference "
-                   "(results or merged report stream)\n", apsim::to_string(w));
-      ++errors;
-    }
-    const std::string isa = engine.backend_stats().lane_isa;
-    const double speedup = wall > 0.0 ? base_wall / wall : 0.0;
-    table.add_row({apsim::to_string(w), isa,
-                   util::TablePrinter::fmt(wall, 4),
-                   util::TablePrinter::fmt(speedup, 2)});
-    report.write(util::BenchRecord("knn_lane_width_sweep")
-                     .param("n", static_cast<std::uint64_t>(n))
-                     .param("dims", static_cast<std::uint64_t>(dims))
-                     .param("queries", static_cast<std::uint64_t>(queries_n))
-                     .param("lane_width_bits",
-                            static_cast<std::uint64_t>(w))
-                     .param("lane_isa", isa)
-                     .param("speedup_vs_w64", speedup)
-                     .wall_seconds(wall));
-  }
-  table.add_note("identical neighbor lists and merged ReportEvent stream at "
-                 "every lane width; wider words need AVX2/AVX-512 for SIMD, "
-                 "else the portable multi-word fallback runs.");
-  table.print(std::cout);
-  return errors == 0 ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) try {
@@ -394,13 +322,12 @@ int main(int argc, char** argv) try {
   const int grid_rc = run_comparison_grid(report);
   const int backend_rc = run_backend_comparison(report, n, dims, queries);
   const int sweep_rc = run_thread_sweep(report, n, dims, queries);
-  const int width_rc = run_lane_width_sweep(report, n, dims, queries);
   if (report.ok()) {
     std::printf("\nrecorded -> %s\n", report.path().c_str());
   }
   if (grid_rc != 0) return grid_rc;
   if (backend_rc != 0) return backend_rc;
-  return sweep_rc != 0 ? sweep_rc : width_rc;
+  return sweep_rc;
 } catch (const std::exception& ex) {
   std::fprintf(stderr, "error: %s\n", ex.what());
   return 1;

@@ -9,16 +9,18 @@
 //               every frame: a huge one (the CI gate), a serving-scale
 //               50 ms one, and one inside the coarse clock's slack
 //               (util::Deadline::coarse_slack()), where every checkpoint
-//               also reads the precise clock. The arms are timed in N
-//               rounds, the order reversing every round, and each
-//               overhead is the median of its per-round ratios to the
+//               also reads the precise clock. Each arm runs on its own
+//               engine and passes its budget through SearchControl, the
+//               deadline starting inside the timed region. The arms are
+//               timed in N rounds, the order reversing every round, and
+//               each overhead is the median of its per-round ratios to the
 //               plain arm, so a host speed swing hits all arms of a round
 //               alike instead of reading as overhead. Every arm must
 //               return bit-identical neighbors; the CI gate asserts the
 //               huge and 50 ms deadlines cost < 2%.
-//   overshoot — a deadline set to ~half the baseline wall clock, under the
-//               isolate policy, over 9 runs: elapsed - deadline measures
-//               the frame-granular enforcement lag.
+//   overshoot — a deadline set to ~half the baseline wall clock, under
+//               kRetry with no retries, over 9 runs: elapsed - deadline
+//               measures the frame-granular enforcement lag.
 //
 // Usage: bench_robustness [n] [dims] [queries] [rounds]
 //        (default 1024 128 32 500)
@@ -68,11 +70,29 @@ std::string fmt(const char* f, double v) {
   return buf;
 }
 
-/// Wall clock of one search.
-double search_wall(core::ApKnnEngine& engine,
-                   const knn::BinaryDataset& queries, std::size_t k) {
+/// One search under a `budget_ms` deadline (0 = none): its neighbors, and
+/// its stats in *stats.
+std::vector<std::vector<knn::Neighbor>> budgeted_search(
+    const core::ApKnnEngine& engine, const knn::BinaryDataset& queries,
+    std::size_t k, double budget_ms, core::EngineStats* stats) {
+  const util::Deadline deadline = budget_ms > 0
+                                      ? util::Deadline::after_ms(budget_ms)
+                                      : util::Deadline{};
+  core::SearchControl control;
+  control.deadline = &deadline;
+  core::SearchResult result = engine.search(queries, k, control);
+  *stats = std::move(result.stats);
+  return std::move(result.neighbors);
+}
+
+/// Wall clock of one budgeted_search(). The deadline starts and the
+/// neighbor lists are released inside the timed region, the same work in
+/// every arm.
+double search_wall(const core::ApKnnEngine& engine,
+                   const knn::BinaryDataset& queries, std::size_t k,
+                   double budget_ms, core::EngineStats* stats) {
   util::Timer timer;
-  engine.search(queries, k);
+  budgeted_search(engine, queries, k, budget_ms, stats);
   return timer.seconds();
 }
 
@@ -99,8 +119,9 @@ int main(int argc, char** argv) {
   opt.threads = 1;  // serialize so all arms time identical work
 
   // Arm 0: plain — no deadline, no token: the unengaged fast path.
-  core::ApKnnEngine plain(data, opt);
-  const auto expected = plain.search(queries, k);
+  const core::ApKnnEngine plain(data, opt);
+  core::EngineStats stats;
+  const auto expected = budgeted_search(plain, queries, k, 0, &stats);
   const std::size_t configs = plain.configurations();
 
   // Engaged arms: deadlines that never fire, so every query frame pays the
@@ -108,8 +129,8 @@ int main(int argc, char** argv) {
   // and 50 ms budgets stay more than coarse_slack() from their deadline and
   // take the coarse pre-check; the window arm's budget lies inside the
   // slack, so each of its checkpoints reads both clocks. The two shorter
-  // budgets run under kIsolate, so a host stall that fires one cannot abort
-  // the bench; its timed-out shards are counted instead.
+  // budgets run under kRetry with no retries, so a host stall that fires
+  // one cannot abort the bench; its timed-out shards are counted instead.
   const double slack_ms = std::chrono::duration<double, std::milli>(
                               util::Deadline::coarse_slack())
                               .count();
@@ -123,18 +144,18 @@ int main(int argc, char** argv) {
       {"huge deadline (checkpointed)", "robustness_checkpoint_overhead", 1e9,
        core::OnError::kFailFast},
       {"50 ms deadline (checkpointed)",
-       "robustness_checkpoint_overhead_serving", 50.0,
-       core::OnError::kIsolate},
+       "robustness_checkpoint_overhead_serving", 50.0, core::OnError::kRetry},
       {"deadline inside the coarse slack",
        "robustness_checkpoint_overhead_window", std::max(1.0, slack_ms / 2),
-       core::OnError::kIsolate},
+       core::OnError::kRetry},
   };
-  std::vector<std::unique_ptr<core::ApKnnEngine>> engines;
+  opt.max_retries = 0;
+  std::vector<std::unique_ptr<const core::ApKnnEngine>> engines;
   for (const Arm& arm : arms) {
-    opt.deadline_ms = arm.deadline_ms;
     opt.on_error = arm.on_error;
-    engines.push_back(std::make_unique<core::ApKnnEngine>(data, opt));
-    if (engines.back()->search(queries, k) != expected) {
+    engines.push_back(std::make_unique<const core::ApKnnEngine>(data, opt));
+    if (budgeted_search(*engines.back(), queries, k, arm.deadline_ms,
+                        &stats) != expected) {
       std::cerr << "FAIL: " << arm.label << " changed the neighbors\n";
       return 1;
     }
@@ -149,11 +170,12 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i <= arms.size(); ++i) {
       const std::size_t a = round % 2 == 0 ? i : arms.size() - i;
       if (a == 0) {
-        round_s[0] = search_wall(plain, queries, k);
+        round_s[0] = search_wall(plain, queries, k, 0, &stats);
       } else {
-        round_s[a] = search_wall(*engines[a - 1], queries, k);
-        timed_out_shards[a - 1] += engines[a - 1]->last_stats().count_state(
-            core::ShardState::kTimedOut);
+        round_s[a] = search_wall(*engines[a - 1], queries, k,
+                                 arms[a - 1].deadline_ms, &stats);
+        timed_out_shards[a - 1] +=
+            stats.count_state(core::ShardState::kTimedOut);
       }
     }
     plain_s.push_back(round_s[0]);
@@ -168,28 +190,26 @@ int main(int argc, char** argv) {
     overhead_pct[a] = (util::median(ratios[a]) - 1.0) * 100.0;
   }
 
-  // Overshoot: a deadline at ~half the baseline wall clock, isolate policy.
-  // Elapsed minus deadline is the enforcement lag (at most about one query
-  // frame plus wind-down, since checkpoints sit on frame boundaries). The
-  // budget lies inside the coarse slack, so every checkpoint reads the
-  // precise clock.
+  // Overshoot: a deadline at ~half the baseline wall clock, kRetry with no
+  // retries. Elapsed minus deadline is the enforcement lag (at most about
+  // one query frame plus wind-down, since checkpoints sit on frame
+  // boundaries). The budget lies inside the coarse slack, so every
+  // checkpoint reads the precise clock.
   constexpr std::size_t kOvershootRuns = 9;
   const double deadline_ms = std::max(0.05, plain_wall * 1e3 / 2.0);
-  opt.deadline_ms = deadline_ms;
-  opt.on_error = core::OnError::kIsolate;
-  core::ApKnnEngine bounded(data, opt);
+  opt.on_error = core::OnError::kRetry;
+  const core::ApKnnEngine bounded(data, opt);
   std::vector<double> overshoot_runs_ms;
   double overshoot_ms = 0;
   std::size_t timed_out = 0;
   for (std::size_t run = 0; run < kOvershootRuns; ++run) {
-    util::Timer timer;
-    bounded.search(queries, k);
-    const double elapsed_ms = timer.seconds() * 1e3 - deadline_ms;
+    const double elapsed_ms =
+        search_wall(bounded, queries, k, deadline_ms, &stats) * 1e3 -
+        deadline_ms;
     overshoot_runs_ms.push_back(elapsed_ms);
     if (run == 0 || elapsed_ms < overshoot_ms) {
       overshoot_ms = elapsed_ms;
-      timed_out =
-          bounded.last_stats().count_state(core::ShardState::kTimedOut);
+      timed_out = stats.count_state(core::ShardState::kTimedOut);
     }
   }
   const double overshoot_median_ms = util::median(overshoot_runs_ms);
@@ -217,7 +237,7 @@ int main(int argc, char** argv) {
     table.add_row({arms[a].label, fmt("%.3f", util::median(arm_s[a]) * 1e3),
                    note});
   }
-  table.add_row({"half-baseline deadline, isolate",
+  table.add_row({"half-baseline deadline, retry:0",
                  fmt("%.3f", deadline_ms + overshoot_ms),
                  fmt("%.3f", deadline_ms) + " ms budget, " +
                      std::to_string(timed_out) + " shards timed out (best of " +

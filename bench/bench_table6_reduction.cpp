@@ -72,7 +72,6 @@ int main(int argc, char** argv) {
     params.dims = w.dims;
     params.group_size = 16;
     params.k = w.k;
-    params.k_prime = 1;
     params.queries_per_run = queries_per_run;
     params.runs = runs;
     params.seed = 77;

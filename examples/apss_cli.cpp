@@ -7,11 +7,10 @@
 //   apss_cli anml <file.anml> '<input text>'
 //       Load an ANML network, execute it, and print report events.
 //   apss_cli knn <d> <n> <k> [seed] [--backend=cycle|bit]
-//            [--lane-width=auto|64|256|512] [--packing=<g>]
-//            [--threads=<N>] [--max-per-config=<N>]
+//            [--packing=<g>] [--threads=<N>] [--max-per-config=<N>]
 //            [--artifact-cache=<dir>] [--save-artifact=<path>]
 //            [--load-artifact=<path>] [--deadline-ms=<ms>]
-//            [--on-error=fail|isolate|retry[:N]]
+//            [--on-error=fail|retry[:N]]
 //            [--inject-fault=<site>[:<hit>[:<count>[:<key>]]]]
 //       Build a random n x d-bit dataset, compile it to Hamming/sorting
 //       macros, run one random query end to end, and print the neighbors
@@ -19,11 +18,8 @@
 //       --backend=bit runs the search on the bit-parallel batch simulator
 //       (docs/SIMULATOR_SEMANTICS.md) instead of the cycle-accurate one,
 //       and prints the per-configuration compile outcome (per macro
-//       family) plus every fallback reason, so cycle-accurate fallbacks
-//       are visible. --lane-width picks the batch backend's execution
-//       width (auto = widest this CPU supports; explicit widths fall back
-//       to a portable implementation when the SIMD variant is missing) —
-//       results are bit-identical at every width.
+//       family), the match-count kernel its closed-form frames run, and
+//       every fallback reason, so cycle-accurate fallbacks are visible.
 //       --packing=g builds the Sec. VI-A vector-packed
 //       design, g vectors per shared ladder. --threads=N shards the
 //       compile and the search over N threads (0 = all hardware threads,
@@ -40,8 +36,10 @@
 //       Robustness flags (docs/ROBUSTNESS.md): --deadline-ms budgets the
 //       search (frame-granular enforcement); --on-error picks the shard
 //       failure policy (fail = abort on first failure, the default;
-//       isolate = skip failed configurations; retry[:N] = isolate after N
-//       extra attempts); --inject-fault arms the deterministic fault
+//       retry[:N] = re-run a failing shard up to N times, 2 by default,
+//       then once on the cycle-accurate reference if it ran bit-parallel,
+//       then skip its configuration; retry:0 skips without plain
+//       re-runs); --inject-fault arms the deterministic fault
 //       injector at a named site (e.g. engine.shard, artifact.read) for
 //       testing the failure paths from the shell.
 //
@@ -150,8 +148,8 @@ int run_anml(const std::string& path, const std::string& text) {
 }
 
 /// Everything the knn subcommand's flags configure. The engine-facing
-/// flags shared with apss_serve (--backend/--lane-width/--threads/
-/// --artifact-cache) parse through cli::EngineFlags (cli_common.hpp).
+/// flags shared with apss_serve (--backend/--threads/--artifact-cache)
+/// parse through cli::EngineFlags (cli_common.hpp).
 struct KnnFlags {
   cli::EngineFlags engine;
   std::size_t packing_group = 0;
@@ -176,8 +174,6 @@ int run_knn(std::size_t dims, std::size_t n, std::size_t k,
   flags.engine.apply(&opt);
   opt.packing_group_size = flags.packing_group;
   opt.max_vectors_per_config = flags.max_per_config;
-  opt.deadline_ms = flags.deadline_ms;
-  opt.cancel = &g_cancel;
   opt.on_error = flags.on_error;
   opt.max_retries = flags.max_retries;
   core::ApKnnEngine engine(data, opt);
@@ -197,8 +193,7 @@ int run_knn(std::size_t dims, std::size_t n, std::size_t k,
                 "%zu hamming, %zu packed, %zu multiplexed)\n",
                 bs.bit_parallel, bs.configurations, bs.hamming, bs.packed,
                 bs.multiplexed);
-    std::printf("lane width: %zu bits (%s)\n", bs.lane_width_bits,
-                bs.lane_isa.c_str());
+    std::printf("match-count kernel: %s\n", bs.match_count_isa.c_str());
     for (const auto& [why, count] : bs.fallback_reasons) {
       std::printf("  fallback x%zu -> cycle-accurate: %s\n", count,
                   why.c_str());
@@ -257,9 +252,16 @@ int run_knn(std::size_t dims, std::size_t n, std::size_t k,
   }
 
   auto queries = knn::perturbed_queries(data, 1, 0.1, seed + 1);
-  std::vector<std::vector<knn::Neighbor>> results;
+  // The budget starts right before the search; SIGINT cancels it.
+  const util::Deadline deadline =
+      flags.deadline_ms > 0 ? util::Deadline::after_ms(flags.deadline_ms)
+                            : util::Deadline{};
+  core::SearchControl control;
+  control.deadline = &deadline;
+  control.cancel = &g_cancel;
+  core::SearchResult result;
   try {
-    results = engine.search(queries, k);
+    result = engine.search(queries, k, control);
   } catch (const util::DeadlineExceeded& ex) {
     std::fprintf(stderr, "deadline exceeded: %s\n", ex.what());
     return kExitDeadline;
@@ -270,11 +272,12 @@ int run_knn(std::size_t dims, std::size_t n, std::size_t k,
     std::fprintf(stderr, "search failed: %s\n", ex.what());
     return kExitSearchFailed;
   }
-  std::printf("query -> %zu nearest neighbors:\n", results[0].size());
-  for (const auto& nb : results[0]) {
+  std::printf("query -> %zu nearest neighbors:\n",
+              result.neighbors[0].size());
+  for (const auto& nb : result.neighbors[0]) {
     std::printf("  vector %6u  distance %u\n", nb.id, nb.distance);
   }
-  const auto& stats = engine.last_stats();
+  const core::EngineStats& stats = result.stats;
   std::printf("device cycles: %zu (%zu per query frame)\n",
               stats.simulated_cycles, stats.cycles_per_query);
   // Per-configuration fault-isolation outcomes: silent only when everything
@@ -305,11 +308,10 @@ void usage() {
                "  apss_cli pcre '<pattern>' '<text>'\n"
                "  apss_cli anml <file.anml> '<text>'\n"
                "  apss_cli knn <dims> <n> <k> [seed] [--backend=cycle|bit] "
-               "[--lane-width=auto|64|256|512] "
                "[--packing=<group>] [--threads=<N>] [--max-per-config=<N>] "
                "[--artifact-cache=<dir>] [--save-artifact=<path>] "
                "[--load-artifact=<path>] [--deadline-ms=<ms>] "
-               "[--on-error=fail|isolate|retry[:N]] "
+               "[--on-error=fail|retry[:N]] "
                "[--inject-fault=<site>[:<hit>[:<count>[:<key>]]]]\n");
 }
 
@@ -370,8 +372,6 @@ int main(int argc, char** argv) {
           const std::string value = arg.substr(11);
           if (value == "fail" || value == "fail-fast") {
             flags.on_error = core::OnError::kFailFast;
-          } else if (value == "isolate") {
-            flags.on_error = core::OnError::kIsolate;
           } else if (value == "retry") {
             flags.on_error = core::OnError::kRetry;
           } else if (value.rfind("retry:", 0) == 0 &&
@@ -380,7 +380,7 @@ int main(int argc, char** argv) {
             flags.max_retries = static_cast<std::size_t>(v);
           } else {
             std::fprintf(stderr,
-                         "--on-error needs fail, isolate, or retry[:N]\n");
+                         "--on-error needs fail or retry[:N]\n");
             usage();
             return kExitUsage;
           }

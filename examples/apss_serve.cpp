@@ -10,8 +10,8 @@
 //
 // Usage:
 //   apss_serve [--dims=<d>] [--n=<vectors>] [--k=<neighbors>] [--seed=<s>]
-//              [--backend=cycle|bit] [--lane-width=auto|64|256|512]
-//              [--threads=<N>] [--artifact-cache=<dir>]
+//              [--backend=cycle|bit] [--threads=<N>]
+//              [--artifact-cache=<dir>]
 //              [--workers=<N>] [--max-batch=<N>] [--batch-window-ms=<ms>]
 //              [--max-queue-depth=<N>] [--max-inflight=<N>]
 //              [--watchdog-timeout-ms=<ms>]
@@ -92,8 +92,7 @@ void usage() {
   std::fprintf(
       stderr,
       "usage: apss_serve [--dims=<d>] [--n=<vectors>] [--k=<neighbors>]\n"
-      "         [--seed=<s>] [--backend=cycle|bit]\n"
-      "         [--lane-width=auto|64|256|512] [--threads=<N>]\n"
+      "         [--seed=<s>] [--backend=cycle|bit] [--threads=<N>]\n"
       "         [--artifact-cache=<dir>] [--workers=<N>] [--max-batch=<N>]\n"
       "         [--batch-window-ms=<ms>] [--max-queue-depth=<N>]\n"
       "         [--max-inflight=<N>] [--watchdog-timeout-ms=<ms>]\n"

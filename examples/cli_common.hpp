@@ -2,7 +2,7 @@
 // Flag parsing shared by the example binaries (apss_cli, apss_serve).
 //
 // Both expose the same engine-configuration surface — --backend,
-// --lane-width, --threads, --artifact-cache — plus --inject-fault for
+// --threads, --artifact-cache — plus --inject-fault for
 // driving the deterministic fault injector from the shell. Parsing lives
 // here once so the two binaries cannot drift: a spelling accepted by one
 // is accepted, with identical semantics, by the other.
@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "apsim/batch_simulator.hpp"
 #include "core/engine.hpp"
 #include "util/fault_injection.hpp"
 
@@ -47,7 +46,6 @@ inline bool parse_positive_double(const std::string& value, double* out) {
 /// The engine flags both binaries accept.
 struct EngineFlags {
   core::SimulationBackend backend = core::SimulationBackend::kCycleAccurate;
-  apsim::LaneWidth lane_width = apsim::LaneWidth::kAuto;
   std::size_t threads = 0;  ///< 0 = all hardware threads
   std::string artifact_cache_dir;
 
@@ -55,7 +53,6 @@ struct EngineFlags {
   /// flags don't cover untouched).
   void apply(core::EngineOptions* options) const {
     options->backend = backend;
-    options->lane_width = lane_width;
     options->threads = threads;
     options->artifact_cache_dir = artifact_cache_dir;
   }
@@ -81,15 +78,6 @@ inline FlagParse try_parse_engine_flag(const std::string& arg,
       flags->backend = core::SimulationBackend::kCycleAccurate;
     } else {
       *error = "unknown backend '" + value + "'";
-      return FlagParse::kError;
-    }
-    return FlagParse::kParsed;
-  }
-  if (arg.rfind("--lane-width=", 0) == 0) {
-    const std::string value = arg.substr(13);
-    if (!apsim::parse_lane_width(value, &flags->lane_width)) {
-      *error =
-          "--lane-width must be auto, 64, 256 or 512 (got '" + value + "')";
       return FlagParse::kError;
     }
     return FlagParse::kParsed;

@@ -36,6 +36,8 @@ check 2 "usage-missing"      "$cli" knn 16 32
 check 2 "usage-bad-flag"     "$cli" knn 16 32 3 --frobnicate=1
 check 2 "usage-bad-backend"  "$cli" knn 16 32 3 --backend=quantum
 check 2 "usage-bad-policy"   "$cli" knn 16 32 3 --on-error=bogus
+check 2 "usage-no-isolate"   "$cli" knn 16 32 3 --on-error=isolate
+check 2 "usage-no-lane-width" "$cli" knn 16 32 3 --lane-width=64
 check 2 "usage-bad-deadline" "$cli" knn 16 32 3 --deadline-ms=-5
 check 2 "usage-artifact-needs-bit" "$cli" knn 16 32 3 --artifact-cache="$tmp/c"
 # 3: load errors (missing ANML file, malformed ANML, unreadable artifact).
@@ -48,9 +50,10 @@ check 3 "load-missing-artifact" "$cli" knn 16 32 3 1 --backend=bit \
 # injected fault at the shard entry site).
 check 4 "shard-fail-fast"    "$cli" knn 16 32 3 1 --threads=1 \
       --inject-fault=engine.shard
-# ...but the same fault under isolate/retry is absorbed into shard status.
+# ...but the same fault under retry is absorbed into shard status, with
+# no plain retries (retry:0) as with two.
 check 0 "shard-isolated"     "$cli" knn 16 32 3 1 --threads=1 \
-      --on-error=isolate --inject-fault=engine.shard
+      --on-error=retry:0 --inject-fault=engine.shard
 check 0 "shard-retried"      "$cli" knn 16 32 3 1 --threads=1 \
       --on-error=retry:2 --inject-fault=engine.shard:1:1
 # 5: a deadline far below one query frame expires at the first checkpoint.

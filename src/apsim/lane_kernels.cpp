@@ -23,21 +23,6 @@ const char* to_string(LaneWidth width) noexcept {
   return "?";
 }
 
-bool parse_lane_width(std::string_view text, LaneWidth* out) noexcept {
-  if (text == "auto") {
-    *out = LaneWidth::kAuto;
-  } else if (text == "64") {
-    *out = LaneWidth::k64;
-  } else if (text == "256") {
-    *out = LaneWidth::k256;
-  } else if (text == "512") {
-    *out = LaneWidth::k512;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 bool lane_simd_disabled_by_env() noexcept {
   const char* v = std::getenv("APSS_DISABLE_SIMD");
   return v != nullptr && v[0] != '\0' &&
@@ -56,8 +41,8 @@ bool cpu_supports_avx512() noexcept { return false; }
 
 namespace {
 
-const MatchCountKernels kPortableCounts = {detail::match_counts_impl,
-                                           detail::two_class_counts_impl};
+const MatchCountKernels kPortableCounts = {
+    detail::match_counts_impl, detail::two_class_counts_impl, "portable"};
 
 #if defined(__x86_64__) || defined(__i386__)
 // The baseline ISA lacks POPCNT (std::popcount becomes a libgcc call); these
@@ -79,7 +64,7 @@ __attribute__((target("popcnt"))) void two_class_counts_popcnt(
 }
 
 const MatchCountKernels kPopcntCounts = {match_counts_popcnt,
-                                         two_class_counts_popcnt};
+                                         two_class_counts_popcnt, "popcnt"};
 #endif
 
 }  // namespace

@@ -178,8 +178,8 @@ two_class_counts_avx512(const std::uint64_t* lane_bits,
   }
 }
 
-const MatchCountKernels kAvx512Counts = {match_counts_avx512,
-                                         two_class_counts_avx512};
+const MatchCountKernels kAvx512Counts = {
+    match_counts_avx512, two_class_counts_avx512, "avx512-vpopcntdq"};
 
 }  // namespace
 

@@ -30,7 +30,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string_view>
 
 namespace apss::apsim {
 
@@ -47,9 +46,6 @@ enum class LaneWidth : std::uint16_t {
 };
 
 const char* to_string(LaneWidth width) noexcept;
-
-/// Parses "auto" / "64" / "256" / "512"; returns false on anything else.
-bool parse_lane_width(std::string_view text, LaneWidth* out) noexcept;
 
 /// The portable W-bit lane word: W/64 little-endian 64-bit limbs, lane
 /// (w * 64 + b) at limb w bit b — the same layout BatchProgram packs its
@@ -192,6 +188,7 @@ using TwoClassMatchCounts = void (*)(const std::uint64_t* lane_bits,
 struct MatchCountKernels {
   LaneMatchCounts multi_class = nullptr;
   TwoClassMatchCounts two_class = nullptr;
+  const char* isa = "portable";  ///< avx512-vpopcntdq | popcnt | portable
 };
 
 /// The AVX-512 VPOPCNTDQ build, else the hardware-POPCNT one, when the CPU

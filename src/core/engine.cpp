@@ -8,6 +8,7 @@
 #include <system_error>
 
 #include "anml/anml_io.hpp"
+#include "apsim/lane_word.hpp"
 #include "core/batch_compile.hpp"
 #include "core/opt/stream_multiplexing.hpp"
 #include "core/temporal_decode.hpp"
@@ -45,8 +46,6 @@ const char* to_string(OnError policy) noexcept {
   switch (policy) {
     case OnError::kFailFast:
       return "fail-fast";
-    case OnError::kIsolate:
-      return "isolate";
     case OnError::kRetry:
       return "retry";
   }
@@ -246,14 +245,9 @@ ApKnnEngine::ApKnnEngine(knn::BinaryDataset dataset, EngineOptions options)
     }
   }
   if (options_.backend == SimulationBackend::kBitParallel) {
-    // Resolve the execution lane width once so the stats (and the CLI
-    // printout) report what search() will actually run, even before any
-    // simulator is constructed. Purely informational — programs and
-    // artifacts are width-agnostic.
-    const apsim::LaneKernels kernels =
-        apsim::resolve_lane_kernels(options_.lane_width);
-    compile_stats_.lane_width_bits = kernels.width_bits();
-    compile_stats_.lane_isa = kernels.isa;
+    // Name the match-count kernel search() will run, so the stats (and the
+    // CLI printout) report it before any simulator is constructed.
+    compile_stats_.match_count_isa = apsim::resolve_match_counts().isa;
   }
 }
 
@@ -433,7 +427,7 @@ struct ApKnnEngine::Shard {
   /// limit kept out of `events`.
   std::size_t report_count = 0;
   std::vector<std::vector<knn::Neighbor>> partial;
-  /// Outcome under OnError::kIsolate/kRetry (kFailFast throws instead).
+  /// Outcome under OnError::kRetry (kFailFast throws instead).
   ShardState state = ShardState::kOk;
   std::string error;
   std::uint32_t retries = 0;
@@ -525,20 +519,6 @@ void ApKnnEngine::run_shards(SearchPlan& plan,
   const apsim::SimOptions sim_options =
       apsim::SimOptions::from(options_.device.features);
 
-  // Fault-tolerance plumbing (docs/ROBUSTNESS.md). The deadline starts
-  // here — it budgets the whole search — and every shard polls it (plus the
-  // cancellation token) at query-frame boundaries inside the simulators.
-  // Each shard records its own outcome (no locking, no ordering
-  // dependence); reduce_shard_status() folds them per configuration.
-  util::Deadline deadline;
-  if (control.deadline != nullptr) {
-    deadline = *control.deadline;
-  } else if (options_.deadline_ms > 0) {
-    deadline = util::Deadline::after_ms(options_.deadline_ms);
-  }
-  const util::CancellationToken* cancel =
-      control.cancel != nullptr ? control.cancel : options_.cancel;
-
   // Each worker owns its simulator scratch state and reuses it across the
   // consecutive shards of its chunk while they stay on one configuration —
   // the cycle-accurate simulator's construction (a full validation pass)
@@ -565,8 +545,7 @@ void ApKnnEngine::run_shards(SearchPlan& plan,
         reference.reset();
         batch.reset();
         if (use_batch) {
-          batch = std::make_unique<apsim::BatchSimulator>(part.program,
-                                                          options_.lane_width);
+          batch = std::make_unique<apsim::BatchSimulator>(part.program);
         } else {
           // The degrade path may find the network absent: a cache hit
           // skipped its construction.
@@ -599,9 +578,14 @@ void ApKnnEngine::run_shards(SearchPlan& plan,
     for (std::size_t t = lo; t < hi; ++t) {
       Shard& shard = plan.shards[t];
       const Partition& part = partitions_[shard.config];
+      // Fault-tolerance plumbing (docs/ROBUSTNESS.md): every shard polls
+      // the caller's deadline and cancellation token at query-frame
+      // boundaries inside the simulators and records its own outcome (no
+      // locking, no ordering dependence); reduce_shard_status() folds them
+      // per configuration.
       util::RunControl ctl;
-      ctl.deadline = &deadline;
-      ctl.cancel = cancel;
+      ctl.deadline = control.deadline;
+      ctl.cancel = control.cancel;
       ctl.checkpoint_period = cpq;
       ctl.fault_key = static_cast<std::int64_t>(shard.config);
       if (options_.on_error == OnError::kFailFast) {
@@ -611,8 +595,7 @@ void ApKnnEngine::run_shards(SearchPlan& plan,
         run_attempt(shard, part, ctl, /*force_reference=*/false);
         continue;
       }
-      std::size_t retries_left =
-          options_.on_error == OnError::kRetry ? options_.max_retries : 0;
+      std::size_t retries_left = options_.max_retries;
       bool degraded = false;
       for (;;) {
         try {

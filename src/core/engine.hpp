@@ -16,7 +16,6 @@
 
 #include "anml/network.hpp"
 #include "apsim/device.hpp"
-#include "apsim/lane_word.hpp"
 #include "apsim/placement.hpp"
 #include "apsim/simulator.hpp"
 #include "core/artifact_cache.hpp"
@@ -56,14 +55,15 @@ enum class OnError : std::uint8_t {
   /// the caller through the pool's first-exception rethrow. The default —
   /// and byte-for-byte the pre-fault-tolerance behavior.
   kFailFast,
-  /// Failed/timed-out/cancelled configurations are skipped; surviving
-  /// configurations return normally with bit-identical results and report
-  /// streams. Failures are reported per configuration in
+  /// Each failing shard is re-run up to EngineOptions::max_retries times; a
+  /// bit-parallel shard that still fails is then re-run once on the
+  /// cycle-accurate reference (kDegraded), and only a shard that fails
+  /// there too drops its configuration (kFailed) — with max_retries = 0 as
+  /// much as with retries. Deadline expiry and cancellation are never
+  /// retried: the budget is already gone. Dropped, timed-out and cancelled
+  /// configurations are skipped; surviving ones return bit-identical
+  /// results and report streams. Failures are reported per configuration in
   /// EngineStats::shard_status, never raised.
-  kIsolate,
-  /// Like kIsolate, but each failing shard is first retried up to
-  /// EngineOptions::max_retries times (deadline expiry and cancellation
-  /// are never retried — the budget is already gone).
   kRetry,
 };
 
@@ -73,9 +73,10 @@ const char* to_string(OnError policy) noexcept;
 /// the configuration's shards).
 enum class ShardState : std::uint8_t {
   kOk,        ///< every shard simulated on its primary backend
-  /// The bit-parallel backend failed mid-search and the configuration was
-  /// re-simulated on the cycle-accurate reference: results are still exact
-  /// and bit-identical, just slower — degradation, not loss.
+  /// The bit-parallel backend failed mid-search (under kRetry, after any
+  /// plain retries) and the configuration was re-simulated on the
+  /// cycle-accurate reference: results are still exact and bit-identical,
+  /// just slower — degradation, not loss.
   kDegraded,
   kTimedOut,   ///< abandoned at a checkpoint after the deadline expired
   kCancelled,  ///< abandoned after CancellationToken::request_cancel()
@@ -85,9 +86,9 @@ enum class ShardState : std::uint8_t {
 const char* to_string(ShardState state) noexcept;
 
 /// Per-configuration outcome of the last search(), surfaced through
-/// EngineStats::shard_status and printed by apss_cli. Under kIsolate /
-/// kRetry a non-ok state never aborts the search; under kFailFast the
-/// first failure throws instead and statuses stay kOk.
+/// EngineStats::shard_status and printed by apss_cli. Under kRetry a
+/// non-ok state never aborts the search; under kFailFast the first failure
+/// throws instead and statuses stay kOk.
 struct ShardStatus {
   ShardState state = ShardState::kOk;
   /// First typed failure message observed for this configuration (empty
@@ -118,13 +119,11 @@ struct BackendCompileStats {
   /// Compile-cache hit/miss/invalidation counters (all zero unless
   /// EngineOptions::artifact_cache_dir is set; see core/artifact_cache.hpp).
   ArtifactCacheStats artifact;
-  /// Resolved execution lane width in bits (64/256/512) and its backing
-  /// ISA ("scalar" | "portable" | "avx2" | "avx512") — what
-  /// EngineOptions::lane_width resolved to on this CPU/build. Zero/empty
-  /// when the backend is kCycleAccurate. Purely informational: programs and
-  /// artifacts are width-agnostic, so this never keys the compile cache.
-  std::size_t lane_width_bits = 0;
-  std::string lane_isa;
+  /// The match-count kernel that closed-form frames run on this CPU/build
+  /// ("avx512-vpopcntdq" | "popcnt" | "portable", as
+  /// apsim::resolve_match_counts() picks it). Empty when the backend is
+  /// kCycleAccurate. Purely informational: it never keys the compile cache.
+  std::string match_count_isa;
 
   bool operator==(const BackendCompileStats&) const = default;
 };
@@ -162,16 +161,6 @@ struct EngineOptions {
   bool collect_report_stream = false;
   /// Simulation backend (default: the cycle-accurate reference).
   SimulationBackend backend = SimulationBackend::kCycleAccurate;
-  /// Execution lane width for the kBitParallel backend: how many lanes each
-  /// simulator word-operation advances. kAuto (default) resolves to the
-  /// widest SIMD-backed width the CPU + build support (64-bit scalar when
-  /// none); explicit widths always run — on a portable fallback when the
-  /// SIMD variant is unavailable. Every width produces bit-identical
-  /// results and report streams (the width-sweep differential contract);
-  /// compiled programs and artifacts are width-agnostic. Surfaced as
-  /// `apss_cli knn --lane-width=...`; APSS_DISABLE_SIMD=1 in the
-  /// environment forces the portable fallback regardless of this setting.
-  apsim::LaneWidth lane_width = apsim::LaneWidth::kAuto;
   /// When > 0, each configuration is built with the Sec. VI-A
   /// vector-packing transform — this many vectors overlay one shared
   /// ladder per group — instead of one macro per vector. Board capacity,
@@ -199,20 +188,11 @@ struct EngineOptions {
   /// EngineStats::backend.artifact. Empty (default) disables the cache; the
   /// kCycleAccurate backend ignores it (nothing is compiled).
   std::string artifact_cache_dir;
-  /// Wall-clock budget for one search() in milliseconds (0 = unlimited).
-  /// The deadline starts when search() is entered and is polled
-  /// cooperatively at query-frame boundaries, so an expired deadline
-  /// terminates within one frame of extra simulation. Expiry surfaces as
-  /// util::DeadlineExceeded (kFailFast) or ShardState::kTimedOut
-  /// (kIsolate/kRetry).
-  double deadline_ms = 0;
-  /// Optional external cancellation, polled at the same checkpoints.
-  /// Surfaces as util::OperationCancelled / ShardState::kCancelled. The
-  /// token must outlive every search() that uses it.
-  const util::CancellationToken* cancel = nullptr;
-  /// Failure policy for search() shards (docs/ROBUSTNESS.md).
+  /// Failure policy for search() shards (docs/ROBUSTNESS.md). A search's
+  /// deadline and cancellation token are per call (SearchControl).
   OnError on_error = OnError::kFailFast;
-  /// kRetry only: extra attempts per shard before the degrade/fail path.
+  /// kRetry only: plain re-runs per failing shard before the degrade/fail
+  /// path (0 = none).
   std::size_t max_retries = 2;
 };
 
@@ -231,8 +211,8 @@ struct EngineStats {
   /// Which backend compiled each configuration (and why any fell back).
   BackendCompileStats backend;
   /// Per-configuration fault-isolation outcome of the last search() (empty
-  /// for project()). All-kOk in every healthy run; with an expired deadline
-  /// or OnError::kIsolate/kRetry this is where failures are reported —
+  /// for project()). All-kOk in every healthy run; under OnError::kRetry
+  /// this is where failures and expired budgets are reported —
   /// simulated_cycles and report_events then count the SURVIVING
   /// configurations only.
   std::vector<ShardStatus> shard_status;
@@ -283,13 +263,14 @@ struct EngineStats {
   }
 };
 
-/// Per-call overrides for one search(): an external deadline replacing the
-/// options-derived EngineOptions::deadline_ms budget, and an external
-/// cancellation token checked instead of EngineOptions::cancel. Both
-/// pointers must outlive the call; null fields fall back to the options.
-/// This is what lets a long-lived resident engine (the serving layer's
-/// shared engine) propagate PER-REQUEST budgets into the RunControl
-/// checkpoints without rebuilding the engine per request.
+/// The budget of one search(): a deadline and a cancellation token, both
+/// polled at query-frame boundaries, so an expired budget ends the search
+/// within one frame of extra simulation. A null field means no deadline or
+/// no token; both pointers must outlive the call. Expiry surfaces as
+/// util::DeadlineExceeded / util::OperationCancelled under kFailFast and as
+/// ShardState::kTimedOut / kCancelled under kRetry. Budgets belong to the
+/// call, not the engine, so one shared engine serves callers with
+/// different budgets at once (the serving layer passes each batch's).
 struct SearchControl {
   const util::Deadline* deadline = nullptr;
   const util::CancellationToken* cancel = nullptr;
@@ -310,16 +291,16 @@ class ApKnnEngine {
   /// Compiles `dataset`, which the engine keeps, into board configurations.
   ApKnnEngine(knn::BinaryDataset dataset, EngineOptions options = {});
 
-  /// Exact kNN via simulated AP execution, with per-call
-  /// deadline/cancellation overrides (see SearchControl). Writes nothing
-  /// to the engine but a lazily rebuilt network (see network()), so any
-  /// number of threads may search one engine at once.
+  /// Exact kNN via simulated AP execution within `control`'s budget (see
+  /// SearchControl). Writes nothing to the engine but a lazily rebuilt
+  /// network (see network()), so any number of threads may search one
+  /// engine at once.
   SearchResult search(const knn::BinaryDataset& queries, std::size_t k,
                       const SearchControl& control) const;
 
-  /// search() with an empty control that keeps the result's stats and
-  /// stream for last_stats() and last_report_stream(); returns the
-  /// neighbor lists. For single-threaded callers only.
+  /// search() with no budget (an empty control) that keeps the result's
+  /// stats and stream for last_stats() and last_report_stream(); returns
+  /// the neighbor lists. For single-threaded callers only.
   std::vector<std::vector<knn::Neighbor>> search(
       const knn::BinaryDataset& queries, std::size_t k);
 

@@ -151,10 +151,4 @@ std::vector<ReductionModelResult> evaluate_reduction_sweep(
   return results;
 }
 
-ReductionModelResult evaluate_reduction_model(const ReductionModelParams& p,
-                                              util::ThreadPool* pool) {
-  const std::size_t k_primes[1] = {p.k_prime};
-  return evaluate_reduction_sweep(p, k_primes, pool)[0];
-}
-
 }  // namespace apss::core

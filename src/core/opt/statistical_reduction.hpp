@@ -46,7 +46,6 @@ struct ReductionModelParams {
   std::size_t dims = 64;       ///< workload dimensionality
   std::size_t group_size = 16; ///< p
   std::size_t k = 2;           ///< global neighbors wanted
-  std::size_t k_prime = 1;     ///< local results kept per group
   std::size_t queries_per_run = 4096;  ///< a "run" batches this many queries
   std::size_t runs = 100;
   std::uint64_t seed = 1;
@@ -67,14 +66,11 @@ struct ReductionModelResult {
 /// Monte Carlo evaluation: per query, keep the k' smallest distances per
 /// group, pool them, and compare the pooled top-k DISTANCE MULTISET against
 /// the exact one (tie-aware: any id permutation within equal distances is
-/// correct, matching what the temporal sort can guarantee).
-ReductionModelResult evaluate_reduction_model(const ReductionModelParams& p,
-                                              util::ThreadPool* pool = nullptr);
-
-/// Sweeps several k' values over the SAME sampled datasets/queries, sharing
-/// the distance computations (the Table VI bench evaluates k' = 1..4 per
+/// correct, matching what the temporal sort can guarantee). Every k' in
+/// `k_primes` runs over the SAME sampled datasets/queries, sharing the
+/// distance computations (the Table VI bench evaluates k' = 1..4 per
 /// workload; recomputing 100 x 4096 x n distances per k' would quadruple
-/// the cost). p.k_prime is ignored; results align with `k_primes`.
+/// the cost); results align with `k_primes`.
 std::vector<ReductionModelResult> evaluate_reduction_sweep(
     const ReductionModelParams& p, std::span<const std::size_t> k_primes,
     util::ThreadPool* pool = nullptr);

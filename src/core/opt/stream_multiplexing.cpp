@@ -51,13 +51,13 @@ void MultiplexedStreamEncoder::append_group(
     const knn::BinaryDataset& queries, std::size_t begin, std::size_t count,
     std::vector<std::uint8_t>& out) const {
   if (count == 0 || count > kMaxSlices) {
-    throw std::invalid_argument("encode_group: count must be 1..7");
+    throw std::invalid_argument("append_group: count must be 1..7");
   }
   if (begin + count > queries.size()) {
-    throw std::invalid_argument("encode_group: range out of bounds");
+    throw std::invalid_argument("append_group: range out of bounds");
   }
   if (queries.dims() != spec_.dims) {
-    throw std::invalid_argument("encode_group: query dims mismatch");
+    throw std::invalid_argument("append_group: query dims mismatch");
   }
   out.reserve(out.size() + spec_.cycles_per_query());
   out.push_back(Alphabet::kSof);
@@ -88,14 +88,6 @@ void MultiplexedStreamEncoder::append_group(
   }
   out.insert(out.end(), spec_.fill_symbols(), Alphabet::kFill);
   out.push_back(Alphabet::kEof);
-}
-
-std::vector<std::uint8_t> MultiplexedStreamEncoder::encode_group(
-    const knn::BinaryDataset& queries, std::size_t begin,
-    std::size_t count) const {
-  std::vector<std::uint8_t> out;
-  append_group(queries, begin, count, out);
-  return out;
 }
 
 std::vector<std::uint8_t> MultiplexedStreamEncoder::encode_batch(

@@ -46,14 +46,9 @@ class MultiplexedStreamEncoder {
  public:
   explicit MultiplexedStreamEncoder(StreamSpec spec) : spec_(spec) {}
 
-  /// One frame carrying rows [begin, begin+count) of `queries` in slices
-  /// 0..count-1. count must be 1..7.
-  std::vector<std::uint8_t> encode_group(const knn::BinaryDataset& queries,
-                                         std::size_t begin,
-                                         std::size_t count) const;
-
-  /// encode_group() appending to `out`. A one-query frame equals
-  /// SymbolStreamEncoder's frame for that query.
+  /// Appends one frame carrying rows [begin, begin+count) of `queries` in
+  /// slices 0..count-1 to `out`. count must be 1..7. A one-query frame
+  /// equals SymbolStreamEncoder's frame for that query.
   void append_group(const knn::BinaryDataset& queries, std::size_t begin,
                     std::size_t count, std::vector<std::uint8_t>& out) const;
 

@@ -9,18 +9,6 @@ BinaryDataset::BinaryDataset(std::size_t n, std::size_t dims)
     : n_(n), dims_(dims), stride_(util::words_for_bits(dims)),
       words_(n * stride_, 0) {}
 
-BinaryDataset BinaryDataset::from_vectors(
-    std::span<const util::BitVector> vectors) {
-  if (vectors.empty()) {
-    return {};
-  }
-  BinaryDataset d(vectors.size(), vectors[0].size());
-  for (std::size_t i = 0; i < vectors.size(); ++i) {
-    d.set_vector(i, vectors[i]);
-  }
-  return d;
-}
-
 util::BitVector BinaryDataset::vector(std::size_t i) const {
   util::BitVector v(dims_);
   const auto src = row(i);

@@ -24,8 +24,6 @@ class BinaryDataset {
   /// n all-zero vectors of `dims` bits each.
   BinaryDataset(std::size_t n, std::size_t dims);
 
-  static BinaryDataset from_vectors(std::span<const util::BitVector> vectors);
-
   std::size_t size() const noexcept { return n_; }
   std::size_t dims() const noexcept { return dims_; }
   std::size_t word_stride() const noexcept { return stride_; }
@@ -59,9 +57,6 @@ class BinaryDataset {
 
   /// Dataset restricted to `ids` (bucket extraction for indexes).
   BinaryDataset subset(std::span<const std::uint32_t> ids) const;
-
-  /// Encoded payload size in bits (the paper's "128 Kb per configuration").
-  std::size_t payload_bits() const noexcept { return n_ * dims_; }
 
   // --- Generators -----------------------------------------------------------
 

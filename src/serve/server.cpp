@@ -53,13 +53,10 @@ KnnServer::KnnServer(knn::BinaryDataset dataset, ServerOptions options)
     throw std::invalid_argument(
         "KnnServer: max_batch, max_inflight and workers must be >= 1");
   }
-  // The serving core owns the robustness knobs: per-request deadlines and
-  // the watchdog replace the engine-level budget/token, and kRetry makes a
-  // faulted shard degrade to the cycle-accurate reference (exact answers)
-  // before the batch is failed.
+  // The serving core owns the failure policy: kRetry makes a faulted shard
+  // degrade to the cycle-accurate reference (exact answers) before the
+  // batch is failed.
   core::EngineOptions engine_options = options_.engine;
-  engine_options.deadline_ms = 0;
-  engine_options.cancel = nullptr;
   engine_options.on_error = core::OnError::kRetry;
   engine_options.collect_report_stream = false;
   engine_ = std::make_unique<const core::ApKnnEngine>(std::move(dataset),

@@ -54,13 +54,12 @@
 namespace apss::serve {
 
 struct ServerOptions {
-  /// Configuration of the server's one engine (backend, lane width,
-  /// threads, artifact cache, packing ...). The server overrides the
-  /// robustness fields: on_error is forced to kRetry (degrade, never
-  /// silently lose answers), deadline_ms/cancel are replaced by the
-  /// per-request machinery, and collect_report_stream is disabled. threads
-  /// sizes that engine's pool, which every worker's batches share (1 = each
-  /// batch runs serially on its worker; scale out via `workers`).
+  /// Configuration of the server's one engine (backend, threads, artifact
+  /// cache, packing ...). The server forces on_error to kRetry (degrade,
+  /// never silently lose answers) and disables collect_report_stream; each
+  /// batch's deadline and cancellation token go to the engine per call.
+  /// threads sizes that engine's pool, which every worker's batches share
+  /// (1 = each batch runs serially on its worker; scale out via `workers`).
   core::EngineOptions engine;
   /// Neighbors returned per query (clamped to the dataset size).
   std::size_t k = 10;

@@ -17,14 +17,6 @@ BitVector BitVector::from_bits(std::span<const int> values) {
   return v;
 }
 
-BitVector BitVector::from_bools(std::span<const bool> values) {
-  BitVector v(values.size());
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    v.set(i, values[i]);
-  }
-  return v;
-}
-
 BitVector BitVector::parse(const std::string& zeros_and_ones) {
   BitVector v(zeros_and_ones.size());
   for (std::size_t i = 0; i < zeros_and_ones.size(); ++i) {

@@ -30,7 +30,6 @@ class BitVector {
 
   /// Builds from a 0/1 container (e.g. std::vector<int> or initializer list).
   static BitVector from_bits(std::span<const int> values);
-  static BitVector from_bools(std::span<const bool> values);
 
   /// Parses a string of '0'/'1' characters, most-significant dimension first
   /// in reading order (index 0 = first character).

@@ -25,8 +25,8 @@
 namespace apss::util {
 
 /// Thrown by RunControl::checkpoint when the deadline has passed. Engines
-/// translate it into ShardState::kTimedOut (kIsolate/kRetry) or let it
-/// propagate to the caller (kFailFast).
+/// translate it into ShardState::kTimedOut (kRetry) or let it propagate to
+/// the caller (kFailFast).
 class DeadlineExceeded : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;

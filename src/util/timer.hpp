@@ -15,7 +15,6 @@ class Timer {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
   double millis() const { return seconds() * 1e3; }
-  double micros() const { return seconds() * 1e6; }
 
  private:
   using Clock = std::chrono::steady_clock;

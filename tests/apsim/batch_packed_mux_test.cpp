@@ -409,9 +409,9 @@ TEST(BatchMuxProgram, DeepTreesAndPartialSlices) {
   const core::MultiplexedStreamEncoder enc(c.spec);
   // A full 3-query frame followed by a partial 1-query frame.
   const auto queries = test::random_dataset(rng, 4, 17);
-  auto stream = enc.encode_group(queries, 0, 3);
-  const auto tail = enc.encode_group(queries, 3, 1);
-  stream.insert(stream.end(), tail.begin(), tail.end());
+  std::vector<std::uint8_t> stream;
+  enc.append_group(queries, 0, 3, stream);
+  enc.append_group(queries, 3, 1, stream);
   expect_identical_mux(c, stream, "deep partial");
 }
 

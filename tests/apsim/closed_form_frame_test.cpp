@@ -785,6 +785,23 @@ TEST(MatchCountKernels, ResolvedKernelMatchesThePortableOne) {
   }
 }
 
+TEST(MatchCountKernels, ResolvedKernelNamesItself) {
+  // Each build carries its own name, which the engine reports as
+  // BackendCompileStats::match_count_isa.
+  const MatchCountKernels resolved = resolve_match_counts();
+  const MatchCountKernels* avx512 = detail::avx512_match_counts();
+  const MatchCountKernels* popcnt = detail::popcnt_match_counts();
+  if (avx512 != nullptr && resolved.two_class == avx512->two_class) {
+    EXPECT_STREQ(resolved.isa, "avx512-vpopcntdq");
+  } else if (popcnt != nullptr && resolved.two_class == popcnt->two_class) {
+    EXPECT_STREQ(resolved.isa, "popcnt");
+  } else {
+    EXPECT_STREQ(resolved.isa, "portable");
+  }
+  ForcePortable portable;
+  EXPECT_STREQ(resolve_match_counts().isa, "portable");
+}
+
 // --- Adversarial streams -----------------------------------------------------
 
 TEST(ClosedFormFrame, AdversarialStreams) {

@@ -2,16 +2,14 @@
 // AGNOSTIC. An artifact saved by a producer running at one lane width must
 // load and replay bit-identically under every other width (the serialized
 // state is canonical 64-bit words; the padded wide-lane layout is rebuilt
-// on load — the "re-pack path"). The engine compile cache must hit across
-// widths (the artifact key excludes the width), and corrupt input through
-// the re-pack path must keep yielding typed errors or valid programs —
-// never a width-dependent difference, crash, or silently wrong result.
+// on load — the "re-pack path"), and corrupt input through the re-pack
+// path must keep yielding typed errors or valid programs — never a
+// width-dependent difference, crash, or silently wrong result.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -22,7 +20,6 @@
 #include "artifact/artifact.hpp"
 #include "core/batch_compile.hpp"
 #include "core/design.hpp"
-#include "core/engine.hpp"
 #include "core/opt/stream_multiplexing.hpp"
 #include "core/opt/vector_packing.hpp"
 #include "core/stream.hpp"
@@ -39,13 +36,6 @@ class ForcePortable {
   ForcePortable() { setenv("APSS_DISABLE_SIMD", "1", 1); }
   ~ForcePortable() { unsetenv("APSS_DISABLE_SIMD"); }
 };
-
-std::string fresh_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "apss_lane_art_" + name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
-}
 
 struct Built {
   std::shared_ptr<const apsim::BatchProgram> program;
@@ -184,49 +174,6 @@ TEST(ArtifactLaneWidth, StateIsCanonicalAtExactWordMultiples) {
     const auto rebuilt = apsim::BatchProgram::from_state(s, &error);
     ASSERT_NE(rebuilt, nullptr) << error;
     EXPECT_EQ(rebuilt->state(), s) << n;
-  }
-}
-
-/// The engine compile cache must HIT across widths: the artifact key hashes
-/// compile inputs, never the execution width, so a cache populated by a
-/// 64-bit engine serves a 512-bit engine (and vice versa) with identical
-/// results, streams and hit/miss counters.
-TEST(ArtifactLaneWidth, EngineCacheHitsAcrossWidths) {
-  util::Rng rng(77);
-  const auto data = test::random_dataset(rng, 60, 20);
-  const auto queries = test::random_dataset(rng, 5, 20);
-  const std::string cache = fresh_dir("cross_width_cache");
-
-  core::EngineOptions base;
-  base.backend = core::SimulationBackend::kBitParallel;
-  base.max_vectors_per_config = 16;  // force 4 configurations
-  base.collect_report_stream = true;
-  base.threads = 1;
-  base.artifact_cache_dir = cache;
-
-  core::EngineOptions cold = base;
-  cold.lane_width = apsim::LaneWidth::k64;
-  core::ApKnnEngine producer(data, cold);
-  EXPECT_EQ(producer.backend_stats().artifact.misses,
-            producer.configurations());
-  EXPECT_EQ(producer.backend_stats().artifact.hits, 0u);
-  EXPECT_EQ(producer.backend_stats().lane_width_bits, 64u);
-  const auto expected = producer.search(queries, 3);
-  const auto expected_stream = producer.last_report_stream();
-
-  for (const apsim::LaneWidth w :
-       {apsim::LaneWidth::k256, apsim::LaneWidth::k512}) {
-    core::EngineOptions warm = base;
-    warm.lane_width = w;
-    core::ApKnnEngine consumer(data, warm);
-    EXPECT_EQ(consumer.backend_stats().artifact.hits,
-              consumer.configurations())
-        << to_string(w);
-    EXPECT_EQ(consumer.backend_stats().artifact.misses, 0u) << to_string(w);
-    EXPECT_EQ(consumer.backend_stats().lane_width_bits,
-              static_cast<std::size_t>(w));
-    EXPECT_EQ(consumer.search(queries, 3), expected) << to_string(w);
-    EXPECT_EQ(consumer.last_report_stream(), expected_stream) << to_string(w);
   }
 }
 

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apss_test_support.hpp"
@@ -42,15 +43,13 @@ struct SearchRun {
 
 SearchRun run_engine(const knn::BinaryDataset& data,
                const knn::BinaryDataset& queries, std::size_t k,
-               EngineOptions opt, std::size_t threads) {
+               EngineOptions opt, std::size_t threads,
+               const SearchControl& control = {}) {
   opt.threads = threads;
   opt.collect_report_stream = true;
-  ApKnnEngine engine(data, opt);
-  SearchRun r;
-  r.results = engine.search(queries, k);
-  r.stream = engine.last_report_stream();
-  r.stats = engine.last_stats();
-  return r;
+  const ApKnnEngine engine(data, opt);
+  SearchResult r = engine.search(queries, k, control);
+  return {std::move(r.neighbors), std::move(r.events), std::move(r.stats)};
 }
 
 /// The 4-configuration test bed shared by the engine matrix: report codes
@@ -144,19 +143,21 @@ void expect_states(const EngineStats& stats, std::size_t victim,
 }
 
 /// The heart of the matrix: arm `site` (keyed to configuration `victim`,
-/// persistent), search `opt` (a bed_options() variant) under `policy` at 1
-/// and 4 threads, and check the survivors against the uninjected baseline.
-/// Victim 0 makes the merge start from configuration 1's lists; victim 3,
-/// the partial 5-vector configuration, drops the last one.
+/// persistent), search `opt` (a bed_options() variant) under kRetry with
+/// `max_retries` at 1 and 4 threads, and check the survivors against the
+/// uninjected baseline. Victim 0 makes the merge start from configuration
+/// 1's lists; victim 3, the partial 5-vector configuration, drops the last
+/// one.
 void expect_isolation(const knn::BinaryDataset& data,
                       const knn::BinaryDataset& queries, EngineOptions opt,
-                      std::string_view site, OnError policy,
+                      std::string_view site, std::size_t max_retries,
                       ShardState victim_state, const std::string& ctx,
                       std::size_t victim = kVictim) {
   const SearchRun baseline = run_engine(data, queries, 4, opt, 1);
   ASSERT_FALSE(baseline.stream.empty()) << ctx;
 
-  opt.on_error = policy;
+  opt.on_error = OnError::kRetry;
+  opt.max_retries = max_retries;
   util::FaultInjector::Plan plan;
   plan.match_key = static_cast<std::int64_t>(victim);
   util::FaultInjector::instance().arm(site, plan);
@@ -224,9 +225,8 @@ TEST_F(ChaosEngine, ShardSiteIsolatesConfigCycleAccurate) {
   for (const std::size_t slices : {std::size_t{0}, kSlices}) {
     expect_isolation(data, bed_queries(slices, 702),
                      bed_options(SimulationBackend::kCycleAccurate, slices),
-                     util::kFaultEngineShard, OnError::kIsolate,
-                     ShardState::kFailed,
-                     "engine.shard/isolate/cycle/s" + std::to_string(slices));
+                     util::kFaultEngineShard, 0, ShardState::kFailed,
+                     "engine.shard/retry:0/cycle/s" + std::to_string(slices));
   }
 }
 
@@ -238,18 +238,23 @@ TEST_F(ChaosEngine, ShardSiteIsolatesConfigEvenWithRetries) {
   const auto queries = knn::BinaryDataset::uniform(6, 24, 704);
   expect_isolation(data, queries,
                    bed_options(SimulationBackend::kCycleAccurate),
-                   util::kFaultEngineShard, OnError::kRetry,
-                   ShardState::kFailed, "engine.shard/retry/cycle");
-  // The bit-parallel arms also lose the first and the last configuration.
+                   util::kFaultEngineShard, 2, ShardState::kFailed,
+                   "engine.shard/retry/cycle");
+  // The bit-parallel arms also lose the first and the last configuration,
+  // with no plain retries as with two.
   for (const std::size_t victim : {kVictim, std::size_t{0}, std::size_t{3}}) {
     expect_isolation(data, queries,
                      bed_options(SimulationBackend::kBitParallel),
-                     util::kFaultEngineShard, OnError::kRetry,
-                     ShardState::kFailed, "engine.shard/retry/bit", victim);
+                     util::kFaultEngineShard, 0, ShardState::kFailed,
+                     "engine.shard/retry:0/bit", victim);
+    expect_isolation(data, queries,
+                     bed_options(SimulationBackend::kBitParallel),
+                     util::kFaultEngineShard, 2, ShardState::kFailed,
+                     "engine.shard/retry/bit", victim);
     expect_isolation(data, bed_queries(kSlices, 704),
                      bed_options(SimulationBackend::kBitParallel, kSlices),
-                     util::kFaultEngineShard, OnError::kRetry,
-                     ShardState::kFailed, "engine.shard/retry/bit/s7", victim);
+                     util::kFaultEngineShard, 2, ShardState::kFailed,
+                     "engine.shard/retry/bit/s7", victim);
   }
 }
 
@@ -258,57 +263,31 @@ TEST_F(ChaosEngine, SimFrameSiteIsolatesConfig) {
   const auto queries = knn::BinaryDataset::uniform(6, 24, 706);
   expect_isolation(data, queries,
                    bed_options(SimulationBackend::kCycleAccurate),
-                   util::kFaultSimFrame, OnError::kIsolate,
-                   ShardState::kFailed, "sim.frame/isolate/cycle");
+                   util::kFaultSimFrame, 0, ShardState::kFailed,
+                   "sim.frame/retry:0/cycle");
   expect_isolation(data, queries,
                    bed_options(SimulationBackend::kCycleAccurate),
-                   util::kFaultSimFrame, OnError::kRetry, ShardState::kFailed,
+                   util::kFaultSimFrame, 2, ShardState::kFailed,
                    "sim.frame/retry/cycle");
 }
 
 TEST_F(ChaosEngine, BatchFrameFaultDegradesToCycleAccurate) {
   // The bit-parallel simulator keeps failing, the cycle-accurate rerun
   // succeeds: the configuration is DEGRADED, not lost — results and the
-  // merged stream equal the full baseline bit for bit.
+  // merged stream equal the full baseline bit for bit, with no plain
+  // retries as with two.
   const auto data = knn::BinaryDataset::uniform(kVectors, 24, 707);
   const auto queries = knn::BinaryDataset::uniform(6, 24, 708);
   expect_isolation(data, queries, bed_options(SimulationBackend::kBitParallel),
-                   util::kFaultBatchFrame, OnError::kIsolate,
-                   ShardState::kDegraded, "batch.frame/isolate/bit");
+                   util::kFaultBatchFrame, 0, ShardState::kDegraded,
+                   "batch.frame/retry:0/bit");
   expect_isolation(data, queries, bed_options(SimulationBackend::kBitParallel),
-                   util::kFaultBatchFrame, OnError::kRetry,
-                   ShardState::kDegraded, "batch.frame/retry/bit");
+                   util::kFaultBatchFrame, 2, ShardState::kDegraded,
+                   "batch.frame/retry/bit");
   expect_isolation(data, bed_queries(kSlices, 708),
                    bed_options(SimulationBackend::kBitParallel, kSlices),
-                   util::kFaultBatchFrame, OnError::kIsolate,
-                   ShardState::kDegraded, "batch.frame/isolate/bit/s7");
-}
-
-TEST_F(ChaosEngine, FaultSitesIsolateAtWideLaneWidth) {
-  // The fault-isolation matrix pinned to 512-bit lanes: shard loss, the
-  // degrade-to-cycle-accurate rerun (which re-enters sim.frame), and the
-  // 1/4-thread merges must behave exactly as they do at 64 bits.
-  const auto data = knn::BinaryDataset::uniform(kVectors, 24, 723);
-  const auto queries = knn::BinaryDataset::uniform(6, 24, 724);
-  const auto w512 = [](SimulationBackend backend) {
-    EngineOptions opt = bed_options(backend);
-    opt.lane_width = apsim::LaneWidth::k512;
-    return opt;
-  };
-  for (const std::size_t victim : {kVictim, std::size_t{0}, std::size_t{3}}) {
-    expect_isolation(data, queries, w512(SimulationBackend::kBitParallel),
-                     util::kFaultEngineShard, OnError::kIsolate,
-                     ShardState::kFailed, "engine.shard/isolate/bit/w512",
-                     victim);
-  }
-  expect_isolation(data, queries, w512(SimulationBackend::kBitParallel),
-                   util::kFaultBatchFrame, OnError::kIsolate,
-                   ShardState::kDegraded, "batch.frame/isolate/bit/w512");
-  // lane_width is a bit-parallel knob: on the cycle-accurate backend it
-  // must be inert, including on the sim.frame failure path.
-  expect_isolation(data, queries, w512(SimulationBackend::kCycleAccurate),
-                   util::kFaultSimFrame, OnError::kIsolate,
-                   ShardState::kFailed, "sim.frame/isolate/cycle/w512");
+                   util::kFaultBatchFrame, 0, ShardState::kDegraded,
+                   "batch.frame/retry:0/bit/s7");
 }
 
 TEST_F(ChaosEngine, RetryRecoversTransientFault) {
@@ -360,14 +339,16 @@ TEST_F(ChaosEngine, FailFastRethrowsInjectedFault) {
 }
 
 TEST_F(ChaosEngine, IsolatePolicyWithoutFaultsMatchesBaseline) {
-  // The policies must be pure failure-path behavior: with nothing armed,
-  // kIsolate/kRetry produce byte-identical results, streams, and stats.
+  // The policy must be pure failure-path behavior: with nothing armed,
+  // kRetry produces byte-identical results, streams, and stats with or
+  // without plain retries.
   const auto data = knn::BinaryDataset::uniform(kVectors, 24, 713);
   const auto queries = knn::BinaryDataset::uniform(6, 24, 714);
   EngineOptions opt = bed_options(SimulationBackend::kBitParallel);
   const SearchRun baseline = run_engine(data, queries, 4, opt, 1);
-  for (const OnError policy : {OnError::kIsolate, OnError::kRetry}) {
-    opt.on_error = policy;
+  opt.on_error = OnError::kRetry;
+  for (const std::size_t max_retries : {std::size_t{0}, std::size_t{2}}) {
+    opt.max_retries = max_retries;
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
       const SearchRun run = run_engine(data, queries, 4, opt, threads);
       EXPECT_EQ(run.results, baseline.results);
@@ -384,13 +365,18 @@ TEST_F(ChaosControl, TinyDeadlineTimesOutOrThrows) {
   for (const std::size_t slices : {std::size_t{0}, kSlices}) {
     const auto queries = bed_queries(slices, 716);
     EngineOptions opt = bed_options(SimulationBackend::kCycleAccurate, slices);
-    opt.on_error = OnError::kIsolate;
-    opt.deadline_ms = 1e-4;  // expires before the first frame completes
+    opt.on_error = OnError::kRetry;
+    opt.max_retries = 0;
+    // Expires before the first frame completes.
+    const util::Deadline tiny = util::Deadline::after_ms(1e-4);
+    SearchControl control;
+    control.deadline = &tiny;
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
       const std::string ctx = "s" + std::to_string(slices) + " threads=" +
                               std::to_string(threads);
       const auto start = std::chrono::steady_clock::now();
-      const SearchRun run = run_engine(data, queries, 4, opt, threads);
+      const SearchRun run =
+          run_engine(data, queries, 4, opt, threads, control);
       const double elapsed_ms =
           std::chrono::duration<double, std::milli>(
               std::chrono::steady_clock::now() - start)
@@ -410,8 +396,8 @@ TEST_F(ChaosControl, TinyDeadlineTimesOutOrThrows) {
     // ...and the default fail-fast policy throws instead.
     opt.on_error = OnError::kFailFast;
     opt.threads = 1;
-    ApKnnEngine engine(data, opt);
-    EXPECT_THROW(engine.search(queries, 4), util::DeadlineExceeded)
+    const ApKnnEngine engine(data, opt);
+    EXPECT_THROW(engine.search(queries, 4, control), util::DeadlineExceeded)
         << "s" << slices;
   }
 }
@@ -421,15 +407,18 @@ TEST_F(ChaosControl, PreCancelledTokenCancelsEveryConfiguration) {
   const auto queries = knn::BinaryDataset::uniform(6, 24, 720);
   util::CancellationToken token;
   token.request_cancel();
+  SearchControl control;
+  control.cancel = &token;
   EngineOptions opt = bed_options(SimulationBackend::kCycleAccurate);
-  opt.cancel = &token;
 
   opt.threads = 1;
-  ApKnnEngine fail_fast(data, opt);
-  EXPECT_THROW(fail_fast.search(queries, 4), util::OperationCancelled);
+  const ApKnnEngine fail_fast(data, opt);
+  EXPECT_THROW(fail_fast.search(queries, 4, control),
+               util::OperationCancelled);
 
-  opt.on_error = OnError::kIsolate;
-  const SearchRun run = run_engine(data, queries, 4, opt, 4);
+  opt.on_error = OnError::kRetry;
+  opt.max_retries = 0;
+  const SearchRun run = run_engine(data, queries, 4, opt, 4, control);
   EXPECT_EQ(run.stats.count_state(ShardState::kCancelled), kConfigs);
   EXPECT_EQ(run.stats.surviving_configurations(), 0u);
 }
@@ -443,12 +432,69 @@ TEST_F(ChaosControl, EngagedRunControlIsBitIdenticalToPlainRun) {
                              SimulationBackend::kBitParallel}) {
     EngineOptions opt = bed_options(backend);
     const SearchRun baseline = run_engine(data, queries, 4, opt, 1);
-    opt.deadline_ms = 1e9;
+    const util::Deadline huge = util::Deadline::after_ms(1e9);
+    SearchControl control;
+    control.deadline = &huge;
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      const SearchRun run = run_engine(data, queries, 4, opt, threads);
+      const SearchRun run =
+          run_engine(data, queries, 4, opt, threads, control);
       EXPECT_EQ(run.results, baseline.results);
       EXPECT_EQ(run.stream, baseline.stream);
       EXPECT_TRUE(run.stats.same_work(baseline.stats));
+    }
+  }
+}
+
+TEST_F(ChaosControl, PerCallBudgetsOnOneSharedEngine) {
+  // Budgets belong to the call, not the engine: three threads search one
+  // const engine at once — one past its deadline, one cancelled, one with
+  // no budget — and none of them sees another's budget.
+  const auto data = knn::BinaryDataset::uniform(kVectors, 24, 725);
+  const auto queries = knn::BinaryDataset::uniform(6, 24, 726);
+  util::CancellationToken token;
+  token.request_cancel();
+  for (const auto backend : {SimulationBackend::kCycleAccurate,
+                             SimulationBackend::kBitParallel}) {
+    EngineOptions opt = bed_options(backend);
+    opt.on_error = OnError::kRetry;
+    const SearchRun baseline = run_engine(data, queries, 4, opt, 1);
+    opt.collect_report_stream = true;
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      const std::string ctx =
+          std::string(backend == SimulationBackend::kBitParallel ? "bit"
+                                                                 : "cycle") +
+          " threads=" + std::to_string(threads);
+      opt.threads = threads;
+      const ApKnnEngine engine(data, opt);
+      const util::Deadline expired = util::Deadline::after_ms(-1);
+      SearchControl late_control;
+      late_control.deadline = &expired;
+      SearchControl cancelled_control;
+      cancelled_control.cancel = &token;
+      SearchResult late;
+      SearchResult cancelled;
+      SearchResult plain;
+      std::thread late_search(
+          [&] { late = engine.search(queries, 4, late_control); });
+      std::thread cancelled_search(
+          [&] { cancelled = engine.search(queries, 4, cancelled_control); });
+      std::thread plain_search(
+          [&] { plain = engine.search(queries, 4, SearchControl{}); });
+      late_search.join();
+      cancelled_search.join();
+      plain_search.join();
+
+      EXPECT_EQ(late.stats.count_state(ShardState::kTimedOut), kConfigs)
+          << ctx;
+      EXPECT_EQ(late.stats.simulated_cycles, 0u) << ctx;
+      for (const auto& list : late.neighbors) {
+        EXPECT_TRUE(list.empty()) << ctx;
+      }
+      EXPECT_EQ(cancelled.stats.count_state(ShardState::kCancelled), kConfigs)
+          << ctx;
+      EXPECT_EQ(plain.neighbors, baseline.results) << ctx;
+      EXPECT_EQ(plain.events, baseline.stream) << ctx;
+      EXPECT_EQ(plain.stats, baseline.stats) << ctx;
     }
   }
 }

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "apsim/lane_word.hpp"
 #include "apss_test_support.hpp"
 #include "core/engine.hpp"
 #include "util/fault_injection.hpp"
@@ -55,6 +56,7 @@ TEST(EngineBackend, BitParallelCompilesEveryConfiguration) {
   EXPECT_EQ(bs.packed, 0u);
   EXPECT_EQ(bs.multiplexed, 0u);
   EXPECT_TRUE(bs.fallback_reasons.empty());
+  EXPECT_EQ(bs.match_count_isa, apsim::resolve_match_counts().isa);
   EXPECT_EQ(engine.project(3).backend, bs);
 
   ApKnnEngine reference(data,
@@ -63,6 +65,7 @@ TEST(EngineBackend, BitParallelCompilesEveryConfiguration) {
   EXPECT_EQ(reference.backend_stats().configurations, 5u);
   EXPECT_EQ(reference.backend_stats().bit_parallel, 0u);
   EXPECT_EQ(reference.backend_stats().fallback, 0u);  // never attempted
+  EXPECT_TRUE(reference.backend_stats().match_count_isa.empty());
 }
 
 TEST(EngineBackend, SearchMatchesAcrossConfigurationSplits) {

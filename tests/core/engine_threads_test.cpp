@@ -87,42 +87,6 @@ TEST(EngineThreads, BitParallelStreamIdenticalAcrossThreadCounts) {
   expect_thread_invariant(data, queries, 4, opt, "bit-parallel");
 }
 
-TEST(EngineThreads, LaneWidthSweepIdenticalAcrossThreadsAndWidths) {
-  // One reference run at 64-bit lanes, then every lane width at 1/2/8
-  // threads: neighbor lists, merged streams, and EngineStats must all be
-  // bit-identical — the shard merge may never observe the SIMD width.
-  const auto data = knn::BinaryDataset::uniform(41, 24, 614);
-  const auto queries = knn::BinaryDataset::uniform(9, 24, 615);
-  EngineOptions opt;
-  opt.backend = SimulationBackend::kBitParallel;
-  opt.max_vectors_per_config = 7;  // 6 configurations
-  opt.queries_per_chunk = 2;
-  opt.lane_width = apsim::LaneWidth::k64;
-  const SearchRun reference = run_engine(data, queries, 4, opt, 1);
-  EXPECT_FALSE(reference.stream.empty());
-  for (const apsim::LaneWidth w : {apsim::LaneWidth::k64,
-                                   apsim::LaneWidth::k256,
-                                   apsim::LaneWidth::k512}) {
-    opt.lane_width = w;
-    const SearchRun width_ref = run_engine(data, queries, 4, opt, 1);
-    for (const std::size_t threads : {1, 2, 8}) {
-      const SearchRun run = run_engine(data, queries, 4, opt, threads);
-      const std::string ctx = std::string("width=") + apsim::to_string(w) +
-                              " threads=" + std::to_string(threads);
-      EXPECT_EQ(run.results, reference.results) << ctx;
-      EXPECT_EQ(run.stream, reference.stream) << ctx;
-      // Stats embed the resolved lane width/isa, so full equality only
-      // holds within a width; across widths the device-work accounting
-      // must still agree exactly.
-      EXPECT_EQ(run.stats, width_ref.stats) << ctx;
-      EXPECT_TRUE(run.stats.same_work(reference.stats)) << ctx;
-      EXPECT_EQ(run.compile.lane_width_bits, static_cast<std::size_t>(w))
-          << ctx;
-      EXPECT_FALSE(run.compile.lane_isa.empty()) << ctx;
-    }
-  }
-}
-
 TEST(EngineThreads, CycleAccurateStreamIdenticalAcrossThreadCounts) {
   const auto data = knn::BinaryDataset::uniform(23, 16, 603);
   const auto queries = knn::BinaryDataset::uniform(6, 16, 604);

@@ -124,8 +124,8 @@ TEST(ReductionModel, RejectsUncoveredK) {
   p.n = 32;
   p.group_size = 16;  // 2 groups
   p.k = 4;
-  p.k_prime = 1;  // k' x R = 2 < k
-  EXPECT_THROW(evaluate_reduction_model(p), std::invalid_argument);
+  const std::size_t k_primes[] = {1};  // k' x R = 2 < k
+  EXPECT_THROW(evaluate_reduction_sweep(p, k_primes), std::invalid_argument);
 }
 
 TEST(ReductionModel, LargeKPrimeIsAlwaysCorrect) {
@@ -134,10 +134,10 @@ TEST(ReductionModel, LargeKPrimeIsAlwaysCorrect) {
   p.dims = 32;
   p.group_size = 16;
   p.k = 4;
-  p.k_prime = 16;  // keep everything: lossless
+  const std::size_t k_primes[] = {16};  // keep everything: lossless
   p.queries_per_run = 16;
   p.runs = 5;
-  const auto r = evaluate_reduction_model(p);
+  const auto r = evaluate_reduction_sweep(p, k_primes)[0];
   EXPECT_DOUBLE_EQ(r.incorrect_run_fraction, 0.0);
   EXPECT_DOUBLE_EQ(r.incorrect_query_fraction, 0.0);
   EXPECT_DOUBLE_EQ(r.mean_reports_per_query, 128.0);
@@ -151,12 +151,13 @@ TEST(ReductionModel, AccuracyImprovesWithKPrime) {
   p.k = 8;
   p.queries_per_run = 64;
   p.runs = 10;
+  const std::size_t k_primes[] = {1, 2, 4};
+  const auto results = evaluate_reduction_sweep(p, k_primes);
   double prev = 1.1;
-  for (const std::size_t kp : {1u, 2u, 4u}) {
-    p.k_prime = kp;
-    const auto r = evaluate_reduction_model(p);
-    EXPECT_LE(r.incorrect_query_fraction, prev) << "k'=" << kp;
-    prev = r.incorrect_query_fraction + 1e-12;
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    EXPECT_LE(results[i].incorrect_query_fraction, prev)
+        << "k'=" << k_primes[i];
+    prev = results[i].incorrect_query_fraction + 1e-12;
   }
 }
 
@@ -166,10 +167,10 @@ TEST(ReductionModel, BandwidthScalesWithKPrime) {
   p.dims = 32;
   p.group_size = 16;
   p.k = 2;
-  p.k_prime = 2;
+  const std::size_t k_primes[] = {2};
   p.queries_per_run = 8;
   p.runs = 2;
-  const auto r = evaluate_reduction_model(p);
+  const auto r = evaluate_reduction_sweep(p, k_primes)[0];
   // 16 groups x k'=2 = 32 reports instead of 256: an 8x reduction.
   EXPECT_DOUBLE_EQ(r.mean_reports_per_query, 32.0);
 }
@@ -180,14 +181,14 @@ TEST(ReductionModel, DeterministicForSeed) {
   p.dims = 64;
   p.group_size = 16;
   p.k = 2;
-  p.k_prime = 1;
+  const std::size_t k_primes[] = {1};
   p.queries_per_run = 32;
   p.runs = 4;
-  const auto a = evaluate_reduction_model(p);
-  const auto b = evaluate_reduction_model(p);
+  const auto a = evaluate_reduction_sweep(p, k_primes)[0];
+  const auto b = evaluate_reduction_sweep(p, k_primes)[0];
   EXPECT_DOUBLE_EQ(a.incorrect_query_fraction, b.incorrect_query_fraction);
   util::ThreadPool pool(4);
-  const auto c = evaluate_reduction_model(p, &pool);
+  const auto c = evaluate_reduction_sweep(p, k_primes, &pool)[0];
   EXPECT_DOUBLE_EQ(a.incorrect_query_fraction, c.incorrect_query_fraction);
 }
 

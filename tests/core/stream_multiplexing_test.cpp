@@ -31,7 +31,8 @@ TEST(MultiplexedStreamEncoder, PacksSevenQueriesIntoOneFrame) {
   for (std::size_t s = 0; s < 7; ++s) {
     queries.set(s, s, true);
   }
-  const auto frame = enc.encode_group(queries, 0, 7);
+  std::vector<std::uint8_t> frame;
+  enc.append_group(queries, 0, 7, frame);
   ASSERT_EQ(frame.size(), spec.cycles_per_query());
   EXPECT_EQ(frame[0], Alphabet::kSof);
   // Data symbol for dim i carries bit s=i set (query i has dim i set).
@@ -45,9 +46,10 @@ TEST(MultiplexedStreamEncoder, PacksSevenQueriesIntoOneFrame) {
 TEST(MultiplexedStreamEncoder, RejectsBadGroups) {
   const MultiplexedStreamEncoder enc(StreamSpec{8, 1});
   const auto queries = knn::BinaryDataset::uniform(10, 8, 1);
-  EXPECT_THROW(enc.encode_group(queries, 0, 0), std::invalid_argument);
-  EXPECT_THROW(enc.encode_group(queries, 0, 8), std::invalid_argument);
-  EXPECT_THROW(enc.encode_group(queries, 8, 3), std::invalid_argument);
+  std::vector<std::uint8_t> out;
+  EXPECT_THROW(enc.append_group(queries, 0, 0, out), std::invalid_argument);
+  EXPECT_THROW(enc.append_group(queries, 0, 8, out), std::invalid_argument);
+  EXPECT_THROW(enc.append_group(queries, 8, 3, out), std::invalid_argument);
 }
 
 TEST(MultiplexedNetwork, ReplicatesMacrosPerSlice) {
@@ -93,8 +95,9 @@ TEST(MultiplexedStreamEncoder, OneQueryFrameEqualsTheBaseDesignFrame) {
     const MultiplexedStreamEncoder mux(spec);
     const SymbolStreamEncoder plain(spec);
     for (std::size_t q = 0; q < queries.size(); ++q) {
-      EXPECT_EQ(mux.encode_group(queries, q, 1),
-                plain.encode_query(queries.vector(q)))
+      std::vector<std::uint8_t> frame;
+      mux.append_group(queries, q, 1, frame);
+      EXPECT_EQ(frame, plain.encode_query(queries.vector(q)))
           << "d=" << dims << " q=" << q;
     }
     for (std::size_t slices = 1; slices <= kMaxSlices; ++slices) {
