@@ -35,14 +35,12 @@ inline std::size_t parse_positive(const char* s) {
 }
 
 /// Runs `stream` on the cycle-accurate reference and on the compiled
-/// bit-parallel `program` — once at the default (auto) lane width and once
-/// per explicit width (64/256/512) — asserts every ReportEvent stream is
-/// BIT-IDENTICAL to the reference, prints a comparison table (with
-/// `note`), and writes <prefix>_cycle_accurate / <prefix>_bit_parallel /
-/// <prefix>_bit_parallel_w{64,256,512} (with a lane_isa param) /
+/// bit-parallel `program`, asserts the ReportEvent streams are
+/// BIT-IDENTICAL, prints a comparison table (with `note`), and writes
+/// <prefix>_cycle_accurate / <prefix>_bit_parallel /
 /// <prefix>_backend_speedup records — `stamp` adds the bench's parameters
 /// to each. `shape` names the macro shape in the closing message.
-/// Returns 0, or 1 when any backend disagrees.
+/// Returns 0, or 1 when the backends disagree.
 inline int compare_backends_on_stream(
     util::BenchReport& report, const std::string& prefix, const char* shape,
     const std::string& table_title, const char* note,
@@ -68,36 +66,16 @@ inline int compare_backends_on_stream(
 
   util::TablePrinter table(table_title);
   table.set_header({"backend", "wall s", "sim cycles", "report events"});
-  const auto row = [&](const std::string& name, double wall,
-                       const char* isa) {
+  const auto row = [&](const std::string& name, double wall) {
     table.add_row({name, util::TablePrinter::fmt(wall, 4),
                    std::to_string(stream.size()),
                    std::to_string(expected.size())});
     util::BenchRecord record(prefix + "_" + name);
     stamp(record);
-    if (isa != nullptr) {
-      record.param("lane_isa", isa);
-    }
     report.write(record.cycles(stream.size()).wall_seconds(wall));
   };
-  row("cycle_accurate", cycle_wall, nullptr);
-  row("bit_parallel", bit_wall, batch.lane_isa());
-  for (const apsim::LaneWidth w : {apsim::LaneWidth::k64,
-                                   apsim::LaneWidth::k256,
-                                   apsim::LaneWidth::k512}) {
-    util::Timer width_timer;
-    apsim::BatchSimulator wide(program, w);
-    const auto wide_actual = wide.run(stream);
-    const double wide_wall = width_timer.seconds();
-    if (wide_actual != expected) {
-      std::fprintf(stderr,
-                   "FAIL: %s-bit lane backend disagrees on the report "
-                   "stream\n", apsim::to_string(w));
-      return 1;
-    }
-    row("bit_parallel_w" + std::string(apsim::to_string(w)), wide_wall,
-        wide.lane_isa());
-  }
+  row("cycle_accurate", cycle_wall);
+  row("bit_parallel", bit_wall);
   table.add_note(note);
   table.print(std::cout);
 

@@ -236,7 +236,7 @@ class BatchProgram {
   std::size_t levels_ = 1;
   std::size_t words_ = 0;  ///< canonical (unpadded) words per packed lane mask
   /// In-memory words per lane-mask row: words_ rounded up to kLaneBlockWords
-  /// so every execution width (64/256/512) divides the storage. The pad
+  /// so every stepping width (64/256/512) divides the storage. The pad
   /// words are zero — no live lane, no class bit, valid mask 0 — which is
   /// what makes them semantically invisible to the kernels. The serialized
   /// state() stays canonical (words_-sized rows), so artifacts never see
@@ -289,19 +289,16 @@ class BatchProgram {
 /// ReportEvent output as the cycle-accurate Simulator. Cheap to construct
 /// (dynamic state only); create one per worker thread.
 ///
-/// The execution lane width is a per-simulator choice (resolve_lane_kernels
-/// decides SIMD vs portable at construction); the ReportEvent stream is
-/// bit-identical at every width, so a program — or an artifact compiled at
-/// one width — runs unchanged at any other.
+/// The width that stepped symbols advance at is a per-simulator choice;
+/// the ReportEvent stream is bit-identical at every width, so a program —
+/// or an artifact — runs unchanged at any width.
 class BatchSimulator {
  public:
   /// Throws std::invalid_argument on a null program (i.e. a try_compile
   /// result that declined — callers must fall back, not construct).
-  /// `lane_width` picks the execution width; kAuto selects the widest
-  /// SIMD-backed width this CPU + build supports (the 64-bit scalar path
-  /// when none).
+  /// `lane_width` picks the stepping width.
   explicit BatchSimulator(std::shared_ptr<const BatchProgram> program,
-                          LaneWidth lane_width = LaneWidth::kAuto);
+                          LaneWidth lane_width = LaneWidth::k64);
 
   /// Returns to the pre-stream state (cycle 0, all counts zero).
   void reset();
@@ -360,11 +357,8 @@ class BatchSimulator {
   void clear_reports() { reports_.clear(); }
   const BatchProgram& program() const noexcept { return *program_; }
 
-  /// The RESOLVED execution width (never kAuto) and its backing ISA
-  /// ("scalar" | "portable" | "avx2" | "avx512").
+  /// The width stepped symbols advance at.
   LaneWidth lane_width() const noexcept { return kernels_.width; }
-  const char* lane_isa() const noexcept { return kernels_.isa; }
-  bool lane_simd() const noexcept { return kernels_.simd; }
 
  private:
   /// True when the dynamic state equals what reset() leaves, apart from
@@ -382,7 +376,7 @@ class BatchSimulator {
                                          std::size_t report_limit);
 
   std::shared_ptr<const BatchProgram> program_;
-  LaneKernels kernels_;     ///< resolved hot-loop kernels (width + ISA)
+  LaneKernels kernels_;     ///< the stepping kernels of the lane width
   MatchCountKernels match_counts_;  ///< closed-form frame kernels
   std::size_t eff_words_ = 0;  ///< words_ rounded up to the kernel block
   std::size_t frame_cycles_ = 0;  ///< 2d+L+3: one closed-form frame

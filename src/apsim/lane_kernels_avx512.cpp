@@ -1,10 +1,9 @@
-// AVX-512 lane kernels: 512 lanes per operation on one zmm register. Built
-// with -mavx512f when the compiler supports it; a stub registry otherwise
-// (the dispatcher then serves LaneWidth::k512 with the portable
-// LaneWord<512> path). The lane kernels use only AVX512F instructions, so
-// any AVX-512 CPU qualifies; nothing executes unless resolve_lane_kernels
-// checked __builtin_cpu_supports("avx512f") first. The closed-form match
-// count kernels also need VPOPCNTDQ, which resolve_match_counts checks.
+// AVX-512 VPOPCNTDQ match-count kernels for the closed-form frame path:
+// one block of 8 lanes per zmm register. Built with -mavx512f when the
+// compiler supports it; a stub registry otherwise (resolve_match_counts
+// then picks the POPCNT or portable build). Nothing here executes unless
+// resolve_match_counts checked the CPU for avx512f and avx512vpopcntdq
+// first.
 
 #include "apsim/lane_word.hpp"
 
@@ -12,48 +11,8 @@
 
 #include <immintrin.h>
 
-#include "apsim/lane_kernels_impl.hpp"
-
 namespace apss::apsim::detail {
 namespace {
-
-/// Vector policy over one unaligned 512-bit integer register; the same
-/// bitwise contract as LaneWord<512>.
-struct Avx512Word {
-  static constexpr std::size_t kWords = 8;
-  __m512i v;
-
-  static Avx512Word load(const std::uint64_t* p) noexcept {
-    return {_mm512_loadu_si512(p)};
-  }
-  void store(std::uint64_t* p) const noexcept { _mm512_storeu_si512(p, v); }
-  static Avx512Word zero() noexcept { return {_mm512_setzero_si512()}; }
-  friend Avx512Word operator|(Avx512Word a, Avx512Word b) noexcept {
-    return {_mm512_or_si512(a.v, b.v)};
-  }
-  friend Avx512Word operator&(Avx512Word a, Avx512Word b) noexcept {
-    return {_mm512_and_si512(a.v, b.v)};
-  }
-  friend Avx512Word operator^(Avx512Word a, Avx512Word b) noexcept {
-    return {_mm512_xor_si512(a.v, b.v)};
-  }
-  Avx512Word andnot(Avx512Word mask) const noexcept {
-    return {_mm512_andnot_si512(mask.v, v)};  // intrinsic is ~a & b
-  }
-  bool any() const noexcept { return _mm512_test_epi64_mask(v, v) != 0; }
-};
-
-constexpr LaneKernels make_kernels() {
-  LaneKernels k;
-  k.width = LaneWidth::k512;
-  k.simd = true;
-  k.isa = "avx512";
-  k.or_rows = or_rows_impl<Avx512Word>;
-  k.counter_update = counter_update_impl<Avx512Word>;
-  return k;
-}
-
-const LaneKernels kAvx512Kernels = make_kernels();
 
 /// Block b's 8 lane counts for match_counts_impl, one per 64-bit element:
 /// word k of the block's lanes, ANDed with query word k, counted by VPOPCNTQ.
@@ -183,7 +142,6 @@ const MatchCountKernels kAvx512Counts = {
 
 }  // namespace
 
-const LaneKernels* avx512_lane_kernels() noexcept { return &kAvx512Kernels; }
 const MatchCountKernels* avx512_match_counts() noexcept {
   return &kAvx512Counts;
 }
@@ -193,7 +151,6 @@ const MatchCountKernels* avx512_match_counts() noexcept {
 #else  // !defined(__AVX512F__)
 
 namespace apss::apsim::detail {
-const LaneKernels* avx512_lane_kernels() noexcept { return nullptr; }
 const MatchCountKernels* avx512_match_counts() noexcept { return nullptr; }
 }  // namespace apss::apsim::detail
 

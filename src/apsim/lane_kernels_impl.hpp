@@ -1,10 +1,11 @@
 #pragma once
-// Shared kernel bodies for every lane-word backend. Each translation unit
-// (portable, AVX2, AVX-512) instantiates these templates with its own
-// vector policy type V — LaneWord<W> for the portable builds, an intrinsic
-// wrapper for the SIMD ones. The dataflow is identical everywhere, which is
-// what makes the widths bit-identical by construction: only the number of
-// 64-bit words touched per iteration changes.
+// Kernel bodies for the bit-parallel backend. The stepping kernels are
+// templates over a lane-word type V, instantiated once per width with
+// LaneWord<W> (lane_kernels.cpp). The dataflow is identical at every width,
+// which is what makes the widths bit-identical by construction: only the
+// number of 64-bit words touched per iteration changes. The closed-form
+// match counts below are the portable build that the POPCNT clones share
+// and that the VPOPCNTDQ kernels must equal.
 //
 // V must provide: kWords, load/store/zero, operator| & ^, andnot(mask)
 // (= *this & ~mask), and any(). Callers guarantee ctx.words (and the

@@ -1,27 +1,25 @@
 #pragma once
-// Wide-lane words for the bit-parallel batch backend (ROADMAP item 1: widen
-// the word). A BatchProgram packs one macro per BIT; the interpreter's state
-// vectors are flat arrays of 64-bit words, and every per-cycle operation is
-// a pure bitwise map over them — so the execution width is a free parameter:
-// stepping 256 or 512 lanes per operation instead of 64 changes wall-clock
-// only, never a single ReportEvent.
+// Wide-lane words for the bit-parallel batch backend. A BatchProgram packs
+// one macro per BIT; the interpreter's state vectors are flat arrays of
+// 64-bit words, and every per-cycle operation is a pure bitwise map over
+// them — so the stepping width is a free parameter: stepping 256 or 512
+// lanes per operation instead of 64 changes wall-clock only, never a single
+// ReportEvent.
 //
-// Three layers keep that guarantee checkable:
+// Two layers keep that guarantee checkable:
 //
-//  * LaneWord<W> — the PORTABLE W-bit lane word: an array of W/64 uint64_t
-//    with bitwise ops written as fixed-trip loops any compiler can unroll
-//    (and, with vector flags, auto-vectorize). It defines the semantics;
-//    it is always available, on every architecture.
+//  * LaneWord<W> — the portable W-bit lane word: an array of W/64 uint64_t
+//    with bitwise ops written as fixed-trip loops any compiler can unroll.
+//    It is the one stepping kernel of each width, on every architecture.
 //  * LaneKernels — the two hot per-cycle loops (packed-row OR and the
-//    bit-sliced counter update) behind function pointers, so AVX2 / AVX-512
-//    translation units compiled with their own target flags can supply
-//    intrinsic versions of the SAME bitwise dataflow.
-//  * resolve_lane_kernels() — runtime dispatch: an explicit width is always
-//    honored (the SIMD variant when the CPU + build support it, the
-//    portable LaneWord variant otherwise); kAuto picks the widest
-//    SIMD-backed width, falling back to the classic 64-bit scalar path.
-//    APSS_DISABLE_SIMD=1 in the environment forces the portable variants
-//    everywhere — the knob CI uses to keep the non-x86 code paths green.
+//    bit-sliced counter update) of one width behind function pointers;
+//    resolve_lane_kernels() returns them for the requested width.
+//
+// Only symbols outside closed-form frames are stepped, and every frame the
+// engine streams takes the closed form (docs/SIMULATOR_SEMANTICS.md). Those
+// frames run the match-count kernels declared below, the only SIMD code:
+// VPOPCNTDQ or POPCNT builds picked by resolve_match_counts() at run time.
+// APSS_DISABLE_SIMD=1 in the environment forces their portable build.
 //
 // Lane layout is width-agnostic: lane l always lives at 64-bit word l/64,
 // bit l%64. A wider word just processes W/64 consecutive words per
@@ -37,20 +35,18 @@ namespace apss::apsim {
 /// its packed row table to, so every resolved width divides the storage.
 inline constexpr std::size_t kLaneBlockWords = 8;
 
-/// Requested lane-word width for BatchSimulator execution.
+/// Lane-word width BatchSimulator steps at.
 enum class LaneWidth : std::uint16_t {
-  kAuto = 0,  ///< widest SIMD-backed width; 64-bit scalar when none
-  k64 = 64,   ///< the classic one-word scalar path
-  k256 = 256,  ///< four words per step (AVX2 when available)
-  k512 = 512,  ///< eight words per step (AVX-512 when available)
+  k64 = 64,    ///< the classic one-word scalar path
+  k256 = 256,  ///< four words per step
+  k512 = 512,  ///< eight words per step
 };
 
 const char* to_string(LaneWidth width) noexcept;
 
-/// The portable W-bit lane word: W/64 little-endian 64-bit limbs, lane
-/// (w * 64 + b) at limb w bit b — the same layout BatchProgram packs its
-/// rows in, so loads are plain memcpy-like reads. All ops are bitwise and
-/// lane-local; the fixed-size loops vectorize under -O2 on any target.
+/// The W-bit lane word: W/64 little-endian 64-bit limbs, lane (w * 64 + b)
+/// at limb w bit b — the same layout BatchProgram packs its rows in, so
+/// loads are plain memcpy-like reads. All ops are bitwise and lane-local.
 template <std::size_t W>
 struct LaneWord {
   static_assert(W == 64 || W == 256 || W == 512, "unsupported lane width");
@@ -132,12 +128,11 @@ struct LaneCounterCtx {
   bool eof_now = false;    ///< uniform counter reset this cycle
 };
 
-/// The resolved execution strategy: a width plus the two hot-loop kernels.
+/// One width's stepping kernels: the width plus the two hot-loop kernels.
 /// Value-semantic and immutable after resolution; share freely.
 struct LaneKernels {
-  LaneWidth width = LaneWidth::k64;  ///< resolved width, never kAuto
-  bool simd = false;                 ///< vector-ISA backed (vs portable)
-  const char* isa = "scalar";        ///< scalar | portable | avx2 | avx512
+  LaneWidth width = LaneWidth::k64;
+  const char* isa = "scalar";  ///< scalar (64) | portable (256, 512)
   /// dst |= src over `words` words (both block-aligned and padded).
   void (*or_rows)(std::uint64_t* dst, const std::uint64_t* src,
                   std::size_t words) = nullptr;
@@ -160,7 +155,7 @@ inline constexpr std::size_t kMatchBlockLanes = 8;
 /// of popcount(word k of lane l & query[k]), for `blocks` blocks (lanes
 /// rounded up to a whole block; pad lanes have zero rows), and
 /// block_max[b] = the largest counts[l] of block b's lanes. Independent of
-/// the execution lane width.
+/// the stepping lane width.
 using LaneMatchCounts = void (*)(const std::uint64_t* lane_bits,
                                  const std::uint64_t* query,
                                  std::size_t row_words, std::size_t blocks,
@@ -193,33 +188,20 @@ struct MatchCountKernels {
 
 /// The AVX-512 VPOPCNTDQ build, else the hardware-POPCNT one, when the CPU
 /// has it and APSS_DISABLE_SIMD is unset; else the portable bit count (all
-/// bit-identical).
+/// bit-identical). APSS_DISABLE_SIMD counts as set unless it is "" or "0",
+/// and it is read on every call, so tests can flip it between simulator
+/// constructions.
 MatchCountKernels resolve_match_counts() noexcept;
 
-/// True when the environment variable APSS_DISABLE_SIMD is set to anything
-/// but "" or "0" — the portable-fallback override (read on every resolve,
-/// so tests can flip it between simulator constructions).
-bool lane_simd_disabled_by_env() noexcept;
-
-/// Runtime CPU feature checks (false on non-x86 builds).
-bool cpu_supports_avx2() noexcept;
-bool cpu_supports_avx512() noexcept;
-
-/// Resolves `requested` to concrete kernels. Explicit widths are always
-/// honored: the SIMD variant when compiled in AND supported by this CPU
-/// AND not disabled by APSS_DISABLE_SIMD, else the portable LaneWord
-/// variant of the same width (bit-identical, just slower). kAuto returns
-/// the widest SIMD-backed width, or the 64-bit scalar path when none.
-LaneKernels resolve_lane_kernels(LaneWidth requested = LaneWidth::kAuto);
+/// The LaneWord<W> stepping kernels of `width` (bit-identical at every
+/// width).
+LaneKernels resolve_lane_kernels(LaneWidth width = LaneWidth::k64);
 
 namespace detail {
-/// SIMD kernel registries, defined in lane_kernels_{avx2,avx512}.cpp.
-/// Null when the translation unit was built without its target flags
-/// (non-x86, or a compiler without -mavx2 / -mavx512f).
-const LaneKernels* avx2_lane_kernels() noexcept;
-const LaneKernels* avx512_lane_kernels() noexcept;
-/// The VPOPCNTDQ match-count kernels; null when not compiled in. The caller
-/// checks the CPU for avx512vpopcntdq first.
+/// The VPOPCNTDQ match-count kernels, defined in lane_kernels_avx512.cpp;
+/// null when that translation unit was built without -mavx512f (non-x86,
+/// or a compiler without the flag). The caller checks the CPU for
+/// avx512f and avx512vpopcntdq first.
 const MatchCountKernels* avx512_match_counts() noexcept;
 /// The hardware-POPCNT build of the portable kernels; null off x86. The
 /// caller checks the CPU for popcnt first.

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <string_view>
 #include <system_error>
+#include <thread>
 
 #include "anml/anml_io.hpp"
 #include "apsim/lane_word.hpp"
@@ -80,15 +81,14 @@ ApKnnEngine::ApKnnEngine(knn::BinaryDataset dataset, EngineOptions options)
     throw std::invalid_argument(
         "ApKnnEngine: multiplexing cannot be combined with vector packing");
   }
-  // Resolve the worker pool once: `threads` picks serial (1), the shared
-  // process-wide pool (0), or a private pool sized so that N threads total
-  // run this engine's shards (N-1 workers — the submitting thread
-  // participates in every job).
-  if (options_.threads == 0) {
-    pool_ = &util::ThreadPool::global();
-  } else if (options_.threads > 1) {
-    owned_pool_ = std::make_unique<util::ThreadPool>(options_.threads - 1);
-    pool_ = owned_pool_.get();
+  // N threads run this engine's shards: N-1 pool workers and the
+  // submitting thread, which participates in every job.
+  const std::size_t threads =
+      options_.threads != 0
+          ? options_.threads
+          : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  if (threads > 1) {
+    pool_ = std::make_unique<util::ThreadPool>(threads - 1);
   }
   const std::size_t dims = dataset_.dims();
   const bool packed = options_.packing_group_size > 0;
@@ -100,7 +100,8 @@ ApKnnEngine::ApKnnEngine(knn::BinaryDataset dataset, EngineOptions options)
                                ? 1
                                : collector_levels_for(dims, options_.macro)};
 
-  // Board capacity: how many vectors fit one configuration. Plain macros of
+  // Board capacity: how many vectors fit one configuration on a single-rank
+  // board (the paper's, which holds 1024 x 128-dim vectors). Plain macros of
   // a given dimensionality are isomorphic, so any vector serves as the
   // prototype; a multiplexed vector costs its S slice replicas. Packed
   // groups differ in how many value states their vectors share, so the
@@ -127,7 +128,7 @@ ApKnnEngine::ApKnnEngine(knn::BinaryDataset dataset, EngineOptions options)
       append_hamming_macro(prototype, dataset_.vector(0), 0, options_.macro);
     }
     const apsim::MacroFootprint fp = apsim::footprint_of(prototype);
-    capacity_ = apsim::max_copies(fp, options_.board, options_.placement) *
+    capacity_ = apsim::max_copies(fp, apsim::DeviceGeometry::one_rank()) *
                 vectors_per_copy;
     if (capacity_ == 0) {
       throw std::invalid_argument(
@@ -375,7 +376,7 @@ std::size_t ApKnnEngine::bit_parallel_configurations() const noexcept {
 }
 
 apsim::PlacementResult ApKnnEngine::placement(std::size_t i) const {
-  return apsim::place(network(i), options_.board, options_.placement);
+  return apsim::place(network(i), apsim::DeviceGeometry::one_rank());
 }
 
 EngineStats ApKnnEngine::project(std::size_t query_count) const {

@@ -130,20 +130,16 @@ struct BackendCompileStats {
 
 struct EngineOptions {
   apsim::DeviceConfig device = apsim::DeviceConfig::gen1();
-  /// Board geometry backing ONE configuration (the paper measures a
-  /// single-rank board; its capacity rule is 1024 x 128-dim vectors).
-  apsim::DeviceGeometry board = apsim::DeviceGeometry::one_rank();
   HammingMacroOptions macro;
-  apsim::PlacementOptions placement;
   /// Overrides the placement-derived capacity when nonzero (tests use this
   /// to force multi-configuration runs on small datasets).
   std::size_t max_vectors_per_config = 0;
-  /// Concurrency of compile + simulation: 0 (default) shares the
-  /// process-wide pool (hardware concurrency), 1 runs fully serial, N >= 2
-  /// gives the engine a private pool so that N threads total (N-1 workers
-  /// plus the submitting thread) run its shards. Surfaced as
-  /// `apss_cli --threads=N`. Any setting yields bit-identical results:
-  /// shards are merged in configuration/frame order, never completion order.
+  /// Threads that compile and simulate: N >= 2 gives the engine a private
+  /// pool of N-1 workers, which run its shards together with the submitting
+  /// thread; 1 runs fully serial; 0 (default) means the hardware
+  /// concurrency (at least 1). Surfaced as `apss_cli --threads=N`. Any
+  /// setting yields bit-identical results: shards are merged in
+  /// configuration/frame order, never completion order.
   std::size_t threads = 0;
   /// Upper bound on query frames per simulation shard (a multiplexed frame
   /// carries up to multiplex_slices queries); the engine refines the shard
@@ -344,7 +340,7 @@ class ApKnnEngine {
   /// engine-wide lock.
   const anml::AutomataNetwork& network(std::size_t i) const;
 
-  /// Placement report of configuration `i` on the configured board.
+  /// Placement report of configuration `i` on a single-rank board.
   apsim::PlacementResult placement(std::size_t i) const;
 
   /// Compiled bit-parallel program of configuration `i` (null when that
@@ -429,10 +425,9 @@ class ApKnnEngine {
   mutable std::mutex network_mutex_;
   BackendCompileStats compile_stats_;
   EngineStats stats_;
-  /// Resolved worker pool (the global pool or owned_pool_; nullptr =
-  /// serial) — see EngineOptions::threads.
-  util::ThreadPool* pool_ = nullptr;
-  std::unique_ptr<util::ThreadPool> owned_pool_;
+  /// The threads - 1 pool workers; null when serial (see
+  /// EngineOptions::threads).
+  std::unique_ptr<util::ThreadPool> pool_;
   std::vector<apsim::ReportEvent> report_stream_;
 };
 

@@ -21,9 +21,10 @@
 // any thread count — which shard fails never depends on scheduling.
 //
 // Cost when unarmed: one relaxed atomic load per check. The registry is
-// process-global (like ThreadPool::global()); tests must disarm_all() on
-// teardown and must not run armed in parallel with unrelated tests in the
-// same process (gtest runs serially within a binary, so this is free).
+// process-global, shared by every engine and server; tests must
+// disarm_all() on teardown and must not run armed in parallel with
+// unrelated tests in the same process (gtest runs serially within a
+// binary, so this is free).
 
 #include <atomic>
 #include <cstdint>

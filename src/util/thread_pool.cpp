@@ -143,9 +143,4 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
       grain);
 }
 
-ThreadPool& ThreadPool::global() {
-  static ThreadPool pool;
-  return pool;
-}
-
 }  // namespace apss::util

@@ -49,9 +49,6 @@ class ThreadPool {
       const std::function<void(std::size_t, std::size_t)>& fn,
       std::size_t grain = 1);
 
-  /// Process-wide pool (lazily constructed, hardware concurrency).
-  static ThreadPool& global();
-
  private:
   struct Job {
     std::atomic<std::size_t> cursor{0};

@@ -6,9 +6,10 @@
 // form) and, where the network is small enough, with the cycle-accurate
 // apsim::Simulator. ReportEvent streams, cycle(), and the state a run leaves
 // behind (probed by stepping both simulators through the same continuation)
-// must be bit-identical, at every lane width, SIMD and APSS_DISABLE_SIMD=1
-// alike. Checkpoints and the batch.frame fault site must fire after the
-// same symbol counts as when stepping. A report limit must cut each
+// must be bit-identical, at every lane width, with the resolved and the
+// APSS_DISABLE_SIMD=1 match-count kernel alike. Checkpoints and the
+// batch.frame fault site must fire after the same symbol counts as when
+// stepping. A report limit must cut each
 // closed-form frame to the prefix of its full events through the cycle of
 // the limit-th report, leave stepped frames whole, and change neither
 // report_count() nor the state a run leaves behind, also where the floor
@@ -49,8 +50,8 @@ using core::Alphabet;
 constexpr LaneWidth kWidths[] = {LaneWidth::k64, LaneWidth::k256,
                                  LaneWidth::k512};
 
-/// Scoped APSS_DISABLE_SIMD=1: portable lane kernels and bit count for the
-/// simulators constructed inside the scope.
+/// Scoped APSS_DISABLE_SIMD=1: the portable bit count for the simulators
+/// constructed inside the scope.
 class ForcePortable {
  public:
   ForcePortable() { setenv("APSS_DISABLE_SIMD", "1", 1); }

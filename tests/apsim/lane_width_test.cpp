@@ -1,16 +1,18 @@
 // Width-sweep differential matrix for the wide-lane batch backend: every
-// execution width (64 / 256 / 512, SIMD and forced-portable alike) must
-// produce BIT-IDENTICAL ReportEvent streams — same cycles, element ids,
-// report codes, within-cycle order — as the cycle-accurate reference on
-// every compiled family (hamming, packed, multiplexed), on encoded query
-// frames, adversarial random streams and counter-saturating fills, at
-// ragged lane counts straddling every word boundary. Also pins the
-// resolve_lane_kernels dispatch contract and the exact-multiple tail-mask
-// behaviour (lanes % 64 == 0 must yield a full, not empty, tail mask).
+// stepping width (64 / 256 / 512, with the resolved and the forced-portable
+// match-count kernel alike) must produce BIT-IDENTICAL ReportEvent streams
+// — same cycles, element ids, report codes, within-cycle order — as the
+// cycle-accurate reference on every compiled family (hamming, packed,
+// multiplexed), on encoded query frames, adversarial random streams and
+// counter-saturating fills, at ragged lane counts straddling every word
+// boundary. Also pins the resolve_lane_kernels dispatch contract and the
+// exact-multiple tail-mask behaviour (lanes % 64 == 0 must yield a full,
+// not empty, tail mask).
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,8 +34,8 @@ namespace {
 constexpr LaneWidth kWidths[] = {LaneWidth::k64, LaneWidth::k256,
                                  LaneWidth::k512};
 
-/// Scoped APSS_DISABLE_SIMD=1: forces resolve_lane_kernels onto the
-/// portable LaneWord paths for simulators constructed inside the scope.
+/// Scoped APSS_DISABLE_SIMD=1: forces resolve_match_counts onto the
+/// portable bit count for simulators constructed inside the scope.
 /// Set/restored between constructions only — never concurrently with them.
 class ForcePortable {
  public:
@@ -78,9 +80,9 @@ std::shared_ptr<const BatchProgram> compile_or_die(const Config& c) {
   return program;
 }
 
-/// Runs `program` over `stream` at every width, SIMD-if-available AND
-/// forced-portable, and asserts each run equals `expected` (the reference
-/// simulator's events).
+/// Runs `program` over `stream` at every width, with the resolved AND the
+/// forced-portable match-count kernel, and asserts each run equals
+/// `expected` (the reference simulator's events).
 void expect_all_widths(std::shared_ptr<const BatchProgram> program,
                        std::span<const std::uint8_t> stream,
                        const std::vector<ReportEvent>& expected,
@@ -89,12 +91,11 @@ void expect_all_widths(std::shared_ptr<const BatchProgram> program,
     BatchSimulator batch(program, w);
     ASSERT_EQ(batch.lane_width(), w) << context;
     ASSERT_EQ(batch.run(stream), expected)
-        << context << " width=" << to_string(w) << " isa=" << batch.lane_isa();
+        << context << " width=" << to_string(w);
   }
   ForcePortable portable;
   for (const LaneWidth w : kWidths) {
     BatchSimulator batch(program, w);
-    ASSERT_FALSE(batch.lane_simd()) << context;
     ASSERT_EQ(batch.run(stream), expected)
         << context << " portable width=" << to_string(w);
   }
@@ -299,49 +300,33 @@ TEST(LaneKernelDispatch, ExplicitWidthsAreAlwaysHonored) {
   }
 }
 
-TEST(LaneKernelDispatch, AutoNeverReturnsAuto) {
-  const LaneKernels k = resolve_lane_kernels(LaneWidth::kAuto);
-  EXPECT_NE(k.width, LaneWidth::kAuto);
-  EXPECT_NE(k.or_rows, nullptr);
-  EXPECT_NE(k.counter_update, nullptr);
-}
-
-TEST(LaneKernelDispatch, DisableSimdEnvForcesPortable) {
-  ForcePortable portable;
-  EXPECT_TRUE(lane_simd_disabled_by_env());
-  for (const LaneWidth w : kWidths) {
-    const LaneKernels k = resolve_lane_kernels(w);
-    EXPECT_EQ(k.width, w);
-    EXPECT_FALSE(k.simd);
-    EXPECT_TRUE(std::string(k.isa) == "scalar" ||
-                std::string(k.isa) == "portable")
-        << k.isa;
+TEST(LaneKernelDispatch, EveryWidthStepsOnItsPortableKernel) {
+  // One portable stepping kernel per width: "scalar" at 64 bits, "portable"
+  // at 256 and 512, whether or not APSS_DISABLE_SIMD is set (it switches
+  // only the match-count kernel). Without a width, kernels and simulators
+  // step at 64 bits.
+  util::Rng rng(11);
+  const auto program =
+      compile_or_die(build_config(test::random_dataset(rng, 5, 8)));
+  for (const bool disabled : {false, true}) {
+    SCOPED_TRACE(disabled ? "APSS_DISABLE_SIMD=1" : "environment as given");
+    std::optional<ForcePortable> portable;
+    if (disabled) {
+      portable.emplace();
+    }
+    for (const LaneWidth w : kWidths) {
+      const LaneKernels k = resolve_lane_kernels(w);
+      EXPECT_EQ(k.width, w);
+      EXPECT_STREQ(k.isa, w == LaneWidth::k64 ? "scalar" : "portable");
+    }
+    const LaneKernels preset = resolve_lane_kernels();
+    EXPECT_EQ(preset.width, LaneWidth::k64);
+    EXPECT_STREQ(preset.isa, "scalar");
+    EXPECT_EQ(BatchSimulator(program).lane_width(), LaneWidth::k64);
   }
-  // kAuto without SIMD degrades to the classic scalar path.
-  const LaneKernels k = resolve_lane_kernels(LaneWidth::kAuto);
-  EXPECT_EQ(k.width, LaneWidth::k64);
-  EXPECT_STREQ(k.isa, "scalar");
-}
-
-TEST(LaneKernelDispatch, SimdVariantsMatchCpuSupport) {
-  // An explicit width resolves to its SIMD variant exactly when the build
-  // compiled it in AND this CPU supports it; otherwise the portable
-  // fallback of the SAME width serves it.
-  const LaneKernels k256 = resolve_lane_kernels(LaneWidth::k256);
-  const bool avx2_available =
-      cpu_supports_avx2() && detail::avx2_lane_kernels() != nullptr;
-  EXPECT_EQ(k256.simd, avx2_available);
-  EXPECT_STREQ(k256.isa, avx2_available ? "avx2" : "portable");
-
-  const LaneKernels k512 = resolve_lane_kernels(LaneWidth::k512);
-  const bool avx512_available =
-      cpu_supports_avx512() && detail::avx512_lane_kernels() != nullptr;
-  EXPECT_EQ(k512.simd, avx512_available);
-  EXPECT_STREQ(k512.isa, avx512_available ? "avx512" : "portable");
 }
 
 TEST(LaneKernelDispatch, PrintsEveryWidth) {
-  EXPECT_STREQ(to_string(LaneWidth::kAuto), "auto");
   EXPECT_STREQ(to_string(LaneWidth::k64), "64");
   EXPECT_STREQ(to_string(LaneWidth::k256), "256");
   EXPECT_STREQ(to_string(LaneWidth::k512), "512");
@@ -354,10 +339,7 @@ TEST(LaneKernelDispatch, SimulatorExposesResolvedWidth) {
   for (const LaneWidth w : kWidths) {
     BatchSimulator batch(program, w);
     EXPECT_EQ(batch.lane_width(), w);
-    EXPECT_NE(std::string(batch.lane_isa()), "");
   }
-  BatchSimulator preset(program);  // default = kAuto, resolved at once
-  EXPECT_NE(preset.lane_width(), LaneWidth::kAuto);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 
 #include "apss_test_support.hpp"
@@ -134,6 +135,15 @@ TEST(EngineThreads, SerialEngineReportsOneThread) {
   opt.threads = 1;
   ApKnnEngine engine(data, opt);
   EXPECT_EQ(engine.simulation_threads(), 1u);
+}
+
+TEST(EngineThreads, DefaultThreadsMeanHardwareConcurrency) {
+  // threads = 0 counts the submitting thread, as N >= 2 does: N threads in
+  // total, not N pool workers plus the caller.
+  const auto data = knn::BinaryDataset::uniform(8, 16, 611);
+  ApKnnEngine engine(data, EngineOptions{});
+  EXPECT_EQ(engine.simulation_threads(),
+            std::max<std::size_t>(1, std::thread::hardware_concurrency()));
 }
 
 TEST(EngineThreads, MultiplexedSearchIdenticalAcrossThreadCounts) {

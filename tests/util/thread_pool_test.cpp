@@ -86,12 +86,6 @@ TEST(ThreadPool, ReusableAcrossManyJobs) {
   }
 }
 
-TEST(ThreadPool, GlobalPoolIsUsable) {
-  std::atomic<int> count{0};
-  ThreadPool::global().parallel_for(0, 10, [&](std::size_t) { ++count; });
-  EXPECT_EQ(count.load(), 10);
-}
-
 TEST(ThreadPool, SingleElementRange) {
   ThreadPool pool(3);
   std::atomic<int> count{0};
