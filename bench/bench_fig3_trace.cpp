@@ -42,7 +42,8 @@ int main() {
   Capture capture;
   capture.counter = layout.counter;
   sim.set_trace(&capture);
-  const core::SymbolStreamEncoder enc(layout.stream_spec(4));
+  const core::SymbolStreamEncoder enc(
+      core::StreamSpec{4, layout.collector_levels});
   const auto events = sim.run(enc.encode_query(util::BitVector::parse("1001")));
 
   util::TablePrinter table("Fig. 3 trace: vector {1,0,1,1}, query {1,0,0,1}");

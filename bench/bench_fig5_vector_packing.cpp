@@ -9,7 +9,8 @@
 // configuration: the same query stream runs on the cycle-accurate
 // reference and on the bit-parallel batch backend (which compiles the
 // packed shape since the packed try_compile overload landed), asserts the
-// ReportEvent streams are BIT-IDENTICAL, and records both wall clocks to
+// ReportEvent streams are BIT-IDENTICAL, and records one cycle-accurate
+// run and the median of 31 warm bit-parallel runs to
 // BENCH_fig5_vector_packing.json.
 //
 // Usage: bench_fig5_vector_packing [n] [dims] [queries] [group]
@@ -23,7 +24,6 @@
 #include "apsim/batch_simulator.hpp"
 #include "apsim/placement.hpp"
 #include "bench_util.hpp"
-#include "core/batch_compile.hpp"
 #include "core/opt/vector_packing.hpp"
 #include "core/stream.hpp"
 #include "util/bench_report.hpp"
@@ -96,14 +96,9 @@ int run_backend_comparison(util::BenchReport& report, std::size_t n,
   const core::StreamSpec spec{dims, layouts.front().collector_levels};
   const auto stream = core::SymbolStreamEncoder(spec).encode_batch(queries);
 
-  std::vector<apsim::PackedGroupSlots> slots;
-  slots.reserve(layouts.size());
-  for (const auto& layout : layouts) {
-    slots.push_back(core::packed_batch_slots(layout));
-  }
   std::string reason;
   const auto program =
-      apsim::BatchProgram::try_compile(network, slots, {}, &reason);
+      apsim::BatchProgram::try_compile(network, layouts, {}, &reason);
   if (program == nullptr) {
     std::fprintf(stderr, "FAIL: packed shape did not compile: %s\n",
                  reason.c_str());

@@ -9,7 +9,8 @@
 // frames run on the cycle-accurate reference and on the bit-parallel batch
 // backend (which compiles the per-slice match classes since the
 // 16-class generalization landed), asserts BIT-IDENTICAL ReportEvent
-// streams, and records both wall clocks to BENCH_fig6_multiplexing.json.
+// streams, and records one cycle-accurate run and the median of 31 warm
+// bit-parallel runs to BENCH_fig6_multiplexing.json.
 //
 // Usage: bench_fig6_multiplexing [n] [dims] [queries]
 //        (defaults 1024 128 56)
@@ -21,7 +22,6 @@
 
 #include "apsim/batch_simulator.hpp"
 #include "bench_util.hpp"
-#include "core/batch_compile.hpp"
 #include "core/engine.hpp"
 #include "core/opt/stream_multiplexing.hpp"
 #include "util/bench_report.hpp"
@@ -104,14 +104,9 @@ int run_backend_comparison(util::BenchReport& report, std::size_t n,
   std::size_t frames = 0;
   const auto stream = encoder.encode_batch(queries, frames);
 
-  std::vector<apsim::HammingMacroSlots> slots;
-  slots.reserve(layouts.size());
-  for (const auto& layout : layouts) {
-    slots.push_back(core::batch_slots(layout));
-  }
   std::string reason;
   const auto program =
-      apsim::BatchProgram::try_compile(network, slots, {}, &reason);
+      apsim::BatchProgram::try_compile(network, layouts, {}, &reason);
   if (program == nullptr) {
     std::fprintf(stderr, "FAIL: multiplexed shape did not compile: %s\n",
                  reason.c_str());

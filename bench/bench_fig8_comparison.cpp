@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "apsim/simulator.hpp"
+#include "bench_util.hpp"
 #include "core/engine.hpp"
 #include "core/ext/comparison_macro.hpp"
 #include "knn/dataset.hpp"
@@ -41,17 +42,7 @@
 namespace {
 
 using namespace apss;
-
-/// Strict positive decimal parse: rejects signs, suffixes ("1e3"), and
-/// empty/garbage input by returning 0 (the caller's usage trigger).
-std::size_t parse_positive(const char* s) {
-  if (s == nullptr || *s < '0' || *s > '9') {
-    return 0;
-  }
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  return *end == '\0' ? static_cast<std::size_t>(v) : 0;
-}
+using apss::bench::parse_positive;
 
 int run_comparison_grid(util::BenchReport& report) {
   anml::AutomataNetwork net;

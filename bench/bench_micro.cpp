@@ -13,7 +13,6 @@
 
 #include "apsim/batch_simulator.hpp"
 #include "apsim/simulator.hpp"
-#include "core/batch_compile.hpp"
 #include "core/engine.hpp"
 #include "core/hamming_macro.hpp"
 #include "core/opt/stream_multiplexing.hpp"
@@ -113,7 +112,7 @@ std::shared_ptr<const apsim::BatchProgram> query_frame_program(std::size_t n) {
     layouts.push_back(core::append_hamming_macro(
         net, data.vector(i), static_cast<std::uint32_t>(i)));
   }
-  return core::compile_hamming_batch(net, layouts, {});
+  return apsim::BatchProgram::try_compile(net, layouts, {});
 }
 
 /// BM_SimulatorQueryFrame's one-query frame.

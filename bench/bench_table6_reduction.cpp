@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <iostream>
 
+#include "bench_util.hpp"
 #include "core/opt/statistical_reduction.hpp"
 #include "perf/workloads.hpp"
 #include "util/bench_report.hpp"
@@ -19,27 +20,12 @@
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
-namespace {
-
-/// Strict positive decimal parse: rejects signs, suffixes ("1e3"), and
-/// empty/garbage input by returning 0 (the caller's usage trigger).
-std::size_t parse_positive(const char* s) {
-  if (s == nullptr || *s < '0' || *s > '9') {
-    return 0;
-  }
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  return *end == '\0' ? static_cast<std::size_t>(v) : 0;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace apss;
   util::ThreadPool pool;
   std::size_t runs = 100, queries_per_run = 4096;
-  if (argc > 1) runs = parse_positive(argv[1]);
-  if (argc > 2) queries_per_run = parse_positive(argv[2]);
+  if (argc > 1) runs = bench::parse_positive(argv[1]);
+  if (argc > 2) queries_per_run = bench::parse_positive(argv[2]);
   if (runs == 0 || queries_per_run == 0) {
     std::cerr << "usage: bench_table6_reduction [runs] [queries_per_run]  "
                  "(positive integers; defaults 100 4096)\n";

@@ -64,7 +64,7 @@ int main() {
               stats.ste_count, stats.counter_count, stats.reporting_count);
 
   // 2. Encode the query stream (Fig. 2c: SOF, data, fillers, EOF).
-  const core::StreamSpec spec = layout.stream_spec(4);
+  const core::StreamSpec spec{4, layout.collector_levels};
   const core::SymbolStreamEncoder encoder(spec);
   const auto stream = encoder.encode_query(util::BitVector::parse("1001"));
   std::printf("Stream frame: %zu symbols (2d+L+3)\n\n", stream.size());

@@ -32,7 +32,6 @@ class AutomataNetwork {
   explicit AutomataNetwork(std::string name) : name_(std::move(name)) {}
 
   const std::string& name() const noexcept { return name_; }
-  void set_name(std::string name) { name_ = std::move(name); }
 
   // --- Construction -------------------------------------------------------
 

@@ -417,7 +417,7 @@ std::shared_ptr<const BatchProgram> compile_roles(
   // --- Per-lane collector trees -> the lane-mask rows -----------------------
   // Lane l's tree must reach its counter in exactly `levels` steps and
   // collect exactly one value state per dimension: that value state's
-  // class IS lane l's class at that dimension. Slots list collectors in
+  // class IS lane l's class at that dimension. Layouts list collectors in
   // creation order (level by level), so inputs are assigned a level before
   // their parent is visited.
   BatchProgramState state;
@@ -541,8 +541,8 @@ constexpr std::uint64_t kGatherByteLowBits = 0x0102040810204080ull;
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Front ends: each assigns roles and checks its own slot spans, then hands
-// the assignment to compile_roles.
+// Front ends: each assigns roles and checks its own layouts, then hands the
+// assignment to compile_roles.
 // ---------------------------------------------------------------------------
 
 /// Plain Hamming/sorting macros and the multiplexed per-slice replicas
@@ -550,7 +550,7 @@ constexpr std::uint64_t kGatherByteLowBits = 0x0102040810204080ull;
 /// group of one lane.
 std::shared_ptr<const BatchProgram> BatchProgram::try_compile(
     const anml::AutomataNetwork& network,
-    std::span<const HammingMacroSlots> macros, SimOptions options,
+    std::span<const MacroLayout> macros, SimOptions options,
     std::string* reason) {
   if (macros.empty()) {
     return decline(reason, "no macros");
@@ -558,7 +558,7 @@ std::shared_ptr<const BatchProgram> BatchProgram::try_compile(
   Roles roles(false, macros[0].match.size(), macros[0].collector_levels,
               network.size());
   for (std::size_t m = 0; m < macros.size(); ++m) {
-    const HammingMacroSlots& s = macros[m];
+    const MacroLayout& s = macros[m];
     if (s.match.size() != roles.dims || s.chain.size() != roles.dims ||
         s.collector_levels != roles.levels || s.bridge.size() != roles.levels) {
       return decline(reason, "macros are not structurally identical");
@@ -581,7 +581,7 @@ std::shared_ptr<const BatchProgram> BatchProgram::try_compile(
 /// dimension, and per-lane collectors, counter and report.
 std::shared_ptr<const BatchProgram> BatchProgram::try_compile(
     const anml::AutomataNetwork& network,
-    std::span<const PackedGroupSlots> groups, SimOptions options,
+    std::span<const PackedGroupLayout> groups, SimOptions options,
     std::string* reason) {
   if (groups.empty()) {
     return decline(reason, "no packed groups");
@@ -589,7 +589,7 @@ std::shared_ptr<const BatchProgram> BatchProgram::try_compile(
   Roles roles(true, groups[0].chain.size(), groups[0].collector_levels,
               network.size());
   for (std::size_t g = 0; g < groups.size(); ++g) {
-    const PackedGroupSlots& s = groups[g];
+    const PackedGroupLayout& s = groups[g];
     const std::size_t count = s.counters.size();
     if (count == 0 || s.reports.size() != count ||
         s.collectors.size() != count) {

@@ -64,6 +64,7 @@
 
 #include "anml/network.hpp"
 #include "apsim/lane_word.hpp"
+#include "apsim/macro_layout.hpp"
 #include "apsim/simulator.hpp"
 
 namespace apss::apsim {
@@ -111,44 +112,6 @@ struct BatchProgramState {
   bool operator==(const BatchProgramState&) const = default;
 };
 
-/// Element ids of one plain Hamming/sorting macro inside a configuration
-/// network (a layering-neutral mirror of core::MacroLayout; see
-/// core::batch_slots()). Spans must stay valid for the try_compile call
-/// only. Multiplexed macros (core::build_multiplexed_network) use this
-/// same shape — only their matching-state classes differ per slice.
-struct HammingMacroSlots {
-  anml::ElementId guard = anml::kInvalidElement;
-  std::span<const anml::ElementId> chain;       ///< "*" backbone, one per dim
-  std::span<const anml::ElementId> match;       ///< matching state per dim
-  std::span<const anml::ElementId> collectors;  ///< reduction-tree nodes
-  std::span<const anml::ElementId> bridge;      ///< sort-alignment delay chain
-  anml::ElementId sort_state = anml::kInvalidElement;
-  anml::ElementId eof_state = anml::kInvalidElement;
-  anml::ElementId counter = anml::kInvalidElement;
-  anml::ElementId report = anml::kInvalidElement;
-  std::size_t collector_levels = 1;  ///< tree depth L
-};
-
-/// Element ids of one vector-packed group (a layering-neutral mirror of
-/// core::PackedGroupLayout; see core::packed_batch_slots()). The guard,
-/// backbone, bridge, sort and EOF states are shared by every vector of the
-/// group; each vector keeps its own collectors, counter and report (one
-/// LANE each). Spans must stay valid for the try_compile call only.
-struct PackedGroupSlots {
-  anml::ElementId guard = anml::kInvalidElement;
-  std::span<const anml::ElementId> chain;  ///< shared "*" ladder, one per dim
-  /// Distinct-value states at each dimension (1 or 2 entries per dim).
-  std::span<const std::vector<anml::ElementId>> value_states;
-  std::span<const anml::ElementId> bridge;  ///< shared delay chain, L states
-  anml::ElementId sort_state = anml::kInvalidElement;
-  anml::ElementId eof_state = anml::kInvalidElement;
-  std::span<const anml::ElementId> counters;  ///< one per packed vector
-  std::span<const anml::ElementId> reports;   ///< one per packed vector
-  /// Per packed vector: that vector's collector-tree nodes, level by level.
-  std::span<const std::vector<anml::ElementId>> collectors;
-  std::size_t collector_levels = 1;  ///< tree depth L (1 for flat collectors)
-};
-
 /// std::allocator on 64-byte (cache-line) boundaries.
 template <class T>
 struct CacheLineAllocator {
@@ -173,9 +136,12 @@ class BatchProgram {
  public:
   /// Verifies that (network, macros) is a supported homogeneous macro
   /// configuration under `options` — the plain Hamming/sorting shape or
-  /// its multiplexed per-slice variant — and compiles it. Returns nullptr
-  /// (and fills *reason when non-null) if any structural or feature
-  /// requirement fails — callers then use the cycle-accurate Simulator.
+  /// its multiplexed per-slice variant, as core::append_hamming_macro and
+  /// core::build_multiplexed_network lay it out — and compiles it. Returns
+  /// nullptr (and fills *reason when non-null) if any structural or
+  /// feature requirement fails — callers then use the cycle-accurate
+  /// Simulator. A pure function of its arguments, so independent
+  /// configurations compile concurrently.
   /// Each macro is checked as a packed group of one lane, by the same
   /// recognizer as the packed overload: its collector tree must reach the
   /// counter in exactly collector_levels steps, collecting each dimension
@@ -183,15 +149,16 @@ class BatchProgram {
   /// (the reference simulator's report order).
   static std::shared_ptr<const BatchProgram> try_compile(
       const anml::AutomataNetwork& network,
-      std::span<const HammingMacroSlots> macros, SimOptions options,
+      std::span<const MacroLayout> macros, SimOptions options,
       std::string* reason = nullptr);
 
-  /// Same contract for the vector-packed shape: every group shares the
-  /// guard/backbone/bridge/sort/EOF structure among its lanes, and every
-  /// lane meets the plain overload's per-lane requirements.
+  /// Same contract for the vector-packed shape (core::append_packed_group's
+  /// layouts): every group shares the guard/backbone/bridge/sort/EOF
+  /// structure among its lanes, and every lane meets the plain overload's
+  /// per-lane requirements.
   static std::shared_ptr<const BatchProgram> try_compile(
       const anml::AutomataNetwork& network,
-      std::span<const PackedGroupSlots> groups, SimOptions options,
+      std::span<const PackedGroupLayout> groups, SimOptions options,
       std::string* reason = nullptr);
 
   /// Rebuilds a program from stored state (the artifact load path).
@@ -223,8 +190,6 @@ class BatchProgram {
   std::size_t words() const noexcept { return words_; }
   /// Distinct matching-state symbol classes (<= kMaxBatchMatchClasses).
   std::size_t match_classes() const noexcept { return class_count_; }
-  /// Bit planes held per counter (bias + saturation headroom).
-  std::size_t counter_planes() const noexcept { return planes_; }
 
  private:
   friend class BatchSimulator;
@@ -354,7 +319,6 @@ class BatchSimulator {
   /// of reports() — the count an unlimited run would have emitted.
   std::uint64_t report_count() const noexcept { return report_count_; }
   const std::vector<ReportEvent>& reports() const noexcept { return reports_; }
-  void clear_reports() { reports_.clear(); }
   const BatchProgram& program() const noexcept { return *program_; }
 
   /// The width stepped symbols advance at.

@@ -113,10 +113,8 @@ class Simulator {
 
   // --- Introspection (used by traces and tests) ---------------------------
   std::uint64_t cycle() const noexcept { return cycle_; }
-  bool output_active(anml::ElementId id) const { return outputs_.at(id) != 0; }
   std::uint64_t counter_value(anml::ElementId id) const;
   const std::vector<ReportEvent>& reports() const noexcept { return reports_; }
-  void clear_reports() { reports_.clear(); }
 
   void set_trace(TraceSink* sink) noexcept { trace_ = sink; }
 

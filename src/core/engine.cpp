@@ -9,8 +9,8 @@
 #include <thread>
 
 #include "anml/anml_io.hpp"
+#include "apsim/batch_simulator.hpp"
 #include "apsim/lane_word.hpp"
-#include "core/batch_compile.hpp"
 #include "core/opt/stream_multiplexing.hpp"
 #include "core/temporal_decode.hpp"
 #include "util/fault_injection.hpp"
@@ -192,11 +192,12 @@ ApKnnEngine::ApKnnEngine(knn::BinaryDataset dataset, EngineOptions options)
     std::vector<PackedGroupLayout> packed_layouts;
     build_network(p, &hamming_layouts, &packed_layouts);
     if (options_.backend == SimulationBackend::kBitParallel) {
-      p.program =
-          packed ? compile_packed_batch(*p.network, packed_layouts,
-                                        sim_options, &decline_reasons[c])
-                 : compile_hamming_batch(*p.network, hamming_layouts,
-                                         sim_options, &decline_reasons[c]);
+      std::string* reason = &decline_reasons[c];
+      p.program = packed ? apsim::BatchProgram::try_compile(
+                               *p.network, packed_layouts, sim_options, reason)
+                         : apsim::BatchProgram::try_compile(
+                               *p.network, hamming_layouts, sim_options,
+                               reason);
       if (cache_enabled && p.program != nullptr) {
         // Best-effort: an unwritable cache degrades to compile-every-time,
         // it never fails construction.
@@ -520,135 +521,111 @@ void ApKnnEngine::run_shards(SearchPlan& plan,
   const apsim::SimOptions sim_options =
       apsim::SimOptions::from(options_.device.features);
 
-  // Each worker owns its simulator scratch state and reuses it across the
-  // consecutive shards of its chunk while they stay on one configuration —
-  // the cycle-accurate simulator's construction (a full validation pass)
-  // then amortizes over the chunk. run() resets per shard, so reuse cannot
-  // leak state between shards.
-  const auto run_range = [&](std::size_t lo, std::size_t hi) {
-    constexpr std::size_t kNoConfig = static_cast<std::size_t>(-1);
-    std::size_t sim_config = kNoConfig;
-    bool sim_is_batch = false;
-    std::unique_ptr<apsim::Simulator> reference;
-    std::unique_ptr<apsim::BatchSimulator> batch;
+  // One attempt at simulating `shard`: checkpoint (deadline/cancel), fire
+  // the shard-entry fault site, build the attempt's own simulator,
+  // simulate, decode, rebase. Throws on any failure; `force_reference` is
+  // the degrade path (cycle-accurate rerun of a bit-parallel configuration
+  // — bit-identical events, just slower). Nothing outlives an attempt, so
+  // a failed one leaves no state behind for a retry or another shard.
+  const auto run_attempt = [&](Shard& shard, const Partition& part,
+                               const util::RunControl& ctl,
+                               bool force_reference) {
+    ctl.checkpoint();
+    util::FaultInjector::check(util::kFaultEngineShard, ctl.fault_key);
     std::vector<std::uint8_t> stream;
-    // One attempt at simulating `shard`: checkpoint (deadline/cancel), fire
-    // the shard-entry fault site, simulate, decode, rebase. Throws on any
-    // failure; `force_reference` is the degrade path (cycle-accurate rerun
-    // of a bit-parallel configuration — bit-identical events, just slower).
-    const auto run_attempt = [&](Shard& shard, const Partition& part,
-                                 const util::RunControl& ctl,
-                                 bool force_reference) {
-      ctl.checkpoint();
-      util::FaultInjector::check(util::kFaultEngineShard, ctl.fault_key);
-      const bool use_batch = part.program != nullptr && !force_reference;
-      if (shard.config != sim_config || use_batch != sim_is_batch) {
-        reference.reset();
-        batch.reset();
-        if (use_batch) {
-          batch = std::make_unique<apsim::BatchSimulator>(part.program);
+    stream.reserve(shard.frames * cpq);
+    const std::size_t end = shard.first_query + shard.queries;
+    for (std::size_t q = shard.first_query; q < end; q += per_frame) {
+      encoder.append_group(queries, q, std::min(per_frame, end - q), stream);
+    }
+    if (part.program != nullptr && !force_reference) {
+      apsim::BatchSimulator batch(part.program);
+      shard.events = batch.run(stream, ctl, plan.report_limit);
+      shard.report_count = batch.report_count();
+    } else {
+      // The degrade path may find the network absent: a cache hit skipped
+      // its construction.
+      ensure_network(part);
+      apsim::Simulator reference(*part.network, sim_options);
+      shard.events = reference.run(stream, ctl);
+      shard.report_count = shard.events.size();
+    }
+    const TemporalSortDecoder decoder(spec_, shard.queries,
+                                      options_.multiplex_slices);
+    shard.partial = decoder.decode(shard.events, plan.k);
+    apsim::rebase_events(shard.events, shard.first_frame * cpq);
+  };
+  const auto run_shard = [&](std::size_t t) {
+    Shard& shard = plan.shards[t];
+    const Partition& part = partitions_[shard.config];
+    // Fault-tolerance plumbing (docs/ROBUSTNESS.md): every shard polls the
+    // caller's deadline and cancellation token at query-frame boundaries
+    // inside the simulators and records its own outcome (no locking, no
+    // ordering dependence); reduce_shard_status() folds them per
+    // configuration.
+    util::RunControl ctl;
+    ctl.deadline = control.deadline;
+    ctl.cancel = control.cancel;
+    ctl.checkpoint_period = cpq;
+    ctl.fault_key = static_cast<std::int64_t>(shard.config);
+    if (options_.on_error == OnError::kFailFast) {
+      // The pre-fault-tolerance path, byte for byte: nothing is caught
+      // here, so the first failure unwinds through the pool's
+      // first-exception rethrow to the caller.
+      run_attempt(shard, part, ctl, /*force_reference=*/false);
+      return;
+    }
+    std::size_t retries_left = options_.max_retries;
+    bool degraded = false;
+    for (;;) {
+      try {
+        run_attempt(shard, part, ctl, /*force_reference=*/degraded);
+        if (degraded) {
+          shard.state = ShardState::kDegraded;
         } else {
-          // The degrade path may find the network absent: a cache hit
-          // skipped its construction.
-          ensure_network(part);
-          reference = std::make_unique<apsim::Simulator>(*part.network,
-                                                         sim_options);
+          shard.state = ShardState::kOk;
+          shard.error.clear();  // recovered by a plain retry
         }
-        sim_config = shard.config;
-        sim_is_batch = use_batch;
-      }
-      stream.clear();
-      stream.reserve(shard.frames * cpq);
-      const std::size_t end = shard.first_query + shard.queries;
-      for (std::size_t q = shard.first_query; q < end; q += per_frame) {
-        encoder.append_group(queries, q, std::min(per_frame, end - q), stream);
-      }
-      if (batch != nullptr) {
-        const std::uint64_t before = batch->report_count();
-        shard.events = batch->run(stream, ctl, plan.report_limit);
-        shard.report_count = batch->report_count() - before;
-      } else {
-        shard.events = reference->run(stream, ctl);
-        shard.report_count = shard.events.size();
-      }
-      const TemporalSortDecoder decoder(spec_, shard.queries,
-                                        options_.multiplex_slices);
-      shard.partial = decoder.decode(shard.events, plan.k);
-      apsim::rebase_events(shard.events, shard.first_frame * cpq);
-    };
-    for (std::size_t t = lo; t < hi; ++t) {
-      Shard& shard = plan.shards[t];
-      const Partition& part = partitions_[shard.config];
-      // Fault-tolerance plumbing (docs/ROBUSTNESS.md): every shard polls
-      // the caller's deadline and cancellation token at query-frame
-      // boundaries inside the simulators and records its own outcome (no
-      // locking, no ordering dependence); reduce_shard_status() folds them
-      // per configuration.
-      util::RunControl ctl;
-      ctl.deadline = control.deadline;
-      ctl.cancel = control.cancel;
-      ctl.checkpoint_period = cpq;
-      ctl.fault_key = static_cast<std::int64_t>(shard.config);
-      if (options_.on_error == OnError::kFailFast) {
-        // The pre-fault-tolerance path, byte for byte: nothing is caught
-        // here, so the first failure unwinds through the pool's
-        // first-exception rethrow to the caller.
-        run_attempt(shard, part, ctl, /*force_reference=*/false);
-        continue;
-      }
-      std::size_t retries_left = options_.max_retries;
-      bool degraded = false;
-      for (;;) {
-        try {
-          run_attempt(shard, part, ctl, /*force_reference=*/degraded);
-          if (degraded) {
-            shard.state = ShardState::kDegraded;
-          } else {
-            shard.state = ShardState::kOk;
-            shard.error.clear();  // recovered by a plain retry
-          }
-          break;
-        } catch (const util::DeadlineExceeded& e) {
-          // The budget is gone; retrying could only blow past it further.
-          shard.state = ShardState::kTimedOut;
-          if (shard.error.empty()) {
-            shard.error = e.what();
-          }
-          break;
-        } catch (const util::OperationCancelled& e) {
-          shard.state = ShardState::kCancelled;
-          if (shard.error.empty()) {
-            shard.error = e.what();
-          }
-          break;
-        } catch (const std::exception& e) {
-          if (shard.error.empty()) {
-            shard.error = e.what();
-          }
-          // A failed attempt may leave the cached simulator mid-stream;
-          // force reconstruction before any further attempt or shard.
-          sim_config = kNoConfig;
-          if (retries_left > 0) {
-            --retries_left;
-            ++shard.retries;
-            continue;
-          }
-          if (!degraded && part.program != nullptr) {
-            degraded = true;
-            ++shard.retries;
-            continue;
-          }
-          shard.state = ShardState::kFailed;
-          break;
+        break;
+      } catch (const util::DeadlineExceeded& e) {
+        // The budget is gone; retrying could only blow past it further.
+        shard.state = ShardState::kTimedOut;
+        if (shard.error.empty()) {
+          shard.error = e.what();
         }
+        break;
+      } catch (const util::OperationCancelled& e) {
+        shard.state = ShardState::kCancelled;
+        if (shard.error.empty()) {
+          shard.error = e.what();
+        }
+        break;
+      } catch (const std::exception& e) {
+        if (shard.error.empty()) {
+          shard.error = e.what();
+        }
+        if (retries_left > 0) {
+          --retries_left;
+          ++shard.retries;
+          continue;
+        }
+        if (!degraded && part.program != nullptr) {
+          degraded = true;
+          ++shard.retries;
+          continue;
+        }
+        shard.state = ShardState::kFailed;
+        break;
       }
     }
   };
 
   if (pool_ != nullptr) {
-    pool_->parallel_for_chunks(0, plan.shards.size(), run_range, /*grain=*/1);
+    pool_->parallel_for(0, plan.shards.size(), run_shard, /*grain=*/1);
   } else {
-    run_range(0, plan.shards.size());
+    for (std::size_t t = 0; t < plan.shards.size(); ++t) {
+      run_shard(t);
+    }
   }
 }
 

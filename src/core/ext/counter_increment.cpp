@@ -60,12 +60,8 @@ CiMacroLayout append_ci_macro(AutomataNetwork& network,
   for (std::size_t i = 0; i < dims; ++i) {
     const std::size_t group = i / kDimsPerSymbol;
     const std::size_t slice = i % kDimsPerSymbol;
-    const auto mask =
-        static_cast<std::uint8_t>(Alphabet::kControlFlag | (1u << slice));
-    const auto value =
-        static_cast<std::uint8_t>(vec.get(i) ? (1u << slice) : 0u);
     const ElementId m = network.add_ste(
-        SymbolSet::ternary(value, mask), StartKind::kNone,
+        slice_match_symbols(vec.get(i), slice), StartKind::kNone,
         prefix + "match" + std::to_string(i));
     network.connect(group == 0 ? layout.guard : layout.chain[group - 1], m);
     network.connect(m, layout.slice_collectors[slice]);

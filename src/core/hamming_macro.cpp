@@ -15,15 +15,6 @@ namespace {
 
 std::size_t ceil_div(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
 
-/// Symbol class of a matching state: data symbol (bit 7 clear) whose
-/// `slice` bit equals `bit`. This is the ternary match of Sec. VI-B.
-SymbolSet match_symbols(bool bit, std::size_t slice) {
-  const auto mask = static_cast<std::uint8_t>(Alphabet::kControlFlag |
-                                              (1u << slice));
-  const auto value = static_cast<std::uint8_t>(bit ? (1u << slice) : 0u);
-  return SymbolSet::ternary(value, mask);
-}
-
 void check_options(std::size_t dims, const HammingMacroOptions& options) {
   if (dims == 0) {
     throw std::invalid_argument("hamming macro: dims must be >= 1");
@@ -41,6 +32,13 @@ void check_options(std::size_t dims, const HammingMacroOptions& options) {
 }
 
 }  // namespace
+
+SymbolSet slice_match_symbols(bool bit, std::size_t slice) {
+  const auto mask = static_cast<std::uint8_t>(Alphabet::kControlFlag |
+                                              (1u << slice));
+  const auto value = static_cast<std::uint8_t>(bit ? (1u << slice) : 0u);
+  return SymbolSet::ternary(value, mask);
+}
 
 std::size_t collector_levels_for(std::size_t dims,
                                  const HammingMacroOptions& options) {
@@ -77,7 +75,7 @@ MacroLayout append_hamming_macro(AutomataNetwork& network,
     const ElementId star = network.add_ste(SymbolSet::all(), StartKind::kNone,
                                            prefix + "chain" + std::to_string(i));
     const ElementId m =
-        network.add_ste(match_symbols(vec.get(i), options.bit_slice),
+        network.add_ste(slice_match_symbols(vec.get(i), options.bit_slice),
                         StartKind::kNone, prefix + "match" + std::to_string(i));
     network.connect(prev, star);
     network.connect(prev, m);

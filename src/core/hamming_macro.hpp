@@ -7,13 +7,16 @@
 // the vector's Hamming distance (temporally encoded sort, Sec. III-B).
 
 #include <cstdint>
-#include <vector>
 
 #include "anml/network.hpp"
+#include "apsim/macro_layout.hpp"
 #include "core/design.hpp"
 #include "util/bitvector.hpp"
 
 namespace apss::core {
+
+/// Element ids of one placed macro; the bit-parallel compiler's input.
+using apsim::MacroLayout;
 
 struct HammingMacroOptions {
   /// Maximum children per collector-tree node (the paper's reduction tree
@@ -26,23 +29,9 @@ struct HammingMacroOptions {
   std::size_t bit_slice = 0;
 };
 
-/// Element ids of one placed macro, for introspection, traces, and tests.
-struct MacroLayout {
-  anml::ElementId guard = anml::kInvalidElement;
-  std::vector<anml::ElementId> chain;       ///< the "*" backbone, one per dim
-  std::vector<anml::ElementId> match;       ///< matching state per dim
-  std::vector<anml::ElementId> collectors;  ///< all collector-tree nodes
-  std::vector<anml::ElementId> bridge;      ///< delay chain before the sort state
-  anml::ElementId sort_state = anml::kInvalidElement;
-  anml::ElementId eof_state = anml::kInvalidElement;
-  anml::ElementId counter = anml::kInvalidElement;
-  anml::ElementId report = anml::kInvalidElement;
-  std::size_t collector_levels = 1;  ///< tree depth L (timing parameter)
-
-  StreamSpec stream_spec(std::size_t dims) const noexcept {
-    return {dims, collector_levels};
-  }
-};
+/// Symbol class of a matching state: data symbol (bit 7 clear) whose
+/// `slice` bit equals `bit`. This is the ternary match of Sec. VI-B.
+anml::SymbolSet slice_match_symbols(bool bit, std::size_t slice);
 
 /// Appends the macro encoding `vec` to `network`; report events carry
 /// `report_code` (the dataset vector id). Returns the element layout.

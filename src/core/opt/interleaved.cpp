@@ -56,13 +56,9 @@ InterleavedMacroLayout append_interleaved_macro(
       const ElementId star =
           network.add_ste(SymbolSet::all(), StartKind::kNone,
                           prefix + "chain" + std::to_string(i));
-      const auto mask = static_cast<std::uint8_t>(
-          Alphabet::kControlFlag | (1u << options.bit_slice));
-      const auto value = static_cast<std::uint8_t>(
-          vec.get(i) ? (1u << options.bit_slice) : 0u);
-      const ElementId m =
-          network.add_ste(SymbolSet::ternary(value, mask), StartKind::kNone,
-                          prefix + "match" + std::to_string(i));
+      const ElementId m = network.add_ste(
+          slice_match_symbols(vec.get(i), options.bit_slice), StartKind::kNone,
+          prefix + "match" + std::to_string(i));
       network.connect(prev, star);
       network.connect(prev, m);
       matches.push_back(m);

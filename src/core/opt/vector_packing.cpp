@@ -17,13 +17,6 @@ namespace {
 
 std::size_t ceil_div(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
 
-SymbolSet value_symbols(bool bit, std::size_t slice) {
-  const auto mask =
-      static_cast<std::uint8_t>(Alphabet::kControlFlag | (1u << slice));
-  const auto value = static_cast<std::uint8_t>(bit ? (1u << slice) : 0u);
-  return SymbolSet::ternary(value, mask);
-}
-
 }  // namespace
 
 PackedGroupLayout append_packed_group(AutomataNetwork& network,
@@ -74,7 +67,8 @@ PackedGroupLayout append_packed_group(AutomataNetwork& network,
         continue;
       }
       const ElementId state = network.add_ste(
-          value_symbols(b != 0, options.macro.bit_slice), StartKind::kNone,
+          slice_match_symbols(b != 0, options.macro.bit_slice),
+          StartKind::kNone,
           prefix + "val" + std::to_string(i) + "_" + std::to_string(b));
       network.connect(driver, state);
       per_dim_value[i][b] = state;

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "anml/network.hpp"
+#include "apsim/macro_layout.hpp"
 #include "core/hamming_macro.hpp"
 #include "knn/dataset.hpp"
 
@@ -38,32 +39,8 @@ struct VectorPackingOptions {
   HammingMacroOptions macro;  ///< fan-in limits for kTree, bit slice, etc.
 };
 
-/// Element ids of one packed group, for introspection, the bit-parallel
-/// compiler (core::packed_batch_slots), and tests. Invariants: the shared
-/// spans have one entry per dimension (chain, value_states) or per level
-/// (bridge); counters/reports/collectors have one entry per packed vector,
-/// in counter creation order; every per-vector collector tree has depth
-/// exactly `collector_levels` and collects each dimension exactly once.
-struct PackedGroupLayout {
-  anml::ElementId guard = anml::kInvalidElement;  ///< shared SOF guard
-  std::vector<anml::ElementId> chain;  ///< shared "*" ladder, one per dim
-  /// value_states[i] = ids of the distinct-value states at dimension i
-  /// (index 0 = bit value 0 if present, then bit value 1).
-  std::vector<std::vector<anml::ElementId>> value_states;
-  std::vector<anml::ElementId> bridge;  ///< shared delay chain, L states
-  anml::ElementId sort_state = anml::kInvalidElement;
-  anml::ElementId eof_state = anml::kInvalidElement;
-  /// Per packed vector:
-  std::vector<anml::ElementId> counters;
-  std::vector<anml::ElementId> reports;
-  std::vector<std::vector<anml::ElementId>> collectors;
-  std::size_t collector_levels = 1;  ///< tree depth L (1 for kFlat)
-
-  /// Frame geometry for queries against this group's dimensionality.
-  StreamSpec stream_spec(std::size_t dims) const noexcept {
-    return {dims, collector_levels};
-  }
-};
+/// Element ids of one packed group; the bit-parallel compiler's input.
+using apsim::PackedGroupLayout;
 
 /// Packs `count` vectors of `data` starting at `begin` into one NFA;
 /// report codes are the global ids begin..begin+count-1.

@@ -76,11 +76,6 @@ void RequestQueue::close() {
   cv_.notify_all();
 }
 
-bool RequestQueue::closed() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return closed_;
-}
-
 std::size_t RequestQueue::depth() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return queue_.size();

@@ -51,7 +51,6 @@ class RequestQueue {
   /// Refuses further pushes and wakes all waiting consumers.
   void close();
 
-  bool closed() const;
   std::size_t depth() const;
   std::size_t high_water() const;
 

@@ -141,18 +141,6 @@ class Deadline {
     return a.at_ >= b.at_ ? a : b;
   }
 
-  /// The deadline that expires FIRST — a set operand wins over an unset
-  /// one. Use to cap a caller-supplied budget with a policy ceiling.
-  static Deadline earliest(const Deadline& a, const Deadline& b) noexcept {
-    if (!a.set_) {
-      return b;
-    }
-    if (!b.set_) {
-      return a;
-    }
-    return a.at_ <= b.at_ ? a : b;
-  }
-
  private:
   bool set_ = false;
   std::chrono::steady_clock::time_point at_{};

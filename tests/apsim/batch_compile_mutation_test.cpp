@@ -20,7 +20,6 @@
 #include "apsim/batch_simulator.hpp"
 #include "apsim/simulator.hpp"
 #include "apss_test_support.hpp"
-#include "core/batch_compile.hpp"
 #include "core/design.hpp"
 #include "core/opt/stream_multiplexing.hpp"
 #include "core/opt/vector_packing.hpp"
@@ -99,8 +98,8 @@ std::shared_ptr<const BatchProgram> compile(const Base& b,
                                             const anml::AutomataNetwork& net,
                                             std::string* reason) {
   return b.groups.empty()
-             ? core::compile_hamming_batch(net, b.macros, {}, reason)
-             : core::compile_packed_batch(net, b.groups, {}, reason);
+             ? BatchProgram::try_compile(net, b.macros, {}, reason)
+             : BatchProgram::try_compile(net, b.groups, {}, reason);
 }
 
 /// Whole query frames, each followed by a short run of random symbols

@@ -16,7 +16,6 @@
 #include "apsim/batch_simulator.hpp"
 #include "apsim/simulator.hpp"
 #include "apss_test_support.hpp"
-#include "core/batch_compile.hpp"
 #include "core/design.hpp"
 #include "core/opt/stream_multiplexing.hpp"
 #include "core/opt/vector_packing.hpp"
@@ -33,15 +32,6 @@ struct PackedConfig {
   anml::AutomataNetwork network;
   std::vector<core::PackedGroupLayout> layouts;
   core::StreamSpec spec;
-
-  std::vector<PackedGroupSlots> slots() const {
-    std::vector<PackedGroupSlots> s;
-    s.reserve(layouts.size());
-    for (const core::PackedGroupLayout& l : layouts) {
-      s.push_back(core::packed_batch_slots(l));
-    }
-    return s;
-  }
 };
 
 PackedConfig build_packed(const knn::BinaryDataset& data,
@@ -55,8 +45,8 @@ PackedConfig build_packed(const knn::BinaryDataset& data,
 std::shared_ptr<const BatchProgram> compile_packed_or_die(
     const PackedConfig& c, SimOptions options = {}) {
   std::string reason;
-  const auto slots = c.slots();
-  auto program = BatchProgram::try_compile(c.network, slots, options, &reason);
+  auto program =
+      BatchProgram::try_compile(c.network, c.layouts, options, &reason);
   if (program == nullptr) {
     throw std::runtime_error("packed try_compile declined: " + reason);
   }
@@ -80,15 +70,6 @@ struct MuxConfig {
   std::vector<core::MacroLayout> layouts;
   core::StreamSpec spec;
   std::size_t slices = 1;
-
-  std::vector<HammingMacroSlots> slots() const {
-    std::vector<HammingMacroSlots> s;
-    s.reserve(layouts.size());
-    for (const core::MacroLayout& l : layouts) {
-      s.push_back(core::batch_slots(l));
-    }
-    return s;
-  }
 };
 
 MuxConfig build_mux(const knn::BinaryDataset& data, std::size_t slices,
@@ -103,8 +84,7 @@ MuxConfig build_mux(const knn::BinaryDataset& data, std::size_t slices,
 
 std::shared_ptr<const BatchProgram> compile_mux_or_die(const MuxConfig& c) {
   std::string reason;
-  const auto slots = c.slots();
-  auto program = BatchProgram::try_compile(c.network, slots, {}, &reason);
+  auto program = BatchProgram::try_compile(c.network, c.layouts, {}, &reason);
   if (program == nullptr) {
     throw std::runtime_error("mux try_compile declined: " + reason);
   }
@@ -244,8 +224,8 @@ TEST(BatchPackedProgram, RejectsGroupsOutOfCounterOrder) {
                                 core::VectorPackingOptions{.group_size = 4});
   std::swap(c.layouts[0], c.layouts[2]);
   std::string reason;
-  const auto slots = c.slots();
-  EXPECT_EQ(BatchProgram::try_compile(c.network, slots, {}, &reason), nullptr);
+  EXPECT_EQ(BatchProgram::try_compile(c.network, c.layouts, {}, &reason),
+            nullptr);
   EXPECT_NE(reason.find("counter creation order"), std::string::npos)
       << reason;
 }
@@ -256,8 +236,8 @@ TEST(BatchPackedProgram, RejectsForeignElements) {
                                 core::VectorPackingOptions{.group_size = 4});
   c.network.add_ste(anml::SymbolSet::all());  // stray element
   std::string reason;
-  const auto slots = c.slots();
-  EXPECT_EQ(BatchProgram::try_compile(c.network, slots, {}, &reason), nullptr);
+  EXPECT_EQ(BatchProgram::try_compile(c.network, c.layouts, {}, &reason),
+            nullptr);
   EXPECT_NE(reason.find("outside the macro set"), std::string::npos) << reason;
 }
 
@@ -267,8 +247,8 @@ TEST(BatchPackedProgram, RejectsTamperedThreshold) {
                                 core::VectorPackingOptions{.group_size = 4});
   c.network.element(c.layouts[0].counters[1]).threshold = 3;  // != dims
   std::string reason;
-  const auto slots = c.slots();
-  EXPECT_EQ(BatchProgram::try_compile(c.network, slots, {}, &reason), nullptr);
+  EXPECT_EQ(BatchProgram::try_compile(c.network, c.layouts, {}, &reason),
+            nullptr);
   EXPECT_NE(reason.find("threshold"), std::string::npos) << reason;
 }
 
@@ -280,8 +260,8 @@ TEST(BatchPackedProgram, RejectsCrossGroupCollectorEdges) {
   c.network.connect(c.layouts[1].value_states[0][0],
                     c.layouts[0].collectors[0][0]);
   std::string reason;
-  const auto slots = c.slots();
-  EXPECT_EQ(BatchProgram::try_compile(c.network, slots, {}, &reason), nullptr);
+  EXPECT_EQ(BatchProgram::try_compile(c.network, c.layouts, {}, &reason),
+            nullptr);
   EXPECT_NE(reason.find("crosses packed groups"), std::string::npos) << reason;
 }
 
@@ -298,8 +278,7 @@ TEST(BatchPackedProgram, RejectsDoubleCollectedDimension) {
     const core::MacroLayout& m = c.layouts[1];
     c.network.connect(m.match.back(), m.collectors.front());
     std::string reason;
-    const auto slots = c.slots();
-    EXPECT_EQ(BatchProgram::try_compile(c.network, slots, {}, &reason),
+    EXPECT_EQ(BatchProgram::try_compile(c.network, c.layouts, {}, &reason),
               nullptr)
         << "slices=" << slices;
     EXPECT_NE(reason.find("lane collects a dimension more than once"),
@@ -325,8 +304,7 @@ TEST(BatchPackedProgram, RejectsDoubleCollectedDimension) {
     c.network.connect(g.value_states[two_dim][0], g.collectors[0][0]);
     c.network.connect(g.value_states[two_dim][1], g.collectors[0][0]);
     std::string reason;
-    const auto slots = c.slots();
-    EXPECT_EQ(BatchProgram::try_compile(c.network, slots, {}, &reason),
+    EXPECT_EQ(BatchProgram::try_compile(c.network, c.layouts, {}, &reason),
               nullptr);
     EXPECT_NE(reason.find("more than once"), std::string::npos) << reason;
     return;
@@ -341,8 +319,7 @@ TEST(BatchPackedProgram, RejectsCounterIncrementCapAboveOne) {
   SimOptions opt;
   opt.max_counter_increment = 8;
   std::string reason;
-  const auto slots = c.slots();
-  EXPECT_EQ(BatchProgram::try_compile(c.network, slots, opt, &reason),
+  EXPECT_EQ(BatchProgram::try_compile(c.network, c.layouts, opt, &reason),
             nullptr);
   EXPECT_NE(reason.find("max_counter_increment"), std::string::npos) << reason;
 }

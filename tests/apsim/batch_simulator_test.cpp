@@ -14,7 +14,6 @@
 #include "apsim/batch_simulator.hpp"
 #include "apsim/simulator.hpp"
 #include "apss_test_support.hpp"
-#include "core/batch_compile.hpp"
 #include "core/design.hpp"
 #include "core/hamming_macro.hpp"
 #include "core/stream.hpp"
@@ -29,15 +28,6 @@ struct Config {
   anml::AutomataNetwork network;
   std::vector<core::MacroLayout> layouts;
   core::StreamSpec spec;
-
-  std::vector<HammingMacroSlots> slots() const {
-    std::vector<HammingMacroSlots> s;
-    s.reserve(layouts.size());
-    for (const core::MacroLayout& l : layouts) {
-      s.push_back(core::batch_slots(l));
-    }
-    return s;
-  }
 };
 
 Config build_config(const knn::BinaryDataset& data,
@@ -55,8 +45,8 @@ Config build_config(const knn::BinaryDataset& data,
 std::shared_ptr<const BatchProgram> compile_or_die(const Config& c,
                                                    SimOptions options = {}) {
   std::string reason;
-  const auto slots = c.slots();
-  auto program = BatchProgram::try_compile(c.network, slots, options, &reason);
+  auto program =
+      BatchProgram::try_compile(c.network, c.layouts, options, &reason);
   if (program == nullptr) {
     throw std::runtime_error("try_compile declined: " + reason);
   }
@@ -202,8 +192,7 @@ TEST(BatchProgram, RejectsCounterIncrementCapAboveOne) {
   SimOptions opt;
   opt.max_counter_increment = 8;
   std::string reason;
-  const auto slots = c.slots();
-  EXPECT_EQ(BatchProgram::try_compile(c.network, slots, opt, &reason),
+  EXPECT_EQ(BatchProgram::try_compile(c.network, c.layouts, opt, &reason),
             nullptr);
   EXPECT_NE(reason.find("max_counter_increment"), std::string::npos) << reason;
 }
@@ -213,8 +202,8 @@ TEST(BatchProgram, RejectsForeignElements) {
   Config c = build_config(test::random_dataset(rng, 4, 8));
   c.network.add_ste(anml::SymbolSet::all());  // stray element
   std::string reason;
-  const auto slots = c.slots();
-  EXPECT_EQ(BatchProgram::try_compile(c.network, slots, {}, &reason), nullptr);
+  EXPECT_EQ(BatchProgram::try_compile(c.network, c.layouts, {}, &reason),
+            nullptr);
   EXPECT_NE(reason.find("outside the macro set"), std::string::npos) << reason;
 }
 
@@ -223,8 +212,8 @@ TEST(BatchProgram, RejectsTamperedThreshold) {
   Config c = build_config(test::random_dataset(rng, 4, 8));
   c.network.element(c.layouts[0].counter).threshold = 3;  // != dims
   std::string reason;
-  const auto slots = c.slots();
-  EXPECT_EQ(BatchProgram::try_compile(c.network, slots, {}, &reason), nullptr);
+  EXPECT_EQ(BatchProgram::try_compile(c.network, c.layouts, {}, &reason),
+            nullptr);
   EXPECT_NE(reason.find("threshold"), std::string::npos) << reason;
 }
 
@@ -253,8 +242,8 @@ TEST(BatchProgram, RejectsMoreClassesThanTheAcceptanceMaskHolds) {
         anml::SymbolSet::single(static_cast<std::uint8_t>('a' + i));
   }
   std::string reason;
-  const auto slots = c.slots();
-  EXPECT_EQ(BatchProgram::try_compile(c.network, slots, {}, &reason), nullptr);
+  EXPECT_EQ(BatchProgram::try_compile(c.network, c.layouts, {}, &reason),
+            nullptr);
   EXPECT_NE(reason.find("match classes"), std::string::npos) << reason;
 }
 
@@ -265,8 +254,8 @@ TEST(BatchProgram, RejectsMacrosOutOfCounterOrder) {
   Config c = build_config(test::random_dataset(rng, 6, 8));
   std::swap(c.layouts[2], c.layouts[4]);
   std::string reason;
-  const auto slots = c.slots();
-  EXPECT_EQ(BatchProgram::try_compile(c.network, slots, {}, &reason), nullptr);
+  EXPECT_EQ(BatchProgram::try_compile(c.network, c.layouts, {}, &reason),
+            nullptr);
   EXPECT_NE(reason.find("counter creation order"), std::string::npos)
       << reason;
 }
@@ -278,8 +267,8 @@ TEST(BatchProgram, RejectsTamperedStartKinds) {
   Config c = build_config(test::random_dataset(rng, 3, 8));
   c.network.element(c.layouts[2].match[5]).start = anml::StartKind::kAllInput;
   std::string reason;
-  const auto slots = c.slots();
-  EXPECT_EQ(BatchProgram::try_compile(c.network, slots, {}, &reason), nullptr);
+  EXPECT_EQ(BatchProgram::try_compile(c.network, c.layouts, {}, &reason),
+            nullptr);
   EXPECT_NE(reason.find("start kind"), std::string::npos) << reason;
 }
 

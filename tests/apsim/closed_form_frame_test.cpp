@@ -33,7 +33,6 @@
 #include "apsim/lane_kernels_impl.hpp"
 #include "apsim/simulator.hpp"
 #include "apss_test_support.hpp"
-#include "core/batch_compile.hpp"
 #include "core/design.hpp"
 #include "core/opt/stream_multiplexing.hpp"
 #include "core/opt/vector_packing.hpp"
@@ -79,7 +78,7 @@ Config hamming(const knn::BinaryDataset& data,
         c.network, data.vector(i), static_cast<std::uint32_t>(i), opt));
   }
   std::string reason;
-  c.program = core::compile_hamming_batch(c.network, layouts, {}, &reason);
+  c.program = BatchProgram::try_compile(c.network, layouts, {}, &reason);
   if (c.program == nullptr) {
     throw std::runtime_error("try_compile declined: " + reason);
   }
@@ -93,7 +92,7 @@ Config packed(const knn::BinaryDataset& data,
   Config c;
   const auto layouts = core::build_packed_network(c.network, data, opt);
   std::string reason;
-  c.program = core::compile_packed_batch(c.network, layouts, {}, &reason);
+  c.program = BatchProgram::try_compile(c.network, layouts, {}, &reason);
   if (c.program == nullptr) {
     throw std::runtime_error("packed try_compile declined: " + reason);
   }
@@ -107,7 +106,7 @@ Config multiplexed(const knn::BinaryDataset& data, std::size_t slices) {
   const auto layouts =
       core::build_multiplexed_network(c.network, data, slices);
   std::string reason;
-  c.program = core::compile_hamming_batch(c.network, layouts, {}, &reason);
+  c.program = BatchProgram::try_compile(c.network, layouts, {}, &reason);
   if (c.program == nullptr) {
     throw std::runtime_error("mux try_compile declined: " + reason);
   }

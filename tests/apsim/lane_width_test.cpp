@@ -20,7 +20,6 @@
 #include "apsim/lane_word.hpp"
 #include "apsim/simulator.hpp"
 #include "apss_test_support.hpp"
-#include "core/batch_compile.hpp"
 #include "core/design.hpp"
 #include "core/opt/stream_multiplexing.hpp"
 #include "core/opt/vector_packing.hpp"
@@ -47,15 +46,6 @@ struct Config {
   anml::AutomataNetwork network;
   std::vector<core::MacroLayout> layouts;
   core::StreamSpec spec;
-
-  std::vector<HammingMacroSlots> slots() const {
-    std::vector<HammingMacroSlots> s;
-    s.reserve(layouts.size());
-    for (const core::MacroLayout& l : layouts) {
-      s.push_back(core::batch_slots(l));
-    }
-    return s;
-  }
 };
 
 Config build_config(const knn::BinaryDataset& data,
@@ -72,8 +62,7 @@ Config build_config(const knn::BinaryDataset& data,
 
 std::shared_ptr<const BatchProgram> compile_or_die(const Config& c) {
   std::string reason;
-  const auto slots = c.slots();
-  auto program = BatchProgram::try_compile(c.network, slots, {}, &reason);
+  auto program = BatchProgram::try_compile(c.network, c.layouts, {}, &reason);
   if (program == nullptr) {
     throw std::runtime_error("try_compile declined: " + reason);
   }
@@ -206,14 +195,9 @@ TEST(LaneWidthSweep, PackedFamilyRunsAtEveryWidth) {
     opt.group_size = 5;
     anml::AutomataNetwork network;
     const auto layouts = core::build_packed_network(network, data, opt);
-    std::vector<PackedGroupSlots> slots;
-    slots.reserve(layouts.size());
-    for (const core::PackedGroupLayout& l : layouts) {
-      slots.push_back(core::packed_batch_slots(l));
-    }
     std::string reason;
     const auto program =
-        BatchProgram::try_compile(network, slots, {}, &reason);
+        BatchProgram::try_compile(network, layouts, {}, &reason);
     ASSERT_NE(program, nullptr) << reason;
     ASSERT_EQ(program->family(), MacroFamily::kPacked);
 
@@ -235,13 +219,8 @@ TEST(LaneWidthSweep, MultiplexedFamilyRunsAtEveryWidth) {
   anml::AutomataNetwork network;
   const auto layouts =
       core::build_multiplexed_network(network, data, slices, {});
-  std::vector<HammingMacroSlots> slots;
-  slots.reserve(layouts.size());
-  for (const core::MacroLayout& l : layouts) {
-    slots.push_back(core::batch_slots(l));
-  }
   std::string reason;
-  const auto program = BatchProgram::try_compile(network, slots, {}, &reason);
+  const auto program = BatchProgram::try_compile(network, layouts, {}, &reason);
   ASSERT_NE(program, nullptr) << reason;
   ASSERT_EQ(program->family(), MacroFamily::kMultiplexed);
 

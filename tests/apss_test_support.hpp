@@ -90,7 +90,8 @@ inline std::vector<apsim::ReportEvent> run_hamming_query(
   const core::MacroLayout layout =
       core::append_hamming_macro(net, vec, 0, opt);
   apsim::Simulator sim(net);
-  const core::SymbolStreamEncoder encoder(layout.stream_spec(vec.size()));
+  const core::SymbolStreamEncoder encoder(
+      core::StreamSpec{vec.size(), layout.collector_levels});
   return sim.run(encoder.encode_query(query));
 }
 

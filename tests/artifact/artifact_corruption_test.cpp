@@ -16,7 +16,7 @@
 #include "apsim/batch_simulator.hpp"
 #include "apss_test_support.hpp"
 #include "artifact/artifact.hpp"
-#include "core/batch_compile.hpp"
+#include "core/hamming_macro.hpp"
 #include "util/fnv.hpp"
 #include "util/rng.hpp"
 
@@ -37,7 +37,7 @@ std::vector<std::uint8_t> make_artifact_bytes() {
   }
   std::string reason;
   artifact::Artifact a;
-  a.program = core::compile_hamming_batch(net, layouts, {}, &reason);
+  a.program = apsim::BatchProgram::try_compile(net, layouts, {}, &reason);
   EXPECT_NE(a.program, nullptr) << reason;
   a.meta.key_hash = 0xabcdef;
   a.meta.builder = "fuzz-test";
@@ -156,7 +156,8 @@ TEST(ArtifactCorruption, FromStateRejectsInvariantViolations) {
         net, data.vector(i), static_cast<std::uint32_t>(i), {}));
   }
   std::string reason;
-  const auto program = core::compile_hamming_batch(net, layouts, {}, &reason);
+  const auto program =
+      apsim::BatchProgram::try_compile(net, layouts, {}, &reason);
   ASSERT_NE(program, nullptr) << reason;
   const apsim::BatchProgramState good = program->state();
   ASSERT_NE(apsim::BatchProgram::from_state(good), nullptr);

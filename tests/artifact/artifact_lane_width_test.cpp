@@ -18,7 +18,6 @@
 #include "apsim/lane_word.hpp"
 #include "apss_test_support.hpp"
 #include "artifact/artifact.hpp"
-#include "core/batch_compile.hpp"
 #include "core/design.hpp"
 #include "core/opt/stream_multiplexing.hpp"
 #include "core/opt/vector_packing.hpp"
@@ -55,7 +54,7 @@ Built build_hamming(std::size_t n, std::size_t dims, std::uint64_t seed) {
   }
   b.spec = core::StreamSpec{dims, layouts.front().collector_levels};
   std::string reason;
-  b.program = core::compile_hamming_batch(net, layouts, {}, &reason);
+  b.program = apsim::BatchProgram::try_compile(net, layouts, {}, &reason);
   EXPECT_NE(b.program, nullptr) << reason;
   return b;
 }
@@ -72,7 +71,7 @@ Built build_packed(std::size_t n, std::size_t dims, std::size_t group,
   const auto layouts = core::build_packed_network(net, b.data, opt);
   b.spec = core::StreamSpec{dims, layouts.front().collector_levels};
   std::string reason;
-  b.program = core::compile_packed_batch(net, layouts, {}, &reason);
+  b.program = apsim::BatchProgram::try_compile(net, layouts, {}, &reason);
   EXPECT_NE(b.program, nullptr) << reason;
   return b;
 }
@@ -86,7 +85,7 @@ Built build_multiplexed(std::size_t n, std::size_t dims, std::size_t slices,
   const auto layouts = core::build_multiplexed_network(net, b.data, slices, {});
   b.spec = core::StreamSpec{dims, layouts.front().collector_levels};
   std::string reason;
-  b.program = core::compile_hamming_batch(net, layouts, {}, &reason);
+  b.program = apsim::BatchProgram::try_compile(net, layouts, {}, &reason);
   EXPECT_NE(b.program, nullptr) << reason;
   return b;
 }

@@ -17,7 +17,6 @@
 #include "apsim/batch_simulator.hpp"
 #include "apss_test_support.hpp"
 #include "artifact/artifact.hpp"
-#include "core/batch_compile.hpp"
 #include "core/engine.hpp"
 #include "core/opt/stream_multiplexing.hpp"
 #include "core/opt/vector_packing.hpp"
@@ -52,7 +51,7 @@ Built build_hamming(std::size_t n, std::size_t dims, std::uint64_t seed,
   }
   b.spec = core::StreamSpec{dims, layouts.front().collector_levels};
   std::string reason;
-  b.program = core::compile_hamming_batch(net, layouts, {}, &reason);
+  b.program = apsim::BatchProgram::try_compile(net, layouts, {}, &reason);
   EXPECT_NE(b.program, nullptr) << reason;
   return b;
 }
@@ -69,7 +68,7 @@ Built build_packed(std::size_t n, std::size_t dims, std::size_t group,
   const auto layouts = core::build_packed_network(net, b.data, opt);
   b.spec = core::StreamSpec{dims, layouts.front().collector_levels};
   std::string reason;
-  b.program = core::compile_packed_batch(net, layouts, {}, &reason);
+  b.program = apsim::BatchProgram::try_compile(net, layouts, {}, &reason);
   EXPECT_NE(b.program, nullptr) << reason;
   return b;
 }
@@ -84,7 +83,7 @@ Built build_multiplexed(std::size_t n, std::size_t dims, std::size_t slices,
       core::build_multiplexed_network(net, b.data, slices, {});
   b.spec = core::StreamSpec{dims, layouts.front().collector_levels};
   std::string reason;
-  b.program = core::compile_hamming_batch(net, layouts, {}, &reason);
+  b.program = apsim::BatchProgram::try_compile(net, layouts, {}, &reason);
   EXPECT_NE(b.program, nullptr) << reason;
   return b;
 }

@@ -21,7 +21,7 @@ struct Rig {
 
   Rig() {
     layout = append_hamming_macro(net, util::BitVector::parse("10110010"), 0);
-    spec = layout.stream_spec(8);
+    spec = StreamSpec{8, layout.collector_levels};
   }
   std::vector<apsim::ReportEvent> run(std::vector<std::uint8_t> stream) {
     apsim::Simulator sim(net);

@@ -142,7 +142,7 @@ TEST(HammingMacroExecution, DeepCollectorTreeStillCorrect) {
     const MacroLayout layout = append_hamming_macro(net, vec, 0, opt);
     ASSERT_GT(layout.collector_levels, 1u);
     apsim::Simulator sim(net);
-    const StreamSpec spec = layout.stream_spec(d);
+    const StreamSpec spec{d, layout.collector_levels};
     const SymbolStreamEncoder encoder(spec);
     const auto events = sim.run(encoder.encode_query(query));
     ASSERT_EQ(events.size(), 1u);
@@ -155,7 +155,7 @@ TEST(HammingMacroExecution, BackToBackQueriesAreIndependent) {
   const BitVector vec = BitVector::parse("110100101100");
   anml::AutomataNetwork net;
   const MacroLayout layout = append_hamming_macro(net, vec, 0);
-  const StreamSpec spec = layout.stream_spec(vec.size());
+  const StreamSpec spec{vec.size(), layout.collector_levels};
   const SymbolStreamEncoder encoder(spec);
 
   util::Rng rng(79);

@@ -42,7 +42,8 @@ class Fig3Trace : public ::testing::Test {
     sim_ = std::make_unique<apsim::Simulator>(net_);
     recorder_.counter_id = layout_.counter;
     sim_->set_trace(&recorder_);
-    const SymbolStreamEncoder encoder(layout_.stream_spec(4));
+    const SymbolStreamEncoder encoder(
+        StreamSpec{4, layout_.collector_levels});
     events_ = sim_->run(encoder.encode_query(util::BitVector::parse("1001")));
   }
 

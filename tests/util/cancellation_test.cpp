@@ -73,19 +73,6 @@ TEST(DeadlineTest, LatestPrefersTheLongerBudgetAndUnsetWins) {
   EXPECT_GT(Deadline::latest(longer, shorter).remaining_ms(), 1'000.0);
 }
 
-TEST(DeadlineTest, EarliestPrefersTheShorterBudgetAndSetWins) {
-  const Deadline unset;
-  const Deadline shorter = Deadline::after_ms(10);
-  const Deadline longer = Deadline::after_ms(60'000);
-
-  EXPECT_TRUE(Deadline::earliest(unset, shorter).set());
-  EXPECT_TRUE(Deadline::earliest(shorter, unset).set());
-  EXPECT_FALSE(Deadline::earliest(unset, unset).set());
-
-  EXPECT_LT(Deadline::earliest(shorter, longer).remaining_ms(), 1'000.0);
-  EXPECT_LT(Deadline::earliest(longer, shorter).remaining_ms(), 1'000.0);
-}
-
 TEST(CancellationTokenTest, OneWayAndVisibleAcrossThreads) {
   CancellationToken token;
   EXPECT_FALSE(token.cancelled());
