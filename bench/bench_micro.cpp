@@ -140,26 +140,42 @@ void BM_BatchSimulatorQueryFrame(benchmark::State& state) {
 }
 BENCHMARK(BM_BatchSimulatorQueryFrame)->Arg(16)->Arg(128)->Arg(1024);
 
-void BM_ClosedFormFrameCut(benchmark::State& state) {
+void BM_ClosedFormFrameCut(benchmark::State& state, std::size_t floor_rank) {
   // BM_BatchSimulatorQueryFrame's frame through the checkpointed run() at
   // report limit arg 1 (0 = uncut): the closed-form frame's block-floor
   // select, candidate list and emit, with every frame's fixed costs.
   // 1264/100 is one configuration of a k = 100 multi-configuration search.
-  apsim::BatchSimulator sim(query_frame_program(state.range(0)));
+  // The floored row adds a count floor at the count of the frame's
+  // floor_rank-th report, as a later configuration's running bound does:
+  // at the multi-config-batch point such a frame keeps ~28 events.
+  const auto program = query_frame_program(state.range(0));
+  apsim::BatchSimulator sim(program);
   const std::vector<std::uint8_t> stream = query_frame();
   const auto limit = static_cast<std::size_t>(state.range(1));
+  std::vector<std::uint32_t> floor;
+  if (floor_rank > 0) {
+    const auto events = apsim::BatchSimulator(program).run(stream);
+    floor.push_back(static_cast<std::uint32_t>(
+        stream.size() - events.at(floor_rank - 1).cycle));
+  }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sim.run(stream, util::RunControl{}, limit));
+    benchmark::DoNotOptimize(
+        sim.run(stream, util::RunControl{}, limit, floor));
   }
   state.counters["closed_form"] =
       static_cast<double>(sim.closed_form_frames()) /
       static_cast<double>(state.iterations());
+  state.counters["events"] = static_cast<double>(sim.reports().size());
+}
+void BM_ClosedFormFrameCut(benchmark::State& state) {
+  BM_ClosedFormFrameCut(state, 0);
 }
 BENCHMARK(BM_ClosedFormFrameCut)
     ->Args({1024, 10})
     ->Args({1024, 0})
     ->Args({1264, 100})
     ->Args({1264, 0});
+BENCHMARK_CAPTURE(BM_ClosedFormFrameCut, floored, 25)->Args({1264, 100});
 
 void BM_MatchCounts(benchmark::State& state) {
   // One closed-form frame's match-count sweep at d = 128, counts and block
@@ -233,11 +249,13 @@ BENCHMARK(BM_EngineSearch);
 
 void BM_EngineSearchMultiConfig(benchmark::State& state) {
   // One bit-parallel, 1-thread search of 64 queries at k = 100 over four
-  // full 1264-vector configurations: the frames, the decode and the host
+  // full 1264-vector configurations: the frames (cut at each query's
+  // running bound after the first configuration), the decode and the host
   // merge across configurations.
   const auto data = knn::BinaryDataset::uniform(4 * 1264, 128, 13);
   core::EngineOptions opt;
   opt.backend = core::SimulationBackend::kBitParallel;
+  opt.threads = 1;
   core::ApKnnEngine engine(data, opt);
   const auto queries = knn::perturbed_queries(data, 64, 0.1, 14);
   for (auto _ : state) {

@@ -538,6 +538,17 @@ constexpr std::uint64_t kByteLowBits = 0x0101010101010101ull;
 /// nothing carries into the top byte, which holds the 8 bits in order.
 constexpr std::uint64_t kGatherByteLowBits = 0x0102040810204080ull;
 
+/// count_floor's entry for a closed-form frame that starts at symbol `pos`
+/// of a run's stream of `frame`-symbol frames (see BatchSimulator::run).
+std::uint32_t floor_at(std::span<const std::uint32_t> count_floor,
+                       std::size_t pos, std::size_t frame) noexcept {
+  if (count_floor.empty()) {
+    return 0;
+  }
+  const std::size_t index = pos / frame;
+  return index < count_floor.size() ? count_floor[index] : 0;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -804,14 +815,20 @@ BatchProgramState BatchProgram::state() const {
 
 BatchSimulator::BatchSimulator(std::shared_ptr<const BatchProgram> program,
                                LaneWidth lane_width)
-    : program_(std::move(program)) {
-  if (program_ == nullptr) {
+    : kernels_(resolve_lane_kernels(lane_width)),
+      match_counts_(resolve_match_counts()) {
+  bind(std::move(program));
+}
+
+void BatchSimulator::bind(std::shared_ptr<const BatchProgram> program) {
+  if (program == nullptr) {
     throw std::invalid_argument(
         "BatchSimulator: null program (try_compile declined?)");
   }
+  program_ = std::move(program);
   const BatchProgram& p = *program_;
-  kernels_ = resolve_lane_kernels(lane_width);
-  match_counts_ = resolve_match_counts();
+  closed_form_frames_ = 0;
+  report_count_ = 0;
   frame_cycles_ = 2 * p.dims_ + p.levels_ + 3;
   // Words swept per cycle: the canonical count rounded up to this width's
   // block. The program pads its rows and valid masks to kLaneBlockWords
@@ -975,7 +992,8 @@ bool BatchSimulator::quiescent() const noexcept {
 }
 
 bool BatchSimulator::try_closed_form_frame(std::span<const std::uint8_t> rest,
-                                           std::size_t report_limit) {
+                                           std::size_t report_limit,
+                                           std::uint32_t count_floor) {
   const BatchProgram& p = *program_;
   const std::size_t cpq = frame_cycles_;
   if (rest.size() < cpq || rest[0] != p.sof_ || rest[cpq - 1] != p.eof_) {
@@ -1050,19 +1068,19 @@ bool BatchSimulator::try_closed_form_frame(std::span<const std::uint8_t> rest,
                               blocks, lane_counts_.data(), block_max_.data());
   }
 
-  // The block floor F: under a limit k below the block count, the k-th
-  // largest block maximum. k blocks each hold a lane at or above F, so the
-  // cut count h_min found below is at least F, and every lane at or above
-  // h_min is a candidate: a lane of a block whose maximum reaches F, with a
-  // count of at least F. The candidates are listed in lane order, and only
-  // they are histogrammed and emitted. An uncut frame (no limit, or one of
-  // at least the block count) takes every live lane instead.
+  // The block floor F: the count floor, raised under a limit k below the
+  // block count to the k-th largest block maximum. k blocks each hold a
+  // lane at or above that maximum, so the cut count h_min found below is
+  // at least it; and every lane that is kept reaches F, so it is a
+  // candidate: a lane of a block whose maximum reaches F, with a count of
+  // at least F. The candidates are listed in lane order, and only they are
+  // histogrammed and emitted. A frame with F = 0 (no floor, and no limit or
+  // one of at least the block count) takes every live lane instead.
   std::fill(count_cursor_.begin(), count_cursor_.end(), 0);
   const std::uint32_t* counts = lane_counts_.data();
   std::uint32_t* candidates = candidate_lanes_.data();
-  const bool cut = report_limit != 0 && report_limit < blocks;
-  std::size_t listed = 0;
-  if (cut) {
+  std::uint32_t block_floor = count_floor;
+  if (report_limit != 0 && report_limit < blocks) {
     for (std::size_t b = 0; b < blocks; ++b) {
       ++count_cursor_[block_max_[b]];
     }
@@ -1071,8 +1089,12 @@ bool BatchSimulator::try_closed_form_frame(std::span<const std::uint8_t> rest,
     while (above < report_limit) {
       above += count_cursor_[--h];
     }
-    const auto block_floor = static_cast<std::uint32_t>(h);
+    block_floor = std::max(block_floor, static_cast<std::uint32_t>(h));
     std::fill(count_cursor_.begin(), count_cursor_.end(), 0);
+  }
+  const bool cut = block_floor != 0;
+  std::size_t listed = 0;
+  if (cut) {
     std::size_t selected = 0;
     for (std::size_t b = 0; b < blocks; ++b) {
       block_index_[selected] = static_cast<std::uint32_t>(b);
@@ -1102,11 +1124,13 @@ bool BatchSimulator::try_closed_form_frame(std::span<const std::uint8_t> rest,
   // order (the within-cycle report order). Under a report limit the sort
   // stops at h_min, the count whose cycle holds the limit-th report, and
   // lanes below it are left out: the kept events are the full order's
-  // prefix through that whole cycle.
+  // prefix through that whole cycle. Below the block floor nothing was
+  // histogrammed, so the sort ends there; if it ends before the limit,
+  // h_min stays 0 and every candidate is kept.
   const std::size_t first = reports_.size();
   std::size_t at = first;
   std::uint32_t h_min = 0;
-  for (std::size_t h = p.dims_ + 1; h-- > 0;) {
+  for (std::size_t h = p.dims_ + 1; h-- > block_floor;) {
     const std::size_t lanes_at_h = count_cursor_[h];
     count_cursor_[h] = at;
     at += lanes_at_h;
@@ -1151,10 +1175,12 @@ bool BatchSimulator::try_closed_form_frame(std::span<const std::uint8_t> rest,
 }
 
 std::vector<ReportEvent> BatchSimulator::run_unchecked(
-    std::span<const std::uint8_t> stream, std::size_t report_limit) {
+    std::span<const std::uint8_t> stream, std::size_t report_limit,
+    std::span<const std::uint32_t> count_floor) {
   const std::size_t first_new = reports_.size();
   for (std::size_t pos = 0; pos < stream.size();) {
-    if (try_closed_form_frame(stream.subspan(pos), report_limit)) {
+    if (try_closed_form_frame(stream.subspan(pos), report_limit,
+                              floor_at(count_floor, pos, frame_cycles_))) {
       pos += frame_cycles_;
     } else {
       step(stream[pos++]);
@@ -1166,21 +1192,21 @@ std::vector<ReportEvent> BatchSimulator::run_unchecked(
 
 std::vector<ReportEvent> BatchSimulator::run_continue(
     std::span<const std::uint8_t> stream) {
-  return run_unchecked(stream, 0);
+  return run_unchecked(stream, 0, {});
 }
 
 std::vector<ReportEvent> BatchSimulator::run(
     std::span<const std::uint8_t> stream, const util::RunControl& control,
-    std::size_t report_limit) {
+    std::size_t report_limit, std::span<const std::uint32_t> count_floor) {
   reset();
-  return run_continue(stream, control, report_limit);
+  return run_continue(stream, control, report_limit, count_floor);
 }
 
 std::vector<ReportEvent> BatchSimulator::run_continue(
     std::span<const std::uint8_t> stream, const util::RunControl& control,
-    std::size_t report_limit) {
+    std::size_t report_limit, std::span<const std::uint32_t> count_floor) {
   if (!control.engaged() && !util::FaultInjector::armed()) {
-    return run_unchecked(stream, report_limit);
+    return run_unchecked(stream, report_limit, count_floor);
   }
   const std::size_t first_new = reports_.size();
   const std::uint64_t period =
@@ -1189,7 +1215,8 @@ std::vector<ReportEvent> BatchSimulator::run_continue(
   for (std::size_t pos = 0; pos < stream.size();) {
     // A closed-form frame may end on a checkpoint but not span one.
     if (period - since >= frame_cycles_ &&
-        try_closed_form_frame(stream.subspan(pos), report_limit)) {
+        try_closed_form_frame(stream.subspan(pos), report_limit,
+                              floor_at(count_floor, pos, frame_cycles_))) {
       pos += frame_cycles_;
       since += frame_cycles_;
     } else {

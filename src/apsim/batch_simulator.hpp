@@ -252,7 +252,8 @@ class BatchProgram {
 
 /// Executes a BatchProgram with the same streaming interface and the same
 /// ReportEvent output as the cycle-accurate Simulator. Cheap to construct
-/// (dynamic state only); create one per worker thread.
+/// (dynamic state only); create one per worker thread, and bind() it to
+/// each program that thread runs.
 ///
 /// The width that stepped symbols advance at is a per-simulator choice;
 /// the ReportEvent stream is bit-identical at every width, so a program —
@@ -264,6 +265,12 @@ class BatchSimulator {
   /// `lane_width` picks the stepping width.
   explicit BatchSimulator(std::shared_ptr<const BatchProgram> program,
                           LaneWidth lane_width = LaneWidth::k64);
+
+  /// Switches to `program`: afterwards the simulator behaves exactly like
+  /// BatchSimulator(program, lane_width()), its counters included, while
+  /// its buffers keep their capacity. The constructor binds through this
+  /// too. Throws std::invalid_argument on a null program.
+  void bind(std::shared_ptr<const BatchProgram> program);
 
   /// Returns to the pre-stream state (cycle 0, all counts zero).
   void reset();
@@ -299,15 +306,24 @@ class BatchSimulator {
   /// lanes whose match count is at or above the count whose cycle holds the
   /// frame's report_limit-th report, i.e. exactly the prefix of the frame's
   /// full events through that cycle (a tie at the cut is kept whole).
-  /// Stepped symbols report in full, 0 keeps every event, and the state
-  /// left behind does not depend on the limit. report_count() counts the
-  /// events left out too.
+  ///
+  /// `count_floor` cuts closed-form frames further: the frame that starts
+  /// at symbol s of `stream` emits only lanes whose match count reaches
+  /// count_floor[s / (2d+L+3)] (0 past the span's end), so a frame keeps
+  /// the lanes at or above the larger of that floor and the limit's cut
+  /// count. A floor above d empties the frame.
+  ///
+  /// Stepped symbols report in full, a 0 limit and an empty floor keep
+  /// every event, and the state left behind depends on neither.
+  /// report_count() counts the events left out too.
   std::vector<ReportEvent> run(std::span<const std::uint8_t> stream,
                                const util::RunControl& control,
-                               std::size_t report_limit = 0);
-  std::vector<ReportEvent> run_continue(std::span<const std::uint8_t> stream,
-                                        const util::RunControl& control,
-                                        std::size_t report_limit = 0);
+                               std::size_t report_limit = 0,
+                               std::span<const std::uint32_t> count_floor = {});
+  std::vector<ReportEvent> run_continue(
+      std::span<const std::uint8_t> stream, const util::RunControl& control,
+      std::size_t report_limit = 0,
+      std::span<const std::uint32_t> count_floor = {});
 
   std::uint64_t cycle() const noexcept { return cycle_; }
   /// Frames computed in closed form since construction (the rest of the
@@ -330,14 +346,16 @@ class BatchSimulator {
   /// A member added to the dynamic state must be checked here too.
   bool quiescent() const noexcept;
   /// Consumes the frame at the head of `rest` in closed form, emitting its
-  /// events up to `report_limit` (see run()), and returns true; or returns
-  /// false (consuming nothing) when the frame template or the quiescent
-  /// precondition does not hold.
+  /// events up to `report_limit` and from `count_floor` up (see run()), and
+  /// returns true; or returns false (consuming nothing) when the frame
+  /// template or the quiescent precondition does not hold.
   bool try_closed_form_frame(std::span<const std::uint8_t> rest,
-                             std::size_t report_limit);
+                             std::size_t report_limit,
+                             std::uint32_t count_floor);
   /// The unchecked loop behind both run_continue overloads.
-  std::vector<ReportEvent> run_unchecked(std::span<const std::uint8_t> stream,
-                                         std::size_t report_limit);
+  std::vector<ReportEvent> run_unchecked(
+      std::span<const std::uint8_t> stream, std::size_t report_limit,
+      std::span<const std::uint32_t> count_floor);
 
   std::shared_ptr<const BatchProgram> program_;
   LaneKernels kernels_;     ///< the stepping kernels of the lane width

@@ -3,7 +3,11 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/ceil_div.hpp"
+
 namespace apss::apsim {
+
+using util::ceil_div;
 
 namespace {
 
@@ -13,8 +17,6 @@ struct Component {
   std::size_t booleans = 0;
   std::size_t reporting = 0;
 };
-
-std::size_t ceil_div(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
 
 /// Block area one half core charges for the resources packed into it.
 std::size_t half_core_blocks(const Component& usage,

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <filesystem>
 #include <mutex>
+#include <numeric>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <string_view>
 #include <system_error>
@@ -39,6 +42,53 @@ int severity(ShardState state) noexcept {
       return 4;
   }
   return 4;
+}
+
+/// A configuration survives a search when every pass over it ended kOk or
+/// kDegraded: its results are then exact.
+bool survives(ShardState state) noexcept {
+  return state == ShardState::kOk || state == ShardState::kDegraded;
+}
+
+/// The entries of `later`, a (distance, id)-ordered list from a
+/// configuration after every entry of `running` (so each of its ids is
+/// larger), that can enter `running`, a list that keeps `want` entries:
+/// all of them while `running` is short, else those strictly closer than
+/// its last (an equal distance loses on id).
+std::span<const knn::Neighbor> entering(std::span<const knn::Neighbor> running,
+                                        std::span<const knn::Neighbor> later,
+                                        std::size_t want) {
+  if (running.size() < want) {
+    return later;
+  }
+  const std::uint32_t bound = running.back().distance;
+  return later.first(static_cast<std::size_t>(
+      std::partition_point(
+          later.begin(), later.end(),
+          [&](const knn::Neighbor& n) { return n.distance < bound; }) -
+      later.begin()));
+}
+
+/// Merges `later` (entering()'s result) into `running`, keeping the first
+/// `want` entries of the union in (distance, id) order. The merge runs in
+/// place from the back.
+void merge_later(std::vector<knn::Neighbor>& running,
+                 std::span<const knn::Neighbor> later, std::size_t want) {
+  std::size_t j = later.size();
+  std::size_t i = running.size();
+  const std::size_t size = std::min(want, i + j);
+  running.resize(size);
+  // Walk the union from its largest entry down; the i + j - size largest
+  // fall past `size` and are dropped. Once `later` is used up, the rest of
+  // `running` is already in place.
+  for (std::size_t out = i + j; j > 0;) {
+    --out;
+    const bool take_later = i == 0 || !(later[j - 1] < running[i - 1]);
+    const knn::Neighbor next = take_later ? later[--j] : running[--i];
+    if (out < size) {
+      running[out] = next;
+    }
+  }
 }
 
 }  // namespace
@@ -415,30 +465,84 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
   return std::move(result.neighbors);
 }
 
+/// One configuration's pass over one shard's frames: its outcome, the
+/// reports its simulation produced, and its decoded lists.
+struct ApKnnEngine::ConfigPass {
+  /// Outcome under OnError::kRetry (kFailFast throws instead).
+  ShardState state = ShardState::kOk;
+  std::string error;
+  std::uint32_t retries = 0;
+  /// Reports the simulation produced, including those the report limit
+  /// and the count floor kept out of the decoded events.
+  std::size_t report_count = 0;
+  /// The pass's ReportEvents rebased to the configuration's full
+  /// query-stream timeline; filled only for a collected stream.
+  std::vector<apsim::ReportEvent> events;
+  /// Per query, in (distance, id) order and cut to k.
+  std::vector<std::vector<knn::Neighbor>> partial;
+  /// Merged into the shard's running lists by its latest walk.
+  bool merged = false;
+  /// Simulated under a nonzero count floor, i.e. cut with a bound taken
+  /// from the configurations merged before it.
+  bool floored = false;
+};
+
 struct ApKnnEngine::Shard {
-  std::size_t config = 0;
+  static constexpr std::size_t kNone = ~std::size_t{0};
+
   std::size_t first_frame = 0;
   std::size_t frames = 0;
   /// The queries those frames carry.
   std::size_t first_query = 0;
   std::size_t queries = 0;
-  /// Shard-local ReportEvent buffer, rebased to the configuration's full
-  /// query-stream timeline after decoding.
-  std::vector<apsim::ReportEvent> events;
-  /// Reports the shard's simulation produced, including those the report
-  /// limit kept out of `events`.
-  std::size_t report_count = 0;
-  std::vector<std::vector<knn::Neighbor>> partial;
-  /// Outcome under OnError::kRetry (kFailFast throws instead).
-  ShardState state = ShardState::kOk;
-  std::string error;
-  std::uint32_t retries = 0;
+  /// One pass per configuration, in id order.
+  std::vector<ConfigPass> passes;
+  /// The configuration merged first since start(), or kNone.
+  std::size_t first = kNone;
+  /// Per query, the running list once a later pass has changed it. Until
+  /// then it is empty and the first merged pass's list stands in, so a
+  /// configuration no later one changes is never copied.
+  std::vector<std::vector<knn::Neighbor>> changed;
+
+  /// Query q's merged list of the configurations merged since start().
+  std::span<const knn::Neighbor> running(std::size_t q) const {
+    if (!changed[q].empty() || first == kNone) {
+      return changed[q];
+    }
+    return passes[first].partial[q];
+  }
+  void start() {
+    first = kNone;
+    changed.assign(queries, {});
+  }
+  /// Merges configuration c's pass, which follows every merged one, into
+  /// the running lists of `want` entries.
+  void merge(std::size_t c, std::size_t want) {
+    if (first == kNone) {
+      first = c;
+      return;
+    }
+    for (std::size_t q = 0; q < queries; ++q) {
+      const auto later = entering(running(q), passes[c].partial[q], want);
+      if (later.empty()) {
+        continue;
+      }
+      if (changed[q].empty()) {
+        const auto list = running(q);
+        changed[q].assign(list.begin(), list.end());
+      }
+      merge_later(changed[q], later, want);
+    }
+  }
 };
 
 struct ApKnnEngine::SearchPlan {
   std::size_t queries = 0;
   std::size_t k = 0;
-  /// BatchSimulator's per-frame report limit (0 keeps every report).
+  /// Entries a complete answer holds: min(k, dataset size).
+  std::size_t want = 0;
+  /// BatchSimulator's per-frame report limit (0 keeps every report). The
+  /// running bound's count floor is on exactly when the limit is.
   std::size_t report_limit = 0;
   std::vector<Shard> shards;
 };
@@ -462,9 +566,28 @@ void ApKnnEngine::search_into(const knn::BinaryDataset& queries,
   }
   result.stats = project(queries.size());
   SearchPlan plan = plan_search(queries.size(), k);
-  run_shards(plan, queries, control);
-  reduce_shard_status(plan, result.stats);
-  merge_shards(plan, result);
+  // Every shard walks every configuration. A configuration that is lost
+  // in any shard is lost from the answer, and the shards whose later
+  // configurations were cut with a bound it helped set walk again over the
+  // survivors alone — until the surviving set stops changing
+  // (docs/ROBUSTNESS.md).
+  std::vector<std::size_t> pending(plan.shards.size());
+  std::iota(pending.begin(), pending.end(), 0);
+  std::vector<bool> walk(partitions_.size(), true);
+  while (!pending.empty()) {
+    run_shards(plan, pending, walk, queries, control);
+    reduce_shard_status(plan, result.stats);
+    for (std::size_t c = 0; c < walk.size(); ++c) {
+      walk[c] = survives(result.stats.shard_status[c].state);
+    }
+    pending.clear();
+    for (std::size_t t = 0; t < plan.shards.size(); ++t) {
+      if (bound_used_lost_config(plan.shards[t], walk)) {
+        pending.push_back(t);
+      }
+    }
+  }
+  merge_shards(plan, walk, result);
 }
 
 ApKnnEngine::SearchPlan ApKnnEngine::plan_search(std::size_t query_count,
@@ -472,93 +595,195 @@ ApKnnEngine::SearchPlan ApKnnEngine::plan_search(std::size_t query_count,
   SearchPlan plan;
   plan.queries = query_count;
   plan.k = k;
+  plan.want = std::min(k, dataset_.size());
   // The temporal sort makes a query's first k reports its k nearest, so a
   // bit-parallel closed-form frame emits only those (plus the rest of the
-  // k-th report's cycle, for the tie cut). A collected stream stays whole,
-  // and so does a multiplexed frame, whose earliest k reports span all its
-  // slices.
+  // k-th report's cycle, for the tie cut), and once the running list is
+  // full only those that beat its k-th distance. A collected stream stays
+  // whole, and so does a multiplexed frame, whose earliest k reports span
+  // all its slices.
   plan.report_limit =
       options_.collect_report_stream || options_.multiplex_slices > 0 ? 0 : k;
 
-  // One shard per (configuration, frame range). queries_per_chunk caps the
-  // shard size; with a pool the size is refined downward so every thread
-  // gets several shards to balance. The shard list itself — and therefore
-  // every shard's simulation — is a pure function of the inputs, never of
-  // which worker ran it.
+  // One shard per frame range; each walks every configuration.
+  // queries_per_chunk caps the range; with a pool it is refined downward so
+  // every thread gets several shards to balance. The shard list itself —
+  // and therefore every shard's simulation — is a pure function of the
+  // inputs, never of which worker ran it.
   const std::size_t frames = frames_for(query_count);
   std::size_t chunk = std::max<std::size_t>(1, options_.queries_per_chunk);
   if (pool_ != nullptr) {
     const std::size_t target_shards = 4 * (pool_->size() + 1);
-    const std::size_t total_frames = frames * partitions_.size();
     chunk = std::min(
-        chunk,
-        std::max<std::size_t>(
-            1, (total_frames + target_shards - 1) / target_shards));
+        chunk, std::max<std::size_t>(
+                   1, (frames + target_shards - 1) / target_shards));
   }
   const std::size_t per_frame = queries_per_frame();
-  for (std::size_t c = 0; c < partitions_.size(); ++c) {
-    for (std::size_t f = 0; f < frames; f += chunk) {
-      Shard& shard = plan.shards.emplace_back();
-      shard.config = c;
-      shard.first_frame = f;
-      shard.frames = std::min(chunk, frames - f);
-      shard.first_query = f * per_frame;
-      shard.queries = std::min(query_count, (f + shard.frames) * per_frame) -
-                      shard.first_query;
-    }
+  for (std::size_t f = 0; f < frames; f += chunk) {
+    Shard& shard = plan.shards.emplace_back();
+    shard.first_frame = f;
+    shard.frames = std::min(chunk, frames - f);
+    shard.first_query = f * per_frame;
+    shard.queries = std::min(query_count, (f + shard.frames) * per_frame) -
+                    shard.first_query;
+    shard.passes.resize(partitions_.size());
   }
   return plan;
 }
 
 void ApKnnEngine::run_shards(SearchPlan& plan,
+                             std::span<const std::size_t> shards,
+                             const std::vector<bool>& walk,
                              const knn::BinaryDataset& queries,
                              const SearchControl& control) const {
   const std::size_t cpq = spec_.cycles_per_query();
   const std::size_t per_frame = queries_per_frame();
+  const auto dims = static_cast<std::uint32_t>(spec_.dims);
   // A one-query frame is exactly the base design's frame, so one encoder
   // serves both designs.
   const MultiplexedStreamEncoder encoder(spec_);
   const apsim::SimOptions sim_options =
       apsim::SimOptions::from(options_.device.features);
 
-  // One attempt at simulating `shard`: checkpoint (deadline/cancel), fire
-  // the shard-entry fault site, build the attempt's own simulator,
+  // The state one shard's walk carries from configuration to
+  // configuration: its encoded frames, the per-frame count floors, and one
+  // bit-parallel simulator that each pass binds to its program.
+  struct Walk {
+    Shard& shard;
+    std::vector<std::uint8_t> stream;
+    std::vector<std::uint32_t> floors;
+    std::optional<apsim::BatchSimulator> batch;
+  };
+
+  // One attempt at simulating configuration `c` over the shard's frames:
+  // checkpoint (deadline/cancel), fire the shard-entry fault site,
   // simulate, decode, rebase. Throws on any failure; `force_reference` is
   // the degrade path (cycle-accurate rerun of a bit-parallel configuration
-  // — bit-identical events, just slower). Nothing outlives an attempt, so
-  // a failed one leaves no state behind for a retry or another shard.
-  const auto run_attempt = [&](Shard& shard, const Partition& part,
+  // — bit-identical events, just slower). An attempt writes its pass
+  // whole, or a later attempt rewrites it, so a failed one leaves nothing
+  // a retry or another configuration reads.
+  const auto run_attempt = [&](Walk& w, std::size_t c,
                                const util::RunControl& ctl,
+                               std::span<const std::uint32_t> floors,
                                bool force_reference) {
     ctl.checkpoint();
     util::FaultInjector::check(util::kFaultEngineShard, ctl.fault_key);
-    std::vector<std::uint8_t> stream;
-    stream.reserve(shard.frames * cpq);
-    const std::size_t end = shard.first_query + shard.queries;
-    for (std::size_t q = shard.first_query; q < end; q += per_frame) {
-      encoder.append_group(queries, q, std::min(per_frame, end - q), stream);
-    }
+    const Partition& part = partitions_[c];
+    ConfigPass& pass = w.shard.passes[c];
+    std::vector<apsim::ReportEvent> events;
     if (part.program != nullptr && !force_reference) {
-      apsim::BatchSimulator batch(part.program);
-      shard.events = batch.run(stream, ctl, plan.report_limit);
-      shard.report_count = batch.report_count();
+      if (w.batch.has_value()) {
+        w.batch->bind(part.program);
+      } else {
+        w.batch.emplace(part.program);
+      }
+      events = w.batch->run(w.stream, ctl, plan.report_limit, floors);
+      pass.report_count = w.batch->report_count();
+      pass.floored = !floors.empty();
     } else {
       // The degrade path may find the network absent: a cache hit skipped
       // its construction.
       ensure_network(part);
       apsim::Simulator reference(*part.network, sim_options);
-      shard.events = reference.run(stream, ctl);
-      shard.report_count = shard.events.size();
+      events = reference.run(w.stream, ctl);
+      pass.report_count = events.size();
+      pass.floored = false;
     }
-    const TemporalSortDecoder decoder(spec_, shard.queries,
+    const TemporalSortDecoder decoder(spec_, w.shard.queries,
                                       options_.multiplex_slices);
-    shard.partial = decoder.decode(shard.events, plan.k);
-    apsim::rebase_events(shard.events, shard.first_frame * cpq);
+    pass.partial = decoder.decode(events, plan.k);
+    if (options_.collect_report_stream) {
+      apsim::rebase_events(events, w.shard.first_frame * cpq);
+      pass.events = std::move(events);
+    }
   };
-  const auto run_shard = [&](std::size_t t) {
-    Shard& shard = plan.shards[t];
-    const Partition& part = partitions_[shard.config];
-    // Fault-tolerance plumbing (docs/ROBUSTNESS.md): every shard polls the
+
+  // One pass of configuration `c` under the failure policy. Returns false
+  // when the budget is gone (the walk then ends).
+  const auto run_pass = [&](Walk& w, std::size_t c, util::RunControl& ctl,
+                            std::span<const std::uint32_t> floors) {
+    ConfigPass& pass = w.shard.passes[c];
+    ctl.fault_key = static_cast<std::int64_t>(c);
+    if (options_.on_error == OnError::kFailFast) {
+      // The pre-fault-tolerance path, byte for byte: nothing is caught
+      // here, so the first failure unwinds through the pool's
+      // first-exception rethrow to the caller.
+      run_attempt(w, c, ctl, floors, /*force_reference=*/false);
+      return true;
+    }
+    // A walk over the survivors keeps the worst state and first error of
+    // the walks before it.
+    const ShardState before = pass.state;
+    std::string error;
+    std::size_t retries_left = options_.max_retries;
+    bool degraded = false;
+    for (;;) {
+      try {
+        run_attempt(w, c, ctl, floors, /*force_reference=*/degraded);
+        pass.state = degraded ? ShardState::kDegraded : ShardState::kOk;
+        if (!degraded) {
+          error.clear();  // recovered by a plain retry
+        }
+        break;
+      } catch (const util::DeadlineExceeded& e) {
+        // The budget is gone; retrying could only blow past it further.
+        pass.state = ShardState::kTimedOut;
+        if (error.empty()) {
+          error = e.what();
+        }
+        break;
+      } catch (const util::OperationCancelled& e) {
+        pass.state = ShardState::kCancelled;
+        if (error.empty()) {
+          error = e.what();
+        }
+        break;
+      } catch (const std::exception& e) {
+        if (error.empty()) {
+          error = e.what();
+        }
+        if (retries_left > 0) {
+          --retries_left;
+          ++pass.retries;
+          continue;
+        }
+        if (!degraded && partitions_[c].program != nullptr) {
+          degraded = true;
+          ++pass.retries;
+          continue;
+        }
+        pass.state = ShardState::kFailed;
+        break;
+      }
+    }
+    if (severity(before) > severity(pass.state)) {
+      pass.state = before;
+    }
+    if (pass.error.empty()) {
+      pass.error = std::move(error);
+    }
+    return pass.state != ShardState::kTimedOut &&
+           pass.state != ShardState::kCancelled;
+  };
+
+  // A shard's walk: encode its frames once, then run the walked
+  // configurations in ascending id order, merging each pass into the
+  // running lists. Before each pass the running lists set the count floor:
+  // a query whose list is full can take a later (larger-id) vector only at
+  // a distance below its k-th, i.e. at a match count of at least
+  // d - D_k + 1. A deadline or cancellation ends the walk, and every
+  // configuration it did not reach shares that state.
+  const auto walk_shard = [&](std::size_t t) {
+    Walk w{plan.shards[t], {}, {}, std::nullopt};
+    Shard& shard = w.shard;
+    w.stream.reserve(shard.frames * cpq);
+    const std::size_t end = shard.first_query + shard.queries;
+    for (std::size_t q = shard.first_query; q < end; q += per_frame) {
+      encoder.append_group(queries, q, std::min(per_frame, end - q),
+                           w.stream);
+    }
+    shard.start();
+    // Fault-tolerance plumbing (docs/ROBUSTNESS.md): every pass polls the
     // caller's deadline and cancellation token at query-frame boundaries
     // inside the simulators and records its own outcome (no locking, no
     // ordering dependence); reduce_shard_status() folds them per
@@ -567,130 +792,144 @@ void ApKnnEngine::run_shards(SearchPlan& plan,
     ctl.deadline = control.deadline;
     ctl.cancel = control.cancel;
     ctl.checkpoint_period = cpq;
-    ctl.fault_key = static_cast<std::int64_t>(shard.config);
-    if (options_.on_error == OnError::kFailFast) {
-      // The pre-fault-tolerance path, byte for byte: nothing is caught
-      // here, so the first failure unwinds through the pool's
-      // first-exception rethrow to the caller.
-      run_attempt(shard, part, ctl, /*force_reference=*/false);
-      return;
+    for (ConfigPass& pass : shard.passes) {
+      pass.merged = false;
     }
-    std::size_t retries_left = options_.max_retries;
-    bool degraded = false;
-    for (;;) {
-      try {
-        run_attempt(shard, part, ctl, /*force_reference=*/degraded);
-        if (degraded) {
-          shard.state = ShardState::kDegraded;
-        } else {
-          shard.state = ShardState::kOk;
-          shard.error.clear();  // recovered by a plain retry
+    const ConfigPass* ended = nullptr;
+    for (std::size_t c = 0; c < partitions_.size(); ++c) {
+      if (!walk[c]) {
+        continue;
+      }
+      ConfigPass& pass = shard.passes[c];
+      if (ended != nullptr) {
+        pass.state = ended->state;
+        if (pass.error.empty()) {
+          pass.error = ended->error;
         }
-        break;
-      } catch (const util::DeadlineExceeded& e) {
-        // The budget is gone; retrying could only blow past it further.
-        shard.state = ShardState::kTimedOut;
-        if (shard.error.empty()) {
-          shard.error = e.what();
+        continue;
+      }
+      std::span<const std::uint32_t> floors;
+      if (plan.report_limit != 0) {
+        w.floors.assign(shard.frames, 0);
+        bool any = false;
+        for (std::size_t q = 0; q < shard.queries; ++q) {
+          const auto list = shard.running(q);
+          if (list.size() == plan.want) {
+            w.floors[q] = dims - list.back().distance + 1;
+            any = true;
+          }
         }
-        break;
-      } catch (const util::OperationCancelled& e) {
-        shard.state = ShardState::kCancelled;
-        if (shard.error.empty()) {
-          shard.error = e.what();
+        if (any) {
+          floors = w.floors;
         }
-        break;
-      } catch (const std::exception& e) {
-        if (shard.error.empty()) {
-          shard.error = e.what();
-        }
-        if (retries_left > 0) {
-          --retries_left;
-          ++shard.retries;
-          continue;
-        }
-        if (!degraded && part.program != nullptr) {
-          degraded = true;
-          ++shard.retries;
-          continue;
-        }
-        shard.state = ShardState::kFailed;
-        break;
+      }
+      if (!run_pass(w, c, ctl, floors)) {
+        ended = &pass;
+        continue;
+      }
+      if (survives(pass.state)) {
+        shard.merge(c, plan.want);
+        pass.merged = true;
       }
     }
   };
 
   if (pool_ != nullptr) {
-    pool_->parallel_for(0, plan.shards.size(), run_shard, /*grain=*/1);
+    pool_->parallel_for(
+        0, shards.size(), [&](std::size_t i) { walk_shard(shards[i]); },
+        /*grain=*/1);
   } else {
-    for (std::size_t t = 0; t < plan.shards.size(); ++t) {
-      run_shard(t);
+    for (const std::size_t t : shards) {
+      walk_shard(t);
     }
   }
+}
+
+bool ApKnnEngine::bound_used_lost_config(const Shard& shard,
+                                         const std::vector<bool>& survivors) {
+  // A lost configuration merged into the walk raised the bound of every
+  // configuration after it; only a floored pass was cut with that bound.
+  bool lost_merged = false;
+  for (std::size_t c = 0; c < shard.passes.size(); ++c) {
+    const ConfigPass& pass = shard.passes[c];
+    if (!pass.merged) {
+      continue;
+    }
+    if (!survivors[c]) {
+      lost_merged = true;
+    } else if (lost_merged && pass.floored) {
+      return true;
+    }
+  }
+  return false;
 }
 
 void ApKnnEngine::reduce_shard_status(const SearchPlan& plan,
                                       EngineStats& stats) const {
   // One status per configuration: the worst state wins, the first error in
-  // shard order is kept, retries accumulate.
+  // frame order is kept, retries accumulate.
   stats.shard_status.assign(partitions_.size(), ShardStatus{});
-  for (const Shard& shard : plan.shards) {
-    ShardStatus& status = stats.shard_status[shard.config];
-    if (severity(shard.state) > severity(status.state)) {
-      status.state = shard.state;
+  for (std::size_t c = 0; c < partitions_.size(); ++c) {
+    ShardStatus& status = stats.shard_status[c];
+    for (const Shard& shard : plan.shards) {
+      const ConfigPass& pass = shard.passes[c];
+      if (severity(pass.state) > severity(status.state)) {
+        status.state = pass.state;
+      }
+      if (status.error.empty() && !pass.error.empty()) {
+        status.error = pass.error;
+      }
+      status.retries += pass.retries;
     }
-    if (status.error.empty() && !shard.error.empty()) {
-      status.error = shard.error;
-    }
-    status.retries += shard.retries;
   }
 }
 
-void ApKnnEngine::merge_shards(SearchPlan& plan, SearchResult& result) const {
-  // Host-side merge across configurations (Sec. III-C: the host tracks
-  // intermediary per-query results between reconfigurations). Shards are
-  // walked in configuration/frame order on this thread, so stats
-  // accumulation, the merged report stream, and the per-query lists are
-  // bit-identical at any thread count. A configuration SURVIVES when every
-  // shard is kOk or kDegraded; any other configuration is skipped
-  // wholesale — its partial per-query lists would silently rank neighbors
-  // against an incomplete candidate set — so what remains equals a run
-  // without it.
+void ApKnnEngine::merge_shards(SearchPlan& plan,
+                               const std::vector<bool>& survivors,
+                               SearchResult& result) const {
+  // Host-side results (Sec. III-C: the host tracks intermediary per-query
+  // results between reconfigurations). The shards hold disjoint queries,
+  // so their running lists move into the answer. A configuration that is
+  // lost in any shard is skipped wholesale — its partial per-query lists
+  // would silently rank neighbors against an incomplete candidate set — so
+  // a shard that merged one rebuilds its lists from the survivors' passes,
+  // which no bound of a lost configuration cut (search_into re-walked
+  // those). Stats and the stream are assembled in configuration/frame
+  // order on this thread, so they are bit-identical at any thread count.
   EngineStats& stats = result.stats;
-  const auto survives = [&](std::size_t c) {
-    const ShardState s = stats.shard_status[c].state;
-    return s == ShardState::kOk || s == ShardState::kDegraded;
-  };
-  // Every partial list is in (distance, id) order and cut to k, and
-  // (distance, id) is a strict order over unique global ids. So merging
-  // each list into the query's running list and stopping at `want` keeps
-  // exactly a full sort's prefix; the first surviving list is moved in.
-  const std::size_t want = std::min(plan.k, dataset_.size());
   result.neighbors.resize(plan.queries);
-  std::vector<knn::Neighbor> merged;
   for (Shard& shard : plan.shards) {
-    if (!survives(shard.config)) {
+    bool rebuild = false;
+    for (std::size_t c = 0; c < partitions_.size(); ++c) {
+      rebuild = rebuild || (shard.passes[c].merged && !survivors[c]);
+    }
+    if (rebuild) {
+      shard.start();
+      for (std::size_t c = 0; c < partitions_.size(); ++c) {
+        if (survivors[c]) {
+          shard.merge(c, plan.want);
+        }
+      }
+    }
+    for (std::size_t q = 0; q < shard.queries; ++q) {
+      auto& list = shard.changed[q];
+      result.neighbors[shard.first_query + q] =
+          list.empty() && shard.first != Shard::kNone
+              ? std::move(shard.passes[shard.first].partial[q])
+              : std::move(list);
+    }
+  }
+  for (std::size_t c = 0; c < partitions_.size(); ++c) {
+    if (!survivors[c]) {
       continue;
     }
-    stats.report_events += shard.report_count;
-    if (options_.collect_report_stream) {
-      result.events.insert(result.events.end(), shard.events.begin(),
-                           shard.events.end());
-    }
-    for (std::size_t i = 0; i < shard.queries; ++i) {
-      auto& dst = result.neighbors[shard.first_query + i];
-      auto& src = shard.partial[i];
-      if (dst.empty()) {
-        dst = std::move(src);
-        continue;
+    for (Shard& shard : plan.shards) {
+      ConfigPass& pass = shard.passes[c];
+      stats.report_events += pass.report_count;
+      if (options_.collect_report_stream) {
+        result.events.insert(result.events.end(), pass.events.begin(),
+                             pass.events.end());
       }
-      merged.resize(std::min(want, dst.size() + src.size()));
-      auto a = dst.cbegin();
-      auto b = src.cbegin();
-      for (knn::Neighbor& out : merged) {
-        out = b == src.cend() || (a != dst.cend() && *a < *b) ? *a++ : *b++;
-      }
-      dst.swap(merged);
     }
   }
   const std::size_t surviving = stats.surviving_configurations();

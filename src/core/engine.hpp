@@ -2,14 +2,16 @@
 // End-to-end AP kNN engine (Sec. III): partitions a dataset into
 // board-configuration-sized chunks, builds one Hamming+sorting macro per
 // vector, streams queries through a cycle-accurate simulation of every
-// configuration, and merges per-configuration partial results on the host —
-// exactly the partial-reconfiguration workflow of Sec. III-C. The Sec. VI
+// configuration, and merges per-configuration partial results on the host,
+// whose running k-th distance per query bounds the next configuration —
+// the partial-reconfiguration workflow of Sec. III-C. The Sec. VI
 // macro shapes — vector packing and symbol-stream multiplexing — are
 // options of the same engine.
 
 #include <cstddef>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -48,31 +50,32 @@ enum class SimulationBackend {
   kBitParallel,
 };
 
-/// What search() does when a shard (configuration x query-frame range)
-/// fails, times out, or is cancelled (docs/ROBUSTNESS.md).
+/// What search() does when a configuration's pass over a shard (a
+/// query-frame range) fails, times out, or is cancelled
+/// (docs/ROBUSTNESS.md).
 enum class OnError : std::uint8_t {
   /// The first failure aborts the whole search: the exception unwinds to
   /// the caller through the pool's first-exception rethrow. The default —
   /// and byte-for-byte the pre-fault-tolerance behavior.
   kFailFast,
-  /// Each failing shard is re-run up to EngineOptions::max_retries times; a
-  /// bit-parallel shard that still fails is then re-run once on the
-  /// cycle-accurate reference (kDegraded), and only a shard that fails
+  /// Each failing pass is re-run up to EngineOptions::max_retries times; a
+  /// bit-parallel pass that still fails is then re-run once on the
+  /// cycle-accurate reference (kDegraded), and only a pass that fails
   /// there too drops its configuration (kFailed) — with max_retries = 0 as
   /// much as with retries. Deadline expiry and cancellation are never
-  /// retried: the budget is already gone. Dropped, timed-out and cancelled
-  /// configurations are skipped; surviving ones return bit-identical
-  /// results and report streams. Failures are reported per configuration in
-  /// EngineStats::shard_status, never raised.
+  /// retried: the budget is already gone, and the shard's walk ends there.
+  /// Dropped, timed-out and cancelled configurations are skipped; surviving
+  /// ones return bit-identical results and report streams. Failures are
+  /// reported per configuration in EngineStats::shard_status, never raised.
   kRetry,
 };
 
 const char* to_string(OnError policy) noexcept;
 
 /// Terminal state of one configuration after search() (worst state over
-/// the configuration's shards).
+/// the configuration's passes, one per shard).
 enum class ShardState : std::uint8_t {
-  kOk,        ///< every shard simulated on its primary backend
+  kOk,        ///< every pass simulated on its primary backend
   /// The bit-parallel backend failed mid-search (under kRetry, after any
   /// plain retries) and the configuration was re-simulated on the
   /// cycle-accurate reference: results are still exact and bit-identical,
@@ -94,7 +97,7 @@ struct ShardStatus {
   /// First typed failure message observed for this configuration (empty
   /// when kOk; retained for kDegraded so the original fault stays visible).
   std::string error;
-  /// Extra attempts spent on this configuration's shards (retries plus the
+  /// Extra attempts spent on this configuration's passes (retries plus the
   /// degrade-to-cycle-accurate attempt).
   std::uint32_t retries = 0;
 
@@ -138,22 +141,28 @@ struct EngineOptions {
   /// pool of N-1 workers, which run its shards together with the submitting
   /// thread; 1 runs fully serial; 0 (default) means the hardware
   /// concurrency (at least 1). Surfaced as `apss_cli --threads=N`. Any
-  /// setting yields bit-identical results: shards are merged in
+  /// setting yields bit-identical results: each shard walks the
+  /// configurations in id order, and stats and streams are assembled in
   /// configuration/frame order, never completion order.
   std::size_t threads = 0;
-  /// Upper bound on query frames per simulation shard (a multiplexed frame
-  /// carries up to multiplex_slices queries); the engine refines the shard
-  /// size downward so every thread gets several shards.
+  /// Upper bound on query frames per shard (a multiplexed frame carries up
+  /// to multiplex_slices queries). A shard is a frame range that walks
+  /// every configuration in id order, so threads share a search's frames,
+  /// never its configurations: the engine refines the range downward, by
+  /// frame count alone, so every thread gets several shards, and a search
+  /// of fewer frames than threads leaves threads idle.
   std::size_t queries_per_chunk = 64;
-  /// Retain the merged ReportEvent stream of the last search() — shard
-  /// buffers rebased to each configuration's full query-stream timeline and
-  /// concatenated in configuration/frame order (last_report_stream()).
-  /// Off by default: the raw stream can dwarf the decoded results. While it
-  /// is off, bit-parallel shards of the base and packed designs pass the
-  /// search's k as BatchSimulator's per-frame report limit, so closed-form
-  /// frames emit only their earliest reports (a multiplexed frame's
-  /// earliest k reports span all its slices, so it keeps them all); answers
-  /// and EngineStats are the same either way.
+  /// Retain the merged ReportEvent stream of the last search() — each
+  /// pass's events rebased to its configuration's full query-stream
+  /// timeline and concatenated in configuration/frame order
+  /// (last_report_stream()). Off by default: the raw stream can dwarf the
+  /// decoded results. While it is off, bit-parallel passes of the base and
+  /// packed designs pass the search's k as BatchSimulator's per-frame
+  /// report limit and each query's running bound as its count floor, so
+  /// closed-form frames emit only their earliest reports, and once a
+  /// query's list holds k entries only those that beat its k-th distance
+  /// (a multiplexed frame's earliest k reports span all its slices, so it
+  /// keeps them all); answers and EngineStats are the same either way.
   bool collect_report_stream = false;
   /// Simulation backend (default: the cycle-accurate reference).
   SimulationBackend backend = SimulationBackend::kCycleAccurate;
@@ -184,10 +193,10 @@ struct EngineOptions {
   /// EngineStats::backend.artifact. Empty (default) disables the cache; the
   /// kCycleAccurate backend ignores it (nothing is compiled).
   std::string artifact_cache_dir;
-  /// Failure policy for search() shards (docs/ROBUSTNESS.md). A search's
+  /// Failure policy for search() passes (docs/ROBUSTNESS.md). A search's
   /// deadline and cancellation token are per call (SearchControl).
   OnError on_error = OnError::kFailFast;
-  /// kRetry only: plain re-runs per failing shard before the degrade/fail
+  /// kRetry only: plain re-runs per failing pass before the degrade/fail
   /// path (0 = none).
   std::size_t max_retries = 2;
 };
@@ -398,22 +407,35 @@ class ApKnnEngine {
     return options_.multiplex_slices > 0 ? options_.multiplex_slices : 1;
   }
 
-  /// One (configuration, query-frame range) unit of search() work, with its
-  /// outputs and failure outcome; and the shard list plus the per-call
-  /// constants every search() step reads. Both are defined in engine.cpp.
+  /// One configuration's pass over a shard's frames, with its outputs and
+  /// failure outcome; one query-frame range, the unit of search() work,
+  /// which walks every configuration; and the shard list plus the per-call
+  /// constants every search() step reads. All are defined in engine.cpp.
+  struct ConfigPass;
   struct Shard;
   struct SearchPlan;
-  // search() runs these four steps in order. Only plan_search() and the
-  // frame codec (encode/decode) know whether the design is multiplexed.
+  // search() runs these steps in order, repeating the middle two while a
+  // lost configuration's bound cut a surviving one. Only plan_search() and
+  // the frame codec (encode/decode) know whether the design is
+  // multiplexed.
   /// search(queries, k, control) into `result`, appending to the events
   /// buffer it brings (the two-argument search reuses its last one).
   void search_into(const knn::BinaryDataset& queries, std::size_t k,
                    const SearchControl& control, SearchResult& result) const;
   SearchPlan plan_search(std::size_t query_count, std::size_t k) const;
-  void run_shards(SearchPlan& plan, const knn::BinaryDataset& queries,
+  /// Walks plan.shards[t] for each t in `shards` over the configurations
+  /// `walk` marks.
+  void run_shards(SearchPlan& plan, std::span<const std::size_t> shards,
+                  const std::vector<bool>& walk,
+                  const knn::BinaryDataset& queries,
                   const SearchControl& control) const;
   void reduce_shard_status(const SearchPlan& plan, EngineStats& stats) const;
-  void merge_shards(SearchPlan& plan, SearchResult& result) const;
+  /// True when `shard`'s latest walk cut a surviving configuration with a
+  /// bound that a configuration lost from `survivors` helped set.
+  static bool bound_used_lost_config(const Shard& shard,
+                                     const std::vector<bool>& survivors);
+  void merge_shards(SearchPlan& plan, const std::vector<bool>& survivors,
+                    SearchResult& result) const;
 
   knn::BinaryDataset dataset_;
   EngineOptions options_;

@@ -3,6 +3,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "util/ceil_div.hpp"
+
 namespace apss::core {
 
 using anml::AutomataNetwork;
@@ -11,9 +13,9 @@ using anml::ElementId;
 using anml::StartKind;
 using anml::SymbolSet;
 
-namespace {
+using util::ceil_div;
 
-std::size_t ceil_div(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
+namespace {
 
 void check_options(std::size_t dims, const HammingMacroOptions& options) {
   if (dims == 0) {
@@ -49,6 +51,40 @@ std::size_t collector_levels_for(std::size_t dims,
   while (nodes + 1 > options.max_counter_fan_in) {
     nodes = ceil_div(nodes, options.collector_fan_in);
     ++levels;
+  }
+  return levels;
+}
+
+std::size_t append_collector_tree(AutomataNetwork& network,
+                                  std::vector<ElementId> leaves,
+                                  ElementId counter, const std::string& prefix,
+                                  const HammingMacroOptions& options,
+                                  std::vector<ElementId>& nodes) {
+  std::size_t levels = 0;
+  do {
+    const std::size_t groups =
+        ceil_div(leaves.size(), options.collector_fan_in);
+    std::vector<ElementId> next;
+    next.reserve(groups);
+    for (std::size_t g = 0; g < groups; ++g) {
+      const ElementId node = network.add_ste(
+          SymbolSet::all(), StartKind::kNone,
+          prefix + "col" + std::to_string(levels) + "_" + std::to_string(g));
+      const std::size_t begin = g * options.collector_fan_in;
+      const std::size_t end =
+          std::min(leaves.size(), begin + options.collector_fan_in);
+      for (std::size_t i = begin; i < end; ++i) {
+        network.connect(leaves[i], node);
+      }
+      nodes.push_back(node);
+      next.push_back(node);
+    }
+    leaves = std::move(next);
+    ++levels;
+    // +1: the sort state shares the counter's enable port with the roots.
+  } while (leaves.size() + 1 > options.max_counter_fan_in);
+  for (const ElementId root : leaves) {
+    network.connect(root, counter, CounterPort::kCountEnable);
   }
   return levels;
 }
@@ -90,36 +126,10 @@ MacroLayout append_hamming_macro(AutomataNetwork& network,
                           anml::CounterMode::kPulse, prefix + "ihd");
 
   // --- Collector reduction tree ("*" states, Sec. III-A) -------------------
-  // Matching states always pass through at least one collector level
-  // (Fig. 2a shows match states feeding collectors, not the counter); more
-  // levels are added until the roots + the sort state fit the counter's
-  // enable-port fan-in.
-  std::vector<ElementId> level = layout.match;
-  std::size_t level_index = 0;
-  do {
-    const std::size_t groups = ceil_div(level.size(), options.collector_fan_in);
-    std::vector<ElementId> next;
-    next.reserve(groups);
-    for (std::size_t g = 0; g < groups; ++g) {
-      const ElementId node = network.add_ste(
-          SymbolSet::all(), StartKind::kNone,
-          prefix + "col" + std::to_string(level_index) + "_" + std::to_string(g));
-      const std::size_t begin = g * options.collector_fan_in;
-      const std::size_t end =
-          std::min(level.size(), begin + options.collector_fan_in);
-      for (std::size_t i = begin; i < end; ++i) {
-        network.connect(level[i], node);
-      }
-      layout.collectors.push_back(node);
-      next.push_back(node);
-    }
-    level = std::move(next);
-    ++level_index;
-  } while (level.size() + 1 > options.max_counter_fan_in);
-  layout.collector_levels = level_index;
-  for (const ElementId root : level) {
-    network.connect(root, layout.counter, CounterPort::kCountEnable);
-  }
+  // Matching states feed collectors, not the counter (Fig. 2a).
+  layout.collector_levels =
+      append_collector_tree(network, layout.match, layout.counter, prefix,
+                            options, layout.collectors);
 
   // --- Sorting macro (Fig. 2b) ----------------------------------------------
   // Bridge delay chain: aligns the sort state's first increment to land

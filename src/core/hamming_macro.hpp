@@ -7,6 +7,8 @@
 // the vector's Hamming distance (temporally encoded sort, Sec. III-B).
 
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "anml/network.hpp"
 #include "apsim/macro_layout.hpp"
@@ -44,5 +46,19 @@ MacroLayout append_hamming_macro(anml::AutomataNetwork& network,
 /// (needed by the stream encoder before any macro is built).
 std::size_t collector_levels_for(std::size_t dims,
                                  const HammingMacroOptions& options = {});
+
+/// Appends the collector reduction tree ("*" states, Sec. III-A) over
+/// `leaves` and wires its roots to `counter`'s count-enable port. Leaves
+/// always pass through at least one level; each node collects up to
+/// collector_fan_in nodes of the level below, and levels are added until
+/// the roots plus the sort state fit max_counter_fan_in. Nodes are named
+/// `prefix` + "col<level>_<index>" and appended to `nodes` in creation
+/// order. Returns the depth (collector_levels_for(leaves.size(), options)).
+std::size_t append_collector_tree(anml::AutomataNetwork& network,
+                                  std::vector<anml::ElementId> leaves,
+                                  anml::ElementId counter,
+                                  const std::string& prefix,
+                                  const HammingMacroOptions& options,
+                                  std::vector<anml::ElementId>& nodes);
 
 }  // namespace apss::core

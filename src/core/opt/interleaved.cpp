@@ -5,6 +5,7 @@
 #include <string>
 
 #include "apsim/simulator.hpp"
+#include "util/ceil_div.hpp"
 
 namespace apss::core {
 
@@ -13,12 +14,7 @@ using anml::CounterPort;
 using anml::ElementId;
 using anml::StartKind;
 using anml::SymbolSet;
-
-namespace {
-
-std::size_t ceil_div(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
-
-}  // namespace
+using util::ceil_div;
 
 InterleavedMacroLayout append_interleaved_macro(
     AutomataNetwork& network, const util::BitVector& vec,

@@ -13,12 +13,6 @@ using anml::ElementId;
 using anml::StartKind;
 using anml::SymbolSet;
 
-namespace {
-
-std::size_t ceil_div(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
-
-}  // namespace
-
 PackedGroupLayout append_packed_group(AutomataNetwork& network,
                                       const knn::BinaryDataset& data,
                                       std::size_t begin, std::size_t count,
@@ -116,36 +110,10 @@ PackedGroupLayout append_packed_group(AutomataNetwork& network,
       }
       group_collectors.push_back(collector);
       network.connect(collector, counter, CounterPort::kCountEnable);
-    } else {
-      std::size_t level_index = 0;
-      do {
-        const std::size_t groups =
-            ceil_div(level.size(), options.macro.collector_fan_in);
-        std::vector<ElementId> next;
-        next.reserve(groups);
-        for (std::size_t g = 0; g < groups; ++g) {
-          const ElementId node = network.add_ste(
-              SymbolSet::all(), StartKind::kNone,
-              vp + "col" + std::to_string(level_index) + "_" +
-                  std::to_string(g));
-          const std::size_t lo = g * options.macro.collector_fan_in;
-          const std::size_t hi =
-              std::min(level.size(), lo + options.macro.collector_fan_in);
-          for (std::size_t i = lo; i < hi; ++i) {
-            network.connect(level[i], node);
-          }
-          group_collectors.push_back(node);
-          next.push_back(node);
-        }
-        level = std::move(next);
-        ++level_index;
-      } while (level.size() + 1 > options.macro.max_counter_fan_in);
-      if (level_index != layout.collector_levels) {
-        throw std::logic_error("append_packed_group: depth mismatch");
-      }
-      for (const ElementId root : level) {
-        network.connect(root, counter, CounterPort::kCountEnable);
-      }
+    } else if (append_collector_tree(network, std::move(level), counter, vp,
+                                     options.macro, group_collectors) !=
+               layout.collector_levels) {
+      throw std::logic_error("append_packed_group: depth mismatch");
     }
 
     network.connect(layout.sort_state, counter, CounterPort::kCountEnable);

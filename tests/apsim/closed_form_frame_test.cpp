@@ -14,6 +14,9 @@
 // the limit-th report, leave stepped frames whole, and change neither
 // report_count() nor the state a run leaves behind, also where the floor
 // the cut takes from the per-block maxima decides which blocks it visits.
+// A per-frame count floor must cut each closed-form frame further, to the
+// lanes whose count reaches it, under the same guarantees. One simulator
+// rebound across programs must behave as fresh ones do.
 // Programs loaded from a hand-built state, with symbols in both classes or
 // in neither, check the two-class count's every term. Both resolved
 // match-count kernels must write the same counts and block maxima as the
@@ -244,18 +247,47 @@ std::vector<ReportEvent> cut_events(const std::vector<ReportEvent>& full,
   return out;
 }
 
-/// run(stream, control, limit) at one width against an unlimited run of
-/// the same stream: the cut events, the full report_count(), and the same
-/// cycle(), closed-form frames and behaviour through `probe` afterwards.
+/// What a run with per-frame count floors must emit on top of `cut`: each
+/// closed-form frame (starting at symbol s) keeps only the events of lanes
+/// whose match count reaches floors[s / frame] (0 past the span's end);
+/// stepped events stay.
+std::vector<ReportEvent> floor_events(const std::vector<ReportEvent>& cut,
+                                      const std::vector<std::uint64_t>& starts,
+                                      std::size_t frame,
+                                      std::span<const std::uint32_t> floors) {
+  std::vector<ReportEvent> out;
+  std::size_t f = 0;
+  for (const ReportEvent& e : cut) {
+    while (f < starts.size() && e.cycle > starts[f] + frame) {
+      ++f;
+    }
+    if (f < starts.size() && e.cycle > starts[f]) {
+      const std::size_t index = starts[f] / frame;
+      const std::uint64_t floor = index < floors.size() ? floors[index] : 0;
+      if (starts[f] + frame - e.cycle < floor) {
+        continue;  // a count below the frame's floor
+      }
+    }
+    out.push_back(e);
+  }
+  return out;
+}
+
+/// run(stream, control, limit, floors) at one width against an unlimited
+/// run of the same stream: the cut events, the full report_count(), and the
+/// same cycle(), closed-form frames and behaviour through `probe`
+/// afterwards.
 void expect_limited_run(const Config& c, LaneWidth width,
                         std::span<const std::uint8_t> stream,
                         std::span<const std::uint8_t> probe,
                         std::size_t limit,
                         const std::vector<ReportEvent>& want,
-                        const std::string& context) {
+                        const std::string& context,
+                        std::span<const std::uint32_t> floors = {}) {
   BatchSimulator cut(c.program, width);
   BatchSimulator whole(c.program, width);
-  EXPECT_EQ(cut.run(stream, util::RunControl{}, limit), want) << context;
+  EXPECT_EQ(cut.run(stream, util::RunControl{}, limit, floors), want)
+      << context;
   const std::size_t full_count = whole.run(stream).size();
   EXPECT_EQ(cut.report_count(), full_count) << context;
   EXPECT_EQ(cut.cycle(), whole.cycle()) << context;
@@ -281,8 +313,11 @@ void expect_limited_run(const Config& c, LaneWidth width,
 /// (105 at 1264 lanes: a k = 100 search's shape, where ~100 visited blocks
 /// list more candidates than the cut keeps), blocks - 1, blocks, blocks + 1
 /// (around where the block floor turns off), lanes - 1, lanes and
-/// 2 x lanes. The probe that checks the state left behind is one more
-/// frame plus a ragged tail with a stray SOF.
+/// 2 x lanes. Under every limit, the resolved and the portable kernel also
+/// run with a count floor on every frame of 0, d / 2, the limit's cut
+/// count in the first closed-form frame, d and d + 1, and with a ragged
+/// floor span shorter than the stream. The probe that checks the state
+/// left behind is one more frame plus a ragged tail with a stray SOF.
 void expect_closed_form(const Config& c, std::span<const std::uint8_t> stream,
                         std::uint64_t closed_frames, bool with_reference,
                         util::Rng& rng, const std::string& context) {
@@ -334,9 +369,38 @@ void expect_closed_form(const Config& c, std::span<const std::uint8_t> stream,
       expect_limited_run(c, w, stream, probe, limit, want,
                          at + " w" + to_string(w));
     }
-    ForcePortable portable;
-    expect_limited_run(c, LaneWidth::k64, stream, probe, limit, want,
-                       at + " portable");
+    {
+      ForcePortable portable;
+      expect_limited_run(c, LaneWidth::k64, stream, probe, limit, want,
+                         at + " portable");
+    }
+    // The limit's cut count in the first closed-form frame: the count of
+    // its last kept event.
+    std::uint32_t h_min = 0;
+    if (!starts.empty()) {
+      for (const ReportEvent& e : want) {
+        if (e.cycle > starts[0] && e.cycle <= starts[0] + c.frame()) {
+          h_min = static_cast<std::uint32_t>(starts[0] + c.frame() - e.cycle);
+        }
+      }
+    }
+    const auto d = static_cast<std::uint32_t>(c.dims);
+    const std::size_t frames = stream.size() / c.frame() + 1;
+    std::vector<std::vector<std::uint32_t>> floor_sets;
+    for (const std::uint32_t floor : {0u, d / 2, h_min, d, d + 1}) {
+      floor_sets.emplace_back(frames, floor);
+    }
+    floor_sets.push_back({d / 2, d + 1, 0, h_min});
+    for (const auto& floors : floor_sets) {
+      const auto floored = floor_events(want, starts, c.frame(), floors);
+      const std::string ctx = at + " floor=" + std::to_string(floors[0]) +
+                              (floors.size() < frames ? " ragged" : "");
+      expect_limited_run(c, LaneWidth::k64, stream, probe, limit, floored,
+                         ctx, floors);
+      ForcePortable portable;
+      expect_limited_run(c, LaneWidth::k64, stream, probe, limit, floored,
+                         ctx + " portable", floors);
+    }
   }
 }
 
@@ -917,6 +981,58 @@ TEST(ClosedFormFrame, StepInterleavedWithRun) {
   again.run_continue(std::span(stream).subspan(frame));
   EXPECT_EQ(again.closed_form_frames(), 4u);
   EXPECT_EQ(again.reports(), stepped.reports());
+}
+
+// --- Rebinding one simulator -------------------------------------------------
+
+TEST(ClosedFormRebind, OneSimulatorAcrossProgramsMatchesFreshOnes) {
+  // One simulator bound in turn to a full and a partial plain
+  // configuration, a packed one and a multiplexed one, then back to the
+  // full one: after each bind() it must behave exactly like a fresh
+  // simulator of that program — events under a limit and floors, the
+  // counters, and the state a stepped continuation sees.
+  util::Rng rng(4711);
+  const Config full = hamming(test::random_dataset(rng, 1264, 128));
+  const Config partial = hamming(test::random_dataset(rng, 37, 128));
+  core::VectorPackingOptions pack;
+  pack.group_size = 4;
+  const Config packed_config = packed(test::random_dataset(rng, 30, 40), pack);
+  const Config mux = multiplexed(test::random_dataset(rng, 9, 16), 3);
+  const Config* order[] = {&full, &partial, &packed_config, &mux, &full};
+  for (const LaneWidth w : kWidths) {
+    BatchSimulator rebound(order[0]->program, w);
+    for (std::size_t i = 0; i < std::size(order); ++i) {
+      const Config& c = *order[i];
+      const std::string ctx =
+          "program " + std::to_string(i) + " w" + to_string(w);
+      if (i > 0) {
+        rebound.bind(c.program);
+      }
+      EXPECT_EQ(rebound.cycle(), 0u) << ctx;
+      EXPECT_EQ(rebound.report_count(), 0u) << ctx;
+      EXPECT_EQ(rebound.closed_form_frames(), 0u) << ctx;
+      EXPECT_EQ(rebound.lane_width(), w) << ctx;
+      const auto stream = random_frames(rng, c, 3);
+      const std::vector<std::uint32_t> floors = {
+          0, static_cast<std::uint32_t>(c.dims / 2), 0};
+      BatchSimulator fresh(c.program, w);
+      EXPECT_EQ(rebound.run(stream, util::RunControl{}, 10, floors),
+                fresh.run(stream, util::RunControl{}, 10, floors))
+          << ctx;
+      EXPECT_EQ(rebound.report_count(), fresh.report_count()) << ctx;
+      EXPECT_EQ(rebound.cycle(), fresh.cycle()) << ctx;
+      EXPECT_EQ(rebound.closed_form_frames(), fresh.closed_form_frames())
+          << ctx;
+      const auto probe = random_frames(rng, c, 1);
+      for (std::size_t s = 0; s + 2 < probe.size(); ++s) {
+        rebound.step(probe[s]);
+        fresh.step(probe[s]);
+      }
+      EXPECT_EQ(rebound.reports(), fresh.reports()) << ctx;
+    }
+  }
+  BatchSimulator sim(full.program);
+  EXPECT_THROW(sim.bind(nullptr), std::invalid_argument);
 }
 
 // --- Checkpoint and fault-site parity ---------------------------------------

@@ -41,12 +41,15 @@ struct SearchRun {
   EngineStats stats;
 };
 
+/// A search of `data` under `opt` at `threads`. With `collect` (the
+/// default) the run keeps its merged stream and never cuts a frame; without
+/// it, bit-parallel frames are cut at k and at each query's running bound.
 SearchRun run_engine(const knn::BinaryDataset& data,
                const knn::BinaryDataset& queries, std::size_t k,
                EngineOptions opt, std::size_t threads,
-               const SearchControl& control = {}) {
+               const SearchControl& control = {}, bool collect = true) {
   opt.threads = threads;
-  opt.collect_report_stream = true;
+  opt.collect_report_stream = collect;
   const ApKnnEngine engine(data, opt);
   SearchResult r = engine.search(queries, k, control);
   return {std::move(r.neighbors), std::move(r.events), std::move(r.stats)};
@@ -67,9 +70,10 @@ EngineOptions bed_options(SimulationBackend backend,
   EngineOptions opt;
   opt.backend = backend;
   opt.max_vectors_per_config = kCap;
-  // Several (config, frame) shards per configuration, as many at 4 threads
-  // as at 1 — retry counts are per shard.
-  opt.queries_per_chunk = multiplex_slices > 0 ? 1 : 2;
+  // One frame per shard, so a configuration runs in several shards, and as
+  // many at 4 threads as at 1: retry counts are per (shard, configuration)
+  // pass, and the pool refines the frame chunk to 1 at 4 threads.
+  opt.queries_per_chunk = 1;
   opt.multiplex_slices = multiplex_slices;
   return opt;
 }
@@ -98,38 +102,38 @@ std::vector<apsim::ReportEvent> without_config(
   return out;
 }
 
-/// The dataset minus configuration `config`'s vectors — the ground truth
-/// an isolated run must answer against.
-knn::BinaryDataset without_config_data(const knn::BinaryDataset& data,
-                                       std::size_t config) {
-  const std::size_t lo = config * kCap;
-  const std::size_t hi = std::min(lo + kCap, data.size());
-  knn::BinaryDataset out(data.size() - (hi - lo), data.dims());
-  std::size_t row = 0;
+/// The exact answers over the configurations `stats` reports surviving:
+/// knn_scan over their vectors, mapped back to global ids (the map keeps
+/// id order, so (distance, id) order carries over).
+void expect_exact_over_survivors(const knn::BinaryDataset& data,
+                                 const knn::BinaryDataset& queries,
+                                 std::size_t k, const SearchRun& run,
+                                 const std::string& ctx) {
+  ASSERT_EQ(run.stats.shard_status.size(), kConfigs) << ctx;
+  std::vector<std::uint32_t> global;
   for (std::size_t v = 0; v < data.size(); ++v) {
-    if (v >= lo && v < hi) {
-      continue;
+    const ShardState s = run.stats.shard_status[v / kCap].state;
+    if (s == ShardState::kOk || s == ShardState::kDegraded) {
+      global.push_back(static_cast<std::uint32_t>(v));
     }
+  }
+  knn::BinaryDataset survivors(global.size(), data.dims());
+  for (std::size_t row = 0; row < global.size(); ++row) {
     for (std::size_t i = 0; i < data.dims(); ++i) {
-      out.set(row, i, data.get(v, i));
+      survivors.set(row, i, data.get(global[row], i));
     }
-    ++row;
   }
-  return out;
-}
-
-/// Global ids -> ids in the without_config_data() numbering.
-std::vector<knn::Neighbor> remap_without_config(
-    const std::vector<knn::Neighbor>& list, std::size_t config) {
-  std::vector<knn::Neighbor> out;
-  for (knn::Neighbor nb : list) {
-    EXPECT_NE(nb.id / kCap, config) << "victim id leaked: " << nb.id;
-    if (nb.id / kCap > config) {
-      nb.id -= static_cast<std::uint32_t>(kCap);
+  ASSERT_EQ(run.results.size(), queries.size()) << ctx;
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    std::vector<knn::Neighbor> want;
+    if (!global.empty()) {
+      want = knn::knn_scan(survivors, queries.row(q), k);
+      for (knn::Neighbor& nb : want) {
+        nb.id = global[nb.id];
+      }
     }
-    out.push_back(nb);
+    EXPECT_EQ(run.results[q], want) << ctx << " query " << q;
   }
-  return out;
 }
 
 void expect_states(const EngineStats& stats, std::size_t victim,
@@ -148,11 +152,15 @@ void expect_states(const EngineStats& stats, std::size_t victim,
 /// uninjected baseline. Victim 0 makes the merge start from configuration
 /// 1's lists; victim 3, the partial 5-vector configuration, drops the last
 /// one.
+///
+/// With `collect` false the arm checks answers only: the injected searches
+/// keep no stream, so their bit-parallel frames are cut at each query's
+/// running bound, which may come only from surviving configurations.
 void expect_isolation(const knn::BinaryDataset& data,
                       const knn::BinaryDataset& queries, EngineOptions opt,
                       std::string_view site, std::size_t max_retries,
                       ShardState victim_state, const std::string& ctx,
-                      std::size_t victim = kVictim) {
+                      std::size_t victim = kVictim, bool collect = true) {
   const SearchRun baseline = run_engine(data, queries, 4, opt, 1);
   ASSERT_FALSE(baseline.stream.empty()) << ctx;
 
@@ -168,26 +176,23 @@ void expect_isolation(const knn::BinaryDataset& data,
       survives ? baseline.stream
                : without_config(baseline.stream, victim,
                                 opt.multiplex_slices);
-  const knn::BinaryDataset survivors = without_config_data(data, victim);
   SearchRun first;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     const std::string tctx = ctx + " victim=" + std::to_string(victim) +
                              " threads=" + std::to_string(threads);
-    const SearchRun run = run_engine(data, queries, 4, opt, threads);
+    const SearchRun run =
+        run_engine(data, queries, 4, opt, threads, {}, collect);
     expect_states(run.stats, victim, victim_state, tctx);
-    EXPECT_EQ(run.stream, want_stream) << tctx;
+    EXPECT_EQ(run.stream, collect ? want_stream
+                                  : std::vector<apsim::ReportEvent>{})
+        << tctx;
     if (survives) {
       EXPECT_EQ(run.results, baseline.results) << tctx;
     } else {
       // Losing a configuration backfills the top-k from the survivors'
       // partial lists (the baseline truncated those candidates away), so
       // the right expectation is the exact oracle over surviving vectors.
-      // The remap keeps id order, so (distance, id) order carries over.
-      for (std::size_t q = 0; q < queries.size(); ++q) {
-        EXPECT_EQ(remap_without_config(run.results[q], victim),
-                  knn::knn_scan(survivors, queries.row(q), 4))
-            << tctx << " query " << q;
-      }
+      expect_exact_over_survivors(data, queries, 4, run, tctx);
     }
     EXPECT_EQ(run.stats.surviving_configurations(),
               survives ? kConfigs : kConfigs - 1)
@@ -255,6 +260,61 @@ TEST_F(ChaosEngine, ShardSiteIsolatesConfigEvenWithRetries) {
                      bed_options(SimulationBackend::kBitParallel, kSlices),
                      util::kFaultEngineShard, 2, ShardState::kFailed,
                      "engine.shard/retry/bit/s7", victim);
+  }
+}
+
+TEST_F(ChaosEngine, BoundedSearchIsolatesConfig) {
+  // The answers-only arm: no collected stream, so every bit-parallel frame
+  // after the first configuration is cut at its query's running bound. A
+  // lost victim never sets a bound, and a degraded one sets it from the
+  // reference's full lists.
+  const auto data = knn::BinaryDataset::uniform(kVectors, 24, 731);
+  const auto queries = knn::BinaryDataset::uniform(6, 24, 732);
+  for (const std::size_t victim : {kVictim, std::size_t{0}, std::size_t{3}}) {
+    expect_isolation(data, queries,
+                     bed_options(SimulationBackend::kBitParallel),
+                     util::kFaultEngineShard, 0, ShardState::kFailed,
+                     "bounded/engine.shard/retry:0", victim,
+                     /*collect=*/false);
+    expect_isolation(data, queries,
+                     bed_options(SimulationBackend::kBitParallel),
+                     util::kFaultBatchFrame, 0, ShardState::kDegraded,
+                     "bounded/batch.frame/retry:0", victim,
+                     /*collect=*/false);
+  }
+}
+
+TEST_F(ChaosEngine, VictimLostInOneFrameRangeOnly) {
+  // Hits 2 and 3 of the victim's engine.shard site fail: at 1 thread that
+  // is one frame range's attempt and its degrade attempt, so the victim is
+  // lost there and merged in every other range, whose later configurations
+  // were cut with a bound it helped set. Those ranges walk again over the
+  // survivors (or, for the last victim, rebuild from the survivors' lists).
+  // At 4 threads the window may land in two ranges and lose nothing; the
+  // answers must equal the scan over whatever survived either way.
+  const auto data = knn::BinaryDataset::uniform(kVectors, 24, 733);
+  const auto queries = knn::BinaryDataset::uniform(6, 24, 734);
+  EngineOptions opt = bed_options(SimulationBackend::kBitParallel);
+  opt.on_error = OnError::kRetry;
+  opt.max_retries = 0;
+  for (const std::size_t victim : {kVictim, std::size_t{0}, std::size_t{3}}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      const std::string ctx = "victim=" + std::to_string(victim) +
+                              " threads=" + std::to_string(threads);
+      util::FaultInjector::Plan plan;
+      plan.match_key = static_cast<std::int64_t>(victim);
+      plan.fail_on_hit = 2;
+      plan.fail_count = 2;
+      util::FaultInjector::instance().arm(util::kFaultEngineShard, plan);
+      const SearchRun run =
+          run_engine(data, queries, 4, opt, threads, {}, /*collect=*/false);
+      util::FaultInjector::instance().disarm_all();
+      if (threads == 1) {
+        expect_states(run.stats, victim, ShardState::kFailed, ctx);
+        EXPECT_EQ(run.stats.shard_status[victim].retries, 1u) << ctx;
+      }
+      expect_exact_over_survivors(data, queries, 4, run, ctx);
+    }
   }
 }
 
@@ -399,6 +459,59 @@ TEST_F(ChaosControl, TinyDeadlineTimesOutOrThrows) {
     const ApKnnEngine engine(data, opt);
     EXPECT_THROW(engine.search(queries, 4, control), util::DeadlineExceeded)
         << "s" << slices;
+  }
+}
+
+TEST_F(ChaosControl, DeadlineMidSearchDropsASuffix) {
+  // Two one-query frame ranges. The second pass over configuration 2 stalls
+  // past the deadline: that range's walk times out there, so 2 and 3 are
+  // lost, and the range that had merged them rebuilds its answers from the
+  // passes of 0 and 1, which no bound of 2 or 3 cut. At 4 threads the two
+  // ranges run at once; a late start could lose more, so there the answers
+  // are checked against whatever survived.
+  const auto data = knn::BinaryDataset::uniform(kVectors, 24, 727);
+  const auto queries = knn::BinaryDataset::uniform(2, 24, 728);
+  EngineOptions opt = bed_options(SimulationBackend::kBitParallel);
+  opt.on_error = OnError::kRetry;
+  opt.max_retries = 0;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    const std::string ctx = "threads=" + std::to_string(threads);
+    opt.threads = threads;
+    const ApKnnEngine engine(data, opt);
+    util::FaultInjector::Plan plan;
+    plan.match_key = 2;
+    plan.fail = false;
+    plan.fail_on_hit = 2;
+    plan.fail_count = 1;
+    plan.stall_ms = 400;
+    util::FaultInjector::instance().arm(util::kFaultEngineShard, plan);
+    const util::Deadline deadline = util::Deadline::after_ms(200);
+    SearchControl control;
+    control.deadline = &deadline;
+    SearchResult r = engine.search(queries, 4, control);
+    util::FaultInjector::instance().disarm_all();
+    const SearchRun run{std::move(r.neighbors), std::move(r.events),
+                        std::move(r.stats)};
+    ASSERT_EQ(run.stats.shard_status.size(), kConfigs) << ctx;
+    // Timed-out configurations form a suffix.
+    bool lost = false;
+    for (std::size_t c = 0; c < kConfigs; ++c) {
+      const bool timed_out =
+          run.stats.shard_status[c].state == ShardState::kTimedOut;
+      EXPECT_TRUE(timed_out || (!lost && run.stats.shard_status[c].state ==
+                                             ShardState::kOk))
+          << ctx << " config " << c;
+      lost = lost || timed_out;
+    }
+    if (threads == 1) {
+      EXPECT_EQ(run.stats.surviving_configurations(), 2u) << ctx;
+    }
+    EXPECT_GE(run.stats.count_state(ShardState::kTimedOut), 2u) << ctx;
+    EXPECT_EQ(run.stats.simulated_cycles,
+              queries.size() * engine.stream_spec().cycles_per_query() *
+                  run.stats.surviving_configurations())
+        << ctx;
+    expect_exact_over_survivors(data, queries, 4, run, ctx);
   }
 }
 

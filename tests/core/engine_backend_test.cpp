@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "apsim/lane_word.hpp"
 #include "apss_test_support.hpp"
 #include "core/engine.hpp"
@@ -159,9 +161,12 @@ CutRun run_cut(const knn::BinaryDataset& data,
 
 TEST(EngineBackend, ReportCutKeepsAnswersAndStats) {
   // Without a collected stream, bit-parallel frames emit only each query's
-  // k earliest reports (plus the rest of the k-th one's cycle). Answers and
-  // EngineStats must equal the full-stream run's, and the exact oracle's,
-  // with ties at k inside and across 8-vector configurations.
+  // k earliest reports (plus the rest of the k-th one's cycle), and once a
+  // query's running list is full only the lanes that beat its k-th
+  // distance. Answers and EngineStats must equal the full-stream run's,
+  // and the exact oracle's, with ties at k inside and across 8-vector
+  // configurations (every configuration repeats the same 5 rows), over
+  // frame ranges of 1, 3 and 64 frames at 1, 2 and 4 threads.
   util::Rng rng(312);
   const auto data = repeating_dataset(rng, 37, 5, 24);
   knn::BinaryDataset queries = test::random_dataset(rng, 7, 24);
@@ -170,21 +175,25 @@ TEST(EngineBackend, ReportCutKeepsAnswersAndStats) {
   }
   for (const std::size_t packing : {0u, 4u}) {
     for (const std::size_t k : {1u, 10u, 8u, 40u}) {  // 8 = lanes per config
-      for (const std::size_t threads : {1u, 4u}) {
-        EngineOptions opt =
-            backend_options(SimulationBackend::kBitParallel, 8);
-        opt.packing_group_size = packing;
-        opt.threads = threads;
-        const std::string ctx = "packing=" + std::to_string(packing) +
-                                " k=" + std::to_string(k) +
-                                " threads=" + std::to_string(threads);
-        const CutRun cut = run_cut(data, queries, k, opt, false);
-        const CutRun whole = run_cut(data, queries, k, opt, true);
-        EXPECT_EQ(cut.results, whole.results) << ctx;
-        EXPECT_EQ(cut.stats, whole.stats) << ctx;
-        EXPECT_EQ(cut.stats.report_events, queries.size() * data.size())
-            << ctx;
-        test::expect_exact_knn_results(data, queries, k, cut.results, ctx);
+      for (const std::size_t chunk : {1u, 3u, 64u}) {
+        for (const std::size_t threads : {1u, 2u, 4u}) {
+          EngineOptions opt =
+              backend_options(SimulationBackend::kBitParallel, 8);
+          opt.packing_group_size = packing;
+          opt.queries_per_chunk = chunk;
+          opt.threads = threads;
+          const std::string ctx = "packing=" + std::to_string(packing) +
+                                  " k=" + std::to_string(k) +
+                                  " chunk=" + std::to_string(chunk) +
+                                  " threads=" + std::to_string(threads);
+          const CutRun cut = run_cut(data, queries, k, opt, false);
+          const CutRun whole = run_cut(data, queries, k, opt, true);
+          EXPECT_EQ(cut.results, whole.results) << ctx;
+          EXPECT_EQ(cut.stats, whole.stats) << ctx;
+          EXPECT_EQ(cut.stats.report_events, queries.size() * data.size())
+              << ctx;
+          test::expect_exact_knn_results(data, queries, k, cut.results, ctx);
+        }
       }
     }
   }
@@ -228,31 +237,71 @@ TEST(EngineBackend, ReportCutWithDegradedShardDecodesFullStream) {
   }
 }
 
+/// `data` (1264-vector configurations) with ties planted at the running
+/// bound: for each query whose k-th nearest among configurations 0 and 1
+/// lies in configuration 0, that row is copied over a row of configuration
+/// 2. When a walk reaches configuration 2, the copy sits exactly at the
+/// query's running k-th distance, ties with a smaller id and must lose.
+knn::BinaryDataset with_ties_at_the_bound(knn::BinaryDataset data,
+                                          const knn::BinaryDataset& queries,
+                                          std::size_t k) {
+  constexpr std::size_t kConfig = 1264;
+  knn::BinaryDataset first_two(2 * kConfig, data.dims());
+  for (std::size_t v = 0; v < first_two.size(); ++v) {
+    first_two.set_vector(v, data.vector(v));
+  }
+  std::size_t planted = 0;
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    const auto running = knn::knn_scan(first_two, queries.row(q), k);
+    const std::uint32_t kth = running.back().id;
+    if (kth < kConfig) {
+      data.set_vector(2 * kConfig + q, data.vector(kth));
+      ++planted;
+    }
+  }
+  EXPECT_GT(planted, 0u);
+  return data;
+}
+
 TEST(EngineBackend, BoardCapacityCutMatchesScan) {
   // Four full 1264-vector configurations at d = 128: at k = 100 each cut
   // frame visits about a hundred of its 158 blocks and lists more candidate
-  // lanes than it keeps, and the merge joins four lists of k per query.
-  // k = 157, 158 and 159 sit where the block floor turns off. Answers must
-  // equal the scan's, and EngineStats a collected stream's.
-  const auto data = knn::BinaryDataset::uniform(5056, 128, 314);
-  const auto queries = knn::perturbed_queries(data, 64, 0.1, 315);
-  for (const std::size_t threads : {1u, 2u}) {
-    EngineOptions opt = backend_options(SimulationBackend::kBitParallel);
-    opt.threads = threads;
-    ApKnnEngine cut(data, opt);
-    opt.collect_report_stream = true;
-    ApKnnEngine whole(data, opt);
-    ASSERT_EQ(cut.configurations(), 4u);
-    for (const std::size_t k : {10u, 100u, 157u, 158u, 159u}) {
-      const std::string ctx =
-          "k=" + std::to_string(k) + " threads=" + std::to_string(threads);
-      const auto results = cut.search(queries, k);
-      EXPECT_EQ(whole.search(queries, k), results) << ctx;
-      EXPECT_EQ(cut.last_stats(), whole.last_stats()) << ctx;
-      EXPECT_TRUE(cut.last_report_stream().empty()) << ctx;
-      test::expect_exact_knn_results(data, queries, k, results, ctx);
+  // lanes than it keeps, and later configurations are cut further at each
+  // query's running k-th distance, where configuration 2 holds planted
+  // ties. k = 157, 158 and 159 sit where the block floor turns off. Over
+  // frame ranges of 1, 3 and 64 frames at 1, 2 and 4 threads, answers must
+  // equal the scan's, and EngineStats a collected stream's. One engine
+  // compiles into an artifact cache and the 18 under test load from it,
+  // which keeps the matrix inside the test's time limit under TSan.
+  const auto uniform = knn::BinaryDataset::uniform(5056, 128, 314);
+  const auto queries = knn::perturbed_queries(uniform, 64, 0.1, 315);
+  const auto data = with_ties_at_the_bound(uniform, queries, 100);
+  EngineOptions cached = backend_options(SimulationBackend::kBitParallel);
+  cached.artifact_cache_dir = ::testing::TempDir() + "apss_board_capacity";
+  std::filesystem::remove_all(cached.artifact_cache_dir);
+  ASSERT_EQ(ApKnnEngine(data, cached).backend_stats().artifact.misses, 4u);
+  for (const std::size_t chunk : {1u, 3u, 64u}) {
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      EngineOptions opt = cached;
+      opt.queries_per_chunk = chunk;
+      opt.threads = threads;
+      ApKnnEngine cut(data, opt);
+      opt.collect_report_stream = true;
+      ApKnnEngine whole(data, opt);
+      ASSERT_EQ(cut.configurations(), 4u);
+      for (const std::size_t k : {10u, 100u, 157u, 158u, 159u}) {
+        const std::string ctx = "k=" + std::to_string(k) +
+                                " chunk=" + std::to_string(chunk) +
+                                " threads=" + std::to_string(threads);
+        const auto results = cut.search(queries, k);
+        EXPECT_EQ(whole.search(queries, k), results) << ctx;
+        EXPECT_EQ(cut.last_stats(), whole.last_stats()) << ctx;
+        EXPECT_TRUE(cut.last_report_stream().empty()) << ctx;
+        test::expect_exact_knn_results(data, queries, k, results, ctx);
+      }
     }
   }
+  std::filesystem::remove_all(cached.artifact_cache_dir);
 }
 
 TEST(EngineBackend, PackedFallsBackWhenDeviceFeaturesUnsupported) {
