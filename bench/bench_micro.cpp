@@ -144,8 +144,9 @@ void BM_ClosedFormFrameCut(benchmark::State& state, std::size_t floor_rank) {
   // BM_BatchSimulatorQueryFrame's frame through the checkpointed run() at
   // report limit arg 1 (0 = uncut): the closed-form frame's block-floor
   // select, candidate list and emit, with every frame's fixed costs.
-  // 1264/100 is one configuration of a k = 100 multi-configuration search.
-  // The floored row adds a count floor at the count of the frame's
+  // 1264/100 is one configuration of a k = 100 multi-configuration search,
+  // 5888/10 one of packed-cold-start's widest configurations at its k. The
+  // floored rows add a count floor at the count of the frame's
   // floor_rank-th report, as a later configuration's running bound does:
   // at the multi-config-batch point such a frame keeps ~28 events.
   const auto program = query_frame_program(state.range(0));
@@ -174,14 +175,17 @@ BENCHMARK(BM_ClosedFormFrameCut)
     ->Args({1024, 10})
     ->Args({1024, 0})
     ->Args({1264, 100})
-    ->Args({1264, 0});
+    ->Args({1264, 0})
+    ->Args({5888, 10});
 BENCHMARK_CAPTURE(BM_ClosedFormFrameCut, floored, 25)->Args({1264, 100});
+BENCHMARK_CAPTURE(BM_ClosedFormFrameCut, floored, 5)->Args({5888, 10});
 
 void BM_MatchCounts(benchmark::State& state) {
-  // One closed-form frame's match-count sweep at d = 128, counts and block
-  // maxima. Arg 0 = lanes; arg 1 = 0 for the kernels resolve_match_counts()
-  // picks on this CPU (counter vpopcntdq = 1 when those are the AVX-512
-  // VPOPCNTDQ ones), 1 for the POPCNT build; arg 2 = the classes whose rows
+  // One closed-form frame's match-count sweep at d = 128, counts and group
+  // maxima. Arg 0 = lanes (5888: packed-cold-start's configuration size);
+  // arg 1 = 0 for the kernels resolve_match_counts() picks on this CPU
+  // (counter vpopcntdq = 1 when those are the AVX-512 VPOPCNTDQ ones), 1
+  // for the POPCNT build; arg 2 = the classes whose rows
   // the sweep reads: 1 for the two-class kernel every plain or packed
   // program now runs (class 0's two dimension words per lane, on an engine
   // frame's query), 2 for the multi-class kernel over both classes' rows.
@@ -204,7 +208,7 @@ void BM_MatchCounts(benchmark::State& state) {
   // d = 128 dimensions and base = d.
   const std::vector<std::uint64_t> exact(row_words, ~std::uint64_t{0});
   std::vector<std::uint32_t> counts(blocks * apsim::kMatchBlockLanes);
-  std::vector<std::uint32_t> block_max(blocks);
+  std::vector<std::uint32_t> maxima(blocks);
   apsim::MatchCountKernels kernels = apsim::resolve_match_counts();
   if (state.range(1) == 1) {
     const apsim::MatchCountKernels* popcnt =
@@ -219,13 +223,13 @@ void BM_MatchCounts(benchmark::State& state) {
     if (two_class) {
       kernels.two_class(lane_bits.data(), query.data(), exact.data(),
                         64 * static_cast<std::uint32_t>(row_words), row_words,
-                        lanes, counts.data(), block_max.data());
+                        lanes, counts.data(), maxima.data());
     } else {
       kernels.multi_class(lane_bits.data(), query.data(), row_words, blocks,
-                          counts.data(), block_max.data());
+                          counts.data(), maxima.data());
     }
     benchmark::DoNotOptimize(counts.data());
-    benchmark::DoNotOptimize(block_max.data());
+    benchmark::DoNotOptimize(maxima.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -235,7 +239,7 @@ void BM_MatchCounts(benchmark::State& state) {
   state.counters["vpopcntdq"] =
       avx512 != nullptr && kernels.two_class == avx512->two_class;
 }
-BENCHMARK(BM_MatchCounts)->ArgsProduct({{1024, 1264}, {0, 1}, {1, 2}});
+BENCHMARK(BM_MatchCounts)->ArgsProduct({{1024, 1264, 5888}, {0, 1}, {1, 2}});
 
 void BM_EngineSearch(benchmark::State& state) {
   const auto data = knn::BinaryDataset::uniform(256, 64, 9);

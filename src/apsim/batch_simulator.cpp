@@ -854,9 +854,8 @@ void BatchSimulator::bind(std::shared_ptr<const BatchProgram> program) {
   query_bits_.assign(std::max<std::size_t>(p.class_count_, 2) * p.dim_words_,
                      0);
   lane_counts_.assign(p.match_blocks() * kMatchBlockLanes, 0);
-  block_max_.assign(p.match_blocks(), 0);
-  block_index_.assign(p.match_blocks(), 0);
-  candidate_lanes_.assign(p.macro_count_, 0);
+  group_max_.assign(p.match_blocks(), 0);
+  candidate_lanes_.assign((p.match_blocks() + 1) * kMatchBlockLanes, 0);
   count_cursor_.assign(p.dims_ + 1, 0);
   reset();
 }
@@ -874,12 +873,14 @@ void BatchSimulator::reset() {
   std::fill(counter_out_.begin(), counter_out_.end(), 0);
   planes_ = reset_planes_;
   reports_.clear();
+  known_quiescent_ = true;
 }
 
 void BatchSimulator::step(std::uint8_t symbol) {
   const BatchProgram& p = *program_;
   const std::size_t words = p.words_;
   ++cycle_;
+  known_quiescent_ = false;
 
   // 1. Report states: enabled by the counter outputs of the previous cycle
   //    and matching every symbol. Ascending lane order matches the
@@ -1004,7 +1005,7 @@ bool BatchSimulator::try_closed_form_frame(std::span<const std::uint8_t> rest,
     stray |= static_cast<std::uint8_t>((rest[i] == p.sof_) |
                                        (rest[i] == p.eof_));
   }
-  if (stray != 0 || !quiescent()) {
+  if (stray != 0 || !(known_quiescent_ || quiescent())) {
     return false;
   }
 
@@ -1062,55 +1063,38 @@ bool BatchSimulator::try_closed_form_frame(std::span<const std::uint8_t> rest,
     }
     match_counts_.two_class(p.lane_bits_.data(), query, exact, base, dw,
                             p.macro_count_, lane_counts_.data(),
-                            block_max_.data());
+                            group_max_.data());
   } else {
     match_counts_.multi_class(p.lane_bits_.data(), query, p.lane_row_words(),
-                              blocks, lane_counts_.data(), block_max_.data());
+                              blocks, lane_counts_.data(), group_max_.data());
   }
 
   // The block floor F: the count floor, raised under a limit k below the
-  // block count to the k-th largest block maximum. k blocks each hold a
-  // lane at or above that maximum, so the cut count h_min found below is
-  // at least it; and every lane that is kept reaches F, so it is a
-  // candidate: a lane of a block whose maximum reaches F, with a count of
-  // at least F. The candidates are listed in lane order, and only they are
-  // histogrammed and emitted. A frame with F = 0 (no floor, and no limit or
-  // one of at least the block count) takes every live lane instead.
+  // entry count to the k-th largest group maximum. Each entry is the
+  // maximum of its own set of lanes, the sets disjoint, so k distinct lanes
+  // count at least that maximum, and the cut count h_min found below is at
+  // least it; and every lane that is kept reaches F, so it is a candidate,
+  // a lane with a count of at least F. The candidates are listed in lane
+  // order, skipping the groups whose entries all fall below F, and only
+  // they are histogrammed and emitted. A frame with F = 0 (no floor, and no
+  // limit or one of at least the entry count) takes every live lane
+  // instead.
   std::fill(count_cursor_.begin(), count_cursor_.end(), 0);
   const std::uint32_t* counts = lane_counts_.data();
   std::uint32_t* candidates = candidate_lanes_.data();
   std::uint32_t block_floor = count_floor;
   if (report_limit != 0 && report_limit < blocks) {
-    for (std::size_t b = 0; b < blocks; ++b) {
-      ++count_cursor_[block_max_[b]];
-    }
-    std::size_t above = 0;
-    std::size_t h = p.dims_ + 1;
-    while (above < report_limit) {
-      above += count_cursor_[--h];
-    }
-    block_floor = std::max(block_floor, static_cast<std::uint32_t>(h));
-    std::fill(count_cursor_.begin(), count_cursor_.end(), 0);
+    block_floor = match_counts_.kth_floor(group_max_.data(), blocks,
+                                          report_limit, count_floor,
+                                          static_cast<std::uint32_t>(p.dims_));
   }
   const bool cut = block_floor != 0;
   std::size_t listed = 0;
   if (cut) {
-    std::size_t selected = 0;
-    for (std::size_t b = 0; b < blocks; ++b) {
-      block_index_[selected] = static_cast<std::uint32_t>(b);
-      selected += static_cast<std::size_t>(block_max_[b] >= block_floor);
-    }
-    // Branch-free: every visited lane is written, and the next one
-    // overwrites it unless it reaches the floor. Pad lanes (past the last
-    // live lane of a partial last block) count 0 and are never visited.
-    for (std::size_t s = 0; s < selected; ++s) {
-      const std::size_t lane = block_index_[s] * kMatchBlockLanes;
-      const std::size_t end = std::min(lane + kMatchBlockLanes, p.macro_count_);
-      for (std::size_t l = lane; l < end; ++l) {
-        candidates[listed] = static_cast<std::uint32_t>(l);
-        listed += static_cast<std::size_t>(counts[l] >= block_floor);
-      }
-    }
+    // Pad lanes (past the last live lane of a partial last block) count 0
+    // and are never listed.
+    listed = match_counts_.list_candidates(counts, group_max_.data(), blocks,
+                                           block_floor, candidates);
     for (std::size_t j = 0; j < listed; ++j) {
       ++count_cursor_[counts[candidates[j]]];
     }
@@ -1171,6 +1155,7 @@ bool BatchSimulator::try_closed_form_frame(std::span<const std::uint8_t> rest,
   cycle_ = frame_end;
   ring_pos_ = (ring_pos_ + cpq) % p.levels_;
   ++closed_form_frames_;
+  known_quiescent_ = true;
   return true;
 }
 

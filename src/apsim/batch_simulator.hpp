@@ -366,6 +366,10 @@ class BatchSimulator {
   std::uint64_t cycle_ = 0;
   std::uint64_t closed_form_frames_ = 0;
   std::uint64_t report_count_ = 0;
+  /// Set by reset() and by every closed-form frame, which leave the state
+  /// quiescent; cleared by step(), the only other writer of that state.
+  /// While it is set, a frame skips the quiescent() scan.
+  bool known_quiescent_ = false;
   bool guard_prev_ = false;  ///< guard output last cycle (scalar: uniform)
   bool sort_prev_ = false;   ///< sort-state output last cycle
   std::uint64_t bridge_ = 0;  ///< bridge-chain outputs last cycle, bit k = slot k
@@ -381,13 +385,13 @@ class BatchSimulator {
   std::vector<std::uint64_t> match_scratch_;
   /// Closed-form scratch: max(class_count, 2) x dim_words query masks (bit
   /// i of class c = the dim-i data symbol is accepted by c), per-lane match
-  /// counts (zero past the live lanes, up to a whole block), per-block
-  /// maxima, the indices of the blocks a cut frame visits, its candidate
-  /// lanes, and the counting sort's per-count output cursors.
+  /// counts (zero past the live lanes, up to a whole block), their group
+  /// maxima (one entry per block, see LaneMatchCounts), a cut frame's
+  /// candidate lanes (with the room ListCandidates asks for), and the
+  /// counting sort's per-count output cursors.
   std::vector<std::uint64_t> query_bits_;
   std::vector<std::uint32_t> lane_counts_;
-  std::vector<std::uint32_t> block_max_;
-  std::vector<std::uint32_t> block_index_;
+  std::vector<std::uint32_t> group_max_;
   std::vector<std::uint32_t> candidate_lanes_;
   std::vector<std::size_t> count_cursor_;
   std::vector<ReportEvent> reports_;

@@ -30,29 +30,32 @@ bool simd_disabled_by_env() noexcept {
 }
 
 const MatchCountKernels kPortableCounts = {
-    detail::match_counts_impl, detail::two_class_counts_impl, "portable"};
+    detail::match_counts_impl, detail::two_class_counts_impl,
+    detail::kth_floor_impl, detail::list_candidates_impl, "portable"};
 
 #if defined(__x86_64__) || defined(__i386__)
 // The baseline ISA lacks POPCNT (std::popcount becomes a libgcc call); these
-// clones of the same loops are compiled for it and picked at run time.
+// clones of the same loops are compiled for it and picked at run time. The
+// cut kernels count nothing, so this build shares the portable ones.
 __attribute__((target("popcnt"))) void match_counts_popcnt(
     const std::uint64_t* lane_bits, const std::uint64_t* query,
     std::size_t row_words, std::size_t blocks, std::uint32_t* counts,
-    std::uint32_t* block_max) {
+    std::uint32_t* maxima) {
   detail::match_counts_impl(lane_bits, query, row_words, blocks, counts,
-                            block_max);
+                            maxima);
 }
 
 __attribute__((target("popcnt"))) void two_class_counts_popcnt(
     const std::uint64_t* lane_bits, const std::uint64_t* query,
     const std::uint64_t* exact, std::uint32_t base, std::size_t row_words,
-    std::size_t lanes, std::uint32_t* counts, std::uint32_t* block_max) {
+    std::size_t lanes, std::uint32_t* counts, std::uint32_t* maxima) {
   detail::two_class_counts_impl(lane_bits, query, exact, base, row_words,
-                                lanes, counts, block_max);
+                                lanes, counts, maxima);
 }
 
-const MatchCountKernels kPopcntCounts = {match_counts_popcnt,
-                                         two_class_counts_popcnt, "popcnt"};
+const MatchCountKernels kPopcntCounts = {
+    match_counts_popcnt, two_class_counts_popcnt, detail::kth_floor_impl,
+    detail::list_candidates_impl, "popcnt"};
 #endif
 
 }  // namespace
@@ -72,7 +75,8 @@ MatchCountKernels resolve_match_counts() noexcept {
   if (!simd_disabled_by_env()) {
     const MatchCountKernels* avx512 = detail::avx512_match_counts();
     if (avx512 != nullptr && __builtin_cpu_supports("avx512f") &&
-        __builtin_cpu_supports("avx512vpopcntdq")) {
+        __builtin_cpu_supports("avx512vpopcntdq") &&
+        __builtin_cpu_supports("popcnt")) {
       return *avx512;
     }
     if (__builtin_cpu_supports("popcnt")) {

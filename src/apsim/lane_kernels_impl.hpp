@@ -4,8 +4,8 @@
 // LaneWord<W> (lane_kernels.cpp). The dataflow is identical at every width,
 // which is what makes the widths bit-identical by construction: only the
 // number of 64-bit words touched per iteration changes. The closed-form
-// match counts below are the portable build that the POPCNT clones share
-// and that the VPOPCNTDQ kernels must equal.
+// match counts and cut kernels below are the portable build that the
+// POPCNT clones share and that the VPOPCNTDQ kernels must equal.
 //
 // V must provide: kWords, load/store/zero, operator| & ^, andnot(mask)
 // (= *this & ~mask), and any(). Callers guarantee ctx.words (and the
@@ -86,61 +86,158 @@ inline void counter_update_impl(const LaneCounterCtx& ctx) {
   }
 }
 
-/// The closed-form frame's per-lane match counts and per-block maxima (see
+/// Writes counts and group maxima (see LaneMatchCounts) for `blocks`
+/// blocks, block_counts(b, h) filling block b's kMatchBlockLanes counts.
+/// A group's running maxima are kept in the sweep's own loop, one
+/// element-wise max per block: a separate pass would read every count
+/// again. The lane loops here and in the block functions below are
+/// unrolled whole, so the 8 lane sums stay in registers; left to itself,
+/// gcc adds each popcount to a stack slot.
+template <class BlockCounts>
+[[gnu::always_inline]] inline void counts_and_maxima_impl(
+    const BlockCounts& block_counts, std::size_t blocks, std::uint32_t* counts,
+    std::uint32_t* maxima) {
+  const std::size_t grouped = blocks - blocks % kMatchGroupBlocks;
+  std::uint32_t h[kMatchBlockLanes];
+  for (std::size_t g = 0; g < grouped; g += kMatchGroupBlocks) {
+    std::uint32_t top[kMatchBlockLanes] = {};
+    for (std::size_t b = g; b < g + kMatchGroupBlocks; ++b) {
+      block_counts(b, h);
+#pragma GCC unroll 8
+      for (std::size_t i = 0; i < kMatchBlockLanes; ++i) {
+        counts[b * kMatchBlockLanes + i] = h[i];
+        top[i] = h[i] > top[i] ? h[i] : top[i];
+      }
+    }
+#pragma GCC unroll 8
+    for (std::size_t i = 0; i < kMatchBlockLanes; ++i) {
+      maxima[g + i] = top[i];
+    }
+  }
+  for (std::size_t b = grouped; b < blocks; ++b) {
+    block_counts(b, h);
+    std::uint32_t top = 0;
+#pragma GCC unroll 8
+    for (std::size_t i = 0; i < kMatchBlockLanes; ++i) {
+      counts[b * kMatchBlockLanes + i] = h[i];
+      top = h[i] > top ? h[i] : top;
+    }
+    maxima[b] = top;
+  }
+}
+
+/// The closed-form frame's per-lane match counts and group maxima (see
 /// LaneMatchCounts): one popcount per (lane, row word), kMatchBlockLanes
 /// independent lane sums per block so the fixed inner loop pipelines (or
 /// vectorizes).
-inline void match_counts_impl(const std::uint64_t* lane_bits,
-                              const std::uint64_t* query,
-                              std::size_t row_words, std::size_t blocks,
-                              std::uint32_t* counts,
-                              std::uint32_t* block_max) {
-  for (std::size_t b = 0; b < blocks; ++b) {
+[[gnu::always_inline]] inline void match_counts_impl(
+    const std::uint64_t* lane_bits, const std::uint64_t* query,
+    std::size_t row_words, std::size_t blocks, std::uint32_t* counts,
+    std::uint32_t* maxima) {
+  const auto block_counts = [&](std::size_t b, std::uint32_t* h)
+                                __attribute__((always_inline)) {
     const std::uint64_t* block = lane_bits + b * row_words * kMatchBlockLanes;
-    std::uint32_t h[kMatchBlockLanes] = {};
+#pragma GCC unroll 8
+    for (std::size_t i = 0; i < kMatchBlockLanes; ++i) {
+      h[i] = 0;
+    }
     for (std::size_t k = 0; k < row_words; ++k) {
+#pragma GCC unroll 8
       for (std::size_t i = 0; i < kMatchBlockLanes; ++i) {
         h[i] += static_cast<std::uint32_t>(
             std::popcount(block[k * kMatchBlockLanes + i] & query[k]));
       }
     }
-    std::uint32_t top = 0;
-    for (std::size_t i = 0; i < kMatchBlockLanes; ++i) {
-      counts[b * kMatchBlockLanes + i] = h[i];
-      top = h[i] > top ? h[i] : top;
-    }
-    block_max[b] = top;
-  }
+  };
+  counts_and_maxima_impl(block_counts, blocks, counts, maxima);
 }
 
 /// The two-class closed-form counts (see TwoClassMatchCounts): one popcount
 /// of (row ^ query) & exact per (lane, row word), subtracted from base.
 /// Pad lanes are zeroed by their position, since a zero row still counts.
-inline void two_class_counts_impl(const std::uint64_t* lane_bits,
-                                  const std::uint64_t* query,
-                                  const std::uint64_t* exact,
-                                  std::uint32_t base, std::size_t row_words,
-                                  std::size_t lanes, std::uint32_t* counts,
-                                  std::uint32_t* block_max) {
-  const std::size_t blocks = (lanes + kMatchBlockLanes - 1) / kMatchBlockLanes;
-  for (std::size_t b = 0; b < blocks; ++b) {
+[[gnu::always_inline]] inline void two_class_counts_impl(
+    const std::uint64_t* lane_bits, const std::uint64_t* query,
+    const std::uint64_t* exact, std::uint32_t base, std::size_t row_words,
+    std::size_t lanes, std::uint32_t* counts, std::uint32_t* maxima) {
+  const auto block_counts = [&](std::size_t b, std::uint32_t* h)
+                                __attribute__((always_inline)) {
     const std::uint64_t* block = lane_bits + b * row_words * kMatchBlockLanes;
     std::uint32_t miss[kMatchBlockLanes] = {};
     for (std::size_t k = 0; k < row_words; ++k) {
+#pragma GCC unroll 8
       for (std::size_t i = 0; i < kMatchBlockLanes; ++i) {
         miss[i] += static_cast<std::uint32_t>(std::popcount(
             (block[k * kMatchBlockLanes + i] ^ query[k]) & exact[k]));
       }
     }
     const std::size_t live = lanes - b * kMatchBlockLanes;
-    std::uint32_t top = 0;
+#pragma GCC unroll 8
     for (std::size_t i = 0; i < kMatchBlockLanes; ++i) {
-      const std::uint32_t h = i < live ? base - miss[i] : 0;
-      counts[b * kMatchBlockLanes + i] = h;
-      top = h > top ? h : top;
+      h[i] = i < live ? base - miss[i] : 0;
     }
-    block_max[b] = top;
+  };
+  counts_and_maxima_impl(block_counts,
+                         (lanes + kMatchBlockLanes - 1) / kMatchBlockLanes,
+                         counts, maxima);
+}
+
+/// The block floor (see KthFloor): binary search for the largest v in
+/// [lo, hi] that k entries reach.
+inline std::uint32_t kth_floor_impl(const std::uint32_t* maxima,
+                                    std::size_t entries, std::size_t k,
+                                    std::uint32_t lo, std::uint32_t hi) {
+  while (lo < hi) {
+    const std::uint32_t mid = hi - (hi - lo) / 2;  // lo < mid <= hi
+    std::size_t reach = 0;
+    for (std::size_t e = 0; e < entries; ++e) {
+      reach += static_cast<std::size_t>(maxima[e] >= mid);
+    }
+    if (reach >= k) {
+      lo = mid;
+    } else {
+      hi = mid - 1;
+    }
   }
+  return lo;
+}
+
+/// The candidate list (see ListCandidates). Lane i of a group's blocks can
+/// reach the floor only if entry i does, so a group visits only those lane
+/// positions, block by block; a block after the last whole group is
+/// visited whole when its maximum reaches the floor. Branch-free per lane:
+/// every visited lane is written, and the next one overwrites it unless it
+/// reaches the floor.
+inline std::size_t list_candidates_impl(const std::uint32_t* counts,
+                                        const std::uint32_t* maxima,
+                                        std::size_t blocks,
+                                        std::uint32_t floor,
+                                        std::uint32_t* out) {
+  std::size_t listed = 0;
+  const auto visit = [&](std::size_t l) {
+    out[listed] = static_cast<std::uint32_t>(l);
+    listed += static_cast<std::size_t>(counts[l] >= floor);
+  };
+  const std::size_t grouped = blocks - blocks % kMatchGroupBlocks;
+  for (std::size_t g = 0; g < grouped; g += kMatchGroupBlocks) {
+    unsigned reach = 0;  // bit i: entry g + i reaches the floor
+    for (std::size_t i = 0; i < kMatchBlockLanes; ++i) {
+      reach |= static_cast<unsigned>(maxima[g + i] >= floor) << i;
+    }
+    for (std::size_t b = g; reach != 0 && b < g + kMatchGroupBlocks; ++b) {
+      for (unsigned bits = reach; bits != 0; bits &= bits - 1) {
+        visit(b * kMatchBlockLanes +
+              static_cast<std::size_t>(std::countr_zero(bits)));
+      }
+    }
+  }
+  for (std::size_t b = grouped; b < blocks; ++b) {
+    if (maxima[b] >= floor) {
+      for (std::size_t i = 0; i < kMatchBlockLanes; ++i) {
+        visit(b * kMatchBlockLanes + i);
+      }
+    }
+  }
+  return listed;
 }
 
 }  // namespace apss::apsim::detail

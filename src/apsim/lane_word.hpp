@@ -17,8 +17,9 @@
 //
 // Only symbols outside closed-form frames are stepped, and every frame the
 // engine streams takes the closed form (docs/SIMULATOR_SEMANTICS.md). Those
-// frames run the match-count kernels declared below, the only SIMD code:
-// VPOPCNTDQ or POPCNT builds picked by resolve_match_counts() at run time.
+// frames run the match-count and cut kernels declared below, the only SIMD
+// code: VPOPCNTDQ or POPCNT builds picked by resolve_match_counts() at run
+// time.
 // APSS_DISABLE_SIMD=1 in the environment forces their portable build.
 //
 // Lane layout is width-agnostic: lane l always lives at 64-bit word l/64,
@@ -146,6 +147,9 @@ struct LaneKernels {
 
 /// Lanes per block of the closed-form frame path's lane-major table.
 inline constexpr std::size_t kMatchBlockLanes = 8;
+/// Blocks per group: the match-count kernels reduce a group's 64 lanes to
+/// kMatchBlockLanes maxima.
+inline constexpr std::size_t kMatchGroupBlocks = 8;
 
 /// Per-lane match counts for the closed-form frame path (see
 /// BatchSimulator::run_continue). Every lane has a row of `row_words`
@@ -153,20 +157,28 @@ inline constexpr std::size_t kMatchBlockLanes = 8;
 /// lane l at lane_bits[((l / 8) * row_words + k) * 8 + l % 8], so one
 /// 512-bit load holds word k of a whole block. counts[l] = the sum over k
 /// of popcount(word k of lane l & query[k]), for `blocks` blocks (lanes
-/// rounded up to a whole block; pad lanes have zero rows), and
-/// block_max[b] = the largest counts[l] of block b's lanes. Independent of
-/// the stepping lane width.
+/// rounded up to a whole block; pad lanes have zero rows).
+///
+/// maxima gets one entry per block, each the largest count over its own
+/// set of 8 lanes, the sets disjoint (the group maxima): for each whole
+/// group g of kMatchGroupBlocks blocks, entry 8g + i is the largest count
+/// of lane i across the group's blocks (lanes 64g + 8j + i, j < 8), one
+/// element-wise max per block; each block after the last whole group keeps
+/// its own maximum. The block floor needs nothing more than maxima over
+/// disjoint lane sets (docs/SIMULATOR_SEMANTICS.md, *The block floor*).
+/// Independent of the stepping lane width.
 using LaneMatchCounts = void (*)(const std::uint64_t* lane_bits,
                                  const std::uint64_t* query,
                                  std::size_t row_words, std::size_t blocks,
                                  std::uint32_t* counts,
-                                 std::uint32_t* block_max);
+                                 std::uint32_t* maxima);
 
 /// The same counts for a program with at most two match classes, from one
 /// row per lane (its class-0 bits) in the LaneMatchCounts layout:
 /// counts[l] = base - the sum over k of popcount((word k of lane l ^
 /// query[k]) & exact[k]) for the `lanes` live lanes, 0 for the pad lanes of
-/// a partial last block, and block_max[b] = the largest count of block b.
+/// a partial last block, and the group maxima of those counts, pad lanes
+/// included, in the LaneMatchCounts entries for ceil(lanes / 8) blocks.
 /// `query` is class 0's query mask, `exact` marks the dimensions whose data
 /// symbol exactly one class accepts, and base counts those some class
 /// accepts, so base >= the popcount of `exact` and no count wraps.
@@ -176,21 +188,46 @@ using TwoClassMatchCounts = void (*)(const std::uint64_t* lane_bits,
                                      std::uint32_t base,
                                      std::size_t row_words, std::size_t lanes,
                                      std::uint32_t* counts,
-                                     std::uint32_t* block_max);
+                                     std::uint32_t* maxima);
 
-/// One build of both match-count kernels; BatchSimulator calls the one its
-/// program's class count selects.
+/// The block floor of a cut frame: the largest v in [lo, hi] that at least
+/// k of the `entries` maxima reach, or lo when no v there does. That is the
+/// k-th largest entry raised to lo and capped at hi. A binary search over
+/// v, each probe counting the entries >= v.
+using KthFloor = std::uint32_t (*)(const std::uint32_t* maxima,
+                                   std::size_t entries, std::size_t k,
+                                   std::uint32_t lo, std::uint32_t hi);
+
+/// The candidate list of a cut frame: writes to `out`, in ascending order,
+/// every lane l < blocks * 8 with counts[l] >= floor, and returns how many
+/// it wrote. `counts` and `maxima` are one match-count kernel's output for
+/// `blocks` blocks, so a group (or a block after the last whole group)
+/// whose entries all fall below the floor is skipped unread. floor >= 1,
+/// so pad lanes, which count 0, are never listed. `out` must have room for
+/// (blocks + 1) * kMatchBlockLanes entries: a vector build writes whole
+/// registers and may write up to that bound past the last listed lane.
+using ListCandidates = std::size_t (*)(const std::uint32_t* counts,
+                                       const std::uint32_t* maxima,
+                                       std::size_t blocks,
+                                       std::uint32_t floor,
+                                       std::uint32_t* out);
+
+/// One build of the closed-form frame kernels. BatchSimulator counts with
+/// the match-count kernel its program's class count selects, and cuts with
+/// the other two.
 struct MatchCountKernels {
   LaneMatchCounts multi_class = nullptr;
   TwoClassMatchCounts two_class = nullptr;
+  KthFloor kth_floor = nullptr;
+  ListCandidates list_candidates = nullptr;
   const char* isa = "portable";  ///< avx512-vpopcntdq | popcnt | portable
 };
 
 /// The AVX-512 VPOPCNTDQ build, else the hardware-POPCNT one, when the CPU
 /// has it and APSS_DISABLE_SIMD is unset; else the portable bit count (all
-/// bit-identical). APSS_DISABLE_SIMD counts as set unless it is "" or "0",
-/// and it is read on every call, so tests can flip it between simulator
-/// constructions.
+/// bit-identical). The POPCNT build shares the portable cut kernels.
+/// APSS_DISABLE_SIMD counts as set unless it is "" or "0", and it is read
+/// on every call, so tests can flip it between simulator constructions.
 MatchCountKernels resolve_match_counts() noexcept;
 
 /// The LaneWord<W> stepping kernels of `width` (bit-identical at every
@@ -198,10 +235,10 @@ MatchCountKernels resolve_match_counts() noexcept;
 LaneKernels resolve_lane_kernels(LaneWidth width = LaneWidth::k64);
 
 namespace detail {
-/// The VPOPCNTDQ match-count kernels, defined in lane_kernels_avx512.cpp;
-/// null when that translation unit was built without -mavx512f (non-x86,
-/// or a compiler without the flag). The caller checks the CPU for
-/// avx512f and avx512vpopcntdq first.
+/// The VPOPCNTDQ match-count and cut kernels, defined in
+/// lane_kernels_avx512.cpp; null when that translation unit was built
+/// without -mavx512f (non-x86, or a compiler without the flag). The caller
+/// checks the CPU for avx512f, avx512vpopcntdq and popcnt first.
 const MatchCountKernels* avx512_match_counts() noexcept;
 /// The hardware-POPCNT build of the portable kernels; null off x86. The
 /// caller checks the CPU for popcnt first.

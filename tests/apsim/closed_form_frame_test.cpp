@@ -13,20 +13,22 @@
 // closed-form frame to the prefix of its full events through the cycle of
 // the limit-th report, leave stepped frames whole, and change neither
 // report_count() nor the state a run leaves behind, also where the floor
-// the cut takes from the per-block maxima decides which blocks it visits.
+// the cut takes from the group maxima decides which lanes it lists.
 // A per-frame count floor must cut each closed-form frame further, to the
 // lanes whose count reaches it, under the same guarantees. One simulator
 // rebound across programs must behave as fresh ones do.
 // Programs loaded from a hand-built state, with symbols in both classes or
 // in neither, check the two-class count's every term. Both resolved
-// match-count kernels must write the same counts and block maxima as the
-// portable ones.
+// match-count kernels must write the same counts and group maxima as the
+// portable ones, and the resolved block floor and candidate list must
+// equal the portable ones and a sort and scan of the counts.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -445,19 +447,23 @@ TEST(ClosedFormFrame, HammingDimensionSweep) {
 TEST(ClosedFormFrame, LaneCountSweep) {
   // 1, 7, 9, 63, 65 and 1023 lanes end in a partial block, whose pad lanes
   // count 0 and must never be counted or emitted, even when the cut count
-  // is 0. The last two frames come from the encoder (a dataset row, then a
-  // random query): there every data symbol is in exactly one class, the
-  // case every engine frame takes, while about half of the random payload
-  // symbols have bit 7 set and fall in neither class.
+  // is 0; 63, 65, 1023 and 1264 also end in a partial group or after the
+  // last whole group, and 5888 is packed-cold-start's configuration size
+  // (checked against stepping only). The last two frames come from the
+  // encoder (a dataset row, then a random query): there every data symbol
+  // is in exactly one class, the case every engine frame takes, while
+  // about half of the random payload symbols have bit 7 set and fall in
+  // neither class.
   util::Rng rng(1264);
-  for (const std::size_t lanes : {1u, 7u, 9u, 63u, 64u, 65u, 1023u, 1264u}) {
+  for (const std::size_t lanes :
+       {1u, 7u, 9u, 63u, 64u, 65u, 1023u, 1264u, 5888u}) {
     const auto data = test::random_dataset(rng, lanes, 70);
     const Config c = hamming(data);
     std::vector<std::uint8_t> stream = random_frames(rng, c, 3);
     const core::SymbolStreamEncoder enc(c.spec());
     enc.append_query(data.row(rng.below(lanes)), stream);
     enc.append_query(test::random_dataset(rng, 1, 70).row(0), stream);
-    expect_closed_form(c, stream, 5, /*with_reference=*/true, rng,
+    expect_closed_form(c, stream, 5, /*with_reference=*/lanes < 2000, rng,
                        "lanes=" + std::to_string(lanes));
   }
 }
@@ -646,80 +652,114 @@ std::size_t kept_in_first_frame(const Config& c,
       }));
 }
 
-TEST(ClosedFormBlockFloor, TieAtTheCutStraddlesTwoBlocks) {
-  // Lane 20 matches 14 dimensions, lanes 6 and 7 (block 0) and 8 and 9
-  // (block 1) tie at 11, and every other lane matches 3. At limits 2 and 3
-  // the floor is 11, the second and third largest block maxima, and the
-  // cut keeps the whole tie across both blocks.
+// Lane 64g + 8j + i is lane i of block j of group g, and counts toward
+// entry 8g + i of the group maxima; past the last whole group, a block's
+// entry is its own maximum.
+
+TEST(ClosedFormBlockFloor, TieAtTheCutStraddlesTwoGroups) {
+  // Lane 20 matches 14 dimensions, lanes 62 and 63 (group 0, entries 6 and
+  // 7) and 64 and 65 (group 1, entries 8 and 9) tie at 11, and every other
+  // lane matches 3. At limits 2 to 5 the floor is 11, the second to fifth
+  // largest entries, and the cut keeps the whole tie across both groups.
   util::Rng rng(611);
-  std::vector<std::size_t> counts(32, 3);
-  counts[6] = counts[7] = counts[8] = counts[9] = 11;
+  std::vector<std::size_t> counts(2 * 64, 3);
+  counts[62] = counts[63] = counts[64] = counts[65] = 11;
   counts[20] = 14;
   const Config c = with_counts(counts, 16);
   const auto stream = zero_then_ones(c);
-  EXPECT_EQ(kept_in_first_frame(c, stream, 1), 1u);
-  EXPECT_EQ(kept_in_first_frame(c, stream, 2), 5u);
-  EXPECT_EQ(kept_in_first_frame(c, stream, 3), 5u);
+  for (const auto& [limit, kept] :
+       {std::pair<std::size_t, std::size_t>{1, 1}, {2, 5}, {3, 5}, {5, 5}}) {
+    EXPECT_EQ(kept_in_first_frame(c, stream, limit), kept) << limit;
+  }
   expect_closed_form(c, stream, 2, /*with_reference=*/true, rng,
-                     "tie across blocks 0 and 1");
+                     "tie across groups 0 and 1");
 }
 
-TEST(ClosedFormBlockFloor, KthBlockMaximumSharedBySeveralBlocks) {
-  // Lane 3 of each block holds its maximum, 9 in five blocks, 12 in one and
-  // less in two; the other lanes count below 9. At limit 2 the floor is 9,
-  // shared by five blocks, and the cut keeps the 12 and all five 9s.
+TEST(ClosedFormBlockFloor, KthMaximumSharedBySeveralEntries) {
+  // Lane 5 matches 12; lanes 3 and 11 (lane 3 of blocks 0 and 1, both in
+  // entry 3), 14, 65 and 66 match 9; every other lane matches less. So
+  // five entries reach 9, one of them through two lanes, and six lanes do.
+  // At limits 2 to 5 the floor is 9, shared by four entries, and at limit
+  // 6 it falls below 9; each time the cut keeps the 12 and all five 9s.
   util::Rng rng(612);
-  const std::size_t maxima[] = {9, 12, 9, 9, 5, 9, 3, 9};
-  std::vector<std::size_t> counts;
-  for (const std::size_t top : maxima) {
-    for (std::size_t i = 0; i < kMatchBlockLanes; ++i) {
-      counts.push_back(i == 3 ? top : rng.below(std::min<std::size_t>(top, 9)));
-    }
+  std::vector<std::size_t> counts(2 * 64);
+  for (auto& count : counts) {
+    count = rng.below(9);
   }
+  counts[5] = 12;
+  counts[3] = counts[11] = counts[14] = counts[65] = counts[66] = 9;
   const Config c = with_counts(counts, 16);
   const auto stream = zero_then_ones(c);
-  for (const std::size_t limit : {2u, 4u, 6u}) {
+  for (const std::size_t limit : {2u, 4u, 5u, 6u}) {
     EXPECT_EQ(kept_in_first_frame(c, stream, limit), 6u) << limit;
   }
   expect_closed_form(c, stream, 2, /*with_reference=*/true, rng,
-                     "shared block maximum");
+                     "shared k-th maximum");
 }
 
-TEST(ClosedFormBlockFloor, CandidatesBelowTheCutAreDropped) {
-  // Block maxima 14, 12, 9, 9 and at most 6 in blocks 4-7. Blocks 0 and 1
-  // also hold lanes at 13, 12, 10 and 9, so the visited blocks list
-  // candidates at or above the floor F that lie below the cut count
-  // h_min, and the keep pass must drop them:
-  // - limit 2: F = 12, h_min = 13, the two 12s are dropped;
-  // - limits 3 and 4: F = 9, h_min = 12, the tie at 12 straddles blocks 0
-  //   and 1 and is kept whole, and six candidates at 9 or 10 are dropped;
-  // - limit 5: F falls to the largest maximum of blocks 4-7, h_min to 10.
+TEST(ClosedFormBlockFloor, CandidatesBelowTheCutAreDroppedInsideOneGroup) {
+  // Entry 0 holds lanes 0, 8, 16 and 24 (lane 0 of blocks 0-3) at 14, 13,
+  // 12 and 12; lanes 1, 2 and 3 match 11, 10 and 9; every other lane, group
+  // 1 included, matches at most 6. The entries' maxima are 14, 11, 10 and
+  // 9, so the floor F lies below the cut count h_min, and group 0 lists
+  // candidates at or above F that the keep pass must drop:
+  // - limit 2: F = 11, h_min = 13, the 12s and the 11 are dropped;
+  // - limits 3 and 4: F = 10 and 9, h_min = 12, the tie at 12 inside entry
+  //   0 is kept whole, and the 11, the 10 (and the 9) are dropped;
+  // - limit 5: F falls to at most 6, h_min to 11.
   util::Rng rng(614);
-  std::vector<std::size_t> counts(8 * kMatchBlockLanes);
-  for (std::size_t l = 4 * kMatchBlockLanes; l < counts.size(); ++l) {
-    counts[l] = rng.below(7);
+  std::vector<std::size_t> counts(2 * 64);
+  for (auto& count : counts) {
+    count = rng.below(7);
   }
-  const std::size_t high[][2] = {{0, 14}, {1, 13}, {2, 12}, {4, 9},  {6, 9},
-                                 {8, 10}, {9, 12}, {11, 9}, {19, 9}, {28, 9}};
+  const std::size_t high[][2] = {{0, 14}, {8, 13}, {16, 12}, {24, 12},
+                                 {1, 11}, {2, 10}, {3, 9}};
   for (const auto& [lane, count] : high) {
     counts[lane] = count;
   }
   const Config c = with_counts(counts, 16);
   const auto stream = zero_then_ones(c);
   for (const auto& [limit, kept] :
-       {std::pair<std::size_t, std::size_t>{2, 2}, {3, 4}, {4, 4}, {5, 5}}) {
+       {std::pair<std::size_t, std::size_t>{1, 1}, {2, 2}, {3, 4}, {4, 4},
+        {5, 5}}) {
     EXPECT_EQ(kept_in_first_frame(c, stream, limit), kept) << limit;
   }
   expect_closed_form(c, stream, 2, /*with_reference=*/true, rng,
                      "candidates below the cut");
 }
 
+TEST(ClosedFormBlockFloor, PartialLastGroup) {
+  // 93 lanes: one whole group, then blocks 8-11, each its own entry, the
+  // last with 5 live lanes and 3 pad lanes. Lane 10 (group 0) matches 12,
+  // lanes 70 and 80 (blocks 8 and 10) match 11, lane 91 (the partial
+  // block) matches 13, and every other lane at most 5. The floor is 13 at
+  // limit 1, 12 at limit 2 and 11 at limits 3 and 4, taken from the blocks'
+  // own maxima and group 0's entry 2 alike.
+  util::Rng rng(615);
+  std::vector<std::size_t> counts(93);
+  for (auto& count : counts) {
+    count = rng.below(6);
+  }
+  counts[10] = 12;
+  counts[70] = counts[80] = 11;
+  counts[91] = 13;
+  const Config c = with_counts(counts, 16);
+  const auto stream = zero_then_ones(c);
+  for (const auto& [limit, kept] :
+       {std::pair<std::size_t, std::size_t>{1, 1}, {2, 2}, {3, 4}, {4, 4}}) {
+    EXPECT_EQ(kept_in_first_frame(c, stream, limit), kept) << limit;
+  }
+  expect_closed_form(c, stream, 2, /*with_reference=*/true, rng,
+                     "partial last group");
+}
+
 TEST(ClosedFormBlockFloor, EveryLaneAtOneCount) {
   // One tie over every lane: any limit keeps the whole frame. At count 0
   // the floor and the cut count are 0, where only the lane bound keeps the
-  // pad lanes of a partial last block out.
+  // pad lanes of a partial last block out (9 lanes; 93, also in a partial
+  // last group).
   util::Rng rng(613);
-  for (const std::size_t lanes : {9u, 64u, 1264u}) {
+  for (const std::size_t lanes : {9u, 64u, 93u, 1264u}) {
     for (const std::size_t count : {0u, 5u}) {
       const Config c = with_counts(std::vector<std::size_t>(lanes, count), 12);
       const auto stream = zero_then_ones(c);
@@ -754,28 +794,48 @@ std::vector<std::uint64_t> random_words(util::Rng& rng, std::size_t n) {
   return words;
 }
 
-/// Pad lanes count 0 and each block maximum is its largest count.
+/// The group maxima of `counts` over `blocks` blocks, by their definition:
+/// in each whole group g of kMatchGroupBlocks blocks, entry 8g + i is the
+/// largest count of lane i across the group's blocks; each block after the
+/// last whole group keeps its own maximum.
+std::vector<std::uint32_t> group_maxima(
+    const std::vector<std::uint32_t>& counts, std::size_t blocks) {
+  std::vector<std::uint32_t> maxima(blocks, 0);
+  const std::size_t grouped = blocks - blocks % kMatchGroupBlocks;
+  for (std::size_t b = 0; b < blocks; ++b) {
+    for (std::size_t i = 0; i < kMatchBlockLanes; ++i) {
+      const std::size_t entry =
+          b < grouped ? b - b % kMatchGroupBlocks + i : b;
+      maxima[entry] =
+          std::max(maxima[entry], counts[b * kMatchBlockLanes + i]);
+    }
+  }
+  return maxima;
+}
+
+/// Pad lanes count 0 and the maxima are the counts' group maxima.
 void expect_pads_and_maxima(const std::vector<std::uint32_t>& counts,
                             const std::vector<std::uint32_t>& maxima,
                             std::size_t lanes, const std::string& context) {
-  for (std::size_t b = 0; b < maxima.size(); ++b) {
-    const auto block =
-        counts.begin() + static_cast<std::ptrdiff_t>(b * kMatchBlockLanes);
-    EXPECT_EQ(maxima[b], *std::max_element(block, block + kMatchBlockLanes))
-        << context;
-  }
+  EXPECT_EQ(maxima, group_maxima(counts, maxima.size())) << context;
   for (std::size_t l = lanes; l < counts.size(); ++l) {
     EXPECT_EQ(counts[l], 0u) << context;
   }
 }
 
+/// Lane counts for the kernel tests: whole and partial blocks, fewer and
+/// more than one group of 8 blocks, a partial last group (65, 129, 1264)
+/// and a whole group with a partial last block (63, 127), up to the
+/// packed-cold-start configurations' 4608 and 5888 lanes.
+constexpr std::size_t kKernelLanes[] = {1,   8,    9,    63,   64,  65,
+                                        127, 129,  1024, 1264, 4608, 5888};
+
 TEST(MatchCountKernels, ResolvedKernelMatchesThePortableOne) {
-  // Random tables over whole and partial blocks, fewer and more than the 8
-  // blocks the VPOPCNTDQ kernels reduce at once. The multi-class kernel's
-  // pad lanes have zero rows; the two-class kernel must zero them itself,
-  // since a zero row still counts base - popcount(query & exact).
+  // Random tables over kKernelLanes. The multi-class kernel's pad lanes
+  // have zero rows; the two-class kernel must zero them itself, since a
+  // zero row still counts base - popcount(query & exact).
   util::Rng rng(614);
-  for (const std::size_t lanes : {1u, 8u, 9u, 1024u, 1264u}) {
+  for (const std::size_t lanes : kKernelLanes) {
     const std::size_t blocks =
         (lanes + kMatchBlockLanes - 1) / kMatchBlockLanes;
     for (const std::size_t row_words : {1u, 4u, 5u}) {
@@ -844,6 +904,67 @@ TEST(MatchCountKernels, ResolvedKernelMatchesThePortableOne) {
             lanes, got_counts.data(), got_maxima.data());
         EXPECT_EQ(got_counts, counts) << context << " portable=" << portable;
         EXPECT_EQ(got_maxima, maxima) << context << " portable=" << portable;
+      }
+    }
+  }
+}
+
+TEST(MatchCountKernels, CutKernelsMatchThePortableOnesAndBruteForce) {
+  // Random counts in [0, d] over kKernelLanes, pad lanes 0, and their group
+  // maxima. The resolved and the portable block floor and candidate list
+  // must equal a sort of the entries and a scan of the lanes. At d = 12
+  // most entries tie with others, so most k-th maxima are shared. Each k
+  // from 1 to the entry count is searched from lo = 0, from a lo at or
+  // below the k-th maximum and from one above it (up to d + 1); each floor
+  // from 1 to d + 1 is listed into a buffer of exactly the room
+  // ListCandidates asks for.
+  util::Rng rng(616);
+  const MatchCountKernels resolved = resolve_match_counts();
+  MatchCountKernels portable;
+  {
+    ForcePortable force;
+    portable = resolve_match_counts();
+  }
+  for (const std::size_t lanes : kKernelLanes) {
+    const std::size_t blocks =
+        (lanes + kMatchBlockLanes - 1) / kMatchBlockLanes;
+    for (const std::uint32_t d : {12u, 300u}) {
+      const std::string context =
+          "lanes=" + std::to_string(lanes) + " d=" + std::to_string(d);
+      std::vector<std::uint32_t> counts(blocks * kMatchBlockLanes, 0);
+      for (std::size_t l = 0; l < lanes; ++l) {
+        counts[l] = static_cast<std::uint32_t>(rng.below(d + 1));
+      }
+      const std::vector<std::uint32_t> maxima = group_maxima(counts, blocks);
+      std::vector<std::uint32_t> sorted = maxima;
+      std::sort(sorted.begin(), sorted.end(), std::greater<>());
+      for (std::size_t k = 1; k <= blocks; ++k) {
+        const std::uint32_t kth = sorted[k - 1];
+        for (const std::uint32_t lo :
+             {0u, static_cast<std::uint32_t>(rng.below(kth + 1)),
+              kth + 1 + static_cast<std::uint32_t>(rng.below(d - kth + 1))}) {
+          const std::uint32_t want = std::max(lo, kth);
+          for (const MatchCountKernels& kernels : {resolved, portable}) {
+            ASSERT_EQ(kernels.kth_floor(maxima.data(), blocks, k, lo, d), want)
+                << context << " k=" << k << " lo=" << lo << " " << kernels.isa;
+          }
+        }
+      }
+      for (std::uint32_t floor = 1; floor <= d + 1; ++floor) {
+        std::vector<std::uint32_t> want;
+        for (std::size_t l = 0; l < counts.size(); ++l) {
+          if (counts[l] >= floor) {
+            want.push_back(static_cast<std::uint32_t>(l));
+          }
+        }
+        for (const MatchCountKernels& kernels : {resolved, portable}) {
+          std::vector<std::uint32_t> got((blocks + 1) * kMatchBlockLanes,
+                                         0xdeadbeef);
+          got.resize(kernels.list_candidates(counts.data(), maxima.data(),
+                                             blocks, floor, got.data()));
+          ASSERT_EQ(got, want)
+              << context << " floor=" << floor << " " << kernels.isa;
+        }
       }
     }
   }
