@@ -100,9 +100,9 @@ int run_backend_comparison(util::BenchReport& report, std::size_t n,
   const auto layouts =
       core::build_multiplexed_network(network, data, core::kMaxSlices);
   const core::StreamSpec spec{dims, core::collector_levels_for(dims)};
-  const core::MultiplexedStreamEncoder encoder(spec);
+  const core::SymbolStreamEncoder encoder(spec);
   std::size_t frames = 0;
-  const auto stream = encoder.encode_batch(queries, frames);
+  const auto stream = encoder.encode_multiplexed(queries, frames);
 
   std::string reason;
   const auto program =

@@ -15,7 +15,6 @@
 #include "apsim/simulator.hpp"
 #include "core/engine.hpp"
 #include "core/hamming_macro.hpp"
-#include "core/opt/stream_multiplexing.hpp"
 #include "core/stream.hpp"
 #include "knn/exact.hpp"
 #include "quant/itq.hpp"
@@ -62,7 +61,7 @@ BENCHMARK(BM_TopK)
 void BM_StreamEncode(benchmark::State& state) {
   // 16 base-design frames, one query each, as the engine encodes a shard.
   const std::size_t dims = state.range(0);
-  const core::MultiplexedStreamEncoder enc(core::StreamSpec{dims, 1});
+  const core::SymbolStreamEncoder enc(core::StreamSpec{dims, 1});
   const auto queries = knn::BinaryDataset::uniform(16, dims, 6);
   std::vector<std::uint8_t> stream;
   for (auto _ : state) {

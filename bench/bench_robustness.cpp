@@ -18,7 +18,9 @@
 //               alike instead of reading as overhead. Every arm must
 //               return bit-identical neighbors; the CI gate asserts the
 //               huge and 50 ms deadlines cost < 2%.
-//   overshoot — a deadline set to ~half the baseline wall clock, under
+//   overshoot — the query batch doubled (repeating queries) until its
+//               plain search takes at least 4x the 0.05 ms deadline
+//               floor, then a deadline at half that wall clock, under
 //               kRetry with no retries, over 9 runs: elapsed - deadline
 //               measures the frame-granular enforcement lag.
 //
@@ -37,6 +39,7 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -190,26 +193,51 @@ int main(int argc, char** argv) {
     overhead_pct[a] = (util::median(ratios[a]) - 1.0) * 100.0;
   }
 
-  // Overshoot: a deadline at ~half the baseline wall clock, kRetry with no
-  // retries. Elapsed minus deadline is the enforcement lag (at most about
-  // one query frame plus wind-down, since checkpoints sit on frame
-  // boundaries). The budget lies inside the coarse slack, so every
-  // checkpoint reads the precise clock.
+  // Overshoot: a deadline at half the plain wall clock of a query batch
+  // long enough to overshoot, kRetry with no retries. The batch doubles,
+  // repeating the queries, until its plain search (median of 5) takes at
+  // least 4x the 0.05 ms deadline floor, so the deadline lands mid-search.
+  // Elapsed minus deadline is the enforcement lag (at most about one query
+  // frame plus wind-down, since checkpoints sit on frame boundaries). The
+  // budget lies inside the coarse slack, so every checkpoint reads the
+  // precise clock.
   constexpr std::size_t kOvershootRuns = 9;
-  const double deadline_ms = std::max(0.05, plain_wall * 1e3 / 2.0);
+  constexpr double kDeadlineFloorMs = 0.05;
+  knn::BinaryDataset batch = queries;
+  const auto batch_plain_ms = [&] {
+    std::vector<double> walls;
+    for (int run = 0; run < 5; ++run) {
+      walls.push_back(search_wall(plain, batch, k, 0, &stats) * 1e3);
+    }
+    return util::median(walls);
+  };
+  double batch_ms = batch_plain_ms();
+  while (batch_ms < 4 * kDeadlineFloorMs) {
+    knn::BinaryDataset doubled(2 * batch.size(), dims);
+    for (std::size_t q = 0; q < doubled.size(); ++q) {
+      doubled.set_vector(q, batch.vector(q % batch.size()));
+    }
+    batch = std::move(doubled);
+    batch_ms = batch_plain_ms();
+  }
+  const double deadline_ms = batch_ms / 2;
   opt.on_error = core::OnError::kRetry;
   const core::ApKnnEngine bounded(data, opt);
   std::vector<double> overshoot_runs_ms;
   double overshoot_ms = 0;
   std::size_t timed_out = 0;
+  std::size_t runs_timed_out = 0;
   for (std::size_t run = 0; run < kOvershootRuns; ++run) {
     const double elapsed_ms =
-        search_wall(bounded, queries, k, deadline_ms, &stats) * 1e3 -
+        search_wall(bounded, batch, k, deadline_ms, &stats) * 1e3 -
         deadline_ms;
+    const std::size_t run_timed_out =
+        stats.count_state(core::ShardState::kTimedOut);
+    runs_timed_out += run_timed_out > 0;
     overshoot_runs_ms.push_back(elapsed_ms);
     if (run == 0 || elapsed_ms < overshoot_ms) {
       overshoot_ms = elapsed_ms;
-      timed_out = stats.count_state(core::ShardState::kTimedOut);
+      timed_out = run_timed_out;
     }
   }
   const double overshoot_median_ms = util::median(overshoot_runs_ms);
@@ -237,11 +265,14 @@ int main(int argc, char** argv) {
     table.add_row({arms[a].label, fmt("%.3f", util::median(arm_s[a]) * 1e3),
                    note});
   }
-  table.add_row({"half-baseline deadline, retry:0",
+  table.add_row({"half-batch deadline, retry:0",
                  fmt("%.3f", deadline_ms + overshoot_ms),
-                 fmt("%.3f", deadline_ms) + " ms budget, " +
+                 std::to_string(batch.size()) + " queries, " +
+                     fmt("%.3f", deadline_ms) + " ms budget, " +
                      std::to_string(timed_out) + " shards timed out (best of " +
-                     std::to_string(kOvershootRuns) + ", median overshoot " +
+                     std::to_string(kOvershootRuns) + ", " +
+                     std::to_string(runs_timed_out) +
+                     " runs timed out, median overshoot " +
                      fmt("%.3f", overshoot_median_ms) + " ms)"});
   table.add_note("engaged arms returned bit-identical neighbors");
   table.add_note("coarse clock slack " + fmt("%.3g", slack_ms) + " ms");
@@ -278,8 +309,10 @@ int main(int argc, char** argv) {
   {
     util::BenchRecord rec("robustness_deadline_overshoot");
     stamp(rec);
-    rec.param("deadline_ms", deadline_ms)
+    rec.param("batch_queries", static_cast<std::uint64_t>(batch.size()))
+        .param("deadline_ms", deadline_ms)
         .param("runs", static_cast<std::uint64_t>(kOvershootRuns))
+        .param("runs_timed_out", static_cast<std::uint64_t>(runs_timed_out))
         .param("overshoot_ms", overshoot_ms)
         .param("overshoot_median_ms", overshoot_median_ms)
         .param("timed_out_configurations",

@@ -39,17 +39,21 @@ inline std::size_t parse_positive(const char* s) {
 /// Warm bit-parallel runs whose median wall clock compare_backends_on_stream
 /// records (bench_fig8_comparison times its searches the same way).
 inline constexpr std::size_t kBitParallelReps = 31;
+/// Cycle-accurate runs whose median wall clock it records: one run swings
+/// by up to 3x with the host's load.
+inline constexpr std::size_t kCycleAccurateReps = 3;
 
-/// Runs `stream` once on the cycle-accurate reference and on the compiled
-/// bit-parallel `program`, asserts the ReportEvent streams are
-/// BIT-IDENTICAL, then times kBitParallelReps more runs on the same
-/// BatchSimulator (each must match too) and takes their median as the
-/// bit-parallel wall clock, so a cold first run or one host stall cannot
-/// set it. Prints a comparison table (with `note`), and writes
-/// <prefix>_cycle_accurate / <prefix>_bit_parallel /
+/// Runs `stream` kCycleAccurateReps times on the cycle-accurate reference
+/// (each run's ReportEvent stream must equal the first) and takes their
+/// median as the cycle-accurate wall clock. Then runs it on the compiled
+/// bit-parallel `program`, asserts the streams are BIT-IDENTICAL, and times
+/// kBitParallelReps more runs on the same BatchSimulator (each must match
+/// too), whose median is the bit-parallel wall clock, so a cold first run
+/// or one host stall sets neither. Prints a comparison table (with `note`),
+/// and writes <prefix>_cycle_accurate / <prefix>_bit_parallel /
 /// <prefix>_backend_speedup records — `stamp` adds the bench's parameters
 /// to each. `shape` names the macro shape in the closing message.
-/// Returns 0, or 1 when the backends disagree.
+/// Returns 0, or 1 when a run disagrees.
 inline int compare_backends_on_stream(
     util::BenchReport& report, const std::string& prefix, const char* shape,
     const std::string& table_title, const char* note,
@@ -57,14 +61,29 @@ inline int compare_backends_on_stream(
     std::shared_ptr<const apsim::BatchProgram> program,
     std::span<const std::uint8_t> stream,
     const std::function<void(util::BenchRecord&)>& stamp) {
-  util::Timer cycle_timer;
   apsim::Simulator reference(network);
-  const auto expected = reference.run(stream);
-  const double cycle_wall = cycle_timer.seconds();
+  std::vector<apsim::ReportEvent> expected;
+  std::vector<double> cycle_walls;
+  bool identical = true;
+  for (std::size_t rep = 0; identical && rep < kCycleAccurateReps; ++rep) {
+    util::Timer cycle_timer;
+    auto events = reference.run(stream);
+    cycle_walls.push_back(cycle_timer.seconds());
+    if (rep == 0) {
+      expected = std::move(events);
+    } else {
+      identical = events == expected;
+    }
+  }
+  if (!identical) {
+    std::fprintf(stderr, "FAIL: cycle-accurate runs disagree\n");
+    return 1;
+  }
+  const double cycle_wall = util::median(cycle_walls);
 
   apsim::BatchSimulator batch(program);
   std::vector<double> walls;
-  bool identical = batch.run(stream) == expected;
+  identical = batch.run(stream) == expected;
   for (std::size_t rep = 0; identical && rep < kBitParallelReps; ++rep) {
     util::Timer bit_timer;
     const auto actual = batch.run(stream);
@@ -91,14 +110,17 @@ inline int compare_backends_on_stream(
   row("cycle_accurate", cycle_wall);
   row("bit_parallel", bit_wall);
   table.add_note(note);
-  table.add_note("bit-parallel wall s = median of " +
+  table.add_note("wall s = median of " + std::to_string(kCycleAccurateReps) +
+                 " cycle-accurate runs and of " +
                  std::to_string(kBitParallelReps) +
-                 " warm runs on one simulator; cycle-accurate = one run.");
+                 " warm bit-parallel runs, each on one simulator.");
   table.print(std::cout);
 
   util::BenchRecord speed(prefix + "_backend_speedup");
   stamp(speed);
   report.write(speed
+                   .param("cycle_accurate_reps",
+                          static_cast<std::uint64_t>(kCycleAccurateReps))
                    .param("bit_parallel_reps",
                           static_cast<std::uint64_t>(kBitParallelReps))
                    .param("speedup", speedup));

@@ -221,7 +221,6 @@ int run(const ServeFlags& flags) {
               static_cast<unsigned long long>(
                   tally[static_cast<int>(serve::ResponseCode::kInternal)]),
               static_cast<unsigned long long>(
-                  tally[static_cast<int>(serve::ResponseCode::kCancelled)] +
                   tally[static_cast<int>(
                       serve::ResponseCode::kInvalidArgument)]));
   if (!ok_latency_ms.empty()) {

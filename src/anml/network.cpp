@@ -70,26 +70,6 @@ ElementId AutomataNetwork::merge(const AutomataNetwork& other) {
   return offset;
 }
 
-std::vector<Edge> AutomataNetwork::out_edges(ElementId id) const {
-  std::vector<Edge> result;
-  for (const Edge& e : edges_) {
-    if (e.from == id) {
-      result.push_back(e);
-    }
-  }
-  return result;
-}
-
-std::vector<Edge> AutomataNetwork::in_edges(ElementId id) const {
-  std::vector<Edge> result;
-  for (const Edge& e : edges_) {
-    if (e.to == id) {
-      result.push_back(e);
-    }
-  }
-  return result;
-}
-
 std::size_t AutomataNetwork::fan_in(ElementId id) const {
   return static_cast<std::size_t>(
       std::count_if(edges_.begin(), edges_.end(),

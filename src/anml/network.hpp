@@ -68,11 +68,6 @@ class AutomataNetwork {
   const std::vector<Element>& elements() const noexcept { return elements_; }
   const std::vector<Edge>& edges() const noexcept { return edges_; }
 
-  /// Out-neighbors (with ports) of `id`.
-  std::vector<Edge> out_edges(ElementId id) const;
-  /// In-neighbors (with ports) of `id`.
-  std::vector<Edge> in_edges(ElementId id) const;
-
   std::size_t fan_in(ElementId id) const;
   std::size_t fan_out(ElementId id) const;
 

@@ -973,12 +973,6 @@ void BatchSimulator::step(std::uint8_t symbol) {
   sort_prev_ = sort_now;
 }
 
-std::vector<ReportEvent> BatchSimulator::run(
-    std::span<const std::uint8_t> stream) {
-  reset();
-  return run_continue(stream);
-}
-
 bool BatchSimulator::quiescent() const noexcept {
   // One branch-free OR over every word that must be zero.
   std::uint64_t any = bridge_ | static_cast<std::uint64_t>(guard_prev_) |
@@ -1159,27 +1153,6 @@ bool BatchSimulator::try_closed_form_frame(std::span<const std::uint8_t> rest,
   return true;
 }
 
-std::vector<ReportEvent> BatchSimulator::run_unchecked(
-    std::span<const std::uint8_t> stream, std::size_t report_limit,
-    std::span<const std::uint32_t> count_floor) {
-  const std::size_t first_new = reports_.size();
-  for (std::size_t pos = 0; pos < stream.size();) {
-    if (try_closed_form_frame(stream.subspan(pos), report_limit,
-                              floor_at(count_floor, pos, frame_cycles_))) {
-      pos += frame_cycles_;
-    } else {
-      step(stream[pos++]);
-    }
-  }
-  return {reports_.begin() + static_cast<std::ptrdiff_t>(first_new),
-          reports_.end()};
-}
-
-std::vector<ReportEvent> BatchSimulator::run_continue(
-    std::span<const std::uint8_t> stream) {
-  return run_unchecked(stream, 0, {});
-}
-
 std::vector<ReportEvent> BatchSimulator::run(
     std::span<const std::uint8_t> stream, const util::RunControl& control,
     std::size_t report_limit, std::span<const std::uint32_t> count_floor) {
@@ -1190,12 +1163,8 @@ std::vector<ReportEvent> BatchSimulator::run(
 std::vector<ReportEvent> BatchSimulator::run_continue(
     std::span<const std::uint8_t> stream, const util::RunControl& control,
     std::size_t report_limit, std::span<const std::uint32_t> count_floor) {
-  if (!control.engaged() && !util::FaultInjector::armed()) {
-    return run_unchecked(stream, report_limit, count_floor);
-  }
   const std::size_t first_new = reports_.size();
-  const std::uint64_t period =
-      control.checkpoint_period > 0 ? control.checkpoint_period : stream.size();
+  const std::uint64_t period = checkpoint_period(control, stream.size());
   std::uint64_t since = 0;
   for (std::size_t pos = 0; pos < stream.size();) {
     // A closed-form frame may end on a checkpoint but not span one.

@@ -278,11 +278,14 @@ class BatchSimulator {
   /// Consumes one symbol; advances to the next cycle.
   void step(std::uint8_t symbol);
 
-  /// reset() + step over the whole stream; returns collected reports.
-  std::vector<ReportEvent> run(std::span<const std::uint8_t> stream);
+  /// reset() + run_continue(stream, control, report_limit, count_floor).
+  std::vector<ReportEvent> run(std::span<const std::uint8_t> stream,
+                               const util::RunControl& control = {},
+                               std::size_t report_limit = 0,
+                               std::span<const std::uint32_t> count_floor = {});
 
   /// Runs WITHOUT resetting first — streams are concatenable, matching
-  /// Simulator::run_continue.
+  /// Simulator::run_continue — and returns the reports this call emitted.
   ///
   /// Closed-form frames: when the simulator is quiescent (in the state
   /// reset() leaves, up to cycle() and reports()) and the next 2d+L+3
@@ -292,13 +295,12 @@ class BatchSimulator {
   /// in one popcount sweep instead of being stepped, leave the simulator
   /// quiescent, and produce exactly the events and state stepping would.
   /// Every other symbol is stepped (docs/SIMULATOR_SEMANTICS.md).
-  std::vector<ReportEvent> run_continue(std::span<const std::uint8_t> stream);
-
-  /// Checkpointed variants (same contract as Simulator::run(stream,
-  /// control)): poll the deadline/cancellation token every
-  /// `control.checkpoint_period` symbols and fire the "batch.frame" fault
-  /// site. Uninstrumented-loop cost when the control is idle and no fault
-  /// site is armed. A frame is computed in closed form only when no
+  ///
+  /// Checkpoints (same contract as Simulator::run_continue): every
+  /// `control.checkpoint_period` symbols (0: once, after the whole
+  /// stream) the run polls the deadline/cancellation token and fires the
+  /// "batch.frame" fault site. An idle control with no fault site armed
+  /// never checkpoints. A frame is computed in closed form only when no
   /// checkpoint falls before its last symbol, so checkpoints and fault
   /// checks fire after exactly the same symbol counts as when stepping.
   ///
@@ -316,13 +318,9 @@ class BatchSimulator {
   /// Stepped symbols report in full, a 0 limit and an empty floor keep
   /// every event, and the state left behind depends on neither.
   /// report_count() counts the events left out too.
-  std::vector<ReportEvent> run(std::span<const std::uint8_t> stream,
-                               const util::RunControl& control,
-                               std::size_t report_limit = 0,
-                               std::span<const std::uint32_t> count_floor = {});
   std::vector<ReportEvent> run_continue(
-      std::span<const std::uint8_t> stream, const util::RunControl& control,
-      std::size_t report_limit = 0,
+      std::span<const std::uint8_t> stream,
+      const util::RunControl& control = {}, std::size_t report_limit = 0,
       std::span<const std::uint32_t> count_floor = {});
 
   std::uint64_t cycle() const noexcept { return cycle_; }
@@ -352,10 +350,6 @@ class BatchSimulator {
   bool try_closed_form_frame(std::span<const std::uint8_t> rest,
                              std::size_t report_limit,
                              std::uint32_t count_floor);
-  /// The unchecked loop behind both run_continue overloads.
-  std::vector<ReportEvent> run_unchecked(
-      std::span<const std::uint8_t> stream, std::size_t report_limit,
-      std::span<const std::uint32_t> count_floor);
 
   std::shared_ptr<const BatchProgram> program_;
   LaneKernels kernels_;     ///< the stepping kernels of the lane width

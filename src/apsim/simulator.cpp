@@ -1,6 +1,7 @@
 #include "apsim/simulator.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
@@ -336,19 +337,12 @@ void Simulator::step(std::uint8_t symbol) {
   }
 }
 
-std::vector<ReportEvent> Simulator::run(std::span<const std::uint8_t> stream) {
-  reset();
-  return run_continue(stream);
-}
-
-std::vector<ReportEvent> Simulator::run_continue(
-    std::span<const std::uint8_t> stream) {
-  const std::size_t first_new = reports_.size();
-  for (const std::uint8_t symbol : stream) {
-    step(symbol);
+std::uint64_t checkpoint_period(const util::RunControl& control,
+                                std::size_t symbols) noexcept {
+  if (!control.engaged() && !util::FaultInjector::armed()) {
+    return std::numeric_limits<std::uint64_t>::max();
   }
-  return {reports_.begin() + static_cast<std::ptrdiff_t>(first_new),
-          reports_.end()};
+  return control.checkpoint_period > 0 ? control.checkpoint_period : symbols;
 }
 
 std::vector<ReportEvent> Simulator::run(std::span<const std::uint8_t> stream,
@@ -359,15 +353,8 @@ std::vector<ReportEvent> Simulator::run(std::span<const std::uint8_t> stream,
 
 std::vector<ReportEvent> Simulator::run_continue(
     std::span<const std::uint8_t> stream, const util::RunControl& control) {
-  // Checkpoints are pure cost when nothing can fire; fall back to the
-  // uninstrumented loop unless a deadline/token is live or a fault site
-  // is armed (frame-boundary granularity either way).
-  if (!control.engaged() && !util::FaultInjector::armed()) {
-    return run_continue(stream);
-  }
   const std::size_t first_new = reports_.size();
-  const std::uint64_t period =
-      control.checkpoint_period > 0 ? control.checkpoint_period : stream.size();
+  const std::uint64_t period = checkpoint_period(control, stream.size());
   std::uint64_t since = 0;
   for (const std::uint8_t symbol : stream) {
     step(symbol);

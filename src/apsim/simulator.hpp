@@ -79,6 +79,14 @@ struct TraceSink {
                         const class Simulator& sim) = 0;
 };
 
+/// Symbols between the checkpoints of a run of `symbols` symbols under
+/// `control`: its checkpoint_period, or the whole run when that is 0; or
+/// never (the largest count) when the control is idle and no fault site is
+/// armed, since no checkpoint could then have an effect. Both simulators'
+/// run_continue count checkpoints by this.
+std::uint64_t checkpoint_period(const util::RunControl& control,
+                                std::size_t symbols) noexcept;
+
 class Simulator {
  public:
   /// Compiles `network` for execution. The network must outlive the
@@ -92,24 +100,20 @@ class Simulator {
   /// Consumes one symbol; advances to the next cycle.
   void step(std::uint8_t symbol);
 
-  /// reset() + step over the whole stream; returns collected reports.
-  std::vector<ReportEvent> run(std::span<const std::uint8_t> stream);
+  /// reset() + run_continue(stream, control).
+  std::vector<ReportEvent> run(std::span<const std::uint8_t> stream,
+                               const util::RunControl& control = {});
 
   /// Runs WITHOUT resetting first — streams are concatenable (back-to-back
-  /// queries), matching how a host drives the real device.
-  std::vector<ReportEvent> run_continue(std::span<const std::uint8_t> stream);
-
-  /// run()/run_continue() with cooperative checkpoints: every
-  /// `control.checkpoint_period` symbols (the engines pass one query frame)
-  /// the simulator polls the deadline/cancellation token — throwing
+  /// queries), matching how a host drives the real device — and returns
+  /// the reports this call emitted. Every `control.checkpoint_period`
+  /// symbols (the engines pass one query frame; 0: once, after the whole
+  /// stream) the run polls the deadline/cancellation token — throwing
   /// util::DeadlineExceeded / util::OperationCancelled mid-stream — and
-  /// fires the "sim.frame" fault site (util/fault_injection.hpp). With an
-  /// idle control and no armed injector this is the plain loop plus one
-  /// branch per call.
-  std::vector<ReportEvent> run(std::span<const std::uint8_t> stream,
-                               const util::RunControl& control);
+  /// fires the "sim.frame" fault site (util/fault_injection.hpp). An idle
+  /// control with no fault site armed never checkpoints.
   std::vector<ReportEvent> run_continue(std::span<const std::uint8_t> stream,
-                                        const util::RunControl& control);
+                                        const util::RunControl& control = {});
 
   // --- Introspection (used by traces and tests) ---------------------------
   std::uint64_t cycle() const noexcept { return cycle_; }

@@ -49,20 +49,6 @@ bool quarantine_slot(const std::string& path) {
 
 }  // namespace
 
-const char* to_string(ArtifactOutcome outcome) noexcept {
-  switch (outcome) {
-    case ArtifactOutcome::kDisabled:
-      return "disabled";
-    case ArtifactOutcome::kHit:
-      return "hit";
-    case ArtifactOutcome::kMiss:
-      return "miss";
-    case ArtifactOutcome::kInvalidated:
-      return "invalidated";
-  }
-  return "unknown";
-}
-
 std::string artifact_cache_path(const std::string& dir,
                                 std::string_view builder, std::size_t slot) {
   std::string index = std::to_string(slot);

@@ -44,8 +44,6 @@ enum class ArtifactOutcome : std::uint8_t {
   kInvalidated,  ///< artifact present but stale or damaged — recompiled, overwritten
 };
 
-const char* to_string(ArtifactOutcome outcome) noexcept;
-
 /// Aggregated cache counters, embedded in BackendCompileStats and printed
 /// by `apss_cli knn --artifact-cache=DIR`.
 struct ArtifactCacheStats {

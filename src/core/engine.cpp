@@ -25,6 +25,16 @@ namespace {
 /// Builder tag: names the cache slot files and salts the compile-input key.
 constexpr std::string_view kEngineBuilder = "apss-knn-engine";
 
+/// The packed design's builder options: `group_size` vectors per group
+/// with kTree collectors (VectorPackingOptions defaults to kFlat) and the
+/// default macro options.
+VectorPackingOptions packing_options(std::size_t group_size) {
+  VectorPackingOptions opt;
+  opt.group_size = group_size;
+  opt.style = CollectorStyle::kTree;
+  return opt;
+}
+
 /// Worst-wins ordering for reducing shard outcomes to one per-configuration
 /// state: a hard failure outranks cancellation outranks timeout outranks
 /// degradation outranks ok.
@@ -142,13 +152,7 @@ ApKnnEngine::ApKnnEngine(knn::BinaryDataset dataset, EngineOptions options)
   }
   const std::size_t dims = dataset_.dims();
   const bool packed = options_.packing_group_size > 0;
-  VectorPackingOptions pack_opt;
-  pack_opt.group_size = options_.packing_group_size;
-  pack_opt.style = options_.packing_style;
-  pack_opt.macro = options_.macro;
-  spec_ = StreamSpec{dims, packed && pack_opt.style == CollectorStyle::kFlat
-                               ? 1
-                               : collector_levels_for(dims, options_.macro)};
+  spec_ = StreamSpec{dims, collector_levels_for(dims)};
 
   // Board capacity: how many vectors fit one configuration on a single-rank
   // board (the paper's, which holds 1024 x 128-dim vectors). Plain macros of
@@ -163,19 +167,20 @@ ApKnnEngine::ApKnnEngine(knn::BinaryDataset dataset, EngineOptions options)
     anml::AutomataNetwork prototype("prototype");
     std::size_t vectors_per_copy = 1;
     if (packed) {
-      vectors_per_copy = std::min(pack_opt.group_size, dataset_.size());
+      vectors_per_copy = std::min(options_.packing_group_size, dataset_.size());
       knn::BinaryDataset worst(vectors_per_copy, dims);
       for (std::size_t v = 1; v < vectors_per_copy; v += 2) {
         for (std::size_t i = 0; i < dims; ++i) {
           worst.set(v, i, true);
         }
       }
-      append_packed_group(prototype, worst, 0, vectors_per_copy, pack_opt);
+      append_packed_group(prototype, worst, 0, vectors_per_copy,
+                          packing_options(options_.packing_group_size));
     } else if (options_.multiplex_slices > 0) {
       build_multiplexed_network(prototype, dataset_, options_.multiplex_slices,
-                                options_.macro, 0, 1);
+                                {}, 0, 1);
     } else {
-      append_hamming_macro(prototype, dataset_.vector(0), 0, options_.macro);
+      append_hamming_macro(prototype, dataset_.vector(0), 0);
     }
     const apsim::MacroFootprint fp = apsim::footprint_of(prototype);
     capacity_ = apsim::max_copies(fp, apsim::DeviceGeometry::one_rank()) *
@@ -310,10 +315,8 @@ void ApKnnEngine::build_network(
   p.network =
       std::make_unique<anml::AutomataNetwork>("config" + std::to_string(config));
   if (options_.packing_group_size > 0) {
-    VectorPackingOptions pack_opt;
-    pack_opt.group_size = options_.packing_group_size;
-    pack_opt.style = options_.packing_style;
-    pack_opt.macro = options_.macro;
+    const VectorPackingOptions pack_opt =
+        packing_options(options_.packing_group_size);
     for (std::size_t gb = p.begin; gb < p.begin + p.count;
          gb += pack_opt.group_size) {
       const std::size_t gcount =
@@ -330,8 +333,8 @@ void ApKnnEngine::build_network(
   } else if (options_.multiplex_slices > 0) {
     std::vector<MacroLayout> layouts =
         build_multiplexed_network(*p.network, dataset_,
-                                  options_.multiplex_slices, options_.macro,
-                                  p.begin, p.count);
+                                  options_.multiplex_slices, {}, p.begin,
+                                  p.count);
     for (const MacroLayout& layout : layouts) {
       if (layout.collector_levels != spec_.collector_levels) {
         throw std::logic_error("ApKnnEngine: inconsistent collector depth");
@@ -344,7 +347,7 @@ void ApKnnEngine::build_network(
     for (std::size_t i = 0; i < p.count; ++i) {
       MacroLayout layout = append_hamming_macro(
           *p.network, dataset_.vector(p.begin + i),
-          static_cast<std::uint32_t>(p.begin + i), options_.macro);
+          static_cast<std::uint32_t>(p.begin + i));
       if (layout.collector_levels != spec_.collector_levels) {
         throw std::logic_error("ApKnnEngine: inconsistent collector depth");
       }
@@ -375,9 +378,11 @@ std::uint64_t ApKnnEngine::artifact_key(std::size_t i) const {
   hasher.update_u32(artifact::kFormatVersion);
   hasher.update_u64(p.begin);
   hash_dataset_slice(hasher, dataset_, p.begin, p.count);
-  hash_macro_options(hasher, options_.macro);
+  // The macro options and the collector style are constants; hashing them
+  // keeps every key, and so every cache an earlier build wrote, unchanged.
+  hash_macro_options(hasher, HammingMacroOptions{});
   hasher.update_u64(options_.packing_group_size);
-  hasher.update(static_cast<std::uint8_t>(options_.packing_style));
+  hasher.update(static_cast<std::uint8_t>(CollectorStyle::kTree));
   hasher.update_u64(options_.multiplex_slices);
   hash_sim_options(hasher, apsim::SimOptions::from(options_.device.features));
   return hasher.digest();
@@ -639,9 +644,9 @@ void ApKnnEngine::run_shards(SearchPlan& plan,
   const std::size_t cpq = spec_.cycles_per_query();
   const std::size_t per_frame = queries_per_frame();
   const auto dims = static_cast<std::uint32_t>(spec_.dims);
-  // A one-query frame is exactly the base design's frame, so one encoder
-  // serves both designs.
-  const MultiplexedStreamEncoder encoder(spec_);
+  // A one-query group is the base design's frame, so append_group encodes
+  // both designs.
+  const SymbolStreamEncoder encoder(spec_);
   const apsim::SimOptions sim_options =
       apsim::SimOptions::from(options_.device.features);
 

@@ -133,7 +133,6 @@ struct BackendCompileStats {
 
 struct EngineOptions {
   apsim::DeviceConfig device = apsim::DeviceConfig::gen1();
-  HammingMacroOptions macro;
   /// Overrides the placement-derived capacity when nonzero (tests use this
   /// to force multi-configuration runs on small datasets).
   std::size_t max_vectors_per_config = 0;
@@ -168,14 +167,12 @@ struct EngineOptions {
   SimulationBackend backend = SimulationBackend::kCycleAccurate;
   /// When > 0, each configuration is built with the Sec. VI-A
   /// vector-packing transform — this many vectors overlay one shared
-  /// ladder per group — instead of one macro per vector. Board capacity,
+  /// ladder per group, with kTree collectors (routable at high
+  /// dimensionality) — instead of one macro per vector. Board capacity,
   /// streams, report codes and decoding are unchanged; the packed network
-  /// just spends fewer STEs per vector.
+  /// just spends fewer STEs per vector. Every design builds its macros
+  /// with the default HammingMacroOptions.
   std::size_t packing_group_size = 0;
-  /// Collector style for packed configurations. kTree (default) stays
-  /// routable at high dimensionality; kFlat reproduces the paper's naive
-  /// construction (fan-in = dims, "places but only partially routes").
-  CollectorStyle packing_style = CollectorStyle::kTree;
   /// Symbol-stream multiplexing (Sec. VI-B, Fig. 6). 0 (default) runs the
   /// base design, one query per frame. S in 1..7 builds each vector as S
   /// bit-slice replicas (core::build_multiplexed_network; report code =

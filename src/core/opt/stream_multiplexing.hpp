@@ -5,7 +5,8 @@
 // gets one macro per active slice whose matching states perform the ternary
 // match 0b*......b on their slice — the TCAM-style encoding of the paper.
 // core::ApKnnEngine runs this design when EngineOptions::multiplex_slices
-// is set; this header holds its builder, report codes and frame encoder.
+// is set; this header holds its builder and report codes, and
+// core::SymbolStreamEncoder (core/stream.hpp) writes its frames.
 
 #include <cstdint>
 #include <limits>
@@ -14,11 +15,10 @@
 #include "anml/network.hpp"
 #include "core/design.hpp"
 #include "core/hamming_macro.hpp"
+#include "core/stream.hpp"
 #include "knn/dataset.hpp"
 
 namespace apss::core {
-
-inline constexpr std::size_t kMaxSlices = 7;
 
 /// Report-code packing for multiplexed designs: code = vector_id * 8 + slice.
 struct MuxReportCode {
@@ -39,28 +39,5 @@ std::vector<MacroLayout> build_multiplexed_network(
     std::size_t slices, const HammingMacroOptions& base_options = {},
     std::size_t begin = 0,
     std::size_t count = std::numeric_limits<std::size_t>::max());
-
-/// Encodes up to 7 parallel queries (rows of `queries`, all with the macro
-/// dimensionality) into ONE multiplexed frame per query group.
-class MultiplexedStreamEncoder {
- public:
-  explicit MultiplexedStreamEncoder(StreamSpec spec) : spec_(spec) {}
-
-  /// Appends one frame carrying rows [begin, begin+count) of `queries` in
-  /// slices 0..count-1 to `out`. count must be 1..7. A one-query frame
-  /// equals SymbolStreamEncoder's frame for that query.
-  void append_group(const knn::BinaryDataset& queries, std::size_t begin,
-                    std::size_t count, std::vector<std::uint8_t>& out) const;
-
-  /// Encodes a whole query set, 7 per frame; returns the stream and the
-  /// number of frames.
-  std::vector<std::uint8_t> encode_batch(const knn::BinaryDataset& queries,
-                                         std::size_t& frames_out) const;
-
-  const StreamSpec& spec() const noexcept { return spec_; }
-
- private:
-  StreamSpec spec_;
-};
 
 }  // namespace apss::core

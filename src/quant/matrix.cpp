@@ -60,17 +60,6 @@ Matrix Matrix::operator*(const Matrix& other) const {
   return out;
 }
 
-Matrix Matrix::operator-(const Matrix& other) const {
-  if (rows_ != other.rows_ || cols_ != other.cols_) {
-    throw std::invalid_argument("Matrix subtract: shape mismatch");
-  }
-  Matrix out(rows_, cols_);
-  for (std::size_t i = 0; i < data_.size(); ++i) {
-    out.data_[i] = data_[i] - other.data_[i];
-  }
-  return out;
-}
-
 std::vector<double> Matrix::column_means() const {
   std::vector<double> means(cols_, 0.0);
   for (std::size_t r = 0; r < rows_; ++r) {

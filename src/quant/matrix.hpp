@@ -43,7 +43,6 @@ class Matrix {
 
   Matrix transpose() const;
   Matrix operator*(const Matrix& other) const;
-  Matrix operator-(const Matrix& other) const;
 
   /// Mean of each column (length cols()).
   std::vector<double> column_means() const;

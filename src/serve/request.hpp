@@ -34,7 +34,6 @@ enum class ResponseCode : std::uint8_t {
   /// The request's deadline expired — at admission (fast path, before any
   /// simulator work), while queued, or while its batch was running.
   kDeadlineExceeded,
-  kCancelled,         ///< the server hard-stopped while the request was in flight
   /// An injected fault, an engine failure that survived degradation, or a
   /// wedged batch the watchdog failed.
   kInternal,

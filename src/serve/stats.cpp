@@ -14,8 +14,6 @@ const char* to_string(ResponseCode code) noexcept {
       return "shutting-down";
     case ResponseCode::kDeadlineExceeded:
       return "deadline-exceeded";
-    case ResponseCode::kCancelled:
-      return "cancelled";
     case ResponseCode::kInternal:
       return "internal";
     case ResponseCode::kInvalidArgument:
@@ -31,8 +29,8 @@ std::ostream& operator<<(std::ostream& os, const ServerStats& stats) {
      << stats.rejected_shutdown << " shutting-down, "
      << stats.rejected_invalid << " invalid\n"
      << "serve: deadline-exceeded " << stats.deadline_exceeded << " ("
-     << stats.expired_at_admission << " at admission), cancelled "
-     << stats.cancelled << ", internal " << stats.internal_errors << "\n"
+     << stats.expired_at_admission << " at admission), internal "
+     << stats.internal_errors << "\n"
      << "serve: batches " << stats.batches << " (mean occupancy "
      << stats.mean_batch_occupancy() << ", degraded "
      << stats.degraded_batches << ", watchdog " << stats.watchdog_fired
@@ -72,9 +70,6 @@ void StatsCollector::count_resolved(ResponseCode code,
     case ResponseCode::kDeadlineExceeded:
       ++stats_.deadline_exceeded;
       stats_.expired_at_admission += expired_at_admission;
-      break;
-    case ResponseCode::kCancelled:
-      ++stats_.cancelled;
       break;
     case ResponseCode::kInternal:
       ++stats_.internal_errors;

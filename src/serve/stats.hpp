@@ -5,8 +5,7 @@
 // invariant is checkable from a snapshot alone:
 //
 //   submitted == resolved_total()        (once every future is resolved)
-//   admitted  == ok + deadline_exceeded_inflight + cancelled
-//               + internal_errors_inflight
+//   admitted  == ok + deadline_exceeded_inflight + internal_errors_inflight
 //
 // apss_serve asserts the first identity on drain ("zero response leaks")
 // and the soak smoke in CI runs that assertion under injected faults.
@@ -37,7 +36,6 @@ struct ServerStats {
   // --- Resolution -------------------------------------------------------
   std::uint64_t ok = 0;                 ///< kOk responses
   std::uint64_t deadline_exceeded = 0;  ///< kDeadlineExceeded (all paths)
-  std::uint64_t cancelled = 0;          ///< kCancelled responses
   std::uint64_t internal_errors = 0;    ///< kInternal responses
 
   // --- Batching ---------------------------------------------------------
@@ -60,7 +58,7 @@ struct ServerStats {
   /// Requests that have reached a terminal state.
   std::uint64_t resolved_total() const noexcept {
     return ok + rejected_overload + rejected_shutdown + rejected_invalid +
-           deadline_exceeded + cancelled + internal_errors;
+           deadline_exceeded + internal_errors;
   }
   /// True when every submitted request is resolved and nothing is in
   /// flight — the drain postcondition.

@@ -19,7 +19,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <limits>
 #include <stdexcept>
 
 namespace apss::util {
@@ -120,16 +119,6 @@ class Deadline {
 #endif
   }
 
-  /// Milliseconds left (negative once expired); +infinity when unset.
-  double remaining_ms() const noexcept {
-    if (!set_) {
-      return std::numeric_limits<double>::infinity();
-    }
-    return std::chrono::duration<double, std::milli>(
-               at_ - std::chrono::steady_clock::now())
-        .count();
-  }
-
   /// The deadline that expires LAST — an unset operand wins (it never
   /// expires at all). This is the batching combinator: a shared query frame
   /// serving several requests stays useful until its last request's budget
@@ -154,13 +143,15 @@ struct RunControl {
   const Deadline* deadline = nullptr;
   const CancellationToken* cancel = nullptr;
   /// Symbols between in-run checkpoints — the engines pass one query frame
-  /// (StreamSpec::cycles_per_query()); 0 checkpoints only between runs.
+  /// (StreamSpec::cycles_per_query()); 0 checkpoints once, after a run's
+  /// last symbol.
   std::uint64_t checkpoint_period = 0;
   /// FaultInjector key for the frame-step fault sites (-1 = any).
   std::int64_t fault_key = -1;
 
-  /// True when checkpoints can have any effect — the simulators run their
-  /// plain loop otherwise, so an idle RunControl costs one branch per run.
+  /// True when checkpoints can have any effect — otherwise, unless a fault
+  /// site is armed, the simulators never checkpoint
+  /// (apsim::checkpoint_period).
   bool engaged() const noexcept {
     return (deadline != nullptr && deadline->set()) || cancel != nullptr;
   }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace apss::anml {
 namespace {
 
@@ -38,8 +40,6 @@ TEST(AutomataNetwork, FanInFanOut) {
   EXPECT_EQ(net.fan_out(0), 1u);
   EXPECT_EQ(net.fan_in(1), 1u);
   EXPECT_EQ(net.fan_in(0), 0u);
-  EXPECT_EQ(net.out_edges(0).size(), 1u);
-  EXPECT_EQ(net.in_edges(2).size(), 1u);
 }
 
 TEST(AutomataNetwork, ConnectRejectsBadIds) {
@@ -73,7 +73,11 @@ TEST(AutomataNetwork, MergeOffsetsIds) {
   EXPECT_EQ(net.size(), 6u);
   // The merged chain's edges reference offset ids.
   EXPECT_EQ(net.fan_in(offset + 1), 1u);
-  EXPECT_EQ(net.in_edges(offset + 1)[0].from, offset);
+  const auto into = std::find_if(
+      net.edges().begin(), net.edges().end(),
+      [&](const Edge& e) { return e.to == offset + 1; });
+  ASSERT_NE(into, net.edges().end());
+  EXPECT_EQ(into->from, offset);
 }
 
 TEST(AutomataNetworkValidate, AcceptsWellFormed) {

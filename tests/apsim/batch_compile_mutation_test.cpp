@@ -110,7 +110,7 @@ std::vector<std::uint8_t> mixed_stream(const Base& b, util::Rng& rng) {
       core::Alphabet::kFill,      core::Alphabet::data_bit(false),
       core::Alphabet::data_bit(true), core::Alphabet::data(0x55),
       core::Alphabet::data(0x2a), 0x7f, 0xff};
-  const core::MultiplexedStreamEncoder encoder(b.spec);
+  const core::SymbolStreamEncoder encoder(b.spec);
   std::vector<std::uint8_t> stream;
   for (int frame = 0; frame < 3; ++frame) {
     const auto queries = test::random_dataset(rng, b.slices, b.spec.dims);

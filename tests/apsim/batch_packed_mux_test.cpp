@@ -334,9 +334,9 @@ TEST(BatchMuxDifferential, EncodedFrameSweep) {
       const MuxConfig c = build_mux(data, slices);
       const auto queries =
           test::random_dataset(rng, slices + rng.below(8), dims);
-      const core::MultiplexedStreamEncoder enc(c.spec);
+      const core::SymbolStreamEncoder enc(c.spec);
       std::size_t frames = 0;
-      expect_identical_mux(c, enc.encode_batch(queries, frames),
+      expect_identical_mux(c, enc.encode_multiplexed(queries, frames),
                            "slices=" + std::to_string(slices) +
                                " d=" + std::to_string(dims));
     }
@@ -383,7 +383,7 @@ TEST(BatchMuxProgram, DeepTreesAndPartialSlices) {
   deep.max_counter_fan_in = 2;
   const auto data = test::random_dataset(rng, 5, 17);
   const MuxConfig c = build_mux(data, 3, deep);
-  const core::MultiplexedStreamEncoder enc(c.spec);
+  const core::SymbolStreamEncoder enc(c.spec);
   // A full 3-query frame followed by a partial 1-query frame.
   const auto queries = test::random_dataset(rng, 4, 17);
   std::vector<std::uint8_t> stream;

@@ -519,8 +519,8 @@ TEST(ClosedFormFrame, MultiplexedMultiClassSymbols) {
     ASSERT_EQ(c.program->family(), MacroFamily::kMultiplexed);
     std::size_t frames = 0;
     std::vector<std::uint8_t> stream =
-        core::MultiplexedStreamEncoder(c.spec())
-            .encode_batch(test::random_dataset(rng, 9, dims), frames);
+        core::SymbolStreamEncoder(c.spec())
+            .encode_multiplexed(test::random_dataset(rng, 9, dims), frames);
     ASSERT_EQ(stream.size(), frames * c.frame());
     append_random_frame(rng, c, stream);
     expect_closed_form(c, stream, frames + 1, true, rng,
@@ -1231,7 +1231,7 @@ TEST_F(ClosedFormCheckpoints, FireAtTheSameSymbolCountsAsStepping) {
     control.checkpoint_period = tc.period;
 
     // Events, check count and closed-form use with the site armed to count
-    // only (any armed site selects the instrumented loop).
+    // only (an armed site turns checkpoints on under an idle control).
     BatchSimulator stepped(c.program);
     for (const std::uint8_t s : stream) {
       stepped.step(s);
@@ -1302,6 +1302,46 @@ TEST_F(ClosedFormCheckpoints, FireAtTheSameSymbolCountsAsStepping) {
       EXPECT_EQ(limited.report_count(), stepped.reports().size()) << context;
       EXPECT_EQ(limited.closed_form_frames(), tc.closed) << context;
     }
+  }
+}
+
+TEST_F(ClosedFormCheckpoints, IdleAndCheckpointedControlsRunAlike) {
+  // One loop runs every control. The defaulted entry, an explicit idle
+  // RunControl (which never checkpoints) and a control that checkpoints
+  // after every frame under a fault site armed for another key must leave
+  // the same events, cycle(), report_count() and closed_form_frames(), on
+  // a stream whose last frame stops halfway.
+  util::Rng rng(4242);
+  const Config c = hamming(test::random_dataset(rng, 65, 16));
+  std::vector<std::uint8_t> stream = random_frames(rng, c, 4);
+  const std::vector<std::uint8_t> last = random_frames(rng, c, 1);
+  stream.insert(stream.end(), last.begin(),
+                last.begin() + static_cast<std::ptrdiff_t>(c.frame() / 2));
+
+  BatchSimulator defaulted(c.program);
+  const std::vector<ReportEvent> want = defaulted.run(stream);
+  ASSERT_FALSE(want.empty());
+  EXPECT_EQ(defaulted.cycle(), stream.size());
+  EXPECT_EQ(defaulted.closed_form_frames(), 4u);
+
+  BatchSimulator idle(c.program);
+  EXPECT_EQ(idle.run(stream, util::RunControl{}), want);
+
+  util::FaultInjector::Plan other_key;
+  other_key.match_key = 7;
+  util::FaultInjector::instance().arm(util::kFaultBatchFrame, other_key);
+  util::RunControl every_frame;
+  every_frame.checkpoint_period = c.frame();
+  every_frame.fault_key = 3;
+  BatchSimulator checked(c.program);
+  EXPECT_EQ(checked.run(stream, every_frame), want);
+  EXPECT_EQ(util::FaultInjector::instance().hits(util::kFaultBatchFrame), 0u);
+  util::FaultInjector::instance().disarm(util::kFaultBatchFrame);
+
+  for (const BatchSimulator* sim : {&idle, &checked}) {
+    EXPECT_EQ(sim->cycle(), defaulted.cycle());
+    EXPECT_EQ(sim->report_count(), defaulted.report_count());
+    EXPECT_EQ(sim->closed_form_frames(), defaulted.closed_form_frames());
   }
 }
 

@@ -225,10 +225,10 @@ TEST(LaneWidthSweep, MultiplexedFamilyRunsAtEveryWidth) {
   ASSERT_EQ(program->family(), MacroFamily::kMultiplexed);
 
   const core::StreamSpec spec{dims, core::collector_levels_for(dims, {})};
-  const core::MultiplexedStreamEncoder enc(spec);
+  const core::SymbolStreamEncoder enc(spec);
   std::size_t frames = 0;
   const auto stream =
-      enc.encode_batch(test::random_dataset(rng, 9, dims), frames);
+      enc.encode_multiplexed(test::random_dataset(rng, 9, dims), frames);
   ASSERT_GE(frames, 2u);
   Simulator reference(network);
   expect_all_widths(program, stream, reference.run(stream), "multiplexed");

@@ -91,18 +91,12 @@ TEST(ArtifactInvalidation, CompilerOptionMutationInvalidates) {
   core::ApKnnEngine first(data, bit_options(dir));
   EXPECT_EQ(cache_stats(first).misses, 1u);
 
-  core::EngineOptions changed = bit_options(dir);
-  changed.macro.collector_fan_in = 4;  // different reduction tree
-  core::ApKnnEngine second(data, changed);
-  EXPECT_EQ(cache_stats(second).invalidations, 1u);
-  EXPECT_EQ(cache_stats(second).hits, 0u);
-
-  // Packing on/off is part of the key too.
+  // Packing on/off is part of the key.
   core::EngineOptions packed = bit_options(dir);
   packed.packing_group_size = 4;
-  core::ApKnnEngine third(data, packed);
-  EXPECT_EQ(cache_stats(third).invalidations, 1u);
-  EXPECT_EQ(cache_stats(third).hits, 0u);
+  core::ApKnnEngine second(data, packed);
+  EXPECT_EQ(cache_stats(second).invalidations, 1u);
+  EXPECT_EQ(cache_stats(second).hits, 0u);
 }
 
 TEST(ArtifactInvalidation, FormatVersionBumpInvalidates) {

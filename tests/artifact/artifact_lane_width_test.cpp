@@ -154,10 +154,10 @@ TEST(ArtifactLaneWidth, LoadedProgramsRunIdenticallyAtEveryWidth) {
   {
     const Built b = build_multiplexed(10, 12, 7, 4);
     util::Rng rng(13);
-    const core::MultiplexedStreamEncoder enc(b.spec);
+    const core::SymbolStreamEncoder enc(b.spec);
     std::size_t frames = 0;
     const auto stream =
-        enc.encode_batch(test::random_dataset(rng, 9, 12), frames);
+        enc.encode_multiplexed(test::random_dataset(rng, 9, 12), frames);
     expect_cross_width_artifact(b, stream, "multiplexed 10x12");
   }
 }

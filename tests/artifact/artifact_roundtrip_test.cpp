@@ -172,9 +172,9 @@ TEST(ArtifactRoundTrip, ReplayIsBitIdenticalPerFamily) {
     const Built b = build_multiplexed(8, 16, 7, 23);
     util::Rng rng(93);
     const auto queries = test::random_dataset(rng, 14, 16);
-    const core::MultiplexedStreamEncoder encoder(b.spec);
+    const core::SymbolStreamEncoder encoder(b.spec);
     std::size_t frames = 0;
-    const auto stream = encoder.encode_batch(queries, frames);
+    const auto stream = encoder.encode_multiplexed(queries, frames);
     expect_replay_identical(b, stream, "multiplexed");
   }
 }

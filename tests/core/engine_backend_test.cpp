@@ -91,40 +91,35 @@ TEST(EngineBackend, SearchMatchesWithThreadPoolAndChunking) {
 }
 
 TEST(EngineBackend, WideDimsUseDeeperCollectorTrees) {
-  // 128-dim macros have a 1-level tree; shrink the fan-in caps to force a
-  // deeper tree through the engine path as well.
-  const auto data = knn::BinaryDataset::uniform(12, 96, 305);
-  const auto queries = knn::BinaryDataset::uniform(4, 96, 306);
-  EngineOptions opt = backend_options({}, 5);
-  opt.macro.collector_fan_in = 4;
-  opt.macro.max_counter_fan_in = 4;
+  // The default fan-ins give a 1-level collector tree up to d = 496 and 2
+  // levels from d = 497 (collector_levels_for), so d = 512 runs the deeper
+  // tree through the engine path.
+  const auto data = knn::BinaryDataset::uniform(12, 512, 305);
+  const auto queries = knn::BinaryDataset::uniform(4, 512, 306);
+  const EngineOptions opt = backend_options({}, 5);
+  ASSERT_EQ(ApKnnEngine(data, opt).stream_spec().collector_levels, 2u);
   expect_same_search(data, queries, 3, opt, opt, "deep-tree");
 }
 
 TEST(EngineBackend, PackedConfigurationsCompileAndMatch) {
-  // Vector-packed configurations (Sec. VI-A) take the fast path too: the
-  // packed try_compile overload must accept every engine-built group and
-  // search() must stay identical to the cycle-accurate reference.
+  // Vector-packed configurations (Sec. VI-A, kTree collectors) take the
+  // fast path too: the packed try_compile overload must accept every
+  // engine-built group and search() must stay identical to the
+  // cycle-accurate reference.
   util::Rng rng(310);
-  for (const auto style :
-       {CollectorStyle::kFlat, CollectorStyle::kTree}) {
-    const auto data = test::random_dataset(rng, 29, 24);
-    const auto queries = test::random_dataset(rng, 6, 24);
-    EngineOptions opt = backend_options({}, 10);
-    opt.packing_group_size = 4;
-    opt.packing_style = style;
-    ApKnnEngine bit(data, [&] {
-      EngineOptions o = opt;
-      o.backend = SimulationBackend::kBitParallel;
-      return o;
-    }());
-    EXPECT_EQ(bit.bit_parallel_configurations(), bit.configurations());
-    EXPECT_EQ(bit.backend_stats().packed, bit.configurations());
-    EXPECT_EQ(bit.backend_stats().hamming, 0u);
-    expect_same_search(data, queries, 5, opt, opt,
-                       style == CollectorStyle::kFlat ? "packed-flat"
-                                                      : "packed-tree");
-  }
+  const auto data = test::random_dataset(rng, 29, 24);
+  const auto queries = test::random_dataset(rng, 6, 24);
+  EngineOptions opt = backend_options({}, 10);
+  opt.packing_group_size = 4;
+  ApKnnEngine bit(data, [&] {
+    EngineOptions o = opt;
+    o.backend = SimulationBackend::kBitParallel;
+    return o;
+  }());
+  EXPECT_EQ(bit.bit_parallel_configurations(), bit.configurations());
+  EXPECT_EQ(bit.backend_stats().packed, bit.configurations());
+  EXPECT_EQ(bit.backend_stats().hamming, 0u);
+  expect_same_search(data, queries, 5, opt, opt, "packed-tree");
 }
 
 /// A dataset of `n` rows cycling through `distinct` random vectors, so

@@ -131,17 +131,31 @@ TEST_P(PackingSweep, PackedReportsEqualUnpackedReports) {
   EXPECT_EQ(decoder.decode(eu), decoder.decode(ep));
 }
 
-TEST_P(PackingSweep, BitParallelBackendAgreesOnPackedEngines) {
-  // Same grid, end to end through the engine: packed configurations on the
+INSTANTIATE_TEST_SUITE_P(
+    Grid, PackingSweep,
+    ::testing::Combine(::testing::Values(1u, 2u, 3u, 4u, 8u, 11u),
+                       ::testing::Values(CollectorStyle::kFlat,
+                                         CollectorStyle::kTree)),
+    [](const ::testing::TestParamInfo<std::tuple<std::size_t, CollectorStyle>>&
+           info) {
+      return "g" + std::to_string(std::get<0>(info.param)) +
+             (std::get<1>(info.param) == CollectorStyle::kFlat ? "_flat"
+                                                               : "_tree");
+    });
+
+class PackedEngineSweep : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(PackedEngineSweep, BitParallelBackendAgreesOnPackedEngines) {
+  // The same group sizes end to end through the engine, whose packed
+  // design builds kTree collectors: packed configurations on the
   // bit-parallel backend must reproduce the cycle-accurate neighbor lists
-  // and stats for every group size and collector style.
-  const auto [group_size, style] = GetParam();
+  // and stats.
+  const std::size_t group_size = GetParam();
   const std::size_t dims = 20;
   const auto data = knn::BinaryDataset::uniform(11, dims, 8400 + group_size);
   const auto queries = knn::BinaryDataset::uniform(3, dims, 8500);
   EngineOptions cycle_opt;
   cycle_opt.packing_group_size = group_size;
-  cycle_opt.packing_style = style;
   cycle_opt.max_vectors_per_config = 6;
   EngineOptions bit_opt = cycle_opt;
   bit_opt.backend = SimulationBackend::kBitParallel;
@@ -155,17 +169,11 @@ TEST_P(PackingSweep, BitParallelBackendAgreesOnPackedEngines) {
   test::expect_exact_knn_results(data, queries, 4, actual);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Grid, PackingSweep,
-    ::testing::Combine(::testing::Values(1u, 2u, 3u, 4u, 8u, 11u),
-                       ::testing::Values(CollectorStyle::kFlat,
-                                         CollectorStyle::kTree)),
-    [](const ::testing::TestParamInfo<std::tuple<std::size_t, CollectorStyle>>&
-           info) {
-      return "g" + std::to_string(std::get<0>(info.param)) +
-             (std::get<1>(info.param) == CollectorStyle::kFlat ? "_flat"
-                                                               : "_tree");
-    });
+INSTANTIATE_TEST_SUITE_P(Grid, PackedEngineSweep,
+                         ::testing::Values(1u, 2u, 3u, 4u, 8u, 11u),
+                         [](const ::testing::TestParamInfo<std::size_t>& info) {
+                           return "g" + std::to_string(info.param);
+                         });
 
 // --- Multiplexing equivalence across slice counts -----------------------------
 

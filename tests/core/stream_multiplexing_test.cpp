@@ -1,12 +1,14 @@
 // Symbol-stream multiplexing (Sec. VI-B, Fig. 6): the report-code packing,
-// the frame encoder and the slice-replicated network, then the engine's
-// multiplexed design (EngineOptions::multiplex_slices) end to end.
+// SymbolStreamEncoder's multiplexed frames and the slice-replicated
+// network, then the engine's multiplexed design
+// (EngineOptions::multiplex_slices) end to end.
 
 #include "core/opt/stream_multiplexing.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "apsim/placement.hpp"
@@ -23,9 +25,9 @@ TEST(MuxReportCode, RoundTrips) {
   EXPECT_EQ(MuxReportCode::slice(code), 6u);
 }
 
-TEST(MultiplexedStreamEncoder, PacksSevenQueriesIntoOneFrame) {
+TEST(MultiplexedFrame, PacksSevenQueriesIntoOneFrame) {
   const StreamSpec spec{8, 1};
-  const MultiplexedStreamEncoder enc(spec);
+  const SymbolStreamEncoder enc(spec);
   knn::BinaryDataset queries(7, 8);
   // Query s has bit pattern: dim i set iff i == s.
   for (std::size_t s = 0; s < 7; ++s) {
@@ -43,8 +45,8 @@ TEST(MultiplexedStreamEncoder, PacksSevenQueriesIntoOneFrame) {
   EXPECT_FALSE(Alphabet::is_control(frame[1]));
 }
 
-TEST(MultiplexedStreamEncoder, RejectsBadGroups) {
-  const MultiplexedStreamEncoder enc(StreamSpec{8, 1});
+TEST(MultiplexedFrame, RejectsBadGroups) {
+  const SymbolStreamEncoder enc(StreamSpec{8, 1});
   const auto queries = knn::BinaryDataset::uniform(10, 8, 1);
   std::vector<std::uint8_t> out;
   EXPECT_THROW(enc.append_group(queries, 0, 0, out), std::invalid_argument);
@@ -83,33 +85,47 @@ std::vector<std::uint8_t> per_bit_frame(const StreamSpec& spec,
   return frame;
 }
 
-TEST(MultiplexedStreamEncoder, OneQueryFrameEqualsTheBaseDesignFrame) {
-  // The engine encodes base-design frames as one-query multiplexed frames.
-  // Every frame, at every slice count and for a partial last group, must
-  // equal the per-bit frame: the dimensions straddle the whole bytes the
-  // encoder spreads by table and the dims % 8 it writes bit by bit.
+TEST(MultiplexedFrame, OneQueryFrameEqualsTheBaseDesignFrame) {
+  // One loop writes every frame, so append_query, encode_query and a
+  // one-row append_group must each equal the per-bit frame, and so must
+  // every frame at every slice count, a partial last group included: the
+  // dimensions straddle the whole bytes the encoder spreads by table and
+  // the dims % 8 it writes bit by bit.
   constexpr std::size_t kQueries = 10;
   for (const std::size_t dims : {1u, 7u, 8u, 63u, 64u, 65u, 127u, 130u}) {
     const auto queries = knn::BinaryDataset::uniform(kQueries, dims, 607 + dims);
     const StreamSpec spec{dims, collector_levels_for(dims)};
-    const MultiplexedStreamEncoder mux(spec);
-    const SymbolStreamEncoder plain(spec);
+    const SymbolStreamEncoder enc(spec);
     for (std::size_t q = 0; q < queries.size(); ++q) {
+      const auto want = per_bit_frame(spec, queries, q, 1);
+      const std::string ctx = "d=" + std::to_string(dims) +
+                              " q=" + std::to_string(q);
       std::vector<std::uint8_t> frame;
-      mux.append_group(queries, q, 1, frame);
-      EXPECT_EQ(frame, plain.encode_query(queries.vector(q)))
-          << "d=" << dims << " q=" << q;
+      enc.append_query(queries.row(q), frame);
+      EXPECT_EQ(frame, want) << "append_query " << ctx;
+      EXPECT_EQ(enc.encode_query(queries.vector(q)), want)
+          << "encode_query " << ctx;
+      frame.clear();
+      enc.append_group(queries, q, 1, frame);
+      EXPECT_EQ(frame, want) << "append_group " << ctx;
     }
     for (std::size_t slices = 1; slices <= kMaxSlices; ++slices) {
       std::vector<std::uint8_t> stream = {Alphabet::kFill};
       std::vector<std::uint8_t> want = stream;
       for (std::size_t begin = 0; begin < kQueries; begin += slices) {
         const std::size_t count = std::min(slices, kQueries - begin);
-        mux.append_group(queries, begin, count, stream);
+        enc.append_group(queries, begin, count, stream);
         const auto frame = per_bit_frame(spec, queries, begin, count);
         want.insert(want.end(), frame.begin(), frame.end());
       }
       EXPECT_EQ(stream, want) << "d=" << dims << " S=" << slices;
+      if (slices == kMaxSlices) {
+        std::size_t frames = 0;
+        EXPECT_EQ(enc.encode_multiplexed(queries, frames),
+                  std::vector<std::uint8_t>(want.begin() + 1, want.end()))
+            << "encode_multiplexed d=" << dims;
+        EXPECT_EQ(frames, 2u);
+      }
     }
   }
 }
