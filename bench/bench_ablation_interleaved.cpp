@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "bench_util.hpp"
 #include "core/engine.hpp"
 #include "core/ext/counter_increment.hpp"
 #include "core/opt/interleaved.hpp"
@@ -25,7 +26,7 @@
 
 int main() {
   using namespace apss;
-  util::BenchReport report("ablation_interleaved");
+  util::BenchReport report = bench::open_report("ablation_interleaved");
 
   // Correctness gate for both alternative designs.
   const auto data = knn::BinaryDataset::uniform(24, 32, 11);

@@ -7,10 +7,11 @@
 //   fresh  — no cache directory: network build + verification compile
 //   miss   — empty cache directory: fresh work plus encode + atomic save
 //   load   — warm cache directory: decode + validate the artifacts only
-// The load arm is best-of-3 (it is fast enough that a single cold page
-// cache read would dominate). All three engines must return identical
-// neighbor lists, and the loaded programs must compare bit-for-bit equal
-// to the freshly compiled ones — the bench fails otherwise.
+// The load arm is the best of 3 bench::time_rounds runs (it is fast enough
+// that a single cold page cache read would dominate). All three engines
+// must return identical neighbor lists, and the loaded programs must
+// compare bit-for-bit equal to the freshly compiled ones — the bench fails
+// otherwise.
 //
 // Usage: bench_compile_cache [n] [dims] [queries]   (default 1024 128 8)
 //
@@ -36,23 +37,7 @@
 namespace {
 
 using namespace apss;
-
-knn::BinaryDataset random_dataset(util::Rng& rng, std::size_t n,
-                                  std::size_t dims) {
-  knn::BinaryDataset data(n, dims);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t d = 0; d < dims; ++d) {
-      data.set(i, d, rng.below(2) == 1);
-    }
-  }
-  return data;
-}
-
-std::string fmt(const char* f, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), f, v);
-  return buf;
-}
+using apss::bench::fmt;
 
 std::uint64_t directory_bytes(const std::string& dir) {
   std::uint64_t total = 0;
@@ -77,8 +62,8 @@ int main(int argc, char** argv) {
   }
 
   util::Rng rng(20170529);
-  const auto data = random_dataset(rng, n, dims);
-  const auto queries = random_dataset(rng, query_count, dims);
+  const auto data = bench::random_dataset(rng, n, dims);
+  const auto queries = bench::random_dataset(rng, query_count, dims);
 
   const std::string cache_dir =
       (std::filesystem::temp_directory_path() / "apss_bench_compile_cache")
@@ -107,19 +92,21 @@ int main(int argc, char** argv) {
   const std::uint64_t artifact_bytes = directory_bytes(cache_dir);
 
   // Arm 3: load — decode + validate only, best of 3 constructions.
-  double load_wall = 0;
-  for (int rep = 0; rep < 3; ++rep) {
-    util::Timer load_timer;
-    core::ApKnnEngine warm(data, opt);
-    const double wall = load_timer.seconds();
-    if (warm.backend_stats().artifact.hits != configs) {
-      std::cerr << "FAIL: warm construction did not hit on every slot\n";
-      return 1;
-    }
-    if (rep == 0 || wall < load_wall) {
-      load_wall = wall;
-    }
+  std::size_t load_misses = 0;
+  const bench::Spread load = bench::spread_of(bench::time_rounds(
+      {[&] {
+        util::Timer load_timer;
+        core::ApKnnEngine warm(data, opt);
+        const double wall = load_timer.seconds();
+        load_misses += warm.backend_stats().artifact.hits != configs;
+        return wall;
+      }},
+      3)[0]);
+  if (load_misses != 0) {
+    std::cerr << "FAIL: warm construction did not hit on every slot\n";
+    return 1;
   }
+  const double load_wall = load.min;
 
   // Differential gate: the cache must be invisible to results, and the
   // loaded programs must equal the freshly compiled ones bit for bit.
@@ -159,7 +146,7 @@ int main(int argc, char** argv) {
                  "are bit-identical to fresh compiles");
   table.print(std::cout);
 
-  util::BenchReport report("compile_cache");
+  util::BenchReport report = bench::open_report("compile_cache");
   const auto stamp = [&](util::BenchRecord& rec) {
     rec.param("n", static_cast<std::uint64_t>(n))
         .param("dims", static_cast<std::uint64_t>(dims))
@@ -179,7 +166,7 @@ int main(int argc, char** argv) {
     util::BenchRecord rec("compile_cache_artifact_load");
     stamp(rec);
     rec.param("artifact_bytes", artifact_bytes);
-    report.write(rec.wall_seconds(load_wall));
+    report.write(bench::with_spread(rec, load).wall_seconds(load_wall));
   }
   {
     util::BenchRecord rec("compile_cache_speedup");

@@ -8,6 +8,7 @@
 #include <set>
 
 #include "apsim/simulator.hpp"
+#include "bench_util.hpp"
 #include "core/hamming_macro.hpp"
 #include "core/stream.hpp"
 #include "util/bench_report.hpp"
@@ -33,7 +34,7 @@ struct Capture : apsim::TraceSink {
 }  // namespace
 
 int main() {
-  util::BenchReport report("fig3_trace");
+  util::BenchReport report = bench::open_report("fig3_trace");
   util::Timer timer;
   anml::AutomataNetwork net;
   const core::MacroLayout layout =

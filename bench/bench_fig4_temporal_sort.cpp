@@ -9,6 +9,7 @@
 #include <iostream>
 
 #include "apsim/simulator.hpp"
+#include "bench_util.hpp"
 #include "core/engine.hpp"
 #include "core/hamming_macro.hpp"
 #include "core/stream.hpp"
@@ -20,7 +21,7 @@
 
 int main() {
   using namespace apss;
-  util::BenchReport report("fig4_temporal_sort");
+  util::BenchReport report = bench::open_report("fig4_temporal_sort");
   util::Timer timer;
 
   // --- The exact Fig. 4 pair -------------------------------------------------

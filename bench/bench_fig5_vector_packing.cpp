@@ -5,12 +5,12 @@
 // dimensionality, exactly the paper's observation; tree collectors restore
 // routability at some state cost (the toolchain-maturity outlook).
 //
-// A second section compares the simulation backends on a full packed board
-// configuration: the same query stream runs on the cycle-accurate
-// reference and on the bit-parallel batch backend (which compiles the
-// packed shape since the packed try_compile overload landed), asserts the
-// ReportEvent streams are BIT-IDENTICAL, and records one cycle-accurate
-// run and the median of 31 warm bit-parallel runs to
+// A second section compares the simulation backends on the vector-packed
+// engine (EngineOptions::packing_group_size = group): the same kNN search
+// runs on the cycle-accurate reference and on the bit-parallel batch
+// backend through bench::compare_backends, which asserts identical
+// neighbors, device work and collected ReportEvent streams and records the
+// median of 3 cycle-accurate and of 31 warm bit-parallel searches to
 // BENCH_fig5_vector_packing.json.
 //
 // Usage: bench_fig5_vector_packing [n] [dims] [queries] [group]
@@ -21,14 +21,11 @@
 #include <iostream>
 #include <string>
 
-#include "apsim/batch_simulator.hpp"
 #include "apsim/placement.hpp"
 #include "bench_util.hpp"
 #include "core/opt/vector_packing.hpp"
-#include "core/stream.hpp"
 #include "util/bench_report.hpp"
 #include "util/table.hpp"
-#include "util/timer.hpp"
 
 namespace {
 
@@ -85,36 +82,14 @@ void run_savings_grid(util::BenchReport& report) {
 int run_backend_comparison(util::BenchReport& report, std::size_t n,
                            std::size_t dims, std::size_t queries_n,
                            std::size_t group) {
-  const auto data = knn::BinaryDataset::uniform(n, dims, 57);
-  const auto queries = knn::BinaryDataset::uniform(queries_n, dims, 58);
-
-  core::VectorPackingOptions opt;
-  opt.group_size = group;
-  opt.style = core::CollectorStyle::kTree;  // routable at high dims
-  anml::AutomataNetwork network;
-  const auto layouts = core::build_packed_network(network, data, opt);
-  const core::StreamSpec spec{dims, layouts.front().collector_levels};
-  const auto stream = core::SymbolStreamEncoder(spec).encode_batch(queries);
-
-  std::string reason;
-  const auto program =
-      apsim::BatchProgram::try_compile(network, layouts, {}, &reason);
-  if (program == nullptr) {
-    std::fprintf(stderr, "FAIL: packed shape did not compile: %s\n",
-                 reason.c_str());
-    return 1;
-  }
-
-  return bench::compare_backends_on_stream(
-      report, "packed", "packed", "Packed-configuration backend comparison",
-      "identical ReportEvent streams from both backends "
-      "(cycle, element id, report code, within-cycle order).",
-      network, program, stream, [&](util::BenchRecord& r) {
-        r.param("n", static_cast<std::uint64_t>(n))
-            .param("dims", static_cast<std::uint64_t>(dims))
-            .param("queries", static_cast<std::uint64_t>(queries_n))
-            .param("group", static_cast<std::uint64_t>(group));
-      });
+  core::EngineOptions design;
+  design.packing_group_size = group;
+  return bench::compare_backends(
+      report, "packed", "Packed-design backend comparison",
+      "vector-packed engine (kTree collectors); target at default sizes: "
+      ">= 50x.",
+      knn::BinaryDataset::uniform(n, dims, 57),
+      knn::BinaryDataset::uniform(queries_n, dims, 58), 10, design, 3);
 }
 
 }  // namespace
@@ -132,7 +107,7 @@ int main(int argc, char** argv) try {
     return 2;
   }
 
-  util::BenchReport report("fig5_vector_packing");
+  util::BenchReport report = bench::open_report("fig5_vector_packing");
   run_savings_grid(report);
   std::cout << '\n';
   const int rc = run_backend_comparison(report, n, dims, queries, group);

@@ -4,13 +4,14 @@
 // the two costs the paper says make it infeasible on Gen-1 hardware: the
 // 7x STE footprint and the 7x report bandwidth.
 //
-// A second section compares the simulation backends on a full multiplexed
-// board configuration (n vectors x 7 slice replicas): the same multiplexed
-// frames run on the cycle-accurate reference and on the bit-parallel batch
-// backend (which compiles the per-slice match classes since the
-// 16-class generalization landed), asserts BIT-IDENTICAL ReportEvent
-// streams, and records one cycle-accurate run and the median of 31 warm
-// bit-parallel runs to BENCH_fig6_multiplexing.json.
+// A second section compares the simulation backends on the 7-slice
+// multiplexed engine (EngineOptions::multiplex_slices = 7, n vectors x 7
+// slice replicas split over the board configurations they need): the same
+// kNN search runs on the cycle-accurate reference and on the bit-parallel
+// batch backend through bench::compare_backends, which asserts identical
+// neighbors, device work and collected ReportEvent streams and records the
+// median of 3 cycle-accurate and of 31 warm bit-parallel searches to
+// BENCH_fig6_multiplexing.json.
 //
 // Usage: bench_fig6_multiplexing [n] [dims] [queries]
 //        (defaults 1024 128 56)
@@ -20,13 +21,10 @@
 #include <iostream>
 #include <string>
 
-#include "apsim/batch_simulator.hpp"
 #include "bench_util.hpp"
 #include "core/engine.hpp"
-#include "core/opt/stream_multiplexing.hpp"
 #include "util/bench_report.hpp"
 #include "util/table.hpp"
-#include "util/timer.hpp"
 
 namespace {
 
@@ -93,39 +91,15 @@ int run_feasibility_table(util::BenchReport& report) {
 
 int run_backend_comparison(util::BenchReport& report, std::size_t n,
                            std::size_t dims, std::size_t queries_n) {
-  const auto data = knn::BinaryDataset::uniform(n, dims, 68);
-  const auto queries = knn::BinaryDataset::uniform(queries_n, dims, 69);
-
-  anml::AutomataNetwork network;
-  const auto layouts =
-      core::build_multiplexed_network(network, data, core::kMaxSlices);
-  const core::StreamSpec spec{dims, core::collector_levels_for(dims)};
-  const core::SymbolStreamEncoder encoder(spec);
-  std::size_t frames = 0;
-  const auto stream = encoder.encode_multiplexed(queries, frames);
-
-  std::string reason;
-  const auto program =
-      apsim::BatchProgram::try_compile(network, layouts, {}, &reason);
-  if (program == nullptr) {
-    std::fprintf(stderr, "FAIL: multiplexed shape did not compile: %s\n",
-                 reason.c_str());
-    return 1;
-  }
-
-  return bench::compare_backends_on_stream(
-      report, "mux", "multiplexed",
-      "Multiplexed-configuration backend comparison",
-      "identical ReportEvent streams from both backends; the "
-      "stream packs 7 queries per frame, so the cycle column is "
-      "~7x smaller than per-query streaming would need.",
-      network, program, stream, [&](util::BenchRecord& r) {
-        r.param("n", static_cast<std::uint64_t>(n))
-            .param("dims", static_cast<std::uint64_t>(dims))
-            .param("queries", static_cast<std::uint64_t>(queries_n))
-            .param("slices", std::uint64_t{7})
-            .param("frames", static_cast<std::uint64_t>(frames));
-      });
+  core::EngineOptions design;
+  design.multiplex_slices = core::kMaxSlices;
+  return bench::compare_backends(
+      report, "mux", "Multiplexed-design backend comparison",
+      "7-slice multiplexed engine: each frame carries 7 queries, so the "
+      "cycle column is ~7x smaller than per-query streaming would need; "
+      "target at default sizes: >= 50x.",
+      knn::BinaryDataset::uniform(n, dims, 68),
+      knn::BinaryDataset::uniform(queries_n, dims, 69), 10, design, 3);
 }
 
 }  // namespace
@@ -142,7 +116,7 @@ int main(int argc, char** argv) try {
     return 2;
   }
 
-  util::BenchReport report("fig6_multiplexing");
+  util::BenchReport report = bench::open_report("fig6_multiplexing");
   const int feasibility_rc = run_feasibility_table(report);
   std::cout << '\n';
   const int backend_rc = run_backend_comparison(report, n, dims, queries);

@@ -5,18 +5,19 @@
 // clock, simulated cycles, and modeled device time recorded to
 // BENCH_fig8_comparison.json.
 //
-// The backend speedup divides one cycle-accurate search by the median of
-// repeated warm bit-parallel searches, so one host stall during a ~0.2 ms
-// search cannot sink it.
+// The comparison is bench::compare_backends on the plain design (fig5 and
+// fig6 run it on theirs). Its speedup divides one cold cycle-accurate
+// search by the median of 31 warm bit-parallel searches, so one host stall
+// during a ~30 us search cannot sink it.
 //
 // A thread-sweep section then re-runs the bit-parallel search with
 // EngineOptions::threads in {2, 4, 8}, asserting bit-identical neighbor
 // lists AND a bit-identical merged ReportEvent stream at every thread
 // count, and records the scaling (knn_thread_sweep records). Each thread
-// count is timed against the 1-thread engine in alternating rounds, the
-// order reversing every round as bench_robustness does, and its speedup is
-// the median per-round ratio: a host speed swing then hits both searches
-// of a round alike instead of reading as a scale-out change.
+// count is timed against the 1-thread engine in 101 bench::time_rounds
+// rounds, the order reversing every round, and its speedup is the median
+// per-round ratio (speedup_q1 ... speedup_max give their spread): a host
+// speed swing then hits both searches of a round alike.
 //
 // Usage: bench_fig8_comparison [n] [dims] [queries]   (defaults 1024 128 32)
 
@@ -35,7 +36,6 @@
 #include "core/ext/comparison_macro.hpp"
 #include "knn/dataset.hpp"
 #include "util/bench_report.hpp"
-#include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
@@ -43,6 +43,8 @@ namespace {
 
 using namespace apss;
 using apss::bench::parse_positive;
+
+constexpr std::size_t kK = 10;
 
 int run_comparison_grid(util::BenchReport& report) {
   anml::AutomataNetwork net;
@@ -91,118 +93,19 @@ int run_comparison_grid(util::BenchReport& report) {
   return 0;
 }
 
-/// Wall clock of one search; counts an answer that differs from
-/// `expected` in `errors`.
-double timed_search(core::ApKnnEngine& engine,
-                    const knn::BinaryDataset& queries, std::size_t k,
-                    const std::vector<std::vector<knn::Neighbor>>& expected,
-                    std::size_t& errors) {
-  util::Timer timer;
-  const auto results = engine.search(queries, k);
-  const double wall = timer.seconds();
-  errors += results != expected;
-  return wall;
-}
-
-struct BackendRun {
-  double wall_seconds = 0.0;
-  std::vector<std::vector<knn::Neighbor>> results;
-  core::EngineStats stats;
-};
-
-/// The first search on a fresh engine, then (when `warm_reps` > 0) its
-/// median wall clock over that many further searches.
-BackendRun run_backend(const knn::BinaryDataset& data,
-                       const knn::BinaryDataset& queries, std::size_t k,
-                       core::SimulationBackend backend,
-                       std::size_t warm_reps) {
-  core::EngineOptions opt;
-  opt.backend = backend;
-  core::ApKnnEngine engine(data, opt);
-  util::Timer timer;
-  BackendRun r;
-  r.results = engine.search(queries, k);
-  r.wall_seconds = timer.seconds();
-  r.stats = engine.last_stats();
-  if (warm_reps > 0) {
-    std::vector<double> walls;
-    std::size_t errors = 0;
-    for (std::size_t rep = 0; rep < warm_reps; ++rep) {
-      walls.push_back(timed_search(engine, queries, k, r.results, errors));
-    }
-    r.wall_seconds = errors == 0 ? util::median(walls) : 0.0;
-  }
-  return r;
-}
-
 int run_backend_comparison(util::BenchReport& report, std::size_t n,
                            std::size_t dims, std::size_t queries_n) {
-  const std::size_t k = 10;
-  const auto data = knn::BinaryDataset::uniform(n, dims, 97);
-  const auto queries = knn::BinaryDataset::uniform(queries_n, dims, 98);
-  const apsim::DeviceTiming timing = apsim::DeviceConfig::gen1().timing;
-
-  constexpr std::size_t kWarmReps = 31;
-  const BackendRun cycle = run_backend(
-      data, queries, k, core::SimulationBackend::kCycleAccurate, 0);
-  const BackendRun bit = run_backend(
-      data, queries, k, core::SimulationBackend::kBitParallel, kWarmReps);
-
-  if (cycle.results != bit.results || bit.wall_seconds == 0.0 ||
-      !cycle.stats.same_work(bit.stats)) {
-    std::fprintf(stderr,
-                 "FAIL: backends disagree on results or EngineStats\n");
-    return 1;
-  }
-  if (bit.stats.backend.fallback != 0) {
-    std::fprintf(stderr,
-                 "FAIL: %zu configurations fell back to the cycle-accurate "
-                 "simulator (first reason: %s)\n",
-                 bit.stats.backend.fallback,
-                 bit.stats.backend.fallback_reasons.front().first.c_str());
-    return 1;
-  }
-  const double speedup = bit.wall_seconds > 0.0
-                             ? cycle.wall_seconds / bit.wall_seconds
-                             : 0.0;
-
-  util::TablePrinter table("Simulated-AP backend comparison (same searches)");
-  table.set_header({"backend", "wall s", "sim cycles", "device model s"});
-  const auto row = [&](const char* name, const BackendRun& r) {
-    table.add_row({name, util::TablePrinter::fmt(r.wall_seconds, 4),
-                   std::to_string(r.stats.simulated_cycles),
-                   util::TablePrinter::fmt(r.stats.total_seconds(timing), 5)});
-    report.write(
-        util::BenchRecord(std::string("knn_") + name)
-            .param("n", static_cast<std::uint64_t>(n))
-            .param("dims", static_cast<std::uint64_t>(dims))
-            .param("queries", static_cast<std::uint64_t>(queries_n))
-            .param("k", static_cast<std::uint64_t>(k))
-            .cycles(static_cast<std::uint64_t>(r.stats.simulated_cycles))
-            .wall_seconds(r.wall_seconds)
-            .model_seconds(r.stats.total_seconds(timing)));
-  };
-  row("cycle_accurate", cycle);
-  row("bit_parallel", bit);
-  table.add_note("identical neighbor lists and EngineStats from both "
-                 "backends; speedup = wall(cycle) / median wall(bit) over " +
-                 std::to_string(kWarmReps) + " warm searches.");
-  table.print(std::cout);
-  report.write(util::BenchRecord("knn_backend_speedup")
-                   .param("n", static_cast<std::uint64_t>(n))
-                   .param("dims", static_cast<std::uint64_t>(dims))
-                   .param("queries", static_cast<std::uint64_t>(queries_n))
-                   .param("bit_parallel_reps",
-                          static_cast<std::uint64_t>(kWarmReps))
-                   .param("speedup", speedup));
-  std::printf("\nbit-parallel speedup: %.1fx wall-clock "
-              "(CI gate at default sizes: >= 700x)\n", speedup);
-  return 0;
+  return bench::compare_backends(
+      report, "knn", "Simulated-AP backend comparison (same searches)",
+      "plain design; speedup = wall(cycle) / median wall(bit), CI gate at "
+      "default sizes: >= 700x.",
+      knn::BinaryDataset::uniform(n, dims, 97),
+      knn::BinaryDataset::uniform(queries_n, dims, 98), kK,
+      core::EngineOptions{}, 1);
 }
 
 int run_thread_sweep(util::BenchReport& report, std::size_t n,
                      std::size_t dims, std::size_t queries_n) {
-  const std::size_t k = 10;
   const auto data = knn::BinaryDataset::uniform(n, dims, 97);
   const auto queries = knn::BinaryDataset::uniform(queries_n, dims, 98);
 
@@ -220,7 +123,7 @@ int run_thread_sweep(util::BenchReport& report, std::size_t n,
     return std::make_unique<core::ApKnnEngine>(data, opt);
   };
   const auto one = make_engine(1);
-  const auto base_results = one->search(queries, k);
+  auto base_results = one->search(queries, kK);
   const std::vector<apsim::ReportEvent> base_stream =
       one->last_report_stream();
 
@@ -229,31 +132,35 @@ int run_thread_sweep(util::BenchReport& report, std::size_t n,
       std::to_string(hw) + " hardware threads, medians over " +
       std::to_string(kRounds) + " alternating rounds)");
   table.set_header({"threads", "wall s", "speedup", "stream events"});
-  const auto record = [&](std::size_t t, double wall, double speedup) {
-    table.add_row({std::to_string(t), util::TablePrinter::fmt(wall, 4),
-                   util::TablePrinter::fmt(speedup, 2),
+  const auto record = [&](std::size_t t, const std::vector<double>& walls,
+                          const std::vector<double>& speedups) {
+    const bench::Spread wall = bench::spread_of(walls);
+    const bench::Spread speedup = bench::spread_of(speedups);
+    table.add_row({std::to_string(t), bench::fmt("%.3g", wall.median),
+                   util::TablePrinter::fmt(speedup.median, 2),
                    std::to_string(base_stream.size())});
-    report.write(util::BenchRecord("knn_thread_sweep")
-                     .param("n", static_cast<std::uint64_t>(n))
-                     .param("dims", static_cast<std::uint64_t>(dims))
-                     .param("queries", static_cast<std::uint64_t>(queries_n))
-                     .param("threads", static_cast<std::uint64_t>(t))
-                     .param("hardware_threads", static_cast<std::uint64_t>(hw))
-                     .param("rounds", static_cast<std::uint64_t>(kRounds))
-                     .param("speedup_vs_1_thread", speedup)
-                     .wall_seconds(wall));
+    util::BenchRecord rec("knn_thread_sweep");
+    rec.param("n", static_cast<std::uint64_t>(n))
+        .param("dims", static_cast<std::uint64_t>(dims))
+        .param("queries", static_cast<std::uint64_t>(queries_n))
+        .param("threads", static_cast<std::uint64_t>(t))
+        .param("hardware_threads", static_cast<std::uint64_t>(hw))
+        .param("rounds", static_cast<std::uint64_t>(kRounds))
+        .param("speedup_vs_1_thread", speedup.median);
+    bench::with_spread(rec, speedup, "speedup_");
+    report.write(bench::with_spread(rec, wall).wall_seconds(wall.median));
   };
   struct Row {
     std::size_t threads;
-    double wall;
-    double speedup;
+    std::vector<double> walls;
+    std::vector<double> speedups;
   };
   std::vector<Row> rows;
   std::vector<double> one_walls;
   std::size_t errors = 0;
   for (const std::size_t t : {2, 4, 8}) {
     const auto many = make_engine(t);
-    if (many->search(queries, k) != base_results ||
+    if (many->search(queries, kK) != base_results ||
         many->last_report_stream() != base_stream) {
       std::fprintf(stderr,
                    "FAIL: threads=%zu diverged from the single-threaded "
@@ -261,31 +168,25 @@ int run_thread_sweep(util::BenchReport& report, std::size_t n,
       ++errors;
       continue;
     }
-    std::vector<double> walls;
-    std::vector<double> ratios;
-    for (std::size_t round = 0; round < kRounds; ++round) {
-      double one_wall = 0.0;
-      double many_wall = 0.0;
-      if (round % 2 == 0) {
-        one_wall = timed_search(*one, queries, k, base_results, errors);
-        many_wall = timed_search(*many, queries, k, base_results, errors);
-      } else {
-        many_wall = timed_search(*many, queries, k, base_results, errors);
-        one_wall = timed_search(*one, queries, k, base_results, errors);
-      }
-      one_walls.push_back(one_wall);
-      walls.push_back(many_wall);
-      ratios.push_back(one_wall / many_wall);
-    }
-    rows.push_back({t, util::median(walls), util::median(ratios)});
+    const auto walls = bench::time_rounds(
+        {[&] {
+           return bench::timed_search(*one, queries, kK, base_results, errors);
+         },
+         [&] {
+           return bench::timed_search(*many, queries, kK, base_results,
+                                      errors);
+         }},
+        kRounds);
+    one_walls.insert(one_walls.end(), walls[0].begin(), walls[0].end());
+    rows.push_back({t, walls[1], bench::round_ratios(walls[0], walls[1])});
   }
   if (errors != 0) {
     std::fprintf(stderr, "FAIL: %zu thread-sweep searches diverged\n", errors);
     return 1;
   }
-  record(1, util::median(one_walls), 1.0);
+  record(1, one_walls, {1.0});
   for (const Row& row : rows) {
-    record(row.threads, row.wall, row.speedup);
+    record(row.threads, row.walls, row.speedups);
   }
   table.add_note("identical neighbor lists and merged ReportEvent stream at "
                  "every thread count; speedup = median over rounds of "
@@ -309,7 +210,7 @@ int main(int argc, char** argv) try {
     return 2;
   }
 
-  util::BenchReport report("fig8_comparison");
+  util::BenchReport report = bench::open_report("fig8_comparison");
   const int grid_rc = run_comparison_grid(report);
   const int backend_rc = run_backend_comparison(report, n, dims, queries);
   const int sweep_rc = run_thread_sweep(report, n, dims, queries);

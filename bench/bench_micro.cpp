@@ -13,6 +13,7 @@
 
 #include "apsim/batch_simulator.hpp"
 #include "apsim/simulator.hpp"
+#include "bench_util.hpp"
 #include "core/engine.hpp"
 #include "core/hamming_macro.hpp"
 #include "core/stream.hpp"
@@ -319,7 +320,7 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
     return 1;
   }
-  util::BenchReport report("micro");
+  util::BenchReport report = bench::open_report("micro");
   JsonLinesReporter reporter(report);
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();

@@ -7,6 +7,7 @@
 #include <iostream>
 
 #include "apsim/placement.hpp"
+#include "bench_util.hpp"
 #include "core/engine.hpp"
 #include "perf/workloads.hpp"
 #include "util/bench_report.hpp"
@@ -15,7 +16,7 @@
 
 int main() {
   using namespace apss;
-  util::BenchReport report("resource_utilization");
+  util::BenchReport report = bench::open_report("resource_utilization");
   util::TablePrinter table("Sec. V-A: resource utilization per configuration");
   table.set_header({"Workload", "vectors", "STEs", "blocks", "half-cores",
                     "util % (ours)", "util % (paper)", "report BW (Gbit/s)"});

@@ -12,12 +12,12 @@
 //               also reads the precise clock. Each arm runs on its own
 //               engine and passes its budget through SearchControl, the
 //               deadline starting inside the timed region. The arms are
-//               timed in N rounds, the order reversing every round, and
-//               each overhead is the median of its per-round ratios to the
-//               plain arm, so a host speed swing hits all arms of a round
-//               alike instead of reading as overhead. Every arm must
-//               return bit-identical neighbors; the CI gate asserts the
-//               huge and 50 ms deadlines cost < 2%.
+//               timed in N bench::time_rounds rounds, the order reversing
+//               every round, and each overhead is the median of its
+//               per-round ratios to the plain arm, so a host speed swing
+//               hits all arms of a round alike instead of reading as
+//               overhead. Every arm must return bit-identical neighbors;
+//               the CI gate asserts the huge and 50 ms deadlines cost < 2%.
 //   overshoot — the query batch doubled (repeating queries) until its
 //               plain search takes at least 4x the 0.05 ms deadline
 //               floor, then a deadline at half that wall clock, under
@@ -31,11 +31,13 @@
 // robustness_checkpoint_engaged, robustness_checkpoint_overhead
 // (params.overhead_pct — the CI gate), robustness_checkpoint_overhead_serving
 // (gated too), robustness_checkpoint_overhead_window (reported) and
-// robustness_deadline_overshoot.
+// robustness_deadline_overshoot, each with its arm's spread (reps, q1 ...
+// max); the overhead records add overhead_pct_q1 ... overhead_pct_max.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -55,23 +57,7 @@
 namespace {
 
 using namespace apss;
-
-knn::BinaryDataset random_dataset(util::Rng& rng, std::size_t n,
-                                  std::size_t dims) {
-  knn::BinaryDataset data(n, dims);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t d = 0; d < dims; ++d) {
-      data.set(i, d, rng.below(2) == 1);
-    }
-  }
-  return data;
-}
-
-std::string fmt(const char* f, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), f, v);
-  return buf;
-}
+using apss::bench::fmt;
 
 /// One search under a `budget_ms` deadline (0 = none): its neighbors, and
 /// its stats in *stats.
@@ -113,8 +99,8 @@ int main(int argc, char** argv) {
   }
 
   util::Rng rng(20170529);
-  const auto data = random_dataset(rng, n, dims);
-  const auto queries = random_dataset(rng, query_count, dims);
+  const auto data = bench::random_dataset(rng, n, dims);
+  const auto queries = bench::random_dataset(rng, query_count, dims);
   const std::size_t k = std::min<std::size_t>(10, n);
 
   core::EngineOptions opt;
@@ -165,32 +151,31 @@ int main(int argc, char** argv) {
   }
 
   // Rounds: even rounds time the plain arm first, odd rounds last.
-  std::vector<double> plain_s;
-  std::vector<std::vector<double>> arm_s(arms.size()), ratios(arms.size());
   std::vector<std::size_t> timed_out_shards(arms.size(), 0);
-  std::vector<double> round_s(arms.size() + 1);
-  for (std::size_t round = 0; round < rounds; ++round) {
-    for (std::size_t i = 0; i <= arms.size(); ++i) {
-      const std::size_t a = round % 2 == 0 ? i : arms.size() - i;
-      if (a == 0) {
-        round_s[0] = search_wall(plain, queries, k, 0, &stats);
-      } else {
-        round_s[a] = search_wall(*engines[a - 1], queries, k,
-                                 arms[a - 1].deadline_ms, &stats);
-        timed_out_shards[a - 1] +=
-            stats.count_state(core::ShardState::kTimedOut);
-      }
-    }
-    plain_s.push_back(round_s[0]);
-    for (std::size_t a = 0; a < arms.size(); ++a) {
-      arm_s[a].push_back(round_s[a + 1]);
-      ratios[a].push_back(round_s[a + 1] / round_s[0]);
-    }
-  }
-  const double plain_wall = util::median(plain_s);
-  std::vector<double> overhead_pct(arms.size());
+  std::vector<std::function<double()>> timed = {
+      [&] { return search_wall(plain, queries, k, 0, &stats); }};
   for (std::size_t a = 0; a < arms.size(); ++a) {
-    overhead_pct[a] = (util::median(ratios[a]) - 1.0) * 100.0;
+    timed.push_back([&, a] {
+      const double wall = search_wall(*engines[a], queries, k,
+                                      arms[a].deadline_ms, &stats);
+      timed_out_shards[a] += stats.count_state(core::ShardState::kTimedOut);
+      return wall;
+    });
+  }
+  const std::vector<std::vector<double>> walls =
+      bench::time_rounds(timed, rounds);
+  const bench::Spread plain_wall = bench::spread_of(walls[0]);
+  std::vector<bench::Spread> arm_wall, overhead_pct;
+  for (std::size_t a = 0; a < arms.size(); ++a) {
+    arm_wall.push_back(bench::spread_of(walls[a + 1]));
+    // overhead_pct = (median per-round ratio - 1) * 100; its quartiles and
+    // extremes map the same way.
+    bench::Spread pct =
+        bench::spread_of(bench::round_ratios(walls[a + 1], walls[0]));
+    for (double* v : {&pct.median, &pct.q1, &pct.q3, &pct.min, &pct.max}) {
+      *v = (*v - 1.0) * 100.0;
+    }
+    overhead_pct.push_back(pct);
   }
 
   // Overshoot: a deadline at half the plain wall clock of a query batch
@@ -205,11 +190,10 @@ int main(int argc, char** argv) {
   constexpr double kDeadlineFloorMs = 0.05;
   knn::BinaryDataset batch = queries;
   const auto batch_plain_ms = [&] {
-    std::vector<double> walls;
-    for (int run = 0; run < 5; ++run) {
-      walls.push_back(search_wall(plain, batch, k, 0, &stats) * 1e3);
-    }
-    return util::median(walls);
+    return util::median(bench::time_rounds(
+               {[&] { return search_wall(plain, batch, k, 0, &stats); }},
+               5)[0]) *
+           1e3;
   };
   double batch_ms = batch_plain_ms();
   while (batch_ms < 4 * kDeadlineFloorMs) {
@@ -223,24 +207,25 @@ int main(int argc, char** argv) {
   const double deadline_ms = batch_ms / 2;
   opt.on_error = core::OnError::kRetry;
   const core::ApKnnEngine bounded(data, opt);
-  std::vector<double> overshoot_runs_ms;
-  double overshoot_ms = 0;
-  std::size_t timed_out = 0;
-  std::size_t runs_timed_out = 0;
-  for (std::size_t run = 0; run < kOvershootRuns; ++run) {
-    const double elapsed_ms =
-        search_wall(bounded, batch, k, deadline_ms, &stats) * 1e3 -
-        deadline_ms;
-    const std::size_t run_timed_out =
-        stats.count_state(core::ShardState::kTimedOut);
-    runs_timed_out += run_timed_out > 0;
-    overshoot_runs_ms.push_back(elapsed_ms);
-    if (run == 0 || elapsed_ms < overshoot_ms) {
-      overshoot_ms = elapsed_ms;
-      timed_out = run_timed_out;
-    }
-  }
-  const double overshoot_median_ms = util::median(overshoot_runs_ms);
+  std::vector<std::size_t> run_timed_out;
+  const std::vector<double> bounded_walls = bench::time_rounds(
+      {[&] {
+        const double wall = search_wall(bounded, batch, k, deadline_ms, &stats);
+        run_timed_out.push_back(stats.count_state(core::ShardState::kTimedOut));
+        return wall;
+      }},
+      kOvershootRuns)[0];
+  // The best run's overshoot and shards; elapsed - deadline per run.
+  const auto best = static_cast<std::size_t>(
+      std::min_element(bounded_walls.begin(), bounded_walls.end()) -
+      bounded_walls.begin());
+  const double overshoot_ms = bounded_walls[best] * 1e3 - deadline_ms;
+  const std::size_t timed_out = run_timed_out[best];
+  const auto runs_timed_out = static_cast<std::size_t>(
+      std::count_if(run_timed_out.begin(), run_timed_out.end(),
+                    [](std::size_t shards) { return shards > 0; }));
+  const double overshoot_median_ms =
+      util::median(bounded_walls) * 1e3 - deadline_ms;
 
   util::TablePrinter table(
       "Robustness layer: checkpoint overhead and deadline overshoot (" +
@@ -250,11 +235,13 @@ int main(int argc, char** argv) {
   table.set_header({"arm", "wall [ms]", "note"},
                    {util::Align::kLeft, util::Align::kRight,
                     util::Align::kLeft});
-  table.add_row({"no deadline (fast path)", fmt("%.3f", plain_wall * 1e3),
-                 "baseline"});
+  table.add_row({"no deadline (fast path)",
+                 fmt("%.3f", plain_wall.median * 1e3), "baseline"});
   for (std::size_t a = 0; a < arms.size(); ++a) {
-    std::string note = fmt("%+.2f%% vs baseline (median round ratio)",
-                           overhead_pct[a]);
+    std::string note = fmt("%+.2f%% vs baseline (median round ratio, ",
+                           overhead_pct[a].median) +
+                       fmt("%+.2f", overhead_pct[a].q1) + " to " +
+                       fmt("%+.2f%% quartiles)", overhead_pct[a].q3);
     if (a > 0) {
       note += ", " + fmt("%.3g", arms[a].deadline_ms) + " ms budget";
     }
@@ -262,7 +249,7 @@ int main(int argc, char** argv) {
       note += ", " + std::to_string(timed_out_shards[a]) +
               " shards timed out";
     }
-    table.add_row({arms[a].label, fmt("%.3f", util::median(arm_s[a]) * 1e3),
+    table.add_row({arms[a].label, fmt("%.3f", arm_wall[a].median * 1e3),
                    note});
   }
   table.add_row({"half-batch deadline, retry:0",
@@ -278,40 +265,35 @@ int main(int argc, char** argv) {
   table.add_note("coarse clock slack " + fmt("%.3g", slack_ms) + " ms");
   table.print(std::cout);
 
-  util::BenchReport report("robustness");
+  util::BenchReport report = bench::open_report("robustness");
   const auto stamp = [&](util::BenchRecord& rec) {
     rec.param("n", static_cast<std::uint64_t>(n))
         .param("dims", static_cast<std::uint64_t>(dims))
         .param("queries", static_cast<std::uint64_t>(query_count))
         .param("configurations", static_cast<std::uint64_t>(configs));
   };
-  {
-    util::BenchRecord rec("robustness_checkpoint_plain");
+  const auto timed_record = [&](const char* name, const bench::Spread& wall) {
+    util::BenchRecord rec(name);
     stamp(rec);
-    report.write(rec.wall_seconds(plain_wall));
-  }
-  {
-    util::BenchRecord rec("robustness_checkpoint_engaged");
-    stamp(rec);
-    report.write(rec.wall_seconds(util::median(arm_s[0])));
-  }
+    bench::with_spread(rec, wall).wall_seconds(wall.median);
+    return rec;
+  };
+  report.write(timed_record("robustness_checkpoint_plain", plain_wall));
+  report.write(timed_record("robustness_checkpoint_engaged", arm_wall[0]));
   for (std::size_t a = 0; a < arms.size(); ++a) {
-    util::BenchRecord rec(arms[a].record);
-    stamp(rec);
-    rec.param("rounds", static_cast<std::uint64_t>(rounds))
-        .param("deadline_ms", arms[a].deadline_ms)
+    util::BenchRecord rec = timed_record(arms[a].record, arm_wall[a]);
+    rec.param("deadline_ms", arms[a].deadline_ms)
         .param("coarse_slack_ms", slack_ms)
         .param("timed_out_shards",
                static_cast<std::uint64_t>(timed_out_shards[a]))
-        .param("overhead_pct", overhead_pct[a]);
-    report.write(rec);
+        .param("overhead_pct", overhead_pct[a].median);
+    report.write(bench::with_spread(rec, overhead_pct[a], "overhead_pct_"));
   }
   {
-    util::BenchRecord rec("robustness_deadline_overshoot");
-    stamp(rec);
+    util::BenchRecord rec = timed_record("robustness_deadline_overshoot",
+                                         bench::spread_of(bounded_walls));
     rec.param("batch_queries", static_cast<std::uint64_t>(batch.size()))
         .param("deadline_ms", deadline_ms)
-        .param("runs", static_cast<std::uint64_t>(kOvershootRuns))
         .param("runs_timed_out", static_cast<std::uint64_t>(runs_timed_out))
         .param("overshoot_ms", overshoot_ms)
         .param("overshoot_median_ms", overshoot_median_ms)
@@ -324,9 +306,10 @@ int main(int argc, char** argv) {
   } else {
     std::cout << "\nrecorded " << report.path() << "\n";
   }
-  std::cout << "checkpointed search costs " << fmt("%+.2f", overhead_pct[0])
-            << "% (huge deadline), " << fmt("%+.2f", overhead_pct[1])
-            << "% (50 ms), " << fmt("%+.2f", overhead_pct[2])
+  std::cout << "checkpointed search costs "
+            << fmt("%+.2f", overhead_pct[0].median) << "% (huge deadline), "
+            << fmt("%+.2f", overhead_pct[1].median) << "% (50 ms), "
+            << fmt("%+.2f", overhead_pct[2].median)
             << "% (inside the coarse slack) vs the unengaged fast path\n";
   return 0;
 }

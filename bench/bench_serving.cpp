@@ -42,13 +42,8 @@
 namespace {
 
 using namespace apss;
+using apss::bench::fmt;
 using Clock = std::chrono::steady_clock;
-
-std::string fmt(const char* f, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), f, v);
-  return buf;
-}
 
 serve::ServerOptions bed_options(std::size_t k) {
   serve::ServerOptions options;
@@ -200,7 +195,7 @@ int main(int argc, char** argv) {
                  "kOverloaded at admission");
   table.print(std::cout);
 
-  util::BenchReport report("serving");
+  util::BenchReport report = bench::open_report("serving");
   {
     util::BenchRecord rec("serving_saturation");
     rec.param("n", static_cast<std::uint64_t>(n))

@@ -4,13 +4,14 @@
 #include <cstdio>
 #include <iostream>
 
+#include "bench_util.hpp"
 #include "hwmodels/platforms.hpp"
 #include "util/bench_report.hpp"
 #include "util/table.hpp"
 
 int main() {
   using namespace apss;
-  util::BenchReport report("table1_platforms");
+  util::BenchReport report = bench::open_report("table1_platforms");
   util::TablePrinter table("Table I: Evaluated platforms");
   table.set_header({"Platform", "Type", "Cores", "Process (nm)", "Clock (MHz)",
                     "Dyn. power (W)*", "Scan rate (Gbit/s)*"});

@@ -5,6 +5,7 @@
 #include <iostream>
 
 #include "apsim/placement.hpp"
+#include "bench_util.hpp"
 #include "core/design.hpp"
 #include "core/hamming_macro.hpp"
 #include "perf/workloads.hpp"
@@ -13,7 +14,7 @@
 
 int main() {
   using namespace apss;
-  util::BenchReport report("table2_workloads");
+  util::BenchReport report = bench::open_report("table2_workloads");
   util::TablePrinter table("Table II: kNN workload parameters");
   table.set_header({"Workload", "Dimensionality", "Neighbors",
                     "frame cycles (2d+L+3)", "macro STEs",

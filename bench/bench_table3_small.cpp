@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "bench_util.hpp"
 #include "core/engine.hpp"
 #include "hwmodels/fpga_accelerator.hpp"
 #include "hwmodels/platforms.hpp"
@@ -21,7 +22,7 @@
 
 int main() {
   using namespace apss;
-  util::BenchReport report("table3_small");
+  util::BenchReport report = bench::open_report("table3_small");
 
   util::TablePrinter runtime("Table III: small-dataset run time (ms)");
   runtime.set_header({"Workload", "Xeon(paper)", "CPU(ours,1T)", "ARM(paper)",

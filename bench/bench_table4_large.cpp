@@ -7,6 +7,7 @@
 
 #include <iostream>
 
+#include "bench_util.hpp"
 #include "hwmodels/fpga_accelerator.hpp"
 #include "hwmodels/gpu_model.hpp"
 #include "hwmodels/platforms.hpp"
@@ -42,7 +43,7 @@ void record_platform(apss::util::BenchReport& report,
 
 int main() {
   using namespace apss;
-  util::BenchReport report("table4_large");
+  util::BenchReport report = bench::open_report("table4_large");
   util::Timer bench_timer;
 
   util::TablePrinter runtime("Table IV: large-dataset run time (s)");

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "bench_util.hpp"
 #include "perf/indexing_model.hpp"
 #include "util/bench_report.hpp"
 #include "util/table.hpp"
@@ -17,7 +18,7 @@
 
 int main() {
   using namespace apss;
-  util::BenchReport report("table5_indexing");
+  util::BenchReport report = bench::open_report("table5_indexing");
   perf::IndexingScenario scenario;
   scenario.workload = perf::workload("kNN-TagSpace");
 

@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  util::BenchReport report("table6_reduction");
+  util::BenchReport report = bench::open_report("table6_reduction");
   util::TablePrinter table(
       "Table VI: % incorrect runs (" + std::to_string(runs) +
       " runs, p=16, n=1024)");

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "bench_util.hpp"
 #include "core/ext/ste_decomposition.hpp"
 #include "core/hamming_macro.hpp"
 #include "perf/workloads.hpp"
@@ -14,7 +15,7 @@
 
 int main() {
   using namespace apss;
-  util::BenchReport report("table7_decomposition");
+  util::BenchReport report = bench::open_report("table7_decomposition");
   const std::size_t factors[] = {1, 2, 4, 8, 16, 32};
 
   struct PaperRow {

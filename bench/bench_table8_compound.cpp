@@ -7,13 +7,14 @@
 #include <cstdio>
 #include <iostream>
 
+#include "bench_util.hpp"
 #include "perf/projection.hpp"
 #include "util/bench_report.hpp"
 #include "util/table.hpp"
 
 int main() {
   using namespace apss;
-  util::BenchReport report("table8_compound");
+  util::BenchReport report = bench::open_report("table8_compound");
 
   struct PaperRow {
     const char* name;

@@ -1,7 +1,8 @@
 #pragma once
 // Compile-cache glue between the engine and src/artifact: outcome/counter
-// types surfaced through EngineStats::backend, the slot-file naming scheme,
-// the compile-input key hash helpers, and the shared load/store flow.
+// types surfaced through ApKnnEngine::backend_stats(), the slot-file naming
+// scheme, the compile-input key hash helpers, and the shared load/store
+// flow.
 //
 // Cache protocol (docs/ARTIFACTS.md "Cache directories"):
 //

@@ -271,7 +271,7 @@ ApKnnEngine::ApKnnEngine(knn::BinaryDataset dataset, EngineOptions options)
     }
   }
 
-  // Backend/fallback bookkeeping (EngineStats::backend): count the fast
+  // Backend/fallback bookkeeping (backend_stats()): count the fast
   // path per macro family; aggregate decline reasons so no configuration
   // falls back to the cycle-accurate simulator silently. Reasons appear in
   // first-occurrence configuration order.
@@ -443,7 +443,6 @@ EngineStats ApKnnEngine::project(std::size_t query_count) const {
   s.queries = query_count;
   s.simulated_cycles =
       frames_for(query_count) * s.cycles_per_query * s.configurations;
-  s.backend = compile_stats_;
   return s;
 }
 

@@ -46,7 +46,7 @@ enum class SimulationBackend {
   /// configuration it cannot prove supported (counters capped above 1
   /// increment/cycle, boolean gates, dynamic thresholds, foreign elements)
   /// falls back to the cycle-accurate simulator, per configuration, with
-  /// the decline reason recorded in EngineStats::backend.
+  /// the decline reason recorded in ApKnnEngine::backend_stats().
   kBitParallel,
 };
 
@@ -107,8 +107,8 @@ struct ShardStatus {
 /// Per-configuration compile outcome of the bit-parallel backend: which
 /// simulator runs each configuration, by macro family, and why anything
 /// fell back — so cycle-accurate fallbacks are visible (ISSUE 5), not
-/// silent. Filled at engine construction; reported via EngineStats and
-/// printed by `apss_cli knn --backend=bit`.
+/// silent. Filled at engine construction; reported by
+/// ApKnnEngine::backend_stats() and printed by `apss_cli knn --backend=bit`.
 struct BackendCompileStats {
   std::size_t configurations = 0;  ///< total configurations built
   std::size_t bit_parallel = 0;    ///< compiled for apsim::BatchSimulator
@@ -187,8 +187,8 @@ struct EngineOptions {
   /// compiled program from a slot file here (skipping network construction
   /// and verification entirely); on a miss or invalidation it compiles
   /// fresh and saves the artifact. Outcomes are counted in
-  /// EngineStats::backend.artifact. Empty (default) disables the cache; the
-  /// kCycleAccurate backend ignores it (nothing is compiled).
+  /// ApKnnEngine::backend_stats().artifact. Empty (default) disables the
+  /// cache; the kCycleAccurate backend ignores it (nothing is compiled).
   std::string artifact_cache_dir;
   /// Failure policy for search() passes (docs/ROBUSTNESS.md). A search's
   /// deadline and cancellation token are per call (SearchControl).
@@ -210,8 +210,6 @@ struct EngineStats {
   /// configurations, with ceil(queries / S) frames when multiplexed.
   std::size_t simulated_cycles = 0;
   std::size_t report_events = 0;
-  /// Which backend compiled each configuration (and why any fell back).
-  BackendCompileStats backend;
   /// Per-configuration fault-isolation outcome of the last search() (empty
   /// for project()). All-kOk in every healthy run; under OnError::kRetry
   /// this is where failures and expired budgets are reported —
@@ -239,8 +237,8 @@ struct EngineStats {
   }
 
   /// Backend-independent accounting equality: the two backends must do the
-  /// SAME device work (cycles, reports, splits) even though `backend`
-  /// legitimately differs between them.
+  /// SAME device work (cycles, reports, splits); shard outcomes are not
+  /// compared.
   bool same_work(const EngineStats& o) const {
     return configurations == o.configurations &&
            vectors_per_config == o.vectors_per_config &&
@@ -334,7 +332,7 @@ class ApKnnEngine {
   std::size_t bit_parallel_configurations() const noexcept;
 
   /// Per-configuration backend/fallback-reason counters collected while
-  /// compiling (also embedded in every EngineStats this engine produces).
+  /// compiling.
   const BackendCompileStats& backend_stats() const noexcept {
     return compile_stats_;
   }

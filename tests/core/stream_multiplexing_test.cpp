@@ -261,7 +261,7 @@ TEST(MultiplexedEngine, DuplicateVectorsAcrossConfigurationsMatchScan) {
       } else {
         EXPECT_EQ(engine.last_report_stream(), reference_stream) << ctx;
       }
-      const BackendCompileStats& bs = engine.last_stats().backend;
+      const BackendCompileStats& bs = engine.backend_stats();
       if (bit) {
         EXPECT_EQ(bs.multiplexed, 3u) << ctx;
         EXPECT_EQ(bs.bit_parallel, 3u) << ctx;
