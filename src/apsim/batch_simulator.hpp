@@ -382,11 +382,14 @@ class BatchSimulator {
   /// counts (zero past the live lanes, up to a whole block), their group
   /// maxima (one entry per block, see LaneMatchCounts), a cut frame's
   /// candidate lanes (with the room ListCandidates asks for), and the
-  /// counting sort's per-count output cursors.
+  /// counting sort's per-count output cursors. The counts, maxima and
+  /// candidates start on a cache line, so no 64-byte store or load of the
+  /// kernels splits one, whatever address the heap hands out.
   std::vector<std::uint64_t> query_bits_;
-  std::vector<std::uint32_t> lane_counts_;
-  std::vector<std::uint32_t> group_max_;
-  std::vector<std::uint32_t> candidate_lanes_;
+  std::vector<std::uint32_t, CacheLineAllocator<std::uint32_t>> lane_counts_;
+  std::vector<std::uint32_t, CacheLineAllocator<std::uint32_t>> group_max_;
+  std::vector<std::uint32_t, CacheLineAllocator<std::uint32_t>>
+      candidate_lanes_;
   std::vector<std::size_t> count_cursor_;
   std::vector<ReportEvent> reports_;
 };

@@ -60,47 +60,6 @@ bool survives(ShardState state) noexcept {
   return state == ShardState::kOk || state == ShardState::kDegraded;
 }
 
-/// The entries of `later`, a (distance, id)-ordered list from a
-/// configuration after every entry of `running` (so each of its ids is
-/// larger), that can enter `running`, a list that keeps `want` entries:
-/// all of them while `running` is short, else those strictly closer than
-/// its last (an equal distance loses on id).
-std::span<const knn::Neighbor> entering(std::span<const knn::Neighbor> running,
-                                        std::span<const knn::Neighbor> later,
-                                        std::size_t want) {
-  if (running.size() < want) {
-    return later;
-  }
-  const std::uint32_t bound = running.back().distance;
-  return later.first(static_cast<std::size_t>(
-      std::partition_point(
-          later.begin(), later.end(),
-          [&](const knn::Neighbor& n) { return n.distance < bound; }) -
-      later.begin()));
-}
-
-/// Merges `later` (entering()'s result) into `running`, keeping the first
-/// `want` entries of the union in (distance, id) order. The merge runs in
-/// place from the back.
-void merge_later(std::vector<knn::Neighbor>& running,
-                 std::span<const knn::Neighbor> later, std::size_t want) {
-  std::size_t j = later.size();
-  std::size_t i = running.size();
-  const std::size_t size = std::min(want, i + j);
-  running.resize(size);
-  // Walk the union from its largest entry down; the i + j - size largest
-  // fall past `size` and are dropped. Once `later` is used up, the rest of
-  // `running` is already in place.
-  for (std::size_t out = i + j; j > 0;) {
-    --out;
-    const bool take_later = i == 0 || !(later[j - 1] < running[i - 1]);
-    const knn::Neighbor next = take_later ? later[--j] : running[--i];
-    if (out < size) {
-      running[out] = next;
-    }
-  }
-}
-
 }  // namespace
 
 const char* to_string(OnError policy) noexcept {
@@ -469,8 +428,9 @@ std::vector<std::vector<knn::Neighbor>> ApKnnEngine::search(
   return std::move(result.neighbors);
 }
 
-/// One configuration's pass over one shard's frames: its outcome, the
-/// reports its simulation produced, and its decoded lists.
+/// One configuration's pass over one shard's frames: its outcome and the
+/// reports its simulation produced. Its decoded arrivals go to the
+/// shard's candidate lists.
 struct ApKnnEngine::ConfigPass {
   /// Outcome under OnError::kRetry (kFailFast throws instead).
   ShardState state = ShardState::kOk;
@@ -482,9 +442,7 @@ struct ApKnnEngine::ConfigPass {
   /// The pass's ReportEvents rebased to the configuration's full
   /// query-stream timeline; filled only for a collected stream.
   std::vector<apsim::ReportEvent> events;
-  /// Per query, in (distance, id) order and cut to k.
-  std::vector<std::vector<knn::Neighbor>> partial;
-  /// Merged into the shard's running lists by its latest walk.
+  /// Committed to the shard's candidate lists by its latest walk.
   bool merged = false;
   /// Simulated under a nonzero count floor, i.e. cut with a bound taken
   /// from the configurations merged before it.
@@ -492,8 +450,6 @@ struct ApKnnEngine::ConfigPass {
 };
 
 struct ApKnnEngine::Shard {
-  static constexpr std::size_t kNone = ~std::size_t{0};
-
   std::size_t first_frame = 0;
   std::size_t frames = 0;
   /// The queries those frames carry.
@@ -501,43 +457,9 @@ struct ApKnnEngine::Shard {
   std::size_t queries = 0;
   /// One pass per configuration, in id order.
   std::vector<ConfigPass> passes;
-  /// The configuration merged first since start(), or kNone.
-  std::size_t first = kNone;
-  /// Per query, the running list once a later pass has changed it. Until
-  /// then it is empty and the first merged pass's list stands in, so a
-  /// configuration no later one changes is never copied.
-  std::vector<std::vector<knn::Neighbor>> changed;
-
-  /// Query q's merged list of the configurations merged since start().
-  std::span<const knn::Neighbor> running(std::size_t q) const {
-    if (!changed[q].empty() || first == kNone) {
-      return changed[q];
-    }
-    return passes[first].partial[q];
-  }
-  void start() {
-    first = kNone;
-    changed.assign(queries, {});
-  }
-  /// Merges configuration c's pass, which follows every merged one, into
-  /// the running lists of `want` entries.
-  void merge(std::size_t c, std::size_t want) {
-    if (first == kNone) {
-      first = c;
-      return;
-    }
-    for (std::size_t q = 0; q < queries; ++q) {
-      const auto later = entering(running(q), passes[c].partial[q], want);
-      if (later.empty()) {
-        continue;
-      }
-      if (changed[q].empty()) {
-        const auto list = running(q);
-        changed[q].assign(list.begin(), list.end());
-      }
-      merge_later(changed[q], later, want);
-    }
-  }
+  /// Per query, the kept arrivals of every pass merged since the latest
+  /// walk began, and the running k-th distance they give.
+  CandidateLists lists;
 };
 
 struct ApKnnEngine::SearchPlan {
@@ -602,10 +524,10 @@ ApKnnEngine::SearchPlan ApKnnEngine::plan_search(std::size_t query_count,
   plan.want = std::min(k, dataset_.size());
   // The temporal sort makes a query's first k reports its k nearest, so a
   // bit-parallel closed-form frame emits only those (plus the rest of the
-  // k-th report's cycle, for the tie cut), and once the running list is
-  // full only those that beat its k-th distance. A collected stream stays
-  // whole, and so does a multiplexed frame, whose earliest k reports span
-  // all its slices.
+  // k-th report's cycle, for the tie cut), and once the query holds
+  // min(k, n) candidates only those that beat their k-th distance. A
+  // collected stream stays whole, and so does a multiplexed frame, whose
+  // earliest k reports span all its slices.
   plan.report_limit =
       options_.collect_report_stream || options_.multiplex_slices > 0 ? 0 : k;
 
@@ -664,8 +586,9 @@ void ApKnnEngine::run_shards(SearchPlan& plan,
   // simulate, decode, rebase. Throws on any failure; `force_reference` is
   // the degrade path (cycle-accurate rerun of a bit-parallel configuration
   // — bit-identical events, just slower). An attempt writes its pass
-  // whole, or a later attempt rewrites it, so a failed one leaves nothing
-  // a retry or another configuration reads.
+  // whole, or a later attempt rewrites it, and its decoded arrivals enter
+  // the candidate lists all or none, after the last step that can fail,
+  // so a failed one leaves nothing a retry or another configuration reads.
   const auto run_attempt = [&](Walk& w, std::size_t c,
                                const util::RunControl& ctl,
                                std::span<const std::uint32_t> floors,
@@ -695,7 +618,8 @@ void ApKnnEngine::run_shards(SearchPlan& plan,
     }
     const TemporalSortDecoder decoder(spec_, w.shard.queries,
                                       options_.multiplex_slices);
-    pass.partial = decoder.decode(events, plan.k);
+    decoder.decode_pass(events, w.shard.lists);
+    pass.merged = true;
     if (options_.collect_report_stream) {
       apsim::rebase_events(events, w.shard.first_frame * cpq);
       pass.events = std::move(events);
@@ -771,12 +695,12 @@ void ApKnnEngine::run_shards(SearchPlan& plan,
   };
 
   // A shard's walk: encode its frames once, then run the walked
-  // configurations in ascending id order, merging each pass into the
-  // running lists. Before each pass the running lists set the count floor:
-  // a query whose list is full can take a later (larger-id) vector only at
-  // a distance below its k-th, i.e. at a match count of at least
-  // d - D_k + 1. A deadline or cancellation ends the walk, and every
-  // configuration it did not reach shares that state.
+  // configurations in ascending id order, each pass appending its kept
+  // arrivals to the candidate lists. Before each pass the lists set the
+  // count floor: a query with min(k, n) candidates can take a later
+  // (larger-id) vector only at a distance below their k-th, D_k, i.e. at a
+  // match count of at least d - D_k + 1. A deadline or cancellation ends
+  // the walk, and every configuration it did not reach shares that state.
   const auto walk_shard = [&](std::size_t t) {
     Walk w{plan.shards[t], {}, {}, std::nullopt};
     Shard& shard = w.shard;
@@ -786,7 +710,7 @@ void ApKnnEngine::run_shards(SearchPlan& plan,
       encoder.append_group(queries, q, std::min(per_frame, end - q),
                            w.stream);
     }
-    shard.start();
+    shard.lists = CandidateLists(shard.queries, spec_.dims, plan.k, plan.want);
     // Fault-tolerance plumbing (docs/ROBUSTNESS.md): every pass polls the
     // caller's deadline and cancellation token at query-frame boundaries
     // inside the simulators and records its own outcome (no locking, no
@@ -817,9 +741,8 @@ void ApKnnEngine::run_shards(SearchPlan& plan,
         w.floors.assign(shard.frames, 0);
         bool any = false;
         for (std::size_t q = 0; q < shard.queries; ++q) {
-          const auto list = shard.running(q);
-          if (list.size() == plan.want) {
-            w.floors[q] = dims - list.back().distance + 1;
+          if (shard.lists.full(q)) {
+            w.floors[q] = dims - shard.lists.kth_distance(q) + 1;
             any = true;
           }
         }
@@ -829,11 +752,6 @@ void ApKnnEngine::run_shards(SearchPlan& plan,
       }
       if (!run_pass(w, c, ctl, floors)) {
         ended = &pass;
-        continue;
-      }
-      if (survives(pass.state)) {
-        shard.merge(c, plan.want);
-        pass.merged = true;
       }
     }
   };
@@ -893,34 +811,26 @@ void ApKnnEngine::merge_shards(SearchPlan& plan,
                                SearchResult& result) const {
   // Host-side results (Sec. III-C: the host tracks intermediary per-query
   // results between reconfigurations). The shards hold disjoint queries,
-  // so their running lists move into the answer. A configuration that is
-  // lost in any shard is skipped wholesale — its partial per-query lists
-  // would silently rank neighbors against an incomplete candidate set — so
-  // a shard that merged one rebuilds its lists from the survivors' passes,
-  // which no bound of a lost configuration cut (search_into re-walked
+  // so each takes its answers from its own candidate lists. A
+  // configuration that is lost in any shard is skipped wholesale — its
+  // partial per-query lists would silently rank neighbors against an
+  // incomplete candidate set — so a shard that merged one drops that
+  // configuration's ids from its lists; the survivors' arrivals left there
+  // were cut by no bound of a lost configuration (search_into re-walked
   // those). Stats and the stream are assembled in configuration/frame
   // order on this thread, so they are bit-identical at any thread count.
   EngineStats& stats = result.stats;
   result.neighbors.resize(plan.queries);
   for (Shard& shard : plan.shards) {
-    bool rebuild = false;
     for (std::size_t c = 0; c < partitions_.size(); ++c) {
-      rebuild = rebuild || (shard.passes[c].merged && !survivors[c]);
-    }
-    if (rebuild) {
-      shard.start();
-      for (std::size_t c = 0; c < partitions_.size(); ++c) {
-        if (survivors[c]) {
-          shard.merge(c, plan.want);
-        }
+      if (shard.passes[c].merged && !survivors[c]) {
+        const Partition& p = partitions_[c];
+        shard.lists.drop_ids(static_cast<std::uint32_t>(p.begin),
+                             static_cast<std::uint32_t>(p.begin + p.count));
       }
     }
     for (std::size_t q = 0; q < shard.queries; ++q) {
-      auto& list = shard.changed[q];
-      result.neighbors[shard.first_query + q] =
-          list.empty() && shard.first != Shard::kNone
-              ? std::move(shard.passes[shard.first].partial[q])
-              : std::move(list);
+      result.neighbors[shard.first_query + q] = shard.lists.take(q);
     }
   }
   for (std::size_t c = 0; c < partitions_.size(); ++c) {

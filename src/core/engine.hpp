@@ -2,11 +2,12 @@
 // End-to-end AP kNN engine (Sec. III): partitions a dataset into
 // board-configuration-sized chunks, builds one Hamming+sorting macro per
 // vector, streams queries through a cycle-accurate simulation of every
-// configuration, and merges per-configuration partial results on the host,
-// whose running k-th distance per query bounds the next configuration —
-// the partial-reconfiguration workflow of Sec. III-C. The Sec. VI
-// macro shapes — vector packing and symbol-stream multiplexing — are
-// options of the same engine.
+// configuration, and gathers each configuration's decoded reports into
+// per-query candidate lists on the host, whose running k-th distance per
+// query bounds the next configuration and cuts the answer once at the end
+// — the partial-reconfiguration workflow of Sec. III-C. The Sec. VI macro
+// shapes — vector packing and symbol-stream multiplexing — are options of
+// the same engine.
 
 #include <cstddef>
 #include <memory>
@@ -159,7 +160,7 @@ struct EngineOptions {
   /// packed designs pass the search's k as BatchSimulator's per-frame
   /// report limit and each query's running bound as its count floor, so
   /// closed-form frames emit only their earliest reports, and once a
-  /// query's list holds k entries only those that beat its k-th distance
+  /// query holds k candidates only those that beat their k-th distance
   /// (a multiplexed frame's earliest k reports span all its slices, so it
   /// keeps them all); answers and EngineStats are the same either way.
   bool collect_report_stream = false;
@@ -404,7 +405,8 @@ class ApKnnEngine {
 
   /// One configuration's pass over a shard's frames, with its outputs and
   /// failure outcome; one query-frame range, the unit of search() work,
-  /// which walks every configuration; and the shard list plus the per-call
+  /// which walks every configuration and keeps its queries' candidate
+  /// lists (core::CandidateLists); and the shard list plus the per-call
   /// constants every search() step reads. All are defined in engine.cpp.
   struct ConfigPass;
   struct Shard;
@@ -429,6 +431,8 @@ class ApKnnEngine {
   /// bound that a configuration lost from `survivors` helped set.
   static bool bound_used_lost_config(const Shard& shard,
                                      const std::vector<bool>& survivors);
+  /// Drops the lost configurations' candidates, takes each query's answer
+  /// from its shard's lists, and assembles stats and streams.
   void merge_shards(SearchPlan& plan, const std::vector<bool>& survivors,
                     SearchResult& result) const;
 

@@ -80,6 +80,11 @@ void SymbolStreamEncoder::append_group(const knn::BinaryDataset& queries,
   if (queries.dims() != spec_.dims) {
     throw std::invalid_argument("append_group: query dims mismatch");
   }
+  if (count == 1) {
+    // The base design's frame: append_query's constant-count loop.
+    append_query(queries.row(begin), out);
+    return;
+  }
   append_frame(queries.row(begin).data(), queries.word_stride(), count, out);
 }
 

@@ -43,7 +43,8 @@ class SymbolStreamEncoder {
 
   /// Appends one multiplexed frame carrying rows [begin, begin + count) of
   /// `queries` in slices 0..count-1 to `out`. count must be 1..kMaxSlices.
-  /// A one-row frame equals append_query's frame for that row.
+  /// A one-row frame is append_query's frame for that row, written by the
+  /// same constant-count loop.
   void append_group(const knn::BinaryDataset& queries, std::size_t begin,
                     std::size_t count, std::vector<std::uint8_t>& out) const;
 
