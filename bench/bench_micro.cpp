@@ -1,7 +1,8 @@
 // Google-benchmark microbenchmarks for the hot kernels: the Hamming scan
 // (CPU baseline), top-k strategies, stream encoding, cycle-accurate and
 // bit-parallel simulation throughput, the closed-form match-count kernels
-// (two-class and multi-class, the resolved build against the POPCNT one), a
+// (two-class and multi-class, the resolved build against the POPCNT one)
+// and frame front end (the resolved build against the portable one), a
 // closed-form frame under a report limit, a multi-configuration engine
 // search, and ITQ encoding. These quantify
 // the SIMULATION substrate itself (how fast this repo executes automata),
@@ -16,6 +17,7 @@
 #include "bench_util.hpp"
 #include "core/engine.hpp"
 #include "core/hamming_macro.hpp"
+#include "core/opt/stream_multiplexing.hpp"
 #include "core/stream.hpp"
 #include "knn/exact.hpp"
 #include "quant/itq.hpp"
@@ -240,6 +242,63 @@ void BM_MatchCounts(benchmark::State& state) {
       avx512 != nullptr && kernels.two_class == avx512->two_class;
 }
 BENCHMARK(BM_MatchCounts)->ArgsProduct({{1024, 1264, 5888}, {0, 1}, {1, 2}});
+
+void BM_FrameFrontEnd(benchmark::State& state) {
+  // One closed-form frame's front end at d = 128: the template check over
+  // the 258 symbols between its SOF and EOF, and every class's query mask
+  // from its 128 data symbols. Arg 0 = the program's match classes: 2 for
+  // BM_BatchSimulatorQueryFrame's program and frame (every plain or packed
+  // program has at most two), 14 for a 7-slice multiplexed program and its
+  // first frame of 7 queries. Arg 1 = 0 for the build
+  // resolve_match_counts() picks on this CPU (counter avx512 = 1 when it
+  // is the AVX-512 one), 1 for the portable build the POPCNT one shares.
+  std::shared_ptr<const apsim::BatchProgram> program = query_frame_program(8);
+  std::vector<std::uint8_t> frame = query_frame();
+  if (state.range(0) == 14) {
+    anml::AutomataNetwork net;
+    const auto layouts = core::build_multiplexed_network(
+        net, knn::BinaryDataset::uniform(8, 128, 16), 7);
+    program = apsim::BatchProgram::try_compile(net, layouts, {});
+    std::size_t frames = 0;
+    frame = core::SymbolStreamEncoder(core::StreamSpec{128, 1})
+                .encode_multiplexed(knn::BinaryDataset::uniform(7, 128, 17),
+                                    frames);
+  }
+  const apsim::BatchProgramState program_state = program->state();
+  std::vector<std::uint8_t> class_bytes(2 * 256);
+  for (std::size_t sym = 0; sym < 256; ++sym) {
+    class_bytes[sym] =
+        static_cast<std::uint8_t>(program_state.sym_classes[sym]);
+    class_bytes[256 + sym] =
+        static_cast<std::uint8_t>(program_state.sym_classes[sym] >> 8);
+  }
+  const std::size_t masks = std::max<std::size_t>(program->match_classes(), 2);
+  std::vector<std::uint64_t> query(masks * 2);
+  apsim::FrameFrontEnd front_end = apsim::resolve_match_counts().front_end;
+  if (state.range(1) == 1) {
+    const apsim::MatchCountKernels* popcnt =
+        apsim::detail::popcnt_match_counts();
+    if (popcnt == nullptr) {
+      state.SkipWithError("no POPCNT build on this architecture");
+      return;
+    }
+    front_end = popcnt->front_end;
+  }
+  const std::size_t length = 2 * 128 + 1 + 1;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(front_end(
+        frame.data() + 1, length, 128, program_state.sof, program_state.eof,
+        program_state.sym_classes.data(), class_bytes.data(), masks,
+        query.data()));
+    benchmark::ClobberMemory();
+  }
+  const apsim::MatchCountKernels* avx512 =
+      apsim::detail::avx512_match_counts();
+  state.counters["avx512"] =
+      avx512 != nullptr && front_end == avx512->front_end;
+  state.counters["classes"] = static_cast<double>(program->match_classes());
+}
+BENCHMARK(BM_FrameFrontEnd)->ArgsProduct({{2, 14}, {0, 1}});
 
 void BM_EngineSearch(benchmark::State& state) {
   const auto data = knn::BinaryDataset::uniform(256, 64, 9);

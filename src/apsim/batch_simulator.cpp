@@ -531,13 +531,6 @@ void transpose64(std::uint64_t (&m)[64]) {
   }
 }
 
-/// Bit 0 of every byte.
-constexpr std::uint64_t kByteLowBits = 0x0101010101010101ull;
-/// Multiplying a word whose bytes are each 0 or 1 by this moves byte j's
-/// bit to bit 56 + j. Every partial product lands on a bit of its own, so
-/// nothing carries into the top byte, which holds the 8 bits in order.
-constexpr std::uint64_t kGatherByteLowBits = 0x0102040810204080ull;
-
 /// count_floor's entry for a closed-form frame that starts at symbol `pos`
 /// of a run's stream of `frame`-symbol frames (see BatchSimulator::run).
 std::uint32_t floor_at(std::span<const std::uint32_t> count_floor,
@@ -785,6 +778,12 @@ std::shared_ptr<const BatchProgram> BatchProgram::from_state(
   prog->cond_plane_ = p;
   prog->planes_ = p + 2;
   prog->bias_ = (std::uint64_t{1} << p) - s.dims;
+  prog->class_bytes_.resize(2 * 256);
+  for (std::size_t sym = 0; sym < 256; ++sym) {
+    prog->class_bytes_[sym] = static_cast<std::uint8_t>(s.sym_classes[sym]);
+    prog->class_bytes_[256 + sym] =
+        static_cast<std::uint8_t>(s.sym_classes[sym] >> 8);
+  }
   return prog;
 }
 
@@ -816,7 +815,7 @@ BatchProgramState BatchProgram::state() const {
 BatchSimulator::BatchSimulator(std::shared_ptr<const BatchProgram> program,
                                LaneWidth lane_width)
     : kernels_(resolve_lane_kernels(lane_width)),
-      match_counts_(resolve_match_counts()) {
+      match_counts_(&resolve_match_counts()) {
   bind(std::move(program));
 }
 
@@ -994,12 +993,15 @@ bool BatchSimulator::try_closed_form_frame(std::span<const std::uint8_t> rest,
   if (rest.size() < cpq || rest[0] != p.sof_ || rest[cpq - 1] != p.eof_) {
     return false;
   }
-  std::uint8_t stray = 0;  // a SOF or EOF inside the frame
-  for (std::size_t i = 1; i + 1 < cpq; ++i) {
-    stray |= static_cast<std::uint8_t>((rest[i] == p.sof_) |
-                                       (rest[i] == p.eof_));
-  }
-  if (stray != 0 || !(known_quiescent_ || quiescent())) {
+  // The front end checks the symbols between SOF and EOF for a stray SOF
+  // or EOF and writes every class's query mask from the data symbols.
+  const std::size_t dw = p.dim_words_;
+  std::uint64_t* query = query_bits_.data();
+  if (!match_counts_->front_end(rest.data() + 1, cpq - 2, p.dims_, p.sof_,
+                                p.eof_, p.sym_classes_.data(),
+                                p.class_bytes_.data(), query_bits_.size() / dw,
+                                query) ||
+      !(known_quiescent_ || quiescent())) {
     return false;
   }
 
@@ -1010,38 +1012,6 @@ bool BatchSimulator::try_closed_form_frame(std::span<const std::uint8_t> rest,
   // sort state then adds one per cycle, and the counter crosses d exactly
   // once: it reports at frame offset 2d+L+3-h.
   //
-  // The query masks take 8 data symbols at a time: byte j of `accepts`
-  // holds 8 class bits of symbol j, and one multiply gathers bit c of all 8
-  // into class c's byte. The last d % 8 symbols go one by one.
-  const std::size_t dw = p.dim_words_;
-  const std::size_t classes = p.class_count_;
-  const std::uint8_t* data = rest.data() + 1;
-  std::uint64_t* query = query_bits_.data();
-  std::fill(query_bits_.begin(), query_bits_.end(), 0);
-  const std::size_t whole = p.dims_ - p.dims_ % 8;
-  for (std::size_t i = 0; i < whole; i += 8) {
-    for (std::size_t c0 = 0; c0 < classes; c0 += 8) {
-      std::uint64_t accepts = 0;
-      for (std::size_t j = 0; j < 8; ++j) {
-        accepts |= std::uint64_t{static_cast<std::uint8_t>(
-                       p.sym_classes_[data[i + j]] >> c0)}
-                   << (8 * j);
-      }
-      for (std::size_t c = c0; c < std::min(c0 + 8, classes); ++c) {
-        const std::uint64_t bits = accepts >> (c - c0) & kByteLowBits;
-        query[c * dw + i / 64] |= (bits * kGatherByteLowBits >> 56)
-                                  << (i % 64);
-      }
-    }
-  }
-  for (std::size_t i = whole; i < p.dims_; ++i) {
-    std::uint16_t accept = p.sym_classes_[data[i]];
-    while (accept != 0) {
-      const auto c = static_cast<std::size_t>(std::countr_zero(accept));
-      accept &= static_cast<std::uint16_t>(accept - 1);
-      query[c * dw + i / 64] |= std::uint64_t{1} << (i % 64);
-    }
-  }
   // Two classes: a lane matches dimension i when its class-0 row bit r_i
   // equals the class-0 query bit q0_i and that symbol is in exactly one
   // class (e_i = q0_i ^ q1_i), or when both classes accept the symbol; a
@@ -1055,12 +1025,13 @@ bool BatchSimulator::try_closed_form_frame(std::span<const std::uint8_t> rest,
       base += static_cast<std::uint32_t>(std::popcount(query[k] | exact[k]));
       exact[k] ^= query[k];
     }
-    match_counts_.two_class(p.lane_bits_.data(), query, exact, base, dw,
-                            p.macro_count_, lane_counts_.data(),
-                            group_max_.data());
+    match_counts_->two_class(p.lane_bits_.data(), query, exact, base, dw,
+                             p.macro_count_, lane_counts_.data(),
+                             group_max_.data());
   } else {
-    match_counts_.multi_class(p.lane_bits_.data(), query, p.lane_row_words(),
-                              blocks, lane_counts_.data(), group_max_.data());
+    match_counts_->multi_class(p.lane_bits_.data(), query,
+                               p.lane_row_words(), blocks, lane_counts_.data(),
+                               group_max_.data());
   }
 
   // The block floor F: the count floor, raised under a limit k below the
@@ -1078,17 +1049,17 @@ bool BatchSimulator::try_closed_form_frame(std::span<const std::uint8_t> rest,
   std::uint32_t* candidates = candidate_lanes_.data();
   std::uint32_t block_floor = count_floor;
   if (report_limit != 0 && report_limit < blocks) {
-    block_floor = match_counts_.kth_floor(group_max_.data(), blocks,
-                                          report_limit, count_floor,
-                                          static_cast<std::uint32_t>(p.dims_));
+    block_floor = match_counts_->kth_floor(
+        group_max_.data(), blocks, report_limit, count_floor,
+        static_cast<std::uint32_t>(p.dims_));
   }
   const bool cut = block_floor != 0;
   std::size_t listed = 0;
   if (cut) {
     // Pad lanes (past the last live lane of a partial last block) count 0
     // and are never listed.
-    listed = match_counts_.list_candidates(counts, group_max_.data(), blocks,
-                                           block_floor, candidates);
+    listed = match_counts_->list_candidates(counts, group_max_.data(), blocks,
+                                            block_floor, candidates);
     for (std::size_t j = 0; j < listed; ++j) {
       ++count_cursor_[counts[candidates[j]]];
     }

@@ -248,6 +248,12 @@ class BatchProgram {
   std::uint32_t planes_ = 0;      ///< Q: bit planes per counter
   std::uint32_t cond_plane_ = 0;  ///< P: planes >= P <=> count >= threshold
   std::uint64_t bias_ = 0;        ///< 2^P - threshold, loaded on reset
+  /// sym_classes_ bytewise, for the closed-form frame's front end
+  /// (FrameFrontEnd): byte s of table t (t < 2, at 256 * t) = bits 8t to
+  /// 8t + 7 of sym_classes_[s]. Derived in from_state, never serialized.
+  /// Cache-line aligned, so that each 64-byte load of a table reads one
+  /// line.
+  std::vector<std::uint8_t, CacheLineAllocator<std::uint8_t>> class_bytes_;
 };
 
 /// Executes a BatchProgram with the same streaming interface and the same
@@ -353,7 +359,8 @@ class BatchSimulator {
 
   std::shared_ptr<const BatchProgram> program_;
   LaneKernels kernels_;     ///< the stepping kernels of the lane width
-  MatchCountKernels match_counts_;  ///< closed-form frame kernels
+  /// The closed-form frame kernels: resolve_match_counts()'s registry.
+  const MatchCountKernels* match_counts_ = nullptr;
   std::size_t eff_words_ = 0;  ///< words_ rounded up to the kernel block
   std::size_t frame_cycles_ = 0;  ///< 2d+L+3: one closed-form frame
 
@@ -378,13 +385,14 @@ class BatchSimulator {
   std::vector<std::uint64_t> counter_out_;  ///< counter outputs last cycle
   std::vector<std::uint64_t> match_scratch_;
   /// Closed-form scratch: max(class_count, 2) x dim_words query masks (bit
-  /// i of class c = the dim-i data symbol is accepted by c), per-lane match
-  /// counts (zero past the live lanes, up to a whole block), their group
-  /// maxima (one entry per block, see LaneMatchCounts), a cut frame's
-  /// candidate lanes (with the room ListCandidates asks for), and the
-  /// counting sort's per-count output cursors. The counts, maxima and
-  /// candidates start on a cache line, so no 64-byte store or load of the
-  /// kernels splits one, whatever address the heap hands out.
+  /// i of class c = the dim-i data symbol is accepted by c; the front end
+  /// writes them all), per-lane match counts (zero past the live lanes, up
+  /// to a whole block), their group maxima (one entry per block, see
+  /// LaneMatchCounts), a cut frame's candidate lanes (with the room
+  /// ListCandidates asks for), and the counting sort's per-count output
+  /// cursors. The counts, maxima and candidates start on a cache line, so
+  /// no 64-byte store or load of the kernels splits one, whatever address
+  /// the heap hands out.
   std::vector<std::uint64_t> query_bits_;
   std::vector<std::uint32_t, CacheLineAllocator<std::uint32_t>> lane_counts_;
   std::vector<std::uint32_t, CacheLineAllocator<std::uint32_t>> group_max_;

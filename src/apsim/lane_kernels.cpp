@@ -1,6 +1,6 @@
-// The stepping kernels (LaneWord<W> at every width) and the match-count
-// kernels' run-time dispatch between the portable bit count, its POPCNT
-// build and the VPOPCNTDQ build in lane_kernels_avx512.cpp. This file is
+// The stepping kernels (LaneWord<W> at every width) and the closed-form
+// frame kernels' run-time dispatch between the portable build, its POPCNT
+// build and the AVX-512 build in lane_kernels_avx512.cpp. This file is
 // compiled WITHOUT vector target flags, so its kernels run on any
 // architecture; the POPCNT clones carry their own target attribute.
 
@@ -31,12 +31,14 @@ bool simd_disabled_by_env() noexcept {
 
 const MatchCountKernels kPortableCounts = {
     detail::match_counts_impl, detail::two_class_counts_impl,
-    detail::kth_floor_impl, detail::list_candidates_impl, "portable"};
+    detail::kth_floor_impl, detail::list_candidates_impl,
+    detail::frame_front_end_impl, "portable"};
 
 #if defined(__x86_64__) || defined(__i386__)
 // The baseline ISA lacks POPCNT (std::popcount becomes a libgcc call); these
 // clones of the same loops are compiled for it and picked at run time. The
-// cut kernels count nothing, so this build shares the portable ones.
+// front end and the cut kernels count nothing, so this build shares the
+// portable ones.
 __attribute__((target("popcnt"))) void match_counts_popcnt(
     const std::uint64_t* lane_bits, const std::uint64_t* query,
     std::size_t row_words, std::size_t blocks, std::uint32_t* counts,
@@ -55,7 +57,7 @@ __attribute__((target("popcnt"))) void two_class_counts_popcnt(
 
 const MatchCountKernels kPopcntCounts = {
     match_counts_popcnt, two_class_counts_popcnt, detail::kth_floor_impl,
-    detail::list_candidates_impl, "popcnt"};
+    detail::list_candidates_impl, detail::frame_front_end_impl, "popcnt"};
 #endif
 
 }  // namespace
@@ -70,11 +72,13 @@ const MatchCountKernels* popcnt_match_counts() noexcept {
 }
 }  // namespace detail
 
-MatchCountKernels resolve_match_counts() noexcept {
+const MatchCountKernels& resolve_match_counts() noexcept {
 #if defined(__x86_64__) || defined(__i386__)
   if (!simd_disabled_by_env()) {
     const MatchCountKernels* avx512 = detail::avx512_match_counts();
     if (avx512 != nullptr && __builtin_cpu_supports("avx512f") &&
+        __builtin_cpu_supports("avx512bw") &&
+        __builtin_cpu_supports("avx512vbmi") &&
         __builtin_cpu_supports("avx512vpopcntdq") &&
         __builtin_cpu_supports("popcnt")) {
       return *avx512;

@@ -1,9 +1,11 @@
-// AVX-512 VPOPCNTDQ kernels for the closed-form frame path: the match-count
-// sweep, one block of 8 lanes per zmm register, and the cut's block floor
-// and candidate list, 16 counts per register. Built with -mavx512f when the
-// compiler supports it; a stub registry otherwise (resolve_match_counts
-// then picks the POPCNT or portable build). Nothing here executes unless
-// resolve_match_counts checked the CPU for avx512f, avx512vpopcntdq and
+// AVX-512 kernels for the closed-form frame path: the front end, 64
+// symbols per register (the template check and every class's query mask
+// by table lookup), the VPOPCNTDQ match-count sweep, one block of 8 lanes
+// per zmm register, and the cut's block floor and candidate list, 16
+// counts per register. Built with -mavx512f when the compiler supports it;
+// a stub registry otherwise (resolve_match_counts then picks the POPCNT or
+// portable build). Nothing here executes unless resolve_match_counts
+// checked the CPU for avx512f, avx512bw, avx512vbmi, avx512vpopcntdq and
 // popcnt first. Scalar popcounts use __builtin_popcount: a std algorithm
 // instantiated here would be AVX-512 code that other translation units
 // could link to.
@@ -283,9 +285,92 @@ list_candidates_avx512(const std::uint32_t* counts, const std::uint32_t* maxima,
 
 #undef APSS_VPOPCNT
 
+#define APSS_VBMI \
+  __attribute__((target("avx512f,avx512bw,avx512vbmi"), always_inline))
+
+/// The mask of the first min(n, 64) bytes of a register.
+APSS_VBMI inline __mmask64 first_bytes(std::size_t n) {
+  return n >= 64 ? ~__mmask64{0} : (__mmask64{1} << n) - 1;
+}
+
+/// The 64 symbols from frame + pos that lie before `length` (zero past
+/// it), and any SOF or EOF among them ORed into `stray`: one masked load
+/// and two VPCMPEQB.
+APSS_VBMI inline __m512i load_symbols(const std::uint8_t* frame,
+                                      std::size_t pos, std::size_t length,
+                                      __m512i sof, __m512i eof,
+                                      __mmask64& stray) {
+  const __mmask64 load = first_bytes(length - pos);
+  const __m512i symbols = _mm512_maskz_loadu_epi8(load, frame + pos);
+  stray |= _mm512_mask_cmpeq_epi8_mask(load, symbols, sof) |
+           _mm512_mask_cmpeq_epi8_mask(load, symbols, eof);
+  return symbols;
+}
+
+/// Eight classes' query words from one 256-byte class-byte table: each
+/// symbol's class byte by two VPERMI2B lookups on its low 7 bits, one into
+/// each half of the table, blended on its bit 7; then class c0 + b's word
+/// is one VPTESTMB of bit b, for the classes below `end`, masked to the
+/// `data` symbols. The table is read from memory at each call, not copied
+/// into a local array once: gcc compiles that copy to a rep movs to the
+/// stack and four reloads of it.
+APSS_VBMI inline void write_query_words(__m512i symbols, __mmask64 high,
+                                        const std::uint8_t* table,
+                                        __mmask64 data, std::size_t c0,
+                                        std::size_t end, std::size_t dw,
+                                        std::uint64_t* query) {
+  const __m512i bytes = _mm512_mask_blend_epi8(
+      high,
+      _mm512_permutex2var_epi8(_mm512_loadu_si512(table), symbols,
+                               _mm512_loadu_si512(table + 64)),
+      _mm512_permutex2var_epi8(_mm512_loadu_si512(table + 128), symbols,
+                               _mm512_loadu_si512(table + 192)));
+  for (std::size_t c = c0; c < end; ++c) {
+    query[c * dw] = _mm512_mask_test_epi8_mask(
+        data, bytes, _mm512_set1_epi8(static_cast<char>(1u << (c - c0))));
+  }
+}
+
+/// The front end (see FrameFrontEnd), 64 symbols per step: the data steps
+/// write one word of every class's query mask each and check their
+/// symbols, including the fills that share the last data step's register;
+/// the fill steps only check. Reads class_bytes only, classes 8 to 15's
+/// table only when a mask above 8 is asked for.
+__attribute__((target("avx512f,avx512bw,avx512vbmi"))) bool
+frame_front_end_avx512(const std::uint8_t* frame, std::size_t length,
+                       std::size_t dims, std::uint8_t sof_in,
+                       std::uint8_t eof_in,
+                       const std::uint16_t* /*sym_classes*/,
+                       const std::uint8_t* class_bytes, std::size_t masks,
+                       std::uint64_t* query) {
+  const __m512i sof = _mm512_set1_epi8(static_cast<char>(sof_in));
+  const __m512i eof = _mm512_set1_epi8(static_cast<char>(eof_in));
+  const bool upper = masks > 8;
+  const std::size_t dw = (dims + 63) / 64;
+  __mmask64 stray = 0;
+  std::size_t pos = 0;
+  for (std::size_t w = 0; w < dw; ++w, pos += 64) {
+    const __m512i symbols = load_symbols(frame, pos, length, sof, eof, stray);
+    const __mmask64 high = _mm512_movepi8_mask(symbols);
+    const __mmask64 data = first_bytes(dims - pos);
+    write_query_words(symbols, high, class_bytes, data, 0, upper ? 8 : masks,
+                      dw, query + w);
+    if (upper) {
+      write_query_words(symbols, high, class_bytes + 256, data, 8, masks, dw,
+                        query + w);
+    }
+  }
+  for (; pos < length; pos += 64) {
+    load_symbols(frame, pos, length, sof, eof, stray);
+  }
+  return stray == 0;
+}
+
+#undef APSS_VBMI
+
 const MatchCountKernels kAvx512Counts = {
     match_counts_avx512, two_class_counts_avx512, kth_floor_avx512,
-    list_candidates_avx512, "avx512-vpopcntdq"};
+    list_candidates_avx512, frame_front_end_avx512, "avx512-vpopcntdq"};
 
 }  // namespace
 

@@ -4,14 +4,16 @@
 // LaneWord<W> (lane_kernels.cpp). The dataflow is identical at every width,
 // which is what makes the widths bit-identical by construction: only the
 // number of 64-bit words touched per iteration changes. The closed-form
-// match counts and cut kernels below are the portable build that the
-// POPCNT clones share and that the VPOPCNTDQ kernels must equal.
+// front end, match counts and cut kernels below are the portable build:
+// the POPCNT build shares or clones each of them, and the AVX-512 kernels
+// must equal them.
 //
 // V must provide: kWords, load/store/zero, operator| & ^, andnot(mask)
 // (= *this & ~mask), and any(). Callers guarantee ctx.words (and the
 // `words` of or_rows) is a multiple of V::kWords and that every array is
 // zero-padded past the live lanes, so no tail handling exists here.
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -84,6 +86,62 @@ inline void counter_update_impl(const LaneCounterCtx& ctx) {
     cond.andnot(prev).store(ctx.pulse + w);  // rising edge -> pulse
     cond.store(ctx.cond_prev + w);
   }
+}
+
+/// Bit 0 of every byte.
+inline constexpr std::uint64_t kByteLowBits = 0x0101010101010101ull;
+/// Multiplying a word whose bytes are each 0 or 1 by this moves byte j's
+/// bit to bit 56 + j. Every partial product lands on a bit of its own, so
+/// nothing carries into the top byte, which holds the 8 bits in order.
+inline constexpr std::uint64_t kGatherByteLowBits = 0x0102040810204080ull;
+
+/// The closed-form frame's front end (see FrameFrontEnd): one pass over
+/// the symbols for a stray SOF or EOF, then the query masks from the data
+/// symbols' class bits, 8 symbols at a time: byte j of `accepts` holds 8
+/// class bits of symbol j, and one multiply gathers bit c of all 8 into
+/// class c's byte. The last dims % 8 symbols go one by one. Reads
+/// sym_classes only.
+inline bool frame_front_end_impl(const std::uint8_t* frame, std::size_t length,
+                                 std::size_t dims, std::uint8_t sof,
+                                 std::uint8_t eof,
+                                 const std::uint16_t* sym_classes,
+                                 const std::uint8_t* /*class_bytes*/,
+                                 std::size_t masks, std::uint64_t* query) {
+  std::uint8_t stray = 0;
+  for (std::size_t i = 0; i < length; ++i) {
+    stray |= static_cast<std::uint8_t>((frame[i] == sof) | (frame[i] == eof));
+  }
+  if (stray != 0) {
+    return false;
+  }
+  const std::size_t dw = (dims + 63) / 64;
+  std::fill(query, query + masks * dw, 0);
+  const std::size_t whole = dims - dims % 8;
+  for (std::size_t i = 0; i < whole; i += 8) {
+    for (std::size_t c0 = 0; c0 < masks; c0 += 8) {
+      std::uint64_t accepts = 0;
+#pragma GCC unroll 8
+      for (std::size_t j = 0; j < 8; ++j) {
+        accepts |= std::uint64_t{static_cast<std::uint8_t>(
+                       sym_classes[frame[i + j]] >> c0)}
+                   << (8 * j);
+      }
+      for (std::size_t c = c0; c < std::min(c0 + 8, masks); ++c) {
+        const std::uint64_t bits = accepts >> (c - c0) & kByteLowBits;
+        query[c * dw + i / 64] |= (bits * kGatherByteLowBits >> 56)
+                                  << (i % 64);
+      }
+    }
+  }
+  for (std::size_t i = whole; i < dims; ++i) {
+    std::uint16_t accept = sym_classes[frame[i]];
+    while (accept != 0) {
+      const auto c = static_cast<std::size_t>(std::countr_zero(accept));
+      accept &= static_cast<std::uint16_t>(accept - 1);
+      query[c * dw + i / 64] |= std::uint64_t{1} << (i % 64);
+    }
+  }
+  return true;
 }
 
 /// Writes counts and group maxima (see LaneMatchCounts) for `blocks`

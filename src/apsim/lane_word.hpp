@@ -17,9 +17,9 @@
 //
 // Only symbols outside closed-form frames are stepped, and every frame the
 // engine streams takes the closed form (docs/SIMULATOR_SEMANTICS.md). Those
-// frames run the match-count and cut kernels declared below, the only SIMD
-// code: VPOPCNTDQ or POPCNT builds picked by resolve_match_counts() at run
-// time.
+// frames run the front-end, match-count and cut kernels declared below, the
+// only SIMD code: AVX-512 or POPCNT builds picked by resolve_match_counts()
+// at run time.
 // APSS_DISABLE_SIMD=1 in the environment forces their portable build.
 //
 // Lane layout is width-agnostic: lane l always lives at 64-bit word l/64,
@@ -212,33 +212,55 @@ using ListCandidates = std::size_t (*)(const std::uint32_t* counts,
                                        std::uint32_t floor,
                                        std::uint32_t* out);
 
-/// One build of the closed-form frame kernels. BatchSimulator counts with
-/// the match-count kernel its program's class count selects, and cuts with
+/// The front end of a closed-form frame: the `length` symbols at `frame`
+/// are a frame's data and fill symbols, between its SOF and EOF. Returns
+/// false when one of them is the `sof` or `eof` symbol. Otherwise writes
+/// `masks` query masks of ceil(dims / 64) words each, mask c at query +
+/// c * ceil(dims / 64), from the first `dims` symbols (dims < length):
+/// bit i of mask c = bit c of sym_classes[frame[i]], i.e. match class c
+/// accepts data symbol i; bits from dims up are 0. `class_bytes` holds the
+/// same classifier bytewise for table lookups: byte s of table t (at
+/// class_bytes + 256 * t, t < 2) is bits 8t to 8t + 7 of sym_classes[s].
+/// No sym_classes entry has a bit at or above `masks` (<= 16).
+using FrameFrontEnd = bool (*)(const std::uint8_t* frame, std::size_t length,
+                               std::size_t dims, std::uint8_t sof,
+                               std::uint8_t eof,
+                               const std::uint16_t* sym_classes,
+                               const std::uint8_t* class_bytes,
+                               std::size_t masks, std::uint64_t* query);
+
+/// One build of the closed-form frame kernels. BatchSimulator checks the
+/// frame and builds its query masks with the front end, counts with the
+/// match-count kernel its program's class count selects, and cuts with
 /// the other two.
 struct MatchCountKernels {
   LaneMatchCounts multi_class = nullptr;
   TwoClassMatchCounts two_class = nullptr;
   KthFloor kth_floor = nullptr;
   ListCandidates list_candidates = nullptr;
+  FrameFrontEnd front_end = nullptr;
   const char* isa = "portable";  ///< avx512-vpopcntdq | popcnt | portable
 };
 
-/// The AVX-512 VPOPCNTDQ build, else the hardware-POPCNT one, when the CPU
-/// has it and APSS_DISABLE_SIMD is unset; else the portable bit count (all
-/// bit-identical). The POPCNT build shares the portable cut kernels.
+/// The AVX-512 build, else the hardware-POPCNT one, when the CPU has it
+/// and APSS_DISABLE_SIMD is unset; else the portable build (all
+/// bit-identical). The AVX-512 build needs avx512f, avx512bw, avx512vbmi,
+/// avx512vpopcntdq and popcnt. The POPCNT build shares the portable front
+/// end and cut kernels. Returns one of the builds' static registries.
 /// APSS_DISABLE_SIMD counts as set unless it is "" or "0", and it is read
 /// on every call, so tests can flip it between simulator constructions.
-MatchCountKernels resolve_match_counts() noexcept;
+const MatchCountKernels& resolve_match_counts() noexcept;
 
 /// The LaneWord<W> stepping kernels of `width` (bit-identical at every
 /// width).
 LaneKernels resolve_lane_kernels(LaneWidth width = LaneWidth::k64);
 
 namespace detail {
-/// The VPOPCNTDQ match-count and cut kernels, defined in
+/// The AVX-512 closed-form frame kernels, defined in
 /// lane_kernels_avx512.cpp; null when that translation unit was built
 /// without -mavx512f (non-x86, or a compiler without the flag). The caller
-/// checks the CPU for avx512f, avx512vpopcntdq and popcnt first.
+/// checks the CPU for avx512f, avx512bw, avx512vbmi, avx512vpopcntdq and
+/// popcnt first.
 const MatchCountKernels* avx512_match_counts() noexcept;
 /// The hardware-POPCNT build of the portable kernels; null off x86. The
 /// caller checks the CPU for popcnt first.

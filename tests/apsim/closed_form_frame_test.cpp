@@ -21,7 +21,9 @@
 // in neither, check the two-class count's every term. Both resolved
 // match-count kernels must write the same counts and group maxima as the
 // portable ones, and the resolved block floor and candidate list must
-// equal the portable ones and a sort and scan of the counts.
+// equal the portable ones and a sort and scan of the counts. The resolved
+// front end must find the same stray SOF or EOF and write the same query
+// masks as the portable one, for every symbol at every data position.
 
 #include <gtest/gtest.h>
 
@@ -512,19 +514,25 @@ TEST(ClosedFormFrame, PackedFlatAndTreeGroups) {
 TEST(ClosedFormFrame, MultiplexedMultiClassSymbols) {
   // Multiplexed data symbols carry one bit per slice, so each is accepted
   // by several match classes at once; random payload bytes hit arbitrary
-  // class subsets.
+  // class subsets. 5 to 7 slices make 10 to 14 classes, so the front end
+  // reads the classifier's table of classes 8 to 15 too. The data ends
+  // inside, on, just past and one into the front end's 64-symbol steps.
   util::Rng rng(606);
-  for (const std::size_t dims : {10u, 70u}) {
-    const Config c = multiplexed(test::random_dataset(rng, 67, dims), 7);
-    ASSERT_EQ(c.program->family(), MacroFamily::kMultiplexed);
-    std::size_t frames = 0;
-    std::vector<std::uint8_t> stream =
-        core::SymbolStreamEncoder(c.spec())
-            .encode_multiplexed(test::random_dataset(rng, 9, dims), frames);
-    ASSERT_EQ(stream.size(), frames * c.frame());
-    append_random_frame(rng, c, stream);
-    expect_closed_form(c, stream, frames + 1, true, rng,
-                       "mux d=" + std::to_string(dims));
+  for (const std::size_t slices : {5u, 6u, 7u}) {
+    for (const std::size_t dims : {10u, 64u, 70u, 129u}) {
+      const Config c = multiplexed(test::random_dataset(rng, 67, dims), slices);
+      ASSERT_EQ(c.program->family(), MacroFamily::kMultiplexed);
+      ASSERT_EQ(c.program->match_classes(), 2 * slices);
+      std::size_t frames = 0;
+      std::vector<std::uint8_t> stream =
+          core::SymbolStreamEncoder(c.spec())
+              .encode_multiplexed(test::random_dataset(rng, 9, dims), frames);
+      ASSERT_EQ(stream.size(), frames * c.frame());
+      append_random_frame(rng, c, stream);
+      expect_closed_form(c, stream, frames + 1, true, rng,
+                         "mux S=" + std::to_string(slices) +
+                             " d=" + std::to_string(dims));
+    }
   }
 }
 
@@ -970,15 +978,140 @@ TEST(MatchCountKernels, CutKernelsMatchThePortableOnesAndBruteForce) {
   }
 }
 
+/// The query masks of FrameFrontEnd by their definition: bit i of mask c
+/// is bit c of sym_classes[frame[i]].
+std::vector<std::uint64_t> query_masks(const std::vector<std::uint8_t>& frame,
+                                       std::size_t dims,
+                                       const std::vector<std::uint16_t>& classes,
+                                       std::size_t masks) {
+  const std::size_t dw = (dims + 63) / 64;
+  std::vector<std::uint64_t> query(masks * dw, 0);
+  for (std::size_t i = 0; i < dims; ++i) {
+    for (std::size_t c = 0; c < masks; ++c) {
+      if ((classes[frame[i]] >> c) & 1) {
+        query[c * dw + i / 64] |= std::uint64_t{1} << (i % 64);
+      }
+    }
+  }
+  return query;
+}
+
+TEST(MatchCountKernels, FrontEndMatchesThePortableOne) {
+  // For each d and collector depth L, a frame's 2d + L + 1 symbols between
+  // SOF and EOF under classifiers of 1 to 16 classes (each symbol in a
+  // random subset of them, SOF and EOF in none): 256 frames put every
+  // symbol value at every data position, where the frame whose symbol
+  // there is SOF or EOF has it swapped for a payload symbol; fills are
+  // random payload. Then a stray SOF or EOF at the first and last data
+  // symbol and at the first and last fill. Each frame is followed by 64
+  // bytes of SOF, which no build may read. The resolved build must return
+  // what the portable one does, and both must write every word of every
+  // mask as the definition says.
+  util::Rng rng(2017);
+  const FrameFrontEnd resolved = resolve_match_counts().front_end;
+  const FrameFrontEnd portable = detail::frame_front_end_impl;
+  for (const std::size_t dims :
+       {1u, 7u, 8u, 63u, 64u, 65u, 127u, 128u, 129u, 200u, 255u}) {
+    for (std::size_t levels = 1; levels <= 4; ++levels) {
+      const std::size_t length = 2 * dims + levels + 1;
+      const std::size_t dw = (dims + 63) / 64;
+      for (std::size_t classes = 1; classes <= 16; ++classes) {
+        const std::string context =
+            "d=" + std::to_string(dims) + " L=" + std::to_string(levels) +
+            " classes=" + std::to_string(classes);
+        const auto sof = static_cast<std::uint8_t>(rng.below(256));
+        const auto eof = static_cast<std::uint8_t>(
+            (sof + 1 + rng.below(255)) % 256);
+        std::vector<std::uint16_t> sym_classes(256, 0);
+        std::vector<std::uint8_t> class_bytes(2 * 256, 0);
+        for (std::size_t sym = 0; sym < 256; ++sym) {
+          if (sym != sof && sym != eof) {
+            sym_classes[sym] =
+                static_cast<std::uint16_t>(rng.below(1u << classes));
+          }
+          class_bytes[sym] = static_cast<std::uint8_t>(sym_classes[sym]);
+          class_bytes[256 + sym] =
+              static_cast<std::uint8_t>(sym_classes[sym] >> 8);
+        }
+        const std::size_t masks = std::max<std::size_t>(classes, 2);
+        const auto payload_symbol = [&] {
+          for (;;) {
+            const auto sym = static_cast<std::uint8_t>(rng.below(256));
+            if (sym != sof && sym != eof) {
+              return sym;
+            }
+          }
+        };
+        const auto check = [&](const std::vector<std::uint8_t>& frame,
+                               bool stray, const std::string& at) {
+          std::vector<std::uint8_t> padded = frame;
+          padded.resize(length + 64, sof);
+          std::vector<std::uint64_t> want(masks * dw, 0xdeadbeef);
+          std::vector<std::uint64_t> got(masks * dw, 0xdeadbeef);
+          const bool ok = portable(padded.data(), length, dims, sof, eof,
+                                   sym_classes.data(), class_bytes.data(),
+                                   masks, want.data());
+          ASSERT_EQ(ok, !stray) << context << at;
+          ASSERT_EQ(resolved(padded.data(), length, dims, sof, eof,
+                             sym_classes.data(), class_bytes.data(), masks,
+                             got.data()),
+                    ok)
+              << context << at;
+          if (ok) {
+            ASSERT_EQ(want, query_masks(frame, dims, sym_classes, masks))
+                << context << at;
+            ASSERT_EQ(got, want) << context << at;
+          }
+        };
+        std::vector<std::uint8_t> frame(length);
+        for (std::size_t v = 0; v < 256; ++v) {
+          for (std::size_t i = 0; i < length; ++i) {
+            const auto sym = static_cast<std::uint8_t>((v + i) % 256);
+            frame[i] = i < dims && sym != sof && sym != eof ? sym
+                                                            : payload_symbol();
+          }
+          check(frame, false, " v=" + std::to_string(v));
+        }
+        for (const std::uint8_t control : {sof, eof}) {
+          for (const std::size_t at : {std::size_t{0}, dims - 1, dims,
+                                       length - 1}) {
+            std::vector<std::uint8_t> strayed = frame;
+            strayed[at] = control;
+            check(strayed, true,
+                  std::string(control == sof ? " SOF" : " EOF") + " at " +
+                      std::to_string(at));
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(MatchCountKernels, ResolvedKernelNamesItself) {
-  // Each build carries its own name, which the engine reports as
+  // resolve_match_counts() returns the AVX-512 registry on a CPU with
+  // avx512f, avx512bw, avx512vbmi, avx512vpopcntdq and popcnt, else the
+  // POPCNT one on a CPU with popcnt, else the portable one. Each build
+  // carries its own name, which the engine reports as
   // BackendCompileStats::match_count_isa.
-  const MatchCountKernels resolved = resolve_match_counts();
+  const MatchCountKernels& resolved = resolve_match_counts();
   const MatchCountKernels* avx512 = detail::avx512_match_counts();
   const MatchCountKernels* popcnt = detail::popcnt_match_counts();
-  if (avx512 != nullptr && resolved.two_class == avx512->two_class) {
+#if defined(__x86_64__) || defined(__i386__)
+  const bool avx512_cpu = __builtin_cpu_supports("avx512f") &&
+                          __builtin_cpu_supports("avx512bw") &&
+                          __builtin_cpu_supports("avx512vbmi") &&
+                          __builtin_cpu_supports("avx512vpopcntdq") &&
+                          __builtin_cpu_supports("popcnt");
+  const bool popcnt_cpu = __builtin_cpu_supports("popcnt");
+#else
+  const bool avx512_cpu = false;
+  const bool popcnt_cpu = false;
+#endif
+  if (avx512 != nullptr && avx512_cpu) {
+    EXPECT_EQ(&resolved, avx512);
     EXPECT_STREQ(resolved.isa, "avx512-vpopcntdq");
-  } else if (popcnt != nullptr && resolved.two_class == popcnt->two_class) {
+  } else if (popcnt != nullptr && popcnt_cpu) {
+    EXPECT_EQ(&resolved, popcnt);
     EXPECT_STREQ(resolved.isa, "popcnt");
   } else {
     EXPECT_STREQ(resolved.isa, "portable");
